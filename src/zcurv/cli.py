@@ -8,6 +8,7 @@ overrides the default jet order 8 where no --order flag is given.
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -35,10 +36,13 @@ class VerificationFailure(Exception):
     """Residual beyond tolerance: exit code 1."""
 
 
-def _default_order() -> int:
-    raw = os.environ.get("ZCURV_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER
+def _jet_order(args) -> int:
+    """--order, else ZCURV_ORDER, else DEFAULT_ORDER; at least 2."""
+    if args.order is not None:
+        if args.order < 2:
+            raise InputError("--order must be >= 2")
+        return args.order
+    raw = os.environ.get("ZCURV_ORDER", str(DEFAULT_ORDER))
     try:
         order = int(raw)
     except ValueError:
@@ -46,6 +50,23 @@ def _default_order() -> int:
     if order < 2:
         raise InputError(f"ZCURV_ORDER must be an integer >= 2, got {raw!r}")
     return order
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite float >= 0."""
+    tol = float(text)  # a ValueError becomes argparse's usage error
+    if not math.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}")
+    return tol
+
+
+def _check_residuals(residuals, mags, tol: float) -> None:
+    """At tol 0 only exactly zero residuals pass; otherwise mags <= tol."""
+    if tol == 0 and not all(res.is_zero() for res in residuals):
+        raise VerificationFailure(f"residual {max(mags)!r} is not exactly zero")
+    if max(mags) > tol:
+        raise VerificationFailure(f"residual {max(mags)!r} exceeds {tol!r}")
 
 
 def _parse_base(text: str) -> tuple[Fraction, Fraction]:
@@ -134,9 +155,7 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_verify_liouville(args) -> int:
-    order = args.order if args.order is not None else _default_order()
-    if order < 2:
-        raise InputError("--order must be >= 2")
+    order = _jet_order(args)
     base = _parse_base(args.base)
     f = _build_jet(args.f, base, order, {"x"})
     g = _build_jet(args.g, base, order, {"y"})
@@ -148,13 +167,12 @@ def _cmd_verify_liouville(args) -> int:
     mag = residual.max_abs_coeff()
     print(f"residual order: {residual.order}")
     print(f"max residual coefficient magnitude: {mag!r}")
-    if mag > args.tol:
-        raise VerificationFailure(f"residual {mag!r} exceeds {args.tol!r}")
+    _check_residuals([residual], [mag], args.tol)
     return 0
 
 
 def _cmd_verify_lse(args) -> int:
-    order = args.order if args.order is not None else _default_order()
+    order = _jet_order(args)
     base = _parse_base(args.base)
     matrix = _read_cartan(args.cartan)
     doc = _read_json(args.solution)
@@ -168,14 +186,11 @@ def _cmd_verify_lse(args) -> int:
         residuals = lse_residual(SolutionVector(jets, matrix), args.form)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    worst = 0.0
-    for i, res in enumerate(residuals):
-        mag = res.max_abs_coeff()
-        worst = max(worst, mag)
+    mags = [res.max_abs_coeff() for res in residuals]
+    for i, (res, mag) in enumerate(zip(residuals, mags)):
         print(f"component {i + 1}: max residual coefficient {mag!r} "
               f"(order {res.order})")
-    if worst > args.tol:
-        raise VerificationFailure(f"residual {worst!r} exceeds {args.tol!r}")
+    _check_residuals(residuals, mags, args.tol)
     return 0
 
 
@@ -283,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--base", default="0,0")
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--tol", type=_tolerance, default=0.0)
     p.set_defaults(func=_cmd_verify_liouville)
 
     p = sub.add_parser("verify-lse", help="check a solution vector")
@@ -292,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=["ls", "lsbis"], required=True)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--base", default="0,0")
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--tol", type=_tolerance, default=0.0)
     p.set_defaults(func=_cmd_verify_lse)
 
     p = sub.add_parser("solve", help="integrate a Goursat problem")

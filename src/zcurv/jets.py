@@ -7,13 +7,17 @@ arithmetic; products drop terms of total degree above K.  Coefficients are
 ring for values involving exp/ln of rationals, so identities like
 ``ln(exp(s)) == s`` hold coefficient-for-coefficient.
 
+``exp``, ``ln`` and ``inverse`` of jets and superfields share one degree
+recurrence, ``degree_series``, derived from the Euler operator theta, which
+scales the degree-d part by d (Brent and Kung, JACM 1978): theta E = E theta S
+for exp, (1 + U) theta L = theta U for ln, V W = 1 for the inverse.
+
 Derivatives lower the order by one: the top-degree coefficients of a
 derivative would need information beyond the input's truncation order.
 Binary operations deliberately require equal base points and orders;
 ``truncate`` makes mixed-order expressions explicit at the call site.
 """
 
-import math
 from fractions import Fraction
 
 from .scalars import Scalar, sadd, sexp, sfloat, sinv, sln, smul
@@ -27,6 +31,25 @@ def _as_coeff(v):
     if isinstance(v, int):
         return Fraction(v)
     raise TypeError(f"not an exact coefficient: {v!r}")
+
+
+def degree_series(parts, first, weight, lead=False):
+    """Sum of out_0 = first and, from the even homogeneous parts P_d,
+
+        out_d = [P_d if lead] + sum_{k=1..d} weight(k, d) * P_k * out_{d-k}.
+    """
+    outs = [first]
+    for d in range(1, len(parts)):
+        out = parts[d] if lead and not parts[d].is_zero() else None
+        for k in range(1, d + 1):
+            prev = outs[d - k]
+            w = weight(k, d)
+            if prev is None or parts[k].is_zero() or w == 0:
+                continue
+            term = parts[k] * prev * w
+            out = term if out is None else out + term
+        outs.append(out)
+    return sum((out for out in outs[1:] if out is not None), first)
 
 
 class Jet:
@@ -51,7 +74,7 @@ class Jet:
 
     @staticmethod
     def constant(value, base=(0, 0), order: int = 8) -> "Jet":
-        return Jet(base, order, {(0, 0): _as_coeff_wide(value)})
+        return Jet(base, order, {(0, 0): _as_coeff(value)})
 
     @staticmethod
     def variable(which: str, base=(0, 0), order: int = 8) -> "Jet":
@@ -120,7 +143,7 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            c = _as_coeff_wide(other)
+            c = _as_coeff(other)
             return Jet(self.base, self.order,
                        {k: smul(v, c) for k, v in self.coeffs.items()})
         self._check_compatible(other)
@@ -142,7 +165,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.inverse()
-        return self * sinv(_as_coeff_wide(other))
+        return self * sinv(_as_coeff(other))
 
     def inverse(self) -> "Jet":
         """Multiplicative inverse; the body must be an invertible scalar."""
@@ -150,15 +173,11 @@ class Jet:
         if _is_zero(c):
             raise ValueError("jet has zero body, cannot invert")
         ic = sinv(c)
-        t = Jet.constant(1, self.base, self.order) - self * ic
-        acc = Jet.constant(1, self.base, self.order)
-        power = acc
-        for _ in range(self.order):
-            power = power * t
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * ic
+        # runs on self / c, whose coefficients stay rational more often
+        series = degree_series((self * ic)._grades(),
+                               Jet.constant(1, self.base, self.order),
+                               lambda k, d: -1)
+        return series * ic
 
     def pow_int(self, n: int) -> "Jet":
         if n < 0:
@@ -191,33 +210,28 @@ class Jet:
         return Jet(self.base, order,
                    {k: v for k, v in self.coeffs.items() if k[0] + k[1] <= order})
 
+    def _grades(self) -> list["Jet"]:
+        """Homogeneous parts by total degree i + j, degrees 0..order."""
+        parts = [{} for _ in range(self.order + 1)]
+        for (i, j), v in self.coeffs.items():
+            parts[i + j][(i, j)] = v
+        return [Jet(self.base, self.order, p) for p in parts]
+
     def exp(self) -> "Jet":
         """exp as a truncated series; the body goes through the scalar ring."""
-        c = self.body
-        s = self - Jet.constant(c, self.base, self.order)
-        acc = Jet.constant(1, self.base, self.order)
-        power = acc
-        for k in range(1, self.order + 1):
-            power = power * s
-            if power.is_zero():
-                break
-            acc = acc + power * Fraction(1, math.factorial(k))
-        return acc * sexp(c)
+        series = degree_series(self._grades(),
+                               Jet.constant(1, self.base, self.order),
+                               lambda k, d: Fraction(k, d))
+        return series * sexp(self.body)
 
     def ln(self) -> "Jet":
         """ln as a truncated series; requires a positive-loggable body."""
         c = self.body
         if _is_zero(c):
             raise ValueError("ln of a jet with zero body")
-        u = self * sinv(c) - Jet.constant(1, self.base, self.order)
-        acc = Jet.constant(sln(c), self.base, self.order)
-        power = Jet.constant(1, self.base, self.order)
-        for k in range(1, self.order + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            acc = acc + power * Fraction((-1) ** (k + 1), k)
-        return acc
+        return degree_series((self * sinv(c))._grades(),
+                             Jet.constant(sln(c), self.base, self.order),
+                             lambda k, d: Fraction(k - d, d), lead=True)
 
     def compose(self, fx: "Jet", gy: "Jet") -> "Jet":
         """Substitute x -> fx, y -> gy.
@@ -309,14 +323,6 @@ def _monomial_str(i: int, j: int, base) -> str:
     elif j > 1:
         bits.append(f"{ys}^{j}")
     return "*".join(bits)
-
-
-def _as_coeff_wide(v):
-    if isinstance(v, (Fraction, Scalar)):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"not an exact scalar: {v!r}")
 
 
 def _is_zero(v) -> bool:

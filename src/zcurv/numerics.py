@@ -12,14 +12,13 @@ corrector sweep refines the midpoint; the final sweep update magnitude is
 reported on the grid, not iterated to tolerance.
 
 Cell (i, j) depends on (i-1, j), (i, j-1) and (i-1, j-1) only, so cells on
-a common anti-diagonal are independent.  Both schedules ('sequential' and
-'wavefront', the latter dispatching each anti-diagonal to a thread pool)
-run the identical per-cell kernel in the identical per-cell operation
+a common anti-diagonal are independent.  Both schedules ('sequential', row
+by row, and 'wavefront', one anti-diagonal after another) run the identical
+per-cell kernel in the calling thread in the identical per-cell operation
 order, so their results are bitwise identical.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -168,13 +167,9 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
             for j in range(1, m + 1):
                 sweep = max(sweep, cell(values, i, j))
     else:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for d in range(2, 2 * m + 1):
-                lo = max(1, d - m)
-                hi = min(m, d - 1)
-                cells = [(i, d - i) for i in range(lo, hi + 1)]
-                for s in pool.map(lambda ij: cell(values, *ij), cells):
-                    sweep = max(sweep, s)
+        for d in range(2, 2 * m + 1):
+            for i in range(max(1, d - m), min(m, d - 1) + 1):
+                sweep = max(sweep, cell(values, i, d - i))
     return Grid(Fraction(data.x0), Fraction(data.x1), Fraction(data.y0),
                 Fraction(data.y1), h, values, sweep)
 

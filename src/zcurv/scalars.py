@@ -267,10 +267,6 @@ def smul(a, b):
     return normalize(as_scalar(a) * as_scalar(b))
 
 
-def sneg(a):
-    return -a
-
-
 def sinv(a):
     if isinstance(a, Fraction):
         if a == 0:
@@ -289,9 +285,3 @@ def sln(a):
 
 def sfloat(a) -> float:
     return float(a)
-
-
-def seq(a, b) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    return as_scalar(a) == as_scalar(b)

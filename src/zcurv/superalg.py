@@ -12,8 +12,7 @@ by hand.
 from dataclasses import dataclass
 from fractions import Fraction
 
-EVEN = "even"
-ODD = "odd"
+from .cartan import EVEN, ODD
 
 _PNUM = {EVEN: 0, ODD: 1}
 

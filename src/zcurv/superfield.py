@@ -13,10 +13,9 @@ which square to d/dx and d/dy and anticommute with each other.  Both lower
 the jet order by one (through the d/dx part), mirroring ``Jet.deriv_*``.
 """
 
-import math
 from fractions import Fraction
 
-from .jets import Jet
+from .jets import Jet, degree_series
 from .scalars import sexp, sinv, sln
 
 XI = "xi"
@@ -214,26 +213,23 @@ class SuperField:
 
     # -- exp / ln -----------------------------------------------------------
 
-    def _series(self, coeff_of_k, terms: int) -> "SuperField":
-        acc = SuperField.constant(coeff_of_k(0), self.gens, self.base, self.order)
-        power = SuperField.constant(1, self.gens, self.base, self.order)
-        for k in range(1, terms + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            acc = acc + power * coeff_of_k(k)
-        return acc
+    def _grades(self) -> list["SuperField"]:
+        """Homogeneous parts by jet degree i + j plus odd-generator count."""
+        parts = [{} for _ in range(self.order + len(self.gens) + 1)]
+        for mask, jet in self.comps.items():
+            for d, part in enumerate(jet._grades()):
+                parts[d + mask.bit_count()][mask] = part
+        return [SuperField(self.gens, self.base, self.order, p) for p in parts]
 
     def exp(self) -> "SuperField":
         """exp of an even-homogeneous superfield."""
         if self.parity() != 0:
             raise ValueError("exp requires an even-homogeneous superfield")
-        c = self.body
-        s = self - SuperField.constant(c, self.gens, self.base, self.order)
-        # s is nilpotent-plus-positive-order: s^k dies past order + #generators
-        bound = self.order + len(self.gens)
-        series = s._series(lambda k: Fraction(1, math.factorial(k)), bound)
-        return series * sexp(c)
+        series = degree_series(self._grades(),
+                               SuperField.constant(1, self.gens, self.base,
+                                                   self.order),
+                               lambda k, d: Fraction(k, d))
+        return series * sexp(self.body)
 
     def ln(self) -> "SuperField":
         """ln of an even-homogeneous superfield with loggable body."""
@@ -242,14 +238,10 @@ class SuperField:
         c = self.body
         if isinstance(c, Fraction) and c == 0:
             raise ValueError("ln of a superfield with zero body")
-        u = self * sinv(c) - SuperField.constant(1, self.gens, self.base,
-                                                 self.order)
-        bound = self.order + len(self.gens)
-        series = u._series(
-            lambda k: Fraction((-1) ** (k + 1), k) if k else Fraction(0),
-            bound)
-        return series + SuperField.constant(sln(c), self.gens, self.base,
-                                            self.order)
+        return degree_series((self * sinv(c))._grades(),
+                             SuperField.constant(sln(c), self.gens, self.base,
+                                                 self.order),
+                             lambda k, d: Fraction(k - d, d), lead=True)
 
     # -- protocol -------------------------------------------------------------
 

@@ -209,3 +209,42 @@ def test_bad_order_env_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "verify-liouville", "--f", "x+1", "--g", "y+1")
     assert code == 3
     assert "ZCURV_ORDER" in err
+
+
+def test_verify_lse_exact_verdict_rejects_underflowing_residual(tmp_path,
+                                                                capsys):
+    # the residual's only coefficient is about 2e-400: 0.0 as a float
+    doc = tmp_path / "sol.json"
+    doc.write_text(json.dumps({"components": ["-2*ln(x+y)+1/10^400"]}))
+    argv = ["verify-lse", "--cartan", str(DATA / "sl2.cm"), "--solution",
+            str(doc), "--form", "lsbis", "--base", "1,1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "max residual coefficient 0.0" in out
+    assert "not exactly zero" in err
+    # a positive tolerance compares the float magnitudes
+    code, _, _ = run(capsys, *argv, "--tol", "1e-300")
+    assert code == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "abc"])
+@pytest.mark.parametrize("verb", [
+    ["verify-liouville", "--f", "x", "--g", "y"],
+    ["verify-lse", "--cartan", "sl2.cm", "--solution", "sol.json",
+     "--form", "lsbis"]])
+def test_verify_rejects_bad_tolerance(capsys, verb, tol):
+    with pytest.raises(SystemExit) as err:
+        main(verb + [f"--tol={tol}"])  # "=" keeps "-1e-9" from reading as a flag
+    assert err.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_verify_lse_order_below_two_exit_3(tmp_path, capsys, order):
+    doc = tmp_path / "sol.json"
+    doc.write_text(json.dumps({"components": ["-2*ln(x+y)"]}))
+    code, _, err = run(capsys, "verify-lse", "--cartan", str(DATA / "sl2.cm"),
+                       "--solution", str(doc), "--form", "lsbis",
+                       "--base", "1,1", "--order", order)
+    assert code == 3
+    assert "--order must be >= 2" in err
