@@ -17,8 +17,7 @@ from .cartan import CartanFormatError, parse_cartan
 from .exprparse import ExprSyntaxError, eval_float, eval_jet, \
     parse_expression, used_variables
 from .jets import Jet
-from .numerics import CornerMismatchError, GoursatData, GridOverflowError, \
-    solve_goursat, write_csv
+from .numerics import GoursatData, solve_goursat, write_csv
 from .solutions import SolutionVector, liouville_residual, liouville_solution, \
     lse_residual
 from .superalg import bracket_table, osp12_basis, sl2_basis
@@ -83,7 +82,7 @@ def _read_cartan(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
         return parse_cartan(text)
@@ -91,15 +90,28 @@ def _read_cartan(path: str):
         raise InputError(f"{path}: {exc}") from None
 
 
-def _build_jet(text: str, base, order: int, allow: set[str]) -> Jet:
+def _parse_checked(text, allow: set[str]):
+    """Parse an expression that may only use the variables in ``allow``."""
+    if not isinstance(text, str):
+        raise InputError(f"expected an expression string, got {text!r}")
     try:
         node = parse_expression(text)
+        # recurses deeper per level than the evaluators, so they cannot
+        # overflow the stack on a tree that passes here
+        extra = used_variables(node) - allow
     except ExprSyntaxError as exc:
         raise InputError(f"bad expression {text!r}: {exc}") from None
-    extra = used_variables(node) - allow
+    except RecursionError:
+        raise InputError(f"expression of {len(text)} characters is nested "
+                         "too deeply") from None
     if extra:
         raise InputError(
             f"expression {text!r} may only use {sorted(allow)}")
+    return node
+
+
+def _build_jet(text, base, order: int, allow: set[str]) -> Jet:
+    node = _parse_checked(text, allow)
     x = Jet.variable("x", base, order)
     y = Jet.variable("y", base, order)
     try:
@@ -111,11 +123,14 @@ def _build_jet(text: str, base, order: int, allow: set[str]) -> Jet:
 def _read_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, nesting
         raise InputError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return doc
 
 
 # -- verbs ------------------------------------------------------------------
@@ -202,40 +217,35 @@ def _cmd_solve(args) -> int:
         y0, y1 = Fraction(doc["y0"]), Fraction(doc["y1"])
         x_exprs = doc["x_edge"]
         y_exprs = doc["y_edge"]
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise InputError(f"{args.boundary}: bad boundary document "
                          f"({exc})") from None
     n = matrix.rank
-    if len(x_exprs) != n or len(y_exprs) != n:
+    if not (isinstance(x_exprs, list) and isinstance(y_exprs, list)
+            and len(x_exprs) == n and len(y_exprs) == n):
         raise InputError(
             f"{args.boundary}: x_edge and y_edge must list {n} expressions")
-
-    def trace(exprs, var):
-        nodes = []
-        for text in exprs:
-            try:
-                node = parse_expression(text)
-            except ExprSyntaxError as exc:
-                raise InputError(f"bad expression {text!r}: {exc}") from None
-            if used_variables(node) - {var}:
-                raise InputError(f"expression {text!r} may only use {var}")
-            nodes.append(node)
-        if var == "x":
-            return lambda x: [eval_float(nd, x, 0.0) for nd in nodes]
-        return lambda y: [eval_float(nd, 0.0, y) for nd in nodes]
-
-    data = GoursatData(x0, x1, y0, y1,
-                       x_edge=trace(x_exprs, "y"), y_edge=trace(y_exprs, "x"))
+    x_nodes = [_parse_checked(text, {"y"}) for text in x_exprs]
+    y_nodes = [_parse_checked(text, {"x"}) for text in y_exprs]
+    data = GoursatData(
+        x0, x1, y0, y1,
+        x_edge=lambda y: [eval_float(nd, 0.0, y) for nd in x_nodes],
+        y_edge=lambda x: [eval_float(nd, x, 0.0) for nd in y_nodes])
     try:
         h = Fraction(args.h)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"--h expects a rational step, got {args.h!r}") \
             from None
+    if h <= 0:
+        raise InputError(f"--h must be positive, got {args.h!r}")
     try:
         grid = solve_goursat(matrix, data, h)
-    except (CornerMismatchError, GridOverflowError, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise InputError(str(exc)) from None
-    write_csv(grid, args.out)
+    try:
+        write_csv(grid, args.out)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from None
     print(f"grid: {grid.steps + 1} x {grid.steps + 1} points, "
           f"rank {grid.rank}")
     print(f"corrector sweep residual: {grid.sweep_residual:.17g}")

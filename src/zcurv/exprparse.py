@@ -7,11 +7,17 @@
     primary = integer | 'x' | 'y' | 'exp' '(' expr ')' | 'ln' '(' expr ')'
             | '(' expr ')'
 
-Rational constants are written as quotients of integers ("3/2").  The same
-AST evaluates either to exact jets at a base point or to floats.
+Rational constants are written as quotients of integers ("3/2").  One
+recursive fold evaluates the AST: the leaves and the five arithmetic nodes
+use Python operators, and the remaining nodes (num, pow, exp, ln) look up
+an operation table.  With the jet table (``Jet.constant``, ``Jet.pow_int``,
+``Jet.exp``, ``Jet.ln``) the fold gives exact jets at a base point; with the
+float table (``float``, ``operator.pow``, ``math.exp``, ``math.log``) it
+gives floats.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 from .jets import Jet
@@ -163,51 +169,39 @@ def used_variables(node) -> set[str]:
                          if isinstance(c, tuple)))
 
 
-def eval_jet(node, x: Jet, y: Jet) -> Jet:
+def _fold(node, x, y, ops):
+    """Evaluate the tree; ``ops`` holds the domain's num/pow/exp/ln."""
     kind = node[0]
     if kind == "num":
-        return Jet.constant(node[1], x.base, x.order)
+        return ops["num"](node[1])
     if kind == "var":
         return x if node[1] == "x" else y
     if kind == "neg":
-        return -eval_jet(node[1], x, y)
+        return -_fold(node[1], x, y, ops)
     if kind == "add":
-        return eval_jet(node[1], x, y) + eval_jet(node[2], x, y)
+        return _fold(node[1], x, y, ops) + _fold(node[2], x, y, ops)
     if kind == "sub":
-        return eval_jet(node[1], x, y) - eval_jet(node[2], x, y)
+        return _fold(node[1], x, y, ops) - _fold(node[2], x, y, ops)
     if kind == "mul":
-        return eval_jet(node[1], x, y) * eval_jet(node[2], x, y)
+        return _fold(node[1], x, y, ops) * _fold(node[2], x, y, ops)
     if kind == "div":
-        return eval_jet(node[1], x, y) / eval_jet(node[2], x, y)
+        return _fold(node[1], x, y, ops) / _fold(node[2], x, y, ops)
     if kind == "pow":
-        return eval_jet(node[1], x, y).pow_int(node[2])
-    if kind == "exp":
-        return eval_jet(node[1], x, y).exp()
-    if kind == "ln":
-        return eval_jet(node[1], x, y).ln()
+        return ops["pow"](_fold(node[1], x, y, ops), node[2])
+    if kind in ("exp", "ln"):
+        return ops[kind](_fold(node[1], x, y, ops))
     raise ValueError(f"unknown node {kind!r}")
+
+
+_FLOAT_OPS = {"num": float, "pow": operator.pow, "exp": math.exp,
+              "ln": math.log}
+
+
+def eval_jet(node, x: Jet, y: Jet) -> Jet:
+    return _fold(node, x, y, {
+        "num": lambda q: Jet.constant(q, x.base, x.order),
+        "pow": Jet.pow_int, "exp": Jet.exp, "ln": Jet.ln})
 
 
 def eval_float(node, x: float, y: float) -> float:
-    kind = node[0]
-    if kind == "num":
-        return float(node[1])
-    if kind == "var":
-        return x if node[1] == "x" else y
-    if kind == "neg":
-        return -eval_float(node[1], x, y)
-    if kind == "add":
-        return eval_float(node[1], x, y) + eval_float(node[2], x, y)
-    if kind == "sub":
-        return eval_float(node[1], x, y) - eval_float(node[2], x, y)
-    if kind == "mul":
-        return eval_float(node[1], x, y) * eval_float(node[2], x, y)
-    if kind == "div":
-        return eval_float(node[1], x, y) / eval_float(node[2], x, y)
-    if kind == "pow":
-        return eval_float(node[1], x, y) ** node[2]
-    if kind == "exp":
-        return math.exp(eval_float(node[1], x, y))
-    if kind == "ln":
-        return math.log(eval_float(node[1], x, y))
-    raise ValueError(f"unknown node {kind!r}")
+    return _fold(node, x, y, _FLOAT_OPS)

@@ -18,9 +18,10 @@ Binary operations deliberately require equal base points and orders;
 ``truncate`` makes mixed-order expressions explicit at the call site.
 """
 
+import math
 from fractions import Fraction
 
-from .scalars import Scalar, sadd, sexp, sfloat, sinv, sln, smul
+from .scalars import Scalar, sadd, sexp, sinv, sln, smul
 
 _ZERO = Fraction(0)
 
@@ -268,11 +269,12 @@ class Jet:
     def evaluate(self, x: float, y: float) -> float:
         dx = x - float(self.base[0])
         dy = y - float(self.base[1])
-        return sum(sfloat(v) * dx ** i * dy ** j
+        return sum(float(v) * dx ** i * dy ** j
                    for (i, j), v in self.coeffs.items())
 
     def max_abs_coeff(self) -> float:
-        return max((abs(sfloat(v)) for v in self.coeffs.values()), default=0.0)
+        """Largest |coefficient| as a float; inf past the float range."""
+        return max(map(_magnitude, self.coeffs.values()), default=0.0)
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -327,3 +329,11 @@ def _monomial_str(i: int, j: int, base) -> str:
 
 def _is_zero(v) -> bool:
     return v.is_zero() if isinstance(v, Scalar) else v == 0
+
+
+def _magnitude(v) -> float:
+    try:
+        mag = abs(float(v))
+    except OverflowError:
+        return math.inf
+    return math.inf if math.isnan(mag) else mag  # inf - inf inside a Scalar

@@ -92,10 +92,6 @@ class Scalar:
         q = Fraction(q)
         return Scalar({_TRIVIAL_UNIT: q} if q else {})
 
-    @staticmethod
-    def ln_prime(p: int, power: int = 1) -> "Scalar":
-        return Scalar({(Fraction(0), (), ((p, power),)): Fraction(1)})
-
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -281,7 +277,3 @@ def sexp(a):
 
 def sln(a):
     return normalize(as_scalar(a).ln())
-
-
-def sfloat(a) -> float:
-    return float(a)

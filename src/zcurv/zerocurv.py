@@ -39,15 +39,7 @@ class OutOfSpanError(ValueError):
     """A bracket left the level -1..1 span of the connection shape."""
 
 
-class RelationEngine:
-    def parity(self, g: GenKey) -> int:
-        raise NotImplementedError
-
-    def bracket(self, g1: GenKey, g2: GenKey):
-        raise NotImplementedError
-
-
-class ChevalleyRelations(RelationEngine):
+class ChevalleyRelations:
     """Level -1..1 relations of the generators attached to a Cartan matrix."""
 
     def __init__(self, cartan: CartanMatrix):
@@ -81,7 +73,7 @@ class ChevalleyRelations(RelationEngine):
             f"bracket [{k1}_{i}, {k2}_{j}] leaves the level -1..1 span")
 
 
-class Osp12Relations(RelationEngine):
+class Osp12Relations:
     """Rank-1 super relations read off the osp(1|2) matrix bracket table."""
 
     def __init__(self):
@@ -105,7 +97,7 @@ class LieValuedField:
     arithmetic and the four directional derivatives.
     """
 
-    relations: RelationEngine
+    relations: ChevalleyRelations | Osp12Relations
     coefficients: dict
 
     @property

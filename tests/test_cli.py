@@ -248,3 +248,69 @@ def test_verify_lse_order_below_two_exit_3(tmp_path, capsys, order):
                        "--base", "1,1", "--order", order)
     assert code == 3
     assert "--order must be >= 2" in err
+
+
+def test_verify_lse_overflowing_residual_reports_inf(tmp_path, capsys):
+    doc = tmp_path / "sol.json"
+    doc.write_text(json.dumps({"components": ["-2*ln(x+y)+10^400"]}))
+    code, out, err = run(capsys, "verify-lse", "--cartan",
+                         str(DATA / "sl2.cm"), "--solution", str(doc),
+                         "--form", "lsbis", "--base", "1,1")
+    assert code == 1
+    assert "max residual coefficient inf" in out
+    assert err.startswith("verification failed")
+
+
+SL2 = str(DATA / "sl2.cm")
+BOUNDARY = {"x0": "0", "x1": "1", "y0": "0", "y1": "1",
+            "x_edge": ["-2*ln(y+2)"], "y_edge": ["-2*ln(x+2)"]}
+NOT_UTF8 = b'{"matrix":[[2]],"name":"\xff"}'
+
+
+def _solve(boundary, h="1/4", out="grid.csv"):
+    files = {"b.json": json.dumps({**BOUNDARY, **boundary})
+             if isinstance(boundary, dict) else boundary}
+    return files, ["solve", "--cartan", SL2, "--boundary", "b.json",
+                   f"--h={h}", "--out", out]
+
+
+def _verify_lse(solution):
+    files = {"sol.json": solution if isinstance(solution, bytes)
+             else json.dumps(solution)}
+    return files, ["verify-lse", "--cartan", SL2, "--solution", "sol.json",
+                   "--form", "lsbis", "--base", "1,1"]
+
+
+@pytest.mark.parametrize("files,argv", [
+    pytest.param(*_solve({}, h="0"), id="h-zero"),
+    pytest.param(*_solve({}, h="-1/4"), id="h-negative"),
+    pytest.param(*_solve({"x_edge": ["1/y"], "y_edge": ["1/x"]}),
+                 id="trace-divides-by-zero"),
+    pytest.param(*_solve({"x_edge": ["exp(1000*y+1000)"],
+                          "y_edge": ["exp(1000*x+1000)"]}),
+                 id="trace-overflows"),
+    pytest.param(*_solve({}, out="no_such_dir/grid.csv"), id="unwritable-out"),
+    pytest.param({"bad.cm": NOT_UTF8}, ["derive", "--cartan", "bad.cm"],
+                 id="cartan-not-utf8"),
+    pytest.param(*_verify_lse(b'{"components":["\xff"]}'),
+                 id="solution-not-utf8"),
+    pytest.param(*_solve(b'{"x0":"\xff"}'), id="boundary-not-utf8"),
+    pytest.param(*_verify_lse([1, 2]), id="solution-not-an-object"),
+    pytest.param(*_verify_lse(b"[" * 100000), id="solution-nested-too-deeply"),
+    pytest.param(*_solve({"x_edge": 5}), id="edge-not-a-list"),
+    pytest.param(*_solve({"x1": 1e400}), id="boundary-infinite-end"),
+    pytest.param(*_verify_lse({"components": [5]}),
+                 id="component-not-a-string"),
+    pytest.param(*_verify_lse({"components": ["(" * 3000 + "x" + ")" * 3000]}),
+                 id="component-nested-too-deeply"),
+    pytest.param(*_solve({"y_edge": ["+".join(["x"] * 3000)]}),
+                 id="trace-too-deep"),
+])
+def test_input_failures_exit_3(tmp_path, monkeypatch, capsys, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        data = content if isinstance(content, bytes) else content.encode()
+        (tmp_path / name).write_bytes(data)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: ")

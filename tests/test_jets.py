@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_fraction, random_jet
 from zcurv.jets import Jet
-from zcurv.scalars import sln
+from zcurv.scalars import sadd, sexp, sln, smul
 
 
 def x(order=8, base=(0, 0)):
@@ -117,6 +117,15 @@ def test_truncate_and_max_abs():
     assert u.max_abs_coeff() == 5.0
     with pytest.raises(ValueError):
         u.truncate(7)
+
+
+def test_max_abs_saturates_beyond_float_range():
+    huge = Fraction(10) ** 400
+    assert Jet.constant(huge, order=2).max_abs_coeff() == float("inf")
+    # in floats the two terms overflow to +inf and -inf, which sum to nan
+    s = sadd(smul(Fraction(10 ** 10), sexp(Fraction(700))),
+             smul(Fraction(-10 ** 10), sexp(Fraction(701))))
+    assert Jet((0, 0), 2, {(1, 0): s}).max_abs_coeff() == float("inf")
 
 
 def test_scalar_multiplication_kinds(rng):
