@@ -183,10 +183,10 @@ class Jet:
     def pow_int(self, n: int) -> "Jet":
         if n < 0:
             return self.inverse().pow_int(-n)
-        acc = Jet.constant(1, self.base, self.order)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        if n == 0:
+            return Jet.constant(1, self.base, self.order)
+        half = self.pow_int(n // 2)
+        return half * half * self if n % 2 else half * half
 
     # -- calculus --------------------------------------------------------
 

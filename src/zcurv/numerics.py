@@ -11,11 +11,10 @@ predictor (unknown corner from the three known ones) plus exactly one
 corrector sweep refines the midpoint; the final sweep update magnitude is
 reported on the grid, not iterated to tolerance.
 
-Cell (i, j) depends on (i-1, j), (i, j-1) and (i-1, j-1) only, so cells on
-a common anti-diagonal are independent.  Both schedules ('sequential', row
-by row, and 'wavefront', one anti-diagonal after another) run the identical
-per-cell kernel in the calling thread in the identical per-cell operation
-order, so their results are bitwise identical.
+Cell (i, j) depends on (i-1, j), (i, j-1) and (i-1, j-1) only, so the
+solver marches whole anti-diagonals as numpy slices, in the per-cell
+operation order of a scalar loop and with ``math.exp`` throughout.
+``residual_grid`` shares the right-hand side ``_rhs`` with the march.
 """
 
 import math
@@ -102,47 +101,49 @@ def _float_matrix(a: CartanMatrix) -> list[list[float]]:
     return [[float(v) for v in row] for row in a.entries]
 
 
-def _make_cell_kernel(af: list[list[float]], h2: float):
-    n = len(af)
-    rng = range(n)
+# math.exp, not np.exp: the two differ in the last bit on a few percent of
+# arguments, and the committed grids were made with math.exp.
+_EXP = np.frompyfunc(math.exp, 1, 1)
 
-    def rhs(g):
-        out = []
-        for i in rng:
-            acc = 0.0
-            row = af[i]
-            for j in rng:
-                if row[j]:
-                    acc += row[j] * math.exp(g[j])
-            out.append(acc)
-        return out
 
-    def cell(values, i, j):
-        va = values[i - 1, j]
-        vb = values[i, j - 1]
-        vc = values[i - 1, j - 1]
-        pred = [va[k] + vb[k] - vc[k] for k in rng]
-        mid = [(va[k] + vb[k] + vc[k] + pred[k]) * 0.25 for k in rng]
-        try:
-            first = [pred[k] + h2 * r for k, r in enumerate(rhs(mid))]
-            mid2 = [(va[k] + vb[k] + vc[k] + first[k]) * 0.25 for k in rng]
-            final = [pred[k] + h2 * r for k, r in enumerate(rhs(mid2))]
-        except OverflowError:
-            raise GridOverflowError(i, j) from None
-        sweep = max(abs(final[k] - first[k]) for k in rng)
-        for k in rng:
-            if not math.isfinite(final[k]):
-                raise GridOverflowError(i, j)
-            values[i, j, k] = final[k]
-        return sweep
+def _rhs(af: list[list[float]], g: np.ndarray) -> np.ndarray:
+    """sum_l A_kl exp(g_l) for a block of cells, one cell per row of ``g``,
+    summed from 0.0 over ascending l with zero entries skipped; columns no
+    entry uses are not exponentiated."""
+    live = [any(row[l] for row in af) for l in range(len(af))]
+    e = _EXP(g if all(live) else np.where(live, g, 0.0)).astype(float).T
+    out = np.empty_like(g)
+    for k, row in enumerate(af):
+        acc = 0.0
+        for l, a in enumerate(row):
+            if a:
+                acc = acc + a * e[l]
+        out[:, k] = acc
+    return out
 
-    return cell
+
+def _update(af, h2, va, vb, vc):
+    """(first, final) corrector values of cells whose (i-1, j), (i, j-1) and
+    (i-1, j-1) corners are the rows of ``va``, ``vb``, ``vc``; None when an
+    exp overflows or a final value is not finite."""
+    ab = va + vb
+    pred, abc = ab - vc, ab + vc
+    try:
+        first = pred + h2 * _rhs(af, (abc + pred) * 0.25)
+        final = pred + h2 * _rhs(af, (abc + first) * 0.25)
+    except OverflowError:
+        return None
+    return (first, final) if np.isfinite(final).all() else None
 
 
 def solve_goursat(a: CartanMatrix, data: GoursatData, h,
                   schedule: str = "sequential",
                   corner_tol: float = 1e-12) -> Grid:
-    """March the characteristic scheme over the rectangle in ``data``."""
+    """March the characteristic scheme over the rectangle in ``data``.
+
+    Both ``schedule`` values run the same anti-diagonal march.  An exp
+    overflow or a non-finite value raises GridOverflowError for the first
+    such cell in anti-diagonal order (lowest i on the lowest diagonal)."""
     if not a.is_all_even():
         raise ValueError("the Goursat solver handles all-even matrices")
     if schedule not in ("sequential", "wavefront"):
@@ -160,40 +161,41 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
         values[i, 0] = data.y_edge(float(data.x0 + i * h))
     for j in range(m + 1):
         values[0, j] = data.x_edge(float(data.y0 + j * h))
-    cell = _make_cell_kernel(_float_matrix(a), float(h) * float(h))
-    sweep = 0.0
-    if schedule == "sequential":
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                sweep = max(sweep, cell(values, i, j))
-    else:
+    af = _float_matrix(a)
+    h2 = float(h) * float(h)
+    firsts = np.empty_like(values)
+    # cell (i, d - i) is row i*m + d of the flat views, so a diagonal and
+    # its three known corners are slices of step m
+    flat, flat_firsts = values.reshape(-1, n), firsts.reshape(-1, n)
+    with np.errstate(over="ignore", invalid="ignore"):
         for d in range(2, 2 * m + 1):
-            for i in range(max(1, d - m), min(m, d - 1) + 1):
-                sweep = max(sweep, cell(values, i, d - i))
+            lo, hi = max(1, d - m), min(m, d - 1)
+            start, stop = lo * m + d, hi * m + d + 1
+            corners = [flat[start - k:stop - k:m] for k in (m + 1, 1, m + 2)]
+            step = _update(af, h2, *corners)
+            if step is None:
+                i = next(i for i in range(lo, hi + 1) if _update(
+                    af, h2, *(c[i - lo:i - lo + 1] for c in corners)) is None)
+                raise GridOverflowError(i, d - i)
+            flat_firsts[start:stop:m], flat[start:stop:m] = step
+        diff = np.abs(values[1:, 1:] - firsts[1:, 1:]).reshape(-1, n)
+    # as in a running max(): a cell whose first component differs by NaN
+    # drops out, and later NaN components are skipped
+    sweep = float(np.fmax.reduce(diff[~np.isnan(diff[:, 0])], axis=None,
+                                 initial=0.0))
     return Grid(Fraction(data.x0), Fraction(data.x1), Fraction(data.y0),
                 Fraction(data.y1), h, values, sweep)
 
 
 def residual_grid(a: CartanMatrix, grid: Grid) -> float:
     """Max over interior cells of |central mixed derivative - RHS|."""
-    af = _float_matrix(a)
-    n = len(af)
     v = grid.values
-    m = grid.steps
     hh = 4.0 * float(grid.h) * float(grid.h)
-    worst = 0.0
-    for i in range(1, m):
-        for j in range(1, m):
-            g = v[i, j]
-            for k in range(n):
-                mixed = (v[i + 1, j + 1, k] - v[i + 1, j - 1, k]
-                         - v[i - 1, j + 1, k] + v[i - 1, j - 1, k]) / hh
-                rhs = 0.0
-                for l in range(n):
-                    if af[k][l]:
-                        rhs += af[k][l] * math.exp(g[l])
-                worst = max(worst, abs(mixed - rhs))
-    return worst
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / hh
+        rhs = _rhs(_float_matrix(a), v[1:-1, 1:-1].reshape(-1, grid.rank))
+        gap = np.abs(mixed.reshape(rhs.shape) - rhs)
+    return float(np.fmax.reduce(gap, axis=None, initial=0.0))
 
 
 def convergence_order(samples: Sequence[tuple[float, float]]) -> float:
@@ -211,15 +213,11 @@ def convergence_order(samples: Sequence[tuple[float, float]]) -> float:
 
 def write_csv(grid: Grid, path) -> None:
     """Row-major CSV export with 17-significant-digit floats."""
-    n = grid.rank
-    header = "x,y," + ",".join(f"G_{k + 1}" for k in range(n))
-    lines = [header]
-    for i in range(grid.steps + 1):
-        x = grid.x_at(i)
-        for j in range(grid.steps + 1):
-            y = grid.y_at(j)
-            cells = [f"{x:.17g}", f"{y:.17g}"]
-            cells += [f"{grid.values[i, j, k]:.17g}" for k in range(n)]
-            lines.append(",".join(cells))
+    lines = ["x,y," + ",".join(f"G_{k + 1}" for k in range(grid.rank))]
+    ys = [f"{grid.y_at(j):.17g}" for j in range(grid.steps + 1)]
+    for i, row in enumerate(grid.values.tolist()):
+        x = f"{grid.x_at(i):.17g}"
+        for y, g in zip(ys, row):
+            lines.append(",".join([x, y, *(f"{v:.17g}" for v in g)]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

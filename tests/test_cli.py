@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import zcurv
 
 from conftest import DATA, GOLDEN
 from zcurv.cli import main
@@ -314,3 +321,29 @@ def test_input_failures_exit_3(tmp_path, monkeypatch, capsys, files, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("error: ")
+
+
+def test_solve_overflow_prints_one_error_line(tmp_path):
+    # 10^308 * exp(5) overflows to inf in a float product; the solver must
+    # report the cell without a numpy RuntimeWarning on stderr
+    (tmp_path / "big.cm").write_text('{"matrix":[[1' + "0" * 308 + ']]}')
+    (tmp_path / "b.json").write_text(json.dumps(
+        {**BOUNDARY, "x_edge": ["5"], "y_edge": ["5"]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(zcurv.__file__).parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zcurv.cli", "solve", "--cartan", "big.cm",
+         "--boundary", "b.json", "--h", "1/8", "--out", "grid.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: exp overflow while updating grid cell "
+                           "(1, 1)\n")
+
+
+def test_huge_integer_power_is_fast(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify-liouville", "--f", "x^1000000+1",
+                       "--g", "y+1", "--order", "2")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert "vanishes" in err

@@ -30,6 +30,14 @@ def test_truncation_kills_overflow():
     assert (cube * cube).is_zero()
 
 
+def test_pow_int_large_exponent_by_squaring():
+    n = 10 ** 6
+    u = x(2) + 1
+    assert u.pow_int(n) == Jet((0, 0), 2, {(0, 0): 1, (1, 0): n,
+                                          (2, 0): n * (n - 1) // 2})
+    assert x(2).pow_int(n).is_zero()
+
+
 def test_incompatible_operands():
     with pytest.raises(ValueError):
         x(4) + x(5)

@@ -186,3 +186,191 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(Fraction(0), Fraction(1), Fraction(0), Fraction(1),
              Fraction(1, 4), np.full((5, 5, 1), np.nan))
+
+
+# -- scalar reference oracle -------------------------------------------------
+# A per-cell kernel on Python lists, its two loop orders and a scalar
+# residual loop.  The array march in zcurv.numerics must reproduce them bit
+# for bit.
+
+def _float_matrix(a):
+    return [[float(v) for v in row] for row in a.entries]
+
+
+def _make_cell_kernel(af: list[list[float]], h2: float):
+    n = len(af)
+    rng = range(n)
+
+    def rhs(g):
+        out = []
+        for i in rng:
+            acc = 0.0
+            row = af[i]
+            for j in rng:
+                if row[j]:
+                    acc += row[j] * math.exp(g[j])
+            out.append(acc)
+        return out
+
+    def cell(values, i, j):
+        va = values[i - 1, j]
+        vb = values[i, j - 1]
+        vc = values[i - 1, j - 1]
+        pred = [va[k] + vb[k] - vc[k] for k in rng]
+        mid = [(va[k] + vb[k] + vc[k] + pred[k]) * 0.25 for k in rng]
+        try:
+            first = [pred[k] + h2 * r for k, r in enumerate(rhs(mid))]
+            mid2 = [(va[k] + vb[k] + vc[k] + first[k]) * 0.25 for k in rng]
+            final = [pred[k] + h2 * r for k, r in enumerate(rhs(mid2))]
+        except OverflowError:
+            raise GridOverflowError(i, j) from None
+        sweep = max(abs(final[k] - first[k]) for k in rng)
+        for k in rng:
+            if not math.isfinite(final[k]):
+                raise GridOverflowError(i, j)
+            values[i, j, k] = final[k]
+        return sweep
+
+    return cell
+
+
+def reference_solve(a, data, h, schedule="sequential"):
+    h = Fraction(h)
+    m = int((data.x1 - data.x0) / h)
+    n = a.rank
+    values = np.empty((m + 1, m + 1, n), dtype=np.float64)
+    for i in range(m + 1):
+        values[i, 0] = data.y_edge(float(data.x0 + i * h))
+    for j in range(m + 1):
+        values[0, j] = data.x_edge(float(data.y0 + j * h))
+    cell = _make_cell_kernel(_float_matrix(a), float(h) * float(h))
+    sweep = 0.0
+    # numpy scalars warn on inf - inf, which the test settings make an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        if schedule == "sequential":
+            for i in range(1, m + 1):
+                for j in range(1, m + 1):
+                    sweep = max(sweep, cell(values, i, j))
+        else:
+            for d in range(2, 2 * m + 1):
+                for i in range(max(1, d - m), min(m, d - 1) + 1):
+                    sweep = max(sweep, cell(values, i, d - i))
+    return values, sweep
+
+
+def reference_residual_grid(a, grid):
+    af = _float_matrix(a)
+    n = len(af)
+    v = grid.values
+    m = grid.steps
+    hh = 4.0 * float(grid.h) * float(grid.h)
+    worst = 0.0
+    for i in range(1, m):
+        for j in range(1, m):
+            g = v[i, j]
+            for k in range(n):
+                mixed = (v[i + 1, j + 1, k] - v[i + 1, j - 1, k]
+                         - v[i - 1, j + 1, k] + v[i - 1, j - 1, k]) / hh
+                rhs = 0.0
+                for l in range(n):
+                    if af[k][l]:
+                        rhs += af[k][l] * math.exp(g[l])
+                worst = max(worst, abs(mixed - rhs))
+    return worst
+
+
+def smooth_data(rank, x0, y0, side):
+    # corner-consistent traces of a smooth rank-component field
+    def f(x, y):
+        return [0.4 * math.sin((k + 1) * x - y) - 0.3 * k * math.cos(x * y)
+                + 0.1 * (x + y) - 2.0 for k in range(rank)]
+    x0, y0 = Fraction(x0), Fraction(y0)
+    return GoursatData(x0, x0 + side, y0, y0 + side,
+                       x_edge=lambda y: f(float(x0), y),
+                       y_edge=lambda x: f(x, float(y0)))
+
+
+ORACLE_MATRICES = {
+    "null2": CartanMatrix.from_rows([[0, 0], [0, 0]]),
+    "diag2": CartanMatrix.from_rows([[2, 0], [0, 2]]),
+    "affine": CartanMatrix.from_rows([[2, -2], [-2, 2]]),
+    "sl2": SL2,
+    "sl3": standard_cartan("sl3"),
+    "sl4": standard_cartan("sl4"),
+    "sl5": standard_cartan("sl5"),
+}
+ORACLE_STEPS = [(Fraction(1, 4), Fraction(1, 4)),    # m = 1
+                (Fraction(1), Fraction(1, 2)),       # m = 2
+                (Fraction(1, 2), Fraction(1, 14)),   # m = 7
+                (Fraction(1), Fraction(1, 16)),
+                (Fraction(5, 16), Fraction(1, 128)),
+                (Fraction(3, 2), Fraction(1, 40))]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
+@pytest.mark.parametrize("base", [(0, 0), (Fraction(-1, 2), Fraction(3, 4))])
+@pytest.mark.parametrize("side,h", ORACLE_STEPS)
+def test_march_matches_scalar_reference(name, base, side, h):
+    a = ORACLE_MATRICES[name]
+    data = smooth_data(a.rank, base[0], base[1], side)
+    grid = solve_goursat(a, data, h)
+    values, sweep = reference_solve(a, data, h)
+    assert np.array_equal(grid.values, values)
+    assert grid.sweep_residual == sweep
+    assert residual_grid(a, grid) == reference_residual_grid(a, grid)
+
+
+def test_residual_grid_matches_reference_on_rough_grid():
+    rng = np.random.default_rng(5)
+    for a in ORACLE_MATRICES.values():
+        for m in (1, 2, 9):
+            grid = Grid(Fraction(0), Fraction(1), Fraction(0), Fraction(1),
+                        Fraction(1, m), rng.normal(size=(m + 1, m + 1, a.rank)))
+            assert residual_grid(a, grid) == reference_residual_grid(a, grid)
+
+
+BIG = 10 ** 308
+
+
+@pytest.mark.parametrize("rows,edge", [
+    # entries near the float limit: a first corrector component is NaN
+    # (inf - inf) while the final values stay finite, so the sweep must
+    # drop that cell exactly as the scalar running max does
+    ([[0, BIG, -BIG], [0, 0, -BIG], [0, -BIG, 0]], [5.0, 5.0, 5.0]),
+    # no entry uses the second component, so its exp is never taken and
+    # 800 does not overflow
+    ([[2, 0], [0, 0]], [-3.0, 800.0]),
+], ids=["nan-corrector", "unused-column"])
+def test_march_matches_reference_at_float_limits(rows, edge):
+    a = CartanMatrix.from_rows(rows)
+    data = GoursatData(Fraction(0), Fraction(1), Fraction(0), Fraction(1),
+                       x_edge=lambda y: edge, y_edge=lambda x: edge)
+    grid = solve_goursat(a, data, Fraction(1, 4))
+    values, sweep = reference_solve(a, data, Fraction(1, 4))
+    assert np.array_equal(grid.values, values)
+    assert grid.sweep_residual == sweep
+    assert residual_grid(a, grid) == reference_residual_grid(a, grid)
+
+
+def staggered_overflow_data():
+    return GoursatData(Fraction(0), Fraction(1), Fraction(0), Fraction(1),
+                       x_edge=lambda y: [800.0 if y >= 0.375 else 0.0],
+                       y_edge=lambda x: [800.0 if x >= 0.25 else 0.0])
+
+
+@pytest.mark.parametrize("schedule", ["sequential", "wavefront"])
+def test_overflow_names_first_cell_in_antidiagonal_order(schedule):
+    with pytest.raises(GridOverflowError) as err:
+        solve_goursat(SL2, staggered_overflow_data(), Fraction(1, 8),
+                      schedule=schedule)
+    assert err.value.cell == (2, 1)
+    with pytest.raises(GridOverflowError) as ref:
+        reference_solve(SL2, staggered_overflow_data(), Fraction(1, 8),
+                        schedule="wavefront")
+    assert ref.value.cell == (2, 1)
+
+
+def test_unknown_schedule_rejected():
+    with pytest.raises(ValueError):
+        solve_goursat(SL2, symmetric_data(), Fraction(1, 8),
+                      schedule="threads")

@@ -1,8 +1,8 @@
 """Property tests: the CLI exit contract and the two domains of the fold.
 
 Both are derandomized, so a run is repeatable.  Exponents stay at most 8
-and jet orders at most 6: ``pow_int`` loops |n| times and series cost grows
-with the order, and neither bears on an exit code.
+and jet orders at most 6: coefficient sizes grow with the exponent and
+series cost with the order, and neither bears on an exit code.
 """
 
 import contextlib
