@@ -5,12 +5,27 @@ A jet of order K at base point (x0, y0) stores the coefficients of
 arithmetic; products drop terms of total degree above K.  Coefficients are
 ``Fraction`` whenever rational and fall back to the symbolic ``Scalar``
 ring for values involving exp/ln of rationals, so identities like
-``ln(exp(s)) == s`` hold coefficient-for-coefficient.
+``ln(exp(s)) == s`` hold coefficient-for-coefficient.  A stored coefficient
+is thus a nonzero ``Fraction`` or a non-rational, hence nonzero, ``Scalar``.
+
+A product visits only the coefficient pairs that land within the order.
+When both factors are rational it multiplies integers: each factor is
+written as integer numerators over the lcm of its denominators, the pair
+products are summed as Python ints, and each output coefficient becomes one
+``Fraction``.  A factor with a ``Scalar`` coefficient takes the
+``smul``/``sadd`` arithmetic over the same pair loop.
 
 ``exp``, ``ln`` and ``inverse`` of jets and superfields share one degree
 recurrence, ``degree_series``, derived from the Euler operator theta, which
-scales the degree-d part by d (Brent and Kung, JACM 1978): theta E = E theta S
-for exp, (1 + U) theta L = theta U for ln, V W = 1 for the inverse.
+scales the degree-d part by d (Brent and Kung, JACM 1978).  For a series s
+with homogeneous parts P_d, d >= 1:
+
+    exp      theta E = (theta s) E     E_d = (1/d) sum_{k=1..d} (k P_k) E_{d-k}
+    inverse  (1 + s) W = 1             W_d = -sum_{k=1..d} P_k W_{d-k}
+    ln       (1 + s) T = theta s       T_d = d P_d - sum_{k=1..d-1} P_k T_{d-k}
+
+with E_0 = W_0 = 1 and T = theta ln(1 + s), so ln's degree-d part is T_d / d.
+Each weight is applied once per degree, never once per product.
 
 Derivatives lower the order by one: the top-degree coefficients of a
 derivative would need information beyond the input's truncation order.
@@ -19,38 +34,52 @@ Binary operations deliberately require equal base points and orders;
 """
 
 import math
+import operator
 from fractions import Fraction
 
-from .scalars import Scalar, sadd, sexp, sinv, sln, smul
+from .scalars import Scalar, normalize, sadd, sexp, sinv, sln, smul
 
 _ZERO = Fraction(0)
 
 
 def _as_coeff(v):
-    if isinstance(v, (Fraction, Scalar)):
+    if isinstance(v, Fraction):
         return v
+    if isinstance(v, Scalar):
+        return normalize(v)
     if isinstance(v, int):
         return Fraction(v)
     raise TypeError(f"not an exact coefficient: {v!r}")
 
 
-def degree_series(parts, first, weight, lead=False):
-    """Sum of out_0 = first and, from the even homogeneous parts P_d,
+def degree_series(parts, first, kind):
+    """first + sum_{d>=1} out_d for the series ``kind`` of s = sum_d P_d.
 
-        out_d = [P_d if lead] + sum_{k=1..d} weight(k, d) * P_k * out_{d-k}.
+    ``parts`` are the homogeneous parts P_0..P_n of one graded element (P_0
+    is not read).  ``kind`` is "exp" (out_d = E_d, first = 1), "inverse"
+    (out_d = W_d of 1 / (1 + s), first = 1) or "ln" (out_d = T_d / d of
+    ln(1 + s), first its constant); the recurrences are in the module
+    docstring.
     """
-    outs = [first]
+    ln = kind == "ln"
+    if kind == "exp":
+        parts = parts[:1] + [parts[k] * k for k in range(1, len(parts))]
+    seq = [None if ln else first]  # E_0 = W_0 = 1, T_0 = 0
+    total = first
     for d in range(1, len(parts)):
-        out = parts[d] if lead and not parts[d].is_zero() else None
+        acc = parts[d] * d if ln and not parts[d].is_zero() else None
         for k in range(1, d + 1):
-            prev = outs[d - k]
-            w = weight(k, d)
-            if prev is None or parts[k].is_zero() or w == 0:
+            prev = seq[d - k]
+            if prev is None or parts[k].is_zero():
                 continue
-            term = parts[k] * prev * w
-            out = term if out is None else out + term
-        outs.append(out)
-    return sum((out for out in outs[1:] if out is not None), first)
+            term = -(parts[k] * prev) if ln else parts[k] * prev
+            acc = term if acc is None else acc + term
+        if acc is not None and not ln:
+            acc = acc * Fraction(1, d) if kind == "exp" else -acc
+        seq.append(acc)
+        if acc is not None:
+            total = total + (acc * Fraction(1, d) if ln else acc)
+    return total
 
 
 class Jet:
@@ -68,7 +97,7 @@ class Jet:
                 if i < 0 or j < 0 or i + j > order:
                     raise ValueError(f"bidegree {(i, j)} exceeds order {order}")
                 v = _as_coeff(v)
-                if not _is_zero(v):
+                if v:
                     self.coeffs[(i, j)] = v
 
     # -- constructors --------------------------------------------------
@@ -125,14 +154,16 @@ class Jet:
         self._check_compatible(other)
         coeffs = dict(self.coeffs)
         for key, v in other.coeffs.items():
-            coeffs[key] = sadd(coeffs.get(key, _ZERO), v)
-        return Jet(self.base, self.order, coeffs)
+            prev = coeffs.get(key)
+            coeffs[key] = v if prev is None else sadd(prev, v)
+        return _ring_result(self.base, self.order,
+                            {k: v for k, v in coeffs.items() if v})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.base, self.order,
-                   {k: -v for k, v in self.coeffs.items()})
+        return _ring_result(self.base, self.order,
+                            {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
@@ -145,21 +176,22 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             c = _as_coeff(other)
-            return Jet(self.base, self.order,
-                       {k: smul(v, c) for k, v in self.coeffs.items()})
+            coeffs = {k: smul(v, c) for k, v in self.coeffs.items()}
+            return _ring_result(self.base, self.order,
+                                {k: v for k, v in coeffs.items() if v})
         self._check_compatible(other)
-        out: dict = {}
-        order = self.order
-        for (i1, j1), v1 in self.coeffs.items():
-            for (i2, j2), v2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > order:
-                    continue
-                key = (i, j)
-                prev = out.get(key)
-                term = smul(v1, v2)
-                out[key] = term if prev is None else sadd(prev, term)
-        return Jet(self.base, order, out)
+        a, b = self.coeffs, other.coeffs
+        if _rational(a) and _rational(b):
+            da, na = _over_lcm(a)
+            db, nb = _over_lcm(b)
+            out = _convolve(na, nb, self.order, operator.mul, operator.add)
+            den = da * db
+            return _ring_result(self.base, self.order,
+                                {k: Fraction(n, den)
+                                 for k, n in out.items() if n})
+        out = _convolve(a, b, self.order, smul, sadd)
+        return _ring_result(self.base, self.order,
+                            {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -171,13 +203,13 @@ class Jet:
     def inverse(self) -> "Jet":
         """Multiplicative inverse; the body must be an invertible scalar."""
         c = self.body
-        if _is_zero(c):
+        if not c:
             raise ValueError("jet has zero body, cannot invert")
         ic = sinv(c)
         # runs on self / c, whose coefficients stay rational more often
         series = degree_series((self * ic)._grades(),
                                Jet.constant(1, self.base, self.order),
-                               lambda k, d: -1)
+                               "inverse")
         return series * ic
 
     def pow_int(self, n: int) -> "Jet":
@@ -193,46 +225,46 @@ class Jet:
     def deriv_x(self) -> "Jet":
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(self.base, self.order - 1,
-                   {(i - 1, j): smul(v, Fraction(i))
-                    for (i, j), v in self.coeffs.items() if i > 0})
+        return _ring_result(self.base, self.order - 1,
+                            {(i - 1, j): smul(v, Fraction(i))
+                             for (i, j), v in self.coeffs.items() if i > 0})
 
     def deriv_y(self) -> "Jet":
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(self.base, self.order - 1,
-                   {(i, j - 1): smul(v, Fraction(j))
-                    for (i, j), v in self.coeffs.items() if j > 0})
+        return _ring_result(self.base, self.order - 1,
+                            {(i, j - 1): smul(v, Fraction(j))
+                             for (i, j), v in self.coeffs.items() if j > 0})
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError(
                 f"cannot extend order {self.order} jet to order {order}")
-        return Jet(self.base, order,
-                   {k: v for k, v in self.coeffs.items() if k[0] + k[1] <= order})
+        return _ring_result(self.base, order,
+                            {k: v for k, v in self.coeffs.items()
+                             if k[0] + k[1] <= order})
 
     def _grades(self) -> list["Jet"]:
         """Homogeneous parts by total degree i + j, degrees 0..order."""
         parts = [{} for _ in range(self.order + 1)]
         for (i, j), v in self.coeffs.items():
             parts[i + j][(i, j)] = v
-        return [Jet(self.base, self.order, p) for p in parts]
+        return [_ring_result(self.base, self.order, p) for p in parts]
 
     def exp(self) -> "Jet":
         """exp as a truncated series; the body goes through the scalar ring."""
         series = degree_series(self._grades(),
-                               Jet.constant(1, self.base, self.order),
-                               lambda k, d: Fraction(k, d))
+                               Jet.constant(1, self.base, self.order), "exp")
         return series * sexp(self.body)
 
     def ln(self) -> "Jet":
         """ln as a truncated series; requires a positive-loggable body."""
         c = self.body
-        if _is_zero(c):
+        if not c:
             raise ValueError("ln of a jet with zero body")
         return degree_series((self * sinv(c))._grades(),
                              Jet.constant(sln(c), self.base, self.order),
-                             lambda k, d: Fraction(k - d, d), lead=True)
+                             "ln")
 
     def compose(self, fx: "Jet", gy: "Jet") -> "Jet":
         """Substitute x -> fx, y -> gy.
@@ -303,9 +335,8 @@ class Jet:
                 elif coeff == "-1":
                     parts.append(f"-{mono}")
                 else:
-                    sep = "*" if "+" not in coeff else "*"
                     coeff = f"({coeff})" if ("+" in coeff or "/" in coeff) else coeff
-                    parts.append(f"{coeff}{sep}{mono}")
+                    parts.append(f"{coeff}*{mono}")
             else:
                 parts.append(f"({coeff})" if "+" in coeff else coeff)
         return " + ".join(parts).replace("+ -", "- ")
@@ -327,8 +358,53 @@ def _monomial_str(i: int, j: int, base) -> str:
     return "*".join(bits)
 
 
-def _is_zero(v) -> bool:
-    return v.is_zero() if isinstance(v, Scalar) else v == 0
+def _ring_result(base, order, coeffs) -> Jet:
+    """A jet from a ring operation, built without ``Jet``'s checks: ``base``
+    is a jet's Fraction pair and ``coeffs`` holds nonzero coefficients
+    within the order."""
+    jet = object.__new__(Jet)
+    jet.base = base
+    jet.order = order
+    jet.coeffs = coeffs
+    return jet
+
+
+def _rational(coeffs) -> bool:
+    return all(isinstance(v, Fraction) for v in coeffs.values())
+
+
+def _over_lcm(coeffs):
+    """(den, numerators) with coeffs[k] == numerators[k] / den."""
+    den = math.lcm(*(v.denominator for v in coeffs.values()))
+    return den, {k: v.numerator * (den // v.denominator)
+                 for k, v in coeffs.items()}
+
+
+def _convolve(left, right, order, mul, add):
+    """Sums of mul(left[a], right[b]) by bidegree a + b, for a + b <= order.
+
+    A left coefficient of degree d meets only the right coefficients of
+    degree <= order - d, in the right factor's own order.  So the pairs are
+    visited exactly as the plain double loop visits them: every output sums
+    its terms in the same order, and keys appear in the same order, which
+    keeps the term order, and so the float value, of ``Scalar`` sums fixed.
+    """
+    entries = [(i, j, i + j, v) for (i, j), v in right.items()]
+    rows: dict = {}
+    out: dict = {}
+    get = out.get
+    for (i1, j1), v1 in left.items():
+        room = order - i1 - j1
+        row = rows.get(room)
+        if row is None:
+            row = rows[room] = [(i, j, v) for i, j, d, v in entries
+                                if d <= room]
+        for i2, j2, v2 in row:
+            key = (i1 + i2, j1 + j2)
+            prev = get(key)
+            term = mul(v1, v2)
+            out[key] = term if prev is None else add(prev, term)
+    return out
 
 
 def _magnitude(v) -> float:

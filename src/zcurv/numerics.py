@@ -214,10 +214,10 @@ def convergence_order(samples: Sequence[tuple[float, float]]) -> float:
 def write_csv(grid: Grid, path) -> None:
     """Row-major CSV export with 17-significant-digit floats."""
     lines = ["x,y," + ",".join(f"G_{k + 1}" for k in range(grid.rank))]
+    line = "%s,%s," + ",".join(["%.17g"] * grid.rank)
     ys = [f"{grid.y_at(j):.17g}" for j in range(grid.steps + 1)]
     for i, row in enumerate(grid.values.tolist()):
         x = f"{grid.x_at(i):.17g}"
-        for y, g in zip(ys, row):
-            lines.append(",".join([x, y, *(f"{v:.17g}" for v in g)]))
+        lines.extend(line % (x, y, *g) for y, g in zip(ys, row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

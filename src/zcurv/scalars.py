@@ -212,6 +212,8 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
+        if self.is_rational():  # equal to, so hashed as, the Fraction
+            return hash(self.as_fraction())
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
@@ -260,6 +262,11 @@ def sadd(a, b):
 def smul(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
+    if isinstance(a, Fraction) and isinstance(b, Scalar):
+        a, b = b, a
+    if isinstance(a, Scalar) and isinstance(b, Fraction):
+        # a rational factor scales each term and leaves the units as they are
+        return normalize(Scalar({u: c * b for u, c in a._terms.items()}))
     return normalize(as_scalar(a) * as_scalar(b))
 
 

@@ -228,7 +228,7 @@ class SuperField:
         series = degree_series(self._grades(),
                                SuperField.constant(1, self.gens, self.base,
                                                    self.order),
-                               lambda k, d: Fraction(k, d))
+                               "exp")
         return series * sexp(self.body)
 
     def ln(self) -> "SuperField":
@@ -241,7 +241,7 @@ class SuperField:
         return degree_series((self * sinv(c))._grades(),
                              SuperField.constant(sln(c), self.gens, self.base,
                                                  self.order),
-                             lambda k, d: Fraction(k - d, d), lead=True)
+                             "ln")
 
     # -- protocol -------------------------------------------------------------
 

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_fraction, random_jet
 from zcurv.jets import Jet
-from zcurv.scalars import sadd, sexp, sln, smul
+from zcurv.scalars import Scalar, sadd, sexp, sln, smul
 
 
 def x(order=8, base=(0, 0)):
@@ -157,3 +157,80 @@ def test_display_order():
     u = Jet((0, 0), 4, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (2, 0): 1,
                         (1, 1): -1})
     assert str(u) == "1 + 2*x + 3*y + x^2 - x*y"
+
+
+def test_rational_scalar_coefficients_are_stored_as_fractions():
+    two = Jet.constant(Scalar.from_rational(2), order=3)
+    assert two == Jet.constant(2, order=3)
+    assert isinstance(two.body, Fraction)
+    assert hash(two) == hash(Jet.constant(2, order=3))
+    assert len({two, Jet.constant(2, order=3)}) == 1
+    assert Jet((0, 0), 3, {(1, 1): Scalar.from_rational(0)}).is_zero()
+
+
+def naive_product(a, b):
+    """Reference truncated product: every coefficient pair, summed in
+    Fraction | Scalar arithmetic, kept when it lands within the order."""
+    out = {}
+    for (i1, j1), v1 in a.coeffs.items():
+        for (i2, j2), v2 in b.coeffs.items():
+            if i1 + i2 + j1 + j2 <= a.order:
+                key = (i1 + i2, j1 + j2)
+                out[key] = sadd(out.get(key, Fraction(0)), smul(v1, v2))
+    return {k: v for k, v in out.items() if v != 0}
+
+
+SYMBOLS = [sln(Fraction(2)), sexp(Fraction(1, 2)), sexp(Fraction(-1)),
+           sadd(Fraction(1), sln(Fraction(3)))]
+
+
+def _oracle_jet(rng, order, density, symbolic):
+    coeffs = {}
+    for d in range(order + 1):
+        for i in range(d + 1):
+            if rng.random() < density:
+                v = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                if symbolic and rng.random() < 0.3:
+                    v = smul(v, rng.choice(SYMBOLS))
+                coeffs[(i, d - i)] = v
+    return Jet((Fraction(1, 3), Fraction(-2)), order, coeffs)
+
+
+@pytest.mark.parametrize("order", range(17))
+def test_product_matches_naive_convolution(rng, order):
+    cases = [(1.0, False, False), (0.15, False, False),  # integer path
+             (0.6, True, False), (0.15, True, True)]  # generic path
+    for density, symbolic_a, symbolic_b in cases:
+        a = _oracle_jet(rng, order, density, symbolic_a)
+        b = _oracle_jet(rng, order, density, symbolic_b)
+        for u, v in ((a, b), (b, a), (a, a)):
+            prod = u * v
+            assert prod.coeffs == naive_product(u, v)
+            assert all(c != 0 for c in prod.coeffs.values())
+            rational = all(isinstance(c, Fraction) for c in
+                           [*u.coeffs.values(), *v.coeffs.values()])
+            if rational:
+                assert all(isinstance(c, Fraction)
+                           for c in prod.coeffs.values())
+
+
+@pytest.mark.parametrize("order", range(1, 17))
+def test_product_cancels_to_exact_zero(rng, order):
+    u = _oracle_jet(rng, order, 0.5, False)
+    u = u - Jet.constant(u.body, u.base, order) + Fraction(3, 7)
+    one = u * u.inverse()
+    assert one.coeffs == {(0, 0): Fraction(1)}
+    # (a + b)(a - b) == a^2 - b^2: the cross terms cancel exactly
+    a = _oracle_jet(rng, order, 0.5, False)
+    b = _oracle_jet(rng, order, 0.5, False)
+    diff = (a + b) * (a - b) - (a * a - b * b)
+    assert diff.is_zero() and diff.coeffs == {}
+    # the same with symbolic coefficients, through the generic path
+    a5 = a * sln(Fraction(5))
+    prod = (a5 + b) * (a5 - b)
+    assert prod.coeffs == naive_product(a5 + b, a5 - b)
+    assert (prod - (a5 * a5 - b * b)).is_zero()
+    x_only = Jet((0, 0), order, {(1, 0): Fraction(1)})
+    y_only = Jet((0, 0), order, {(0, 1): Fraction(1, 2)})
+    skew = (x_only + y_only) * (x_only - y_only)
+    assert (1, 1) not in skew.coeffs

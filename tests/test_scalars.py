@@ -81,3 +81,27 @@ def test_equality_and_hash():
     b = sln(Fraction(6))
     assert a == b and hash(a) == hash(b)
     assert as_scalar(Fraction(2)) == Fraction(2)
+
+
+def test_rational_scalar_hashes_as_its_fraction():
+    for q in (Fraction(1, 2), Fraction(-7, 3), Fraction(0), Fraction(5)):
+        s = Scalar.from_rational(q)
+        assert s == q and hash(s) == hash(q)
+        assert len({s, q}) == 1
+    assert hash(Scalar.from_rational(3)) == hash(3)
+
+
+def test_rational_factor_matches_the_ring_product():
+    values = [sln(Fraction(12)), sexp(Fraction(2, 3)),
+              sadd(sexp(Fraction(1)), sln(Fraction(5, 2))),
+              sexp(smul(Fraction(1, 2), sln(Fraction(3))))]
+    for s in values:
+        for q in (Fraction(0), Fraction(-3, 4), Fraction(7)):
+            ring = as_scalar(s) * as_scalar(q)
+            for got in (smul(s, q), smul(q, s)):
+                assert got == ring
+                if isinstance(got, Scalar):
+                    assert list(got._terms.items()) == \
+                        list(ring._terms.items())
+                else:
+                    assert ring.is_zero() and got == 0
