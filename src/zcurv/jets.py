@@ -237,6 +237,8 @@ class Jet:
                              for (i, j), v in self.coeffs.items() if j > 0})
 
     def truncate(self, order: int) -> "Jet":
+        if order < 0:
+            raise ValueError("jet order must be >= 0")
         if order > self.order:
             raise ValueError(
                 f"cannot extend order {self.order} jet to order {order}")
@@ -410,6 +412,6 @@ def _convolve(left, right, order, mul, add):
 def _magnitude(v) -> float:
     try:
         mag = abs(float(v))
-    except OverflowError:
+    except (OverflowError, ValueError):  # fsum of inf and -inf is ValueError
         return math.inf
-    return math.inf if math.isnan(mag) else mag  # inf - inf inside a Scalar
+    return math.inf if math.isnan(mag) else mag

@@ -194,15 +194,17 @@ class Scalar:
     # -- conversions / protocol ---------------------------------------
 
     def __float__(self) -> float:
-        total = 0.0
-        for (r, logs, pows), c in self._terms.items():
+        """Exactly rounded sum over the sorted units, so equal scalars give
+        equal floats whatever order their terms were accumulated in."""
+        values = []
+        for (r, logs, pows), c in sorted(self._terms.items()):
             v = float(c) * math.exp(float(r))
             for p, e in logs:
                 v *= p ** float(e)
             for p, m in pows:
                 v *= math.log(p) ** m
-            total += v
-        return total
+            values.append(v)
+        return math.fsum(values)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):

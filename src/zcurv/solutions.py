@@ -62,10 +62,36 @@ def liouville_solution(f: Jet, g: Jet) -> Jet:
     return ratio.ln() * Fraction(1, 2)
 
 
+def _matvec(matrix, vectors, like) -> list[Jet]:
+    """Rows  sum_j M_ij v_j  shaped like like[i]; v_j is unread if M_ij = 0."""
+    out = []
+    for row, shape in zip(matrix, like):
+        acc = Jet.zero(shape.base, shape.order)
+        for m, v in zip(row, vectors):
+            if m:
+                acc = acc + v * m
+        out.append(acc)
+    return out
+
+
+def _residuals(matrix, comps, form: str) -> list[Jet]:
+    """Residuals of  F_i,xy = exp(sum_j A_ij F_j)  ('ls') or  sum_j A_ij
+    exp(F_j)  ('lsbis').  Truncating to K - 2 is a ring map, so it comes
+    before exp, and each component some row uses is exponentiated once."""
+    mixed = [c.deriv_x().deriv_y() for c in comps]
+    low = [c.truncate(c.order - 2) for c in comps]
+    if form == "ls":
+        rhs = [arg.exp() for arg in _matvec(matrix, low, low)]
+    else:
+        exps = [c.exp() if any(row[j] for row in matrix) else None
+                for j, c in enumerate(low)]
+        rhs = _matvec(matrix, exps, low)
+    return [m - r for m, r in zip(mixed, rhs)]
+
+
 def liouville_residual(f_jet: Jet) -> Jet:
-    """Residual of  F_xy = exp(2F), truncated to order K - 2."""
-    mixed = f_jet.deriv_x().deriv_y()
-    return mixed - (f_jet * 2).exp().truncate(f_jet.order - 2)
+    """Residual of  F_xy = exp(2F): the rank-1 'ls' residual with A = (2)."""
+    return _residuals(((2,),), (f_jet,), "ls")[0]
 
 
 def lse_residual(sol: SolutionVector, form: str) -> list[Jet]:
@@ -74,40 +100,14 @@ def lse_residual(sol: SolutionVector, form: str) -> list[Jet]:
         raise ValueError(f"unknown form {form!r}")
     if not sol.cartan.is_all_even():
         raise ValueError("classical residuals require an all-even matrix")
-    A = sol.cartan.entries
-    n = sol.cartan.rank
-    comps = sol.components
-    out = []
-    for i in range(n):
-        target = comps[i].order - 2
-        mixed = comps[i].deriv_x().deriv_y()
-        if form == "ls":
-            arg = Jet.zero(comps[i].base, comps[i].order)
-            for j in range(n):
-                if A[i][j]:
-                    arg = arg + comps[j] * A[i][j]
-            rhs = arg.exp().truncate(target)
-        else:
-            rhs = Jet.zero(comps[i].base, target)
-            for j in range(n):
-                if A[i][j]:
-                    rhs = rhs + comps[j].exp().truncate(target) * A[i][j]
-        out.append(mixed - rhs)
-    return out
+    return _residuals(sol.cartan.entries, sol.components, form)
 
 
 def transform_GF(sol: SolutionVector, inverse: bool = False) -> SolutionVector:
     """Apply G = A F (or F = inverse(A) G, refused for singular A)."""
     matrix = sol.cartan.inverse() if inverse else sol.cartan.entries
-    n = sol.cartan.rank
-    comps = []
-    for i in range(n):
-        acc = Jet.zero(sol.components[0].base, sol.components[0].order)
-        for j in range(n):
-            if matrix[i][j]:
-                acc = acc + sol.components[j] * matrix[i][j]
-        comps.append(acc)
-    return SolutionVector(tuple(comps), sol.cartan)
+    comps = sol.components
+    return SolutionVector(tuple(_matvec(matrix, comps, comps)), sol.cartan)
 
 
 def conformal_transform(f_jet: Jet, phi: Jet, psi: Jet) -> Jet:
@@ -138,5 +138,5 @@ def super_liouville_residual(field: SuperField,
     if field.parity() != 0:
         raise ValueError("super residual requires an even-homogeneous field")
     mixed = field.d_minus().d_plus()
-    rhs = field.exp().truncate(field.order - 2)
+    rhs = field.truncate(field.order - 2).exp()
     return mixed - rhs * Fraction(sign)

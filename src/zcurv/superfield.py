@@ -165,28 +165,18 @@ class SuperField:
 
     # -- derivations --------------------------------------------------------
 
-    def _partial_odd(self, idx: int) -> "SuperField":
-        """Left derivative with respect to generator idx (jet order kept)."""
+    def _toggle_gen(self, idx: int, present: bool) -> "SuperField":
+        """Flip generator idx in the components that have it (``present``:
+        the left derivative d/d theta_idx) or lack it (left multiplication
+        by theta_idx); either way theta_idx passes the generators below it.
+        """
         bit = 1 << idx
         below = bit - 1
         comps = {}
         for mask, jet in self.comps.items():
-            if not mask & bit:
-                continue
-            sign = -1 if (mask & below).bit_count() % 2 else 1
-            comps[mask ^ bit] = jet if sign > 0 else -jet
-        return SuperField(self.gens, self.base, self.order, comps)
-
-    def _mult_gen(self, idx: int) -> "SuperField":
-        """Left multiplication by generator idx."""
-        bit = 1 << idx
-        below = bit - 1
-        comps = {}
-        for mask, jet in self.comps.items():
-            if mask & bit:
-                continue
-            sign = -1 if (mask & below).bit_count() % 2 else 1
-            comps[mask | bit] = jet if sign > 0 else -jet
+            if bool(mask & bit) == present:
+                odd = (mask & below).bit_count() % 2
+                comps[mask ^ bit] = -jet if odd else jet
         return SuperField(self.gens, self.base, self.order, comps)
 
     def deriv_x(self) -> "SuperField":
@@ -197,15 +187,17 @@ class SuperField:
         return SuperField(self.gens, self.base, self.order - 1,
                           {m: j.deriv_y() for m, j in self.comps.items()})
 
+    def _odd_derivation(self, gen: str, even: "SuperField") -> "SuperField":
+        """d/d(gen) + gen * even, with ``even`` the matching d/dx or d/dy."""
+        idx = self.gens.index(gen)
+        return (self._toggle_gen(idx, True).truncate(self.order - 1)
+                + even._toggle_gen(idx, False))
+
     def d_plus(self) -> "SuperField":
-        idx = self.gens.index(XI)
-        return (self._partial_odd(idx).truncate(self.order - 1)
-                + self.deriv_x()._mult_gen(idx))
+        return self._odd_derivation(XI, self.deriv_x())
 
     def d_minus(self) -> "SuperField":
-        idx = self.gens.index(ETA)
-        return (self._partial_odd(idx).truncate(self.order - 1)
-                + self.deriv_y()._mult_gen(idx))
+        return self._odd_derivation(ETA, self.deriv_y())
 
     def truncate(self, order: int) -> "SuperField":
         return SuperField(self.gens, self.base, order,

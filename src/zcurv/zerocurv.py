@@ -347,17 +347,12 @@ def _sum_exprs(parts) -> Expr:
     return total
 
 
-def _super_system_parts():
-    """Curvature coefficients of the reduced osp(1|2) connection pair."""
-    alpha, beta = fn("alpha", 1), fn("beta", 1)
-    a, b = fn("a"), fn("b")
-    rel = Osp12Relations()
-    cplus = {("H", 0): alpha, ("d+", 0): a}
-    cminus = {("H", 0): beta, ("d-", 0): b}
-    gens, operator = _curvature_parts(rel, "D+", cplus, "D-", cminus)
-    if operator:
-        raise DerivationError("unexpected operator part for the (D+, D-) pair")
-    return alpha, beta, a, b, gens
+def _super_pair():
+    """Relations and coefficients of the reduced osp(1|2) connection pair
+    nabla_+ = D+ + alpha*H + a*d+  and  nabla_- = D- + beta*H + b*d-."""
+    cplus = {("H", 0): fn("alpha", 1), ("d+", 0): fn("a")}
+    cminus = {("H", 0): fn("beta", 1), ("d-", 0): fn("b")}
+    return Osp12Relations(), cplus, cminus
 
 
 SUPER_LIOUVILLE_SIGN = 1
@@ -373,7 +368,11 @@ def derive_super_liouville() -> DerivedSystem:
     eliminating alpha and beta turns the H-component equation into the
     returned second-order equation with sign +1.
     """
-    alpha, beta, a, b, gens = _super_system_parts()
+    rel, cplus, cminus = _super_pair()
+    (alpha, a), (beta, b) = cplus.values(), cminus.values()
+    gens, operator = _curvature_parts(rel, "D+", cplus, "D-", cminus)
+    if operator:
+        raise DerivationError("unexpected operator part for the (D+, D-) pair")
     expected_h = beta.d_plus() + alpha.d_minus() + a * b
     expected_dm = b.d_plus() - alpha * b
     expected_dp = a.d_minus() + a * beta
@@ -420,10 +419,7 @@ def nonreduced_obstruction() -> DerivedSystem:
     dy) monomial carries coefficient exactly 1 regardless of the connection
     coefficients, so neither equation can hold.
     """
-    alpha, beta, a, b = fn("alpha", 1), fn("beta", 1), fn("a"), fn("b")
-    rel = Osp12Relations()
-    cplus = {("H", 0): alpha, ("d+", 0): a}
-    cminus = {("H", 0): beta, ("d-", 0): b}
+    rel, cplus, cminus = _super_pair()
     equations = []
     for direction, coeffs, opname in (("D+", cplus, "d_x"),
                                       ("D-", cminus, "d_y")):

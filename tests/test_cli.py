@@ -257,6 +257,14 @@ def test_verify_lse_order_below_two_exit_3(tmp_path, capsys, order):
     assert "--order must be >= 2" in err
 
 
+def test_verify_liouville_order_two_exit_3(capsys):
+    # the solution has order 1, one too few for the mixed derivative
+    code, _, err = run(capsys, "verify-liouville", "--f", "x+1", "--g", "y+1",
+                       "--order", "2")
+    assert code == 3
+    assert err == "error: cannot differentiate an order-0 jet\n"
+
+
 def test_verify_lse_overflowing_residual_reports_inf(tmp_path, capsys):
     doc = tmp_path / "sol.json"
     doc.write_text(json.dumps({"components": ["-2*ln(x+y)+10^400"]}))

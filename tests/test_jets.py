@@ -5,6 +5,7 @@ import pytest
 from conftest import random_fraction, random_jet
 from zcurv.jets import Jet
 from zcurv.scalars import Scalar, sadd, sexp, sln, smul
+from zcurv.superfield import SuperField, standard_gens
 
 
 def x(order=8, base=(0, 0)):
@@ -125,6 +126,16 @@ def test_truncate_and_max_abs():
     assert u.max_abs_coeff() == 5.0
     with pytest.raises(ValueError):
         u.truncate(7)
+
+
+def test_truncate_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        Jet.variable("x", (0, 0), 3).truncate(-1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        Jet.zero((0, 0), 3).truncate(-1)
+    field = SuperField.coordinate("x", standard_gens(2), order=3)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        field.truncate(-1)
 
 
 def test_max_abs_saturates_beyond_float_range():

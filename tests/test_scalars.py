@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zcurv.scalars import Scalar, as_scalar, sadd, sexp, sinv, sln, smul
 
@@ -105,3 +106,30 @@ def test_rational_factor_matches_the_ring_product():
                         list(ring._terms.items())
                 else:
                     assert ring.is_zero() and got == 0
+
+
+_UNITS = (lambda q: q, lambda q: smul(q, sexp(Fraction(1, 3))),
+          lambda q: smul(q, sexp(Fraction(-2))),
+          lambda q: smul(q, sln(Fraction(2))),
+          lambda q: smul(q, sln(Fraction(5))),
+          lambda q: smul(q, sexp(sln(Fraction(3)) * Fraction(1, 2))))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(range(len(_UNITS))),
+                          st.fractions(min_value=-50, max_value=50,
+                                       max_denominator=30)),
+                min_size=2, max_size=6),
+       st.randoms(use_true_random=False))
+def test_equal_scalars_convert_to_equal_floats(terms, shuffler):
+    """The float of a scalar depends on its value, not on term order."""
+    parts = [_UNITS[u](q) for u, q in terms]
+    forward = Fraction(0)
+    for p in parts:
+        forward = sadd(forward, p)
+    shuffler.shuffle(parts)
+    backward = Fraction(0)
+    for p in reversed(parts):
+        backward = sadd(backward, p)
+    assert forward == backward
+    assert float(forward) == float(backward)

@@ -255,3 +255,122 @@ def test_super_liouville_exact_solution():
     assert super_liouville_residual(field).is_zero()
     # the opposite sign does not vanish
     assert not super_liouville_residual(field, sign=-1).is_zero()
+
+
+# The exp-then-truncate formulas that the residual kernel replaced, kept as
+# an exact oracle: truncating first must not change a single coefficient.
+
+def _oracle_liouville(f_jet):
+    mixed = f_jet.deriv_x().deriv_y()
+    return mixed - (f_jet * 2).exp().truncate(f_jet.order - 2)
+
+
+def _oracle_lse(sol, form):
+    A = sol.cartan.entries
+    n = sol.cartan.rank
+    comps = sol.components
+    out = []
+    for i in range(n):
+        target = comps[i].order - 2
+        mixed = comps[i].deriv_x().deriv_y()
+        if form == "ls":
+            arg = Jet.zero(comps[i].base, comps[i].order)
+            for j in range(n):
+                if A[i][j]:
+                    arg = arg + comps[j] * A[i][j]
+            rhs = arg.exp().truncate(target)
+        else:
+            rhs = Jet.zero(comps[i].base, target)
+            for j in range(n):
+                if A[i][j]:
+                    rhs = rhs + comps[j].exp().truncate(target) * A[i][j]
+        out.append(mixed - rhs)
+    return out
+
+
+def _oracle_super(field, sign=1):
+    mixed = field.d_minus().d_plus()
+    return mixed - field.exp().truncate(field.order - 2) * Fraction(sign)
+
+
+def _loggable_jet(rng, order):
+    """Rational, ln(p) or symbolic coefficients; exp accepts all three."""
+    u = random_jet(rng, order=order, terms=5)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return u
+    p = Fraction(rng.choice([2, 3, 5, 6]))
+    if kind == 1:
+        return u + sln(p)
+    return u + random_jet(rng, order=order, terms=2) * sln(p)
+
+
+def test_residual_kernel_matches_exp_then_truncate(rng):
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        rows = [[random_fraction(rng) if rng.random() < 0.7 else 0
+                 for _ in range(n)] for _ in range(n)]
+        order = rng.randint(2, 7)
+        comps = tuple(_loggable_jet(rng, order) for _ in range(n))
+        sol = SolutionVector(comps, CartanMatrix.from_rows(rows))
+        for form in ("ls", "lsbis"):
+            assert lse_residual(sol, form) == _oracle_lse(sol, form)
+        assert liouville_residual(comps[0]) == _oracle_liouville(comps[0])
+    for n in range(2, 6):
+        sol = SolutionVector(tuple(_loggable_jet(rng, 6)
+                                   for _ in range(n - 1)),
+                             standard_cartan(f"sl{n}"))
+        for form in ("ls", "lsbis"):
+            assert lse_residual(sol, form) == _oracle_lse(sol, form)
+
+
+def test_super_residual_kernel_matches_exp_then_truncate(rng):
+    for order in range(2, 7):
+        field = _random_invertible_even(rng, order=order)
+        for sign in (1, -1):
+            assert super_liouville_residual(field, sign) \
+                == _oracle_super(field, sign)
+
+
+def test_lsbis_never_exponentiates_a_zero_column():
+    # ln(2)*ln(3) has no exp in the scalar ring; its column of A is zero
+    x, y = jet_x(4), jet_y(4)
+    body = smul(sln(Fraction(2)), sln(Fraction(3)))
+    with pytest.raises(ValueError):
+        (x * y + body).exp()
+    sol = SolutionVector((x, x * y + body),
+                         CartanMatrix.from_rows([[2, 0], [0, 0]]))
+    assert [str(r) for r in lse_residual(sol, "lsbis")] \
+        == ["-2 - 2*x - x^2", "1"]
+    assert [str(r) for r in lse_residual(sol, "ls")] \
+        == ["-1 - 2*x - 2*x^2", "0"]
+
+
+def test_each_used_component_is_exponentiated_once(rng, monkeypatch):
+    calls = []
+    exp = Jet.exp
+
+    def counting_exp(self):
+        calls.append(self.order)
+        return exp(self)
+
+    monkeypatch.setattr(Jet, "exp", counting_exp)
+    comps = tuple(random_jet(rng, order=6) for _ in range(3))
+    sol = SolutionVector(comps, standard_cartan("sl4"))
+    for form in ("ls", "lsbis"):
+        calls.clear()
+        lse_residual(sol, form)
+        assert calls == [4, 4, 4]
+    calls.clear()
+    liouville_residual(comps[0])
+    assert calls == [4]
+
+
+def test_residuals_keep_their_order_errors():
+    with pytest.raises(ValueError, match="order-0"):
+        liouville_residual(jet_x(1))
+    with pytest.raises(ValueError, match="order-0"):
+        lse_residual(SolutionVector((jet_x(1),), standard_cartan("sl2")),
+                     "lsbis")
+    with pytest.raises(ValueError):
+        super_liouville_residual(SuperField.coordinate("x", GENS, order=1))
