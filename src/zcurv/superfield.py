@@ -47,6 +47,8 @@ class SuperField:
     def __init__(self, gens, base, order: int, comps: dict | None = None):
         self.gens = tuple(gens)
         self.base = (Fraction(base[0]), Fraction(base[1]))
+        if order < 0:
+            raise ValueError("jet order must be >= 0")
         self.order = order
         self.comps: dict[int, Jet] = {}
         if comps:

@@ -13,6 +13,10 @@ ordered product of atoms.  An atom is either
 Odd atoms anticommute and square to zero; even atoms commute with
 everything.  D+ and D- act as odd derivations, dx and dy as even ones.
 All sign bookkeeping is literal algebra on these monomials.
+
+Every multi-term result (sums, products, derivatives, substitutions) is
+accumulated into one dict by ``_collect``: repeated monomials are added
+and zero coefficients dropped once, at the end.
 """
 
 from dataclasses import dataclass
@@ -54,10 +58,7 @@ class ExpAtom:
         return 0
 
     def render(self) -> str:
-        parts = []
-        for coeff, name in self.args:
-            parts.append((coeff, name))
-        return "exp(" + _linear_str(parts) + ")"
+        return "exp(" + _linear_str(self.args) + ")"
 
 
 def _atom_sort_key(a):
@@ -67,8 +68,9 @@ def _atom_sort_key(a):
     return (0, (lower_first, a.name.lower(), a.name), a.dx, a.dy, a.dp, a.dm, "")
 
 
-def _mul_monomials(m1: tuple, m2: tuple):
-    """Merge two canonical monomials; returns (sign, monomial) or None."""
+def _mul_monomials(m1: tuple, m2: tuple) -> tuple:
+    """Merge two canonical monomials into zero or one (sign, monomial)
+    results: none when an odd atom would be squared."""
     out = []
     sign = 1
     i = j = 0
@@ -89,8 +91,17 @@ def _mul_monomials(m1: tuple, m2: tuple):
     out.extend(m2[j:])
     for k in range(len(out) - 1):
         if out[k] == out[k + 1] and out[k].parity:
-            return None  # odd atom squared
-    return sign, tuple(out)
+            return ()  # odd atom squared
+    return ((sign, tuple(out)),)
+
+
+def _collect(pairs) -> "Expr":
+    """Sum (monomial, coefficient) pairs in one dict, then drop the zero
+    sums once."""
+    terms: dict[tuple, Fraction] = {}
+    for mono, c in pairs:
+        terms[mono] = terms.get(mono, 0) + c
+    return Expr(terms)
 
 
 class Expr:
@@ -99,11 +110,8 @@ class Expr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms: dict[tuple, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    self.terms[mono] = c
+        self.terms: dict[tuple, Fraction] = {
+            mono: c for mono, c in (terms or {}).items() if c}
 
     # -- constructors -----------------------------------------------------
 
@@ -116,13 +124,14 @@ class Expr:
     def atom(a) -> "Expr":
         return Expr({(a,): Fraction(1)})
 
+    @staticmethod
+    def sum(parts) -> "Expr":
+        return _collect(pair for p in parts for pair in p.terms.items())
+
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "Expr") -> "Expr":
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return Expr(terms)
+        return Expr.sum((self, other))
 
     def __neg__(self) -> "Expr":
         return Expr({m: -c for m, c in self.terms.items()})
@@ -134,15 +143,10 @@ class Expr:
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return Expr({m: c * q for m, c in self.terms.items()})
-        terms: dict[tuple, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged = _mul_monomials(m1, m2)
-                if merged is None:
-                    continue
-                sign, mono = merged
-                terms[mono] = terms.get(mono, Fraction(0)) + sign * c1 * c2
-        return Expr(terms)
+        return _collect((mono, sign * c1 * c2)
+                        for m1, c1 in self.terms.items()
+                        for m2, c2 in other.terms.items()
+                        for sign, mono in _mul_monomials(m1, m2))
 
     __rmul__ = __mul__
 
@@ -161,24 +165,21 @@ class Expr:
 
     def _derive(self, op: str) -> "Expr":
         op_parity = 1 if op in ("dp", "dm") else 0
-        out = Expr()
-        for mono, c in self.terms.items():
-            for i, a in enumerate(mono):
-                if isinstance(a, ExpAtom):
-                    raise ValueError("cannot differentiate an exp(...) atom")
-                sign, new_atom = _derive_atom(a, op)
-                if op_parity and sum(b.parity for b in mono[:i]) % 2:
-                    sign = -sign
-                head = _mul_monomials(mono[:i], (new_atom,))
-                if head is None:
-                    continue
-                s1, partial = head
-                merged = _mul_monomials(partial, mono[i + 1:])
-                if merged is None:
-                    continue
-                s2, new_mono = merged
-                out = out + Expr({new_mono: c * sign * s1 * s2})
-        return out
+
+        def pairs():
+            for mono, c in self.terms.items():
+                for i, a in enumerate(mono):
+                    if isinstance(a, ExpAtom):
+                        raise ValueError(
+                            "cannot differentiate an exp(...) atom")
+                    sign, new_atom = _derive_atom(a, op)
+                    if op_parity and sum(b.parity for b in mono[:i]) % 2:
+                        sign = -sign
+                    for s1, partial in _mul_monomials(mono[:i], (new_atom,)):
+                        for s2, new_mono in _mul_monomials(partial,
+                                                           mono[i + 1:]):
+                            yield new_mono, c * sign * s1 * s2
+        return _collect(pairs())
 
     def deriv_x(self) -> "Expr":
         return self._derive("dx")
@@ -194,25 +195,20 @@ class Expr:
 
     def substitute(self, mapping: dict[str, "Expr"]) -> "Expr":
         """Replace named indeterminates, re-applying their derivative words."""
-        out = Expr()
+        parts = []
         for mono, c in self.terms.items():
             acc = Expr.rational(c)
             for a in mono:
                 if isinstance(a, ExpAtom) or a.name not in mapping:
-                    acc = acc * Expr({(a,): Fraction(1)})
+                    acc = acc * Expr.atom(a)
                     continue
                 rep = mapping[a.name]
-                for _ in range(a.dm):
-                    rep = rep.d_minus()
-                for _ in range(a.dp):
-                    rep = rep.d_plus()
-                for _ in range(a.dx):
-                    rep = rep.deriv_x()
-                for _ in range(a.dy):
-                    rep = rep.deriv_y()
+                for op in ("dm", "dp", "dx", "dy"):
+                    for _ in range(getattr(a, op)):
+                        rep = rep._derive(op)
                 acc = acc * rep
-            out = out + acc
-        return out
+            parts.append(acc)
+        return Expr.sum(parts)
 
     # -- rendering ------------------------------------------------------------
 

@@ -177,9 +177,12 @@ def _curvature_parts(relations, dir1, coeffs1, dir2, coeffs2):
             pc2 = c2.parity()
             if pc2 is None:
                 raise ValueError("bracket operand is not homogeneous")
+            terms = relations.bracket(g1, g2)
+            if not terms:
+                continue
             s = Fraction(-1 if pg1 and pc2 else 1)
             prod = _lower(c1 * c2)
-            for coef, g3 in relations.bracket(g1, g2):
+            for coef, g3 in terms:
                 acc(g3, prod * (coef * s))
 
     operator: dict[str, Fraction] = {}
@@ -246,15 +249,14 @@ class DerivationError(RuntimeError):
 def _split_equation(expr: Expr) -> Equation:
     """Move derivative terms left, the rest (negated) right; normalise the
     leading left term to a positive coefficient."""
-    lhs = Expr()
-    rhs = Expr()
+    lhs, rhs = {}, {}
     for mono, c in expr.terms.items():
-        has_deriv = any(isinstance(a, Atom) and (a.dx or a.dy or a.dp or a.dm)
-                        for a in mono)
-        if has_deriv:
-            lhs = lhs + Expr({mono: c})
+        if any(isinstance(a, Atom) and (a.dx or a.dy or a.dp or a.dm)
+               for a in mono):
+            lhs[mono] = c
         else:
-            rhs = rhs + Expr({mono: -c})
+            rhs[mono] = -c
+    lhs, rhs = Expr(lhs), Expr(rhs)
     if lhs.is_zero():
         raise DerivationError("equation has no derivative term")
     first = min(lhs.terms, key=lambda m: (len(m), tuple(map(repr, m))))
@@ -296,15 +298,13 @@ def derive_toda(A: CartanMatrix, form: str = "lsbis") -> DerivedSystem:
         if gens.get(("H", i)) != expected:
             raise DerivationError(f"H_{i} coefficient lacks the Toda shape")
     for j in range(n):
-        row = A.entries[j]
-        expected = up_b[j].deriv_x()
-        for i in range(n):
-            expected = expected - (lo_a[i] * up_b[j]) * row[i]
+        minus_row = [(i, -a) for i, a in enumerate(A.entries[j]) if a]
+        expected = Expr.sum([up_b[j].deriv_x()] + [
+            (lo_a[i] * up_b[j]) * a for i, a in minus_row])
         if gens.get(("X-", j)) != expected:
             raise DerivationError(f"X-_{j} coefficient lacks the Toda shape")
-        expected = -(lo_b[j].deriv_y())
-        for i in range(n):
-            expected = expected - (lo_b[j] * up_a[i]) * row[i]
+        expected = Expr.sum([-(lo_b[j].deriv_y())] + [
+            (lo_b[j] * up_a[i]) * a for i, a in minus_row])
         if gens.get(("X+", j)) != expected:
             raise DerivationError(f"X+_{j} coefficient lacks the Toda shape")
 
@@ -317,8 +317,8 @@ def derive_toda(A: CartanMatrix, form: str = "lsbis") -> DerivedSystem:
     if form == "lsbis":
         final = tuple(
             Equation(Expr.atom(Atom(gname[i], dx=1, dy=1)),
-                     _sum_exprs(exp_linear([(1, gname[j])]) * A.entries[i][j]
-                                for j in range(n) if A.entries[i][j]))
+                     Expr.sum(exp_linear([(1, gname[j])]) * A.entries[i][j]
+                              for j in range(n) if A.entries[i][j]))
             for i in range(n))
         defs = tuple(f"{gname[i]} = ln(b{suffix[i]}*B{suffix[i]})"
                      for i in range(n))
@@ -338,13 +338,6 @@ def derive_toda(A: CartanMatrix, form: str = "lsbis") -> DerivedSystem:
         "delta_ij*H_i; pinned by the eliminated G-form system",
     )
     return DerivedSystem(unknowns, first_order, final, defs, notes)
-
-
-def _sum_exprs(parts) -> Expr:
-    total = Expr()
-    for p in parts:
-        total = total + p
-    return total
 
 
 def _super_pair():
@@ -421,14 +414,14 @@ def nonreduced_obstruction() -> DerivedSystem:
     """
     rel, cplus, cminus = _super_pair()
     equations = []
-    for direction, coeffs, opname in (("D+", cplus, "d_x"),
-                                      ("D-", cminus, "d_y")):
+    for direction, coeffs in (("D+", cplus), ("D-", cminus)):
         gens, operator = _curvature_parts(rel, direction, coeffs,
                                           direction, coeffs)
-        total = Expr.atom(Atom(opname)) * (operator["dx" if opname == "d_x" else "dy"] / 2)
-        for g, c in sorted(gens.items()):
-            gen_atom = fn(g[0], generator_parity(g[0]))
-            total = total + (c * Fraction(1, 2)) * gen_atom
+        # the operator part dx (dy) enters as the monomial d_x (d_y)
+        total = Expr.sum(
+            [fn(f"d_{op[1]}") * (c / 2) for op, c in operator.items()]
+            + [(c * Fraction(1, 2)) * fn(g[0], generator_parity(g[0]))
+               for g, c in sorted(gens.items())])
         equations.append(Equation(total, Expr.rational(0)))
     notes = (
         "the d_x and d_y monomials are the operator parts of (D+)^2 and "

@@ -152,3 +152,12 @@ def test_incompatible_generator_lists():
     other = SuperField.constant(1, standard_gens(1), order=5)
     with pytest.raises(ValueError):
         coord("xi") + other
+
+
+def test_negative_orders_are_rejected():
+    with pytest.raises(ValueError, match="jet order must be >= 0"):
+        SuperField.zero(GENS, order=-5)
+    with pytest.raises(ValueError, match="jet order must be >= 0"):
+        SuperField.zero(GENS, order=3).truncate(-1)
+    with pytest.raises(ValueError, match="jet order must be >= 0"):
+        SuperField.zero(GENS, order=0).d_plus()

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zcurv.symexpr import Atom, Expr, exp_linear, fn
 
@@ -88,3 +89,45 @@ def test_exp_atoms_cannot_be_differentiated():
 def test_atom_render_with_mixed_word():
     atom = Atom("a", dx=1, dp=1)
     assert atom.render() == "D+(a)_x"
+
+
+_NAMES = {"a": 0, "B": 0, "alpha": 1, "beta": 1}
+
+
+@st.composite
+def _exprs(draw):
+    """Small sums of products of even and odd atoms."""
+    out = Expr()
+    for _ in range(draw(st.integers(0, 3))):
+        term = Expr.rational(Fraction(draw(st.integers(-3, 3)),
+                                      draw(st.integers(1, 3))))
+        for name in draw(st.lists(st.sampled_from(sorted(_NAMES)),
+                                  max_size=2)):
+            term = term * Expr.atom(Atom(name, dx=draw(st.integers(0, 1)),
+                                         dp=draw(st.integers(0, 1)),
+                                         base_parity=_NAMES[name]))
+        out = out + term
+    return out
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.lists(_exprs(), max_size=5), st.data())
+def test_sum_equals_folding_with_add(parts, data):
+    # append negatives of some parts, so that whole terms cancel to zero
+    picks = data.draw(st.lists(st.sampled_from(parts), max_size=3)) \
+        if parts else []
+    parts = parts + [-p for p in picks]
+    folded = Expr()
+    for p in parts:
+        folded = folded + p
+    total = Expr.sum(parts)
+    assert total == folded
+    assert all(total.terms.values())
+    assert total.render() == folded.render()
+
+
+def test_sum_of_nothing_is_zero():
+    assert Expr.sum([]) == Expr()
+    assert Expr.sum([]).is_zero()
+    a = fn("a")
+    assert Expr.sum([a, -a]).terms == {}

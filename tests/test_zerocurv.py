@@ -6,11 +6,12 @@ from conftest import random_jet, random_superfield
 from zcurv.cartan import CartanMatrix, standard_cartan
 from zcurv.jets import Jet
 from zcurv.superfield import SuperField, standard_gens
-from zcurv.symexpr import Atom
+from zcurv.symexpr import Atom, Expr, fn
 from zcurv.zerocurv import (SUPER_LIOUVILLE_SIGN, ChevalleyRelations,
                             Connection, LieValuedField, Osp12Relations,
-                            OutOfSpanError, curvature, derive_super_liouville,
-                            derive_toda, nonreduced_obstruction)
+                            OutOfSpanError, _curvature_parts, curvature,
+                            derive_super_liouville, derive_toda,
+                            nonreduced_obstruction)
 
 GENS = standard_gens(2)
 
@@ -274,3 +275,43 @@ def test_concrete_super_curvature_matches_derived_signs(rng):
             beta.d_plus() + alpha.d_minus() + t4(a * b)
         assert r.coefficient(("d-", 0)) == b.d_plus() - t4(alpha * b)
         assert r.coefficient(("d+", 0)) == a.d_minus() + t4(a * beta)
+
+
+class _EmptyBrackets:
+    """Relations in which every bracket of two generators vanishes."""
+
+    def parity(self, g):
+        return 0
+
+    def bracket(self, g1, g2):
+        return ()
+
+
+class _NoProducts(Expr):
+    """A coefficient whose products must never be formed."""
+
+    def __mul__(self, other):
+        raise AssertionError("coefficient product formed for an empty bracket")
+
+    __rmul__ = __mul__
+
+
+def test_empty_brackets_form_no_coefficient_products():
+    rel = _EmptyBrackets()
+    cx = {("H", 0): _NoProducts(Expr.rational(3).terms),
+          ("X+", 0): _NoProducts(Expr.rational(-1).terms)}
+    cy = {("H", 0): _NoProducts(Expr.rational(2).terms),
+          ("X-", 0): _NoProducts(Expr.rational(5).terms)}
+    gens, operator = _curvature_parts(rel, "dx", cx, "dy", cy)
+    assert gens == {} and operator == {}
+    result = curvature(Connection("dx", LieValuedField(rel, cx)),
+                       Connection("dy", LieValuedField(rel, cy)))
+    assert result.generators == {}
+
+
+def test_empty_brackets_still_check_homogeneity():
+    rel = _EmptyBrackets()
+    mixed = _NoProducts((fn("a") + fn("alpha", 1)).terms)
+    with pytest.raises(ValueError, match="bracket operand is not homogeneous"):
+        _curvature_parts(rel, "dx", {("H", 0): fn("u")},
+                         "dy", {("X-", 0): mixed})
