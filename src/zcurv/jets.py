@@ -25,7 +25,13 @@ with homogeneous parts P_d, d >= 1:
     ln       (1 + s) T = theta s       T_d = d P_d - sum_{k=1..d-1} P_k T_{d-k}
 
 with E_0 = W_0 = 1 and T = theta ln(1 + s), so ln's degree-d part is T_d / d.
-Each weight is applied once per degree, never once per product.
+When P_1..P_n of a jet are rational, the recurrence runs on Python ints.
+Each P_k, and each finished degree of the output, is a row of integer
+numerators over one denominator; a degree's sum over k is formed over the
+lcm of its terms' denominators and then divided by the gcd of the row and
+that lcm, and each output coefficient becomes one ``Fraction``.
+Superfields and jets with ``Scalar`` coefficients run the recurrence on the
+objects, with each weight applied once per degree.
 
 Derivatives lower the order by one: the top-degree coefficients of a
 derivative would need information beyond the input's truncation order.
@@ -59,8 +65,10 @@ def degree_series(parts, first, kind):
     is not read).  ``kind`` is "exp" (out_d = E_d, first = 1), "inverse"
     (out_d = W_d of 1 / (1 + s), first = 1) or "ln" (out_d = T_d / d of
     ln(1 + s), first its constant); the recurrences are in the module
-    docstring.
+    docstring.  A jet with rational P_1..P_n takes the integer form there.
     """
+    if isinstance(first, Jet) and all(_rational(p.coeffs) for p in parts[1:]):
+        return _integer_series(parts, first, kind)
     ln = kind == "ln"
     if kind == "exp":
         parts = parts[:1] + [parts[k] * k for k in range(1, len(parts))]
@@ -80,6 +88,47 @@ def degree_series(parts, first, kind):
         if acc is not None:
             total = total + (acc * Fraction(1, d) if ln else acc)
     return total
+
+
+def _integer_series(parts, first, kind):
+    """``degree_series`` of a jet with rational P_1..P_n, on Python ints.
+
+    A row is a list of (x-degree, numerator) pairs with one denominator.
+    X_d (E_d, W_d or T_d) is the sum over k of weight * P_k * X_{d-k},
+    formed over L, the lcm of the terms' denominators, with each weight
+    scaled by L over its own term's denominator; for ln the k = d term
+    is d P_d, since T_0 = 0.
+    """
+    rows = [([], 1)]
+    for p in parts[1:]:
+        den = math.lcm(*(v.denominator for v in p.coeffs.values()))
+        rows.append(([(i, v.numerator * (den // v.denominator))
+                      for (i, _), v in p.coeffs.items()], den))
+    one = ([(0, 1)], 1)
+    seq = [([], 1) if kind == "ln" else one]  # T_0 = 0, E_0 = W_0 = 1
+    coeffs = dict(first.coeffs)
+    for d in range(1, len(parts)):
+        terms = [(k if kind == "exp" else -1, rows[k], seq[d - k])
+                 for k in range(1, d + 1)]
+        if kind == "ln":
+            terms[-1] = (d, rows[d], one)
+        terms = [(w, row, rden * pden, prev)
+                 for w, (row, rden), (prev, pden) in terms if row and prev]
+        lcm = math.lcm(*(den for _, _, den, _ in terms))
+        acc = [0] * (d + 1)
+        for w, row, den, prev in terms:
+            w *= lcm // den
+            for i, a in row:
+                aw = a * w
+                for j, b in prev:
+                    acc[i + j] += aw * b
+        den = d * lcm if kind == "exp" else lcm
+        g = math.gcd(den, *acc)
+        seq.append(([(i, n // g) for i, n in enumerate(acc) if n], den // g))
+        out = seq[d][1] * (d if kind == "ln" else 1)
+        for i, n in seq[d][0]:
+            coeffs[(i, d - i)] = Fraction(n, out)
+    return _ring_result(first.base, first.order, coeffs)
 
 
 class Jet:
@@ -301,10 +350,12 @@ class Jet:
     # -- conversions -----------------------------------------------------
 
     def evaluate(self, x: float, y: float) -> float:
+        """The truncated series at (x, y), summed exactly over sorted
+        bidegrees, so equal jets give equal floats."""
         dx = x - float(self.base[0])
         dy = y - float(self.base[1])
-        return sum(float(v) * dx ** i * dy ** j
-                   for (i, j), v in self.coeffs.items())
+        return math.fsum(float(v) * dx ** i * dy ** j
+                         for (i, j), v in sorted(self.coeffs.items()))
 
     def max_abs_coeff(self) -> float:
         """Largest |coefficient| as a float; inf past the float range."""

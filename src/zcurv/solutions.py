@@ -37,12 +37,13 @@ class SolutionVector:
 
 
 def liouville_solution(f: Jet, g: Jet) -> Jet:
-    """General Liouville solution  F = (1/2) ln(f'(x) g'(y) / (f+g)^2).
+    """General Liouville solution  F = (1/2) ln(f'(x) g'(y) / (f+g)^2),
+    computed as (1/2) ln(f'g') - (1/2) ln((f+g)^2).
 
     ``f`` must depend on x only and ``g`` on y only, with nonvanishing
     derivative bodies, nonvanishing f+g body, and positive f'g' body (the
-    exact ln works on the real branch).  The result has order one less
-    than the inputs.
+    exact ln works on the real branch; (f+g)^2 has a positive body whatever
+    the sign of f+g).  The result has order one less than the inputs.
     """
     f._check_compatible(g)
     if not f.depends_only_on("x"):
@@ -58,8 +59,8 @@ def liouville_solution(f: Jet, g: Jet) -> Jet:
     s = (f + g).truncate(fp.order)
     if s.body == 0:
         raise ValueError("f(x0) + g(y0) vanishes")
-    ratio = (fp * gp) / (s * s)
-    return ratio.ln() * Fraction(1, 2)
+    log_s2 = (s * s).ln()  # first, so its errors precede those of ln(f'g')
+    return ((fp * gp).ln() - log_s2) * Fraction(1, 2)
 
 
 def _matvec(matrix, vectors, like) -> list[Jet]:

@@ -65,7 +65,8 @@ def _atom_sort_key(a):
     if isinstance(a, ExpAtom):
         return (1, a.args, 0, 0, 0, 0, "")
     lower_first = 0 if a.name[:1].islower() else 1
-    return (0, (lower_first, a.name.lower(), a.name), a.dx, a.dy, a.dp, a.dm, "")
+    return (0, (lower_first, a.name.lower(), a.name), a.dx, a.dy, a.dp, a.dm,
+            a.base_parity)
 
 
 def _mul_monomials(m1: tuple, m2: tuple) -> tuple:
@@ -258,9 +259,10 @@ def _derive_atom(a: Atom, op: str) -> tuple[int, Atom]:
 
 def _term_atom_key(a):
     if isinstance(a, ExpAtom):
-        return (1, 0, 0, "", 0, 0, 0, a.args)
+        return (1, 0, 0, "", 0, 0, 0, 0, a.args)
     upper_first = 0 if not a.name[:1].islower() else 1
-    return (0, -a.dp, -a.dm, a.name.lower(), upper_first, a.dx, a.dy, ())
+    return (0, -a.dp, -a.dm, a.name.lower(), upper_first, a.dx, a.dy,
+            a.base_parity, ())
 
 
 def _render_term(c: Fraction, mono: tuple) -> str:
@@ -305,7 +307,10 @@ def fn(name: str, parity: int = 0) -> Expr:
 
 
 def exp_linear(pairs) -> Expr:
-    """exp(sum coeff*name) as an opaque atom (canonically sorted args)."""
-    args = tuple(sorted(((Fraction(c), n) for c, n in pairs if c),
-                        key=lambda t: t[1]))
-    return Expr.atom(ExpAtom(args))
+    """exp(sum coeff*name) as an opaque atom: repeated names are merged,
+    zero sums dropped and the rest sorted by name; exp(0) is 1."""
+    coeffs: dict[str, Fraction] = {}
+    for c, n in pairs:
+        coeffs[n] = coeffs.get(n, 0) + Fraction(c)
+    args = tuple((c, n) for n, c in sorted(coeffs.items()) if c)
+    return Expr.atom(ExpAtom(args)) if args else Expr.rational(1)

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_fraction, random_jet
+from zcurv import jets
 from zcurv.jets import Jet
-from zcurv.scalars import Scalar, sadd, sexp, sln, smul
+from zcurv.scalars import Scalar, sadd, sexp, sinv, sln, smul
 from zcurv.superfield import SuperField, standard_gens
 
 
@@ -118,6 +120,24 @@ def test_evaluate():
     g = (x(8) + y(8) + 2).ln()
     import math
     assert g.evaluate(0.25, 0.125) == pytest.approx(math.log(2.375))
+
+
+def test_equal_jets_evaluate_to_equal_floats():
+    rng = random.Random(8)
+    for _ in range(300):
+        coeffs = {}
+        for d in range(7):
+            for i in range(d + 1):
+                if rng.random() < 0.6:
+                    coeffs[(i, d - i)] = Fraction(
+                        rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 999))
+        keys = list(coeffs)
+        rng.shuffle(keys)
+        u = Jet((Fraction(1, 3), 0), 6, coeffs)
+        v = Jet(u.base, 6, {k: coeffs[k] for k in keys})
+        assert u == v
+        x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        assert u.evaluate(x, y) == v.evaluate(x, y)
 
 
 def test_truncate_and_max_abs():
@@ -245,3 +265,104 @@ def test_product_cancels_to_exact_zero(rng, order):
     y_only = Jet((0, 0), order, {(0, 1): Fraction(1, 2)})
     skew = (x_only + y_only) * (x_only - y_only)
     assert (1, 1) not in skew.coeffs
+
+
+# The object-level recurrence that the integer series kernel replaced for
+# rational jets, kept verbatim as the exact reference.
+
+def _reference_series(parts, first, kind):
+    ln = kind == "ln"
+    if kind == "exp":
+        parts = parts[:1] + [parts[k] * k for k in range(1, len(parts))]
+    seq = [None if ln else first]  # E_0 = W_0 = 1, T_0 = 0
+    total = first
+    for d in range(1, len(parts)):
+        acc = parts[d] * d if ln and not parts[d].is_zero() else None
+        for k in range(1, d + 1):
+            prev = seq[d - k]
+            if prev is None or parts[k].is_zero():
+                continue
+            term = -(parts[k] * prev) if ln else parts[k] * prev
+            acc = term if acc is None else acc + term
+        if acc is not None and not ln:
+            acc = acc * Fraction(1, d) if kind == "exp" else -acc
+        seq.append(acc)
+        if acc is not None:
+            total = total + (acc * Fraction(1, d) if ln else acc)
+    return total
+
+
+def _reference_exp(u):
+    one = Jet.constant(1, u.base, u.order)
+    return _reference_series(u._grades(), one, "exp") * sexp(u.body)
+
+
+def _reference_ln(u):
+    c = u.body
+    return _reference_series((u * sinv(c))._grades(),
+                             Jet.constant(sln(c), u.base, u.order), "ln")
+
+
+def _reference_inverse(u):
+    ic = sinv(u.body)
+    one = Jet.constant(1, u.base, u.order)
+    return _reference_series((u * ic)._grades(), one, "inverse") * ic
+
+
+def _series_jet(rng, order, shape, max_den):
+    """A rational jet with a positive body: dense parts, x-only parts, or
+    sparse parts with whole degrees left empty."""
+    coeffs = {(0, 0): Fraction(rng.randint(1, 50), rng.randint(1, max_den))}
+    empty = rng.randint(1, max(order, 1))
+    for d in range(1, order + 1):
+        for i in range(d + 1):
+            if shape == "dense":
+                keep = True
+            elif shape == "x-only":
+                keep = i == d
+            else:
+                keep = d != empty and rng.random() < 0.3
+            if keep:
+                coeffs[(i, d - i)] = Fraction(rng.randint(-60, 60),
+                                              rng.randint(1, max_den))
+    return Jet((Fraction(-1, 2), Fraction(2, 3)), order, coeffs)
+
+
+@pytest.mark.parametrize("order", range(17))
+def test_integer_series_matches_the_object_recurrence(order):
+    rng = random.Random(1000 + order)
+    for shape in ("dense", "x-only", "sparse"):
+        for max_den in (1, 12, 10 ** 9):
+            u = _series_jet(rng, order, shape, max_den)
+            for got, want in ((u.exp(), _reference_exp(u)),
+                              (u.ln(), _reference_ln(u)),
+                              (u.inverse(), _reference_inverse(u))):
+                assert got == want
+                assert str(got) == str(want)
+            w = u - u.body * 2  # a negative body
+            assert w.inverse() == _reference_inverse(w)
+
+
+def test_rational_series_make_no_jet_products(monkeypatch):
+    rng = random.Random(5)
+    u = _series_jet(rng, 9, "dense", 12)
+    inside = []
+    series = jets.degree_series
+    mul = Jet.__mul__
+
+    def watched_series(*args):
+        inside.append(True)
+        try:
+            return series(*args)
+        finally:
+            inside.pop()
+
+    def watched_mul(self, other):
+        assert not inside, "Jet product inside the series"
+        return mul(self, other)
+
+    monkeypatch.setattr(jets, "degree_series", watched_series)
+    monkeypatch.setattr(Jet, "__mul__", watched_mul)
+    assert u.exp() == _reference_exp(u)
+    assert u.ln() == _reference_ln(u)
+    assert u.inverse() == _reference_inverse(u)

@@ -71,6 +71,33 @@ def _fix_admissibility(f, g):
     return g
 
 
+def _oracle_liouville_solution(f, g):
+    """The ratio form that liouville_solution replaced, kept as an exact
+    oracle: one inverse of (f+g)^2, two products and one ln."""
+    fp, gp = f.deriv_x(), g.deriv_y()
+    s = (f + g).truncate(fp.order)
+    return ((fp * gp) / (s * s)).ln() * Fraction(1, 2)
+
+
+def test_liouville_solution_matches_the_ratio_form(rng):
+    cases = []
+    for order in (4, 9, 14):
+        f = random_poly_x(rng, order=order, degree=4)
+        g = random_poly_y(rng, order=order, degree=4)
+        cases.append((f, _fix_admissibility(f, g)))
+    for base in ((0, 0), (Fraction(1, 2), Fraction(1, 2)),
+                 (Fraction(-2, 3), Fraction(-2, 3))):
+        x, y = jet_x(12, base), jet_y(12, base)
+        cases += [(x.exp(), y.exp() * 3),  # exp, off the origin if base != 0
+                  (-x.exp(), y.exp() * -2),  # f', g' and f + g negative
+                  (-x + 1, y * Fraction(-1, 3) - 4),
+                  ((x * 2 + 1) * (x + 3).inverse(), (y + 2) * (y + 2) + 1)]
+    for f, g in cases:
+        solution = liouville_solution(f, g)
+        assert solution == _oracle_liouville_solution(f, g)
+        assert str(solution) == str(_oracle_liouville_solution(f, g))
+
+
 def test_liouville_residual_of_zero():
     residual = liouville_residual(Jet.zero(order=8))
     assert residual == Jet.constant(-1, order=6)

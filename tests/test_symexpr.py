@@ -75,6 +75,20 @@ def test_render_canonical():
         == "(1/2)*exp(2*F1 - F2)"
 
 
+def test_one_name_with_both_parities_renders_in_canonical_order():
+    even, odd = fn("a") * 2, fn("a", 1) * 3
+    assert Expr.sum([even, odd]).render() == Expr.sum([odd, even]).render()
+    assert (fn("a") * fn("a", 1)) == (fn("a", 1) * fn("a"))
+
+
+def test_exp_linear_merges_repeated_names():
+    assert exp_linear([(1, "F"), (2, "F")]) == exp_linear([(3, "F")])
+    assert (exp_linear([(1, "G"), (1, "F"), (-1, "G")])
+            - exp_linear([(1, "F")])).is_zero()
+    assert exp_linear([(1, "F"), (-1, "F")]) == Expr.rational(1)
+    assert exp_linear([]).render() == "1"
+
+
 def test_rational_constants():
     one = Expr.rational(1)
     assert (one * Fraction(3, 2)).render() == "3/2"
