@@ -21,6 +21,7 @@ from .numerics import GoursatData, solve_goursat, write_csv
 from .solutions import SolutionVector, liouville_residual, liouville_solution, \
     lse_residual
 from .superalg import bracket_table, osp12_basis, sl2_basis
+from .symexpr import _linear_str
 from .zerocurv import derive_super_liouville, derive_toda, \
     nonreduced_obstruction
 
@@ -256,26 +257,11 @@ def _cmd_solve(args) -> int:
 def _cmd_bracket_table(args) -> int:
     basis = sl2_basis() if args.algebra == "sl2" else osp12_basis()
     table = bracket_table(basis)
-    odd = {"d+", "d-"}
     for a in table.names:
         for b in table.names:
-            value = table.bracket(a, b)
-            if not value:
-                text = "0"
-            else:
-                parts = []
-                for coeff, name in value:
-                    if coeff == 1:
-                        piece = name
-                    elif coeff == -1:
-                        piece = f"-{name}"
-                    else:
-                        piece = f"{coeff}*{name}"
-                    parts.append(piece)
-                text = " + ".join(parts).replace("+ -", "- ")
-            braces = a in odd and b in odd
+            braces = table.parity(a) and table.parity(b)
             lhs = f"{{{a}, {b}}}" if braces else f"[{a}, {b}]"
-            print(f"{lhs} = {text}")
+            print(f"{lhs} = {_linear_str(table.bracket(a, b))}")
     return 0
 
 

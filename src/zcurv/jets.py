@@ -439,8 +439,7 @@ def _convolve(left, right, order, mul, add):
     A left coefficient of degree d meets only the right coefficients of
     degree <= order - d, in the right factor's own order.  So the pairs are
     visited exactly as the plain double loop visits them: every output sums
-    its terms in the same order, and keys appear in the same order, which
-    keeps the term order, and so the float value, of ``Scalar`` sums fixed.
+    its terms in the same order, and keys appear in the same order.
     """
     entries = [(i, j, i + j, v) for (i, j), v in right.items()]
     rows: dict = {}

@@ -80,6 +80,9 @@ class GoursatData:
         return max(abs(u - v) for u, v in zip(a, b))
 
 
+CORNER_TOL = 1e-12
+
+
 class CornerMismatchError(ValueError):
     pass
 
@@ -137,8 +140,7 @@ def _update(af, h2, va, vb, vc):
 
 
 def solve_goursat(a: CartanMatrix, data: GoursatData, h,
-                  schedule: str = "sequential",
-                  corner_tol: float = 1e-12) -> Grid:
+                  schedule: str = "sequential") -> Grid:
     """March the characteristic scheme over the rectangle in ``data``.
 
     Both ``schedule`` values run the same anti-diagonal march.  An exp
@@ -152,7 +154,7 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
     m = _steps(data.x0, data.x1, h)
     _steps(data.y0, data.y1, h)
     gap = data.corner_gap()
-    if gap > corner_tol:
+    if gap > CORNER_TOL:
         raise CornerMismatchError(
             f"boundary traces disagree at the corner by {gap:.3e}")
     n = a.rank

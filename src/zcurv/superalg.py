@@ -5,8 +5,8 @@ the derivation engine.  ``sl2`` is the usual triple (X-, H, X+) in 2x2
 matrices; ``osp12`` is a 3x3 realisation with parity vector
 (even, odd, even), the unique assignment that makes H, X+- even and the
 odd generators d+- homogeneous.  The rank-1 relation tables consumed by
-the zero-curvature engine are computed from these matrices, never written
-by hand.
+the zero-curvature engine, brackets and generator parities alike, are
+computed from these matrices, never written by hand.
 """
 
 from dataclasses import dataclass
@@ -43,14 +43,11 @@ class SuperMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def entry_parity(self, i: int, j: int) -> int:
-        return (_PNUM[self.row_parities[i]] + _PNUM[self.row_parities[j]]) % 2
-
     def parity(self) -> int:
         """Parity of a homogeneous matrix (zero counts as even)."""
-        seen = {self.entry_parity(i, j)
-                for i in range(self.size) for j in range(self.size)
-                if self.entries[i][j]}
+        p = [_PNUM[q] for q in self.row_parities]
+        seen = {p[i] ^ p[j] for i, row in enumerate(self.entries)
+                for j, v in enumerate(row) if v}
         if len(seen) > 1:
             raise ValueError("matrix is not homogeneous")
         return seen.pop() if seen else 0
@@ -86,13 +83,14 @@ class SuperMatrix:
 
     def matmul(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check_compatible(other)
-        n = self.size
-        rows = tuple(
-            tuple(sum((self.entries[i][k] * other.entries[k][j]
-                       for k in range(n)), Fraction(0))
-                  for j in range(n))
-            for i in range(n))
-        return SuperMatrix(rows, self.row_parities)
+        rows = [[Fraction(0)] * self.size for _ in self.entries]
+        for out, row in zip(rows, self.entries):
+            for a, other_row in zip(row, other.entries):
+                if a:
+                    for j, b in enumerate(other_row):
+                        if b:
+                            out[j] += a * b
+        return SuperMatrix(tuple(map(tuple, rows)), self.row_parities)
 
     def _check_compatible(self, other: "SuperMatrix"):
         if self.row_parities != other.row_parities:
@@ -122,14 +120,19 @@ def supertrace(x: SuperMatrix) -> Fraction:
 class BracketTable:
     """All ordered graded brackets of a named basis, expanded in the basis.
 
-    ``table[(a, b)]`` is a tuple of (coefficient, name) pairs.
+    ``table[(a, b)]`` is a tuple of (coefficient, name) pairs, and
+    ``parities[a]`` is the parity (0 even, 1 odd) of basis element ``a``.
     """
 
     names: tuple[str, ...]
     table: dict[tuple[str, str], tuple[tuple[Fraction, str], ...]]
+    parities: dict[str, int]
 
     def bracket(self, a: str, b: str) -> tuple[tuple[Fraction, str], ...]:
         return self.table[(a, b)]
+
+    def parity(self, name: str) -> int:
+        return self.parities[name]
 
 
 def _expand_in_basis(m: SuperMatrix, basis: dict[str, SuperMatrix]):
@@ -156,16 +159,21 @@ def _expand_in_basis(m: SuperMatrix, basis: dict[str, SuperMatrix]):
 
 
 def bracket_table(basis: dict[str, SuperMatrix]) -> BracketTable:
-    """Graded brackets of all ordered pairs of a homogeneous basis."""
+    """Graded brackets of all ordered pairs of a homogeneous basis, and the
+    parity of each basis element as its matrix gives it."""
+    parities = {}
     for name, b in basis.items():
-        if not b.is_zero() and not b.is_homogeneous():
-            raise ValueError(f"basis element {name} is not homogeneous")
+        try:
+            parities[name] = b.parity()
+        except ValueError:
+            raise ValueError(
+                f"basis element {name} is not homogeneous") from None
     table = {}
     for a_name, a in basis.items():
         for b_name, b in basis.items():
             table[(a_name, b_name)] = _expand_in_basis(
                 supercommutator(a, b), basis)
-    return BracketTable(tuple(basis), table)
+    return BracketTable(tuple(basis), table, parities)
 
 
 def sl2_basis() -> dict[str, SuperMatrix]:
@@ -192,9 +200,3 @@ def osp12_basis() -> dict[str, SuperMatrix]:
             [[0, 0, 0], [1, 0, 0], [0, 1, 0]], pars),
     }
 
-
-_GEN_PARITY = {"H": 0, "X+": 0, "X-": 0, "d+": 1, "d-": 1}
-
-
-def generator_parity(name: str) -> int:
-    return _GEN_PARITY[name]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cartan import CartanMatrix, standard_cartan
-from .superalg import bracket_table, generator_parity, osp12_basis
+from .superalg import bracket_table, osp12_basis
 from .superfield import SuperField
 from .symexpr import Atom, Expr, exp_linear, fn
 
@@ -81,7 +81,7 @@ class Osp12Relations:
         self._table = bracket_table(osp12_basis())
 
     def parity(self, g: GenKey) -> int:
-        return generator_parity(g[0])
+        return self._table.parity(g[0])
 
     def bracket(self, g1: GenKey, g2: GenKey):
         return tuple((c, (name, 0))
@@ -171,12 +171,12 @@ def _curvature_parts(relations, dir1, coeffs1, dir2, coeffs2):
     for g, c in coeffs1.items():
         d = _apply_dir(c, dir2)
         acc(g, d if p1 * p2 else -d)
+    operands2 = [(g, c, c.parity()) for g, c in coeffs2.items() if coeffs1]
+    if any(pc2 is None for _, _, pc2 in operands2):
+        raise ValueError("bracket operand is not homogeneous")
     for g1, c1 in coeffs1.items():
         pg1 = relations.parity(g1)
-        for g2, c2 in coeffs2.items():
-            pc2 = c2.parity()
-            if pc2 is None:
-                raise ValueError("bracket operand is not homogeneous")
+        for g2, c2, pc2 in operands2:
             terms = relations.bracket(g1, g2)
             if not terms:
                 continue
@@ -420,7 +420,7 @@ def nonreduced_obstruction() -> DerivedSystem:
         # the operator part dx (dy) enters as the monomial d_x (d_y)
         total = Expr.sum(
             [fn(f"d_{op[1]}") * (c / 2) for op, c in operator.items()]
-            + [(c * Fraction(1, 2)) * fn(g[0], generator_parity(g[0]))
+            + [(c * Fraction(1, 2)) * fn(g[0], rel.parity(g))
                for g, c in sorted(gens.items())])
         equations.append(Equation(total, Expr.rational(0)))
     notes = (

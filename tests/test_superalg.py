@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from zcurv.superalg import (SuperMatrix, bracket_table, osp12_basis,
                             sl2_basis, supercommutator, supertrace)
+from zcurv.zerocurv import Osp12Relations
 
 _PN = {"even": 0, "odd": 1}
 
@@ -80,6 +82,52 @@ def test_osp12_table_matches_frozen():
         assert table.bracket(*pair) == expected  # even part embeds sl(2)
     for pair, expected in OSP12_TABLE_EXTRA.items():
         assert table.bracket(*pair) == expected
+
+
+def test_table_parities_come_from_the_matrices():
+    for basis in (sl2_basis(), osp12_basis()):
+        table = bracket_table(basis)
+        for name, m in basis.items():
+            assert table.parity(name) == m.parity()
+    osp12 = osp12_basis()
+    rel = Osp12Relations()
+    for name, m in osp12.items():
+        assert rel.parity((name, 0)) == m.parity()
+    assert [rel.parity((n, 0)) for n in osp12] == [0, 0, 0, 1, 1]
+
+
+def test_non_homogeneous_basis_element_rejected():
+    basis = osp12_basis()
+    basis["mixed"] = basis["H"] + basis["d+"]
+    with pytest.raises(ValueError,
+                       match="basis element mixed is not homogeneous"):
+        bracket_table(basis)
+
+
+def _sparse_matrix(rng, n, parities):
+    rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             if rng.random() < 0.4 else 0 for _ in range(n)]
+            for _ in range(n)]
+    rows[rng.randrange(n)] = [0] * n            # an empty row
+    col = rng.randrange(n)
+    for row in rows:                            # an empty column
+        row[col] = 0
+    return SuperMatrix.from_rows(rows, parities)
+
+
+def test_matmul_matches_plain_loop_on_sparse_matrices():
+    rng = random.Random(20231)
+    for n in (2, 3, 4):
+        for parities in (("even",) * n,
+                         tuple("odd" if i % 2 else "even" for i in range(n))):
+            for _ in range(40):
+                a = _sparse_matrix(rng, n, parities)
+                b = _sparse_matrix(rng, n, parities)
+                got = a.matmul(b)
+                assert got.entries == plain_matmul(a, b)
+                assert got.row_parities == parities
+                assert all(type(v) is Fraction
+                           for row in got.entries for v in row)
 
 
 def test_single_element_table():

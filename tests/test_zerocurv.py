@@ -315,3 +315,24 @@ def test_empty_brackets_still_check_homogeneity():
     with pytest.raises(ValueError, match="bracket operand is not homogeneous"):
         _curvature_parts(rel, "dx", {("H", 0): fn("u")},
                          "dy", {("X-", 0): mixed})
+
+
+class _CountsParity(Expr):
+    """A coefficient that counts its own parity() calls."""
+
+    def __init__(self, terms):
+        super().__init__(terms)
+        self.parity_calls = 0
+
+    def parity(self):
+        self.parity_calls += 1
+        return super().parity()
+
+
+def test_each_bracket_operand_parity_computed_once():
+    rel = ChevalleyRelations(standard_cartan("sl2"))
+    cx = {("H", 0): fn("a"), ("X+", 0): fn("b")}
+    cy = {("H", 0): _CountsParity(fn("A").terms),
+          ("X-", 0): _CountsParity(fn("B").terms)}
+    _curvature_parts(rel, "dx", cx, "dy", cy)
+    assert [c.parity_calls for c in cy.values()] == [1, 1]
