@@ -13,11 +13,14 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .cartan import CartanFormatError, parse_cartan
 from .exprparse import ExprSyntaxError, eval_float, eval_jet, \
     parse_expression, used_variables
 from .jets import Jet
-from .numerics import GoursatData, solve_goursat, write_csv
+from .numerics import GoursatData, _steps, grid_points, solve_goursat, \
+    write_csv
 from .solutions import SolutionVector, liouville_residual, liouville_solution, \
     lse_residual
 from .superalg import bracket_table, osp12_basis, sl2_basis
@@ -210,6 +213,13 @@ def _cmd_verify_lse(args) -> int:
     return 0
 
 
+def _sampled_edge(coords, traces):
+    """Edge callable that looks up, by coordinate, traces already evaluated
+    over the array ``coords`` (a trace that reads no coordinate is a float)."""
+    rows = np.column_stack([np.broadcast_to(t, coords.shape) for t in traces])
+    return dict(zip(coords.tolist(), rows.tolist())).__getitem__
+
+
 def _cmd_solve(args) -> int:
     matrix = _read_cartan(args.cartan)
     doc = _read_json(args.boundary)
@@ -228,10 +238,6 @@ def _cmd_solve(args) -> int:
             f"{args.boundary}: x_edge and y_edge must list {n} expressions")
     x_nodes = [_parse_checked(text, {"y"}) for text in x_exprs]
     y_nodes = [_parse_checked(text, {"x"}) for text in y_exprs]
-    data = GoursatData(
-        x0, x1, y0, y1,
-        x_edge=lambda y: [eval_float(nd, 0.0, y) for nd in x_nodes],
-        y_edge=lambda x: [eval_float(nd, x, 0.0) for nd in y_nodes])
     try:
         h = Fraction(args.h)
     except (ValueError, ZeroDivisionError):
@@ -240,6 +246,16 @@ def _cmd_solve(args) -> int:
     if h <= 0:
         raise InputError(f"--h must be positive, got {args.h!r}")
     try:
+        # the points solve_goursat samples: m steps from x0 and from y0
+        m = _steps(x0, x1, h)
+        _steps(y0, y1, h)
+        xs, ys = (np.array(grid_points(lo, h, m)) for lo in (x0, y0))
+        data = GoursatData(
+            x0, x1, y0, y1,
+            x_edge=_sampled_edge(ys, [eval_float(nd, 0.0, ys)
+                                      for nd in x_nodes]),
+            y_edge=_sampled_edge(xs, [eval_float(nd, xs, 0.0)
+                                      for nd in y_nodes]))
         grid = solve_goursat(matrix, data, h)
     except (ValueError, ArithmeticError) as exc:
         raise InputError(str(exc)) from None

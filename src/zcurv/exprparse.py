@@ -7,18 +7,31 @@
     primary = integer | 'x' | 'y' | 'exp' '(' expr ')' | 'ln' '(' expr ')'
             | '(' expr ')'
 
-Rational constants are written as quotients of integers ("3/2").  One
-recursive fold evaluates the AST: the leaves and the five arithmetic nodes
-use Python operators, and the remaining nodes (num, pow, exp, ln) look up
-an operation table.  With the jet table (``Jet.constant``, ``Jet.pow_int``,
-``Jet.exp``, ``Jet.ln``) the fold gives exact jets at a base point; with the
-float table (``float``, ``operator.pow``, ``math.exp``, ``math.log``) it
-gives floats.
+Every literal is an integer token, stored as ``("num", int)``; rational
+constants are written as quotients of integers ("3/2").  One recursive fold
+evaluates the AST: the leaves and the four arithmetic nodes neg, add, sub
+and mul use Python operators, and the remaining nodes (num, div, pow, exp,
+ln) look up an operation table.  There are three tables:
+
+* jets (``Jet.constant``, ``operator.truediv``, ``Jet.pow_int``,
+  ``Jet.exp``, ``Jet.ln``) give exact jets at a base point;
+* floats (``float``, ``operator.truediv``, ``operator.pow``, ``math.exp``,
+  ``math.log``) give a float at one point;
+* arrays give the float fold at every point of a 1-D float array at once.
+  They apply ``operator.pow``, ``math.exp`` and ``math.log`` to each element
+  through ``np.frompyfunc``, so every value is bitwise that of the float
+  table and the same ValueError, OverflowError or ZeroDivisionError
+  propagates.  Division checks its divisor first, because numpy would
+  return inf or nan where Python raises "float division by zero".  The fold
+  runs under ``np.errstate(over="ignore", invalid="ignore")``: Python's
+  ``+``, ``-`` and ``*`` give inf and nan silently, and so does the array
+  fold.
 """
 
 import math
 import operator
-from fractions import Fraction
+
+import numpy as np
 
 from .jets import Jet
 
@@ -129,7 +142,7 @@ class _Parser:
         tok = self.next()
         kind, value, pos = tok
         if kind == "int":
-            return ("num", Fraction(value))
+            return ("num", value)
         if kind == "name":
             if value in ("x", "y"):
                 return ("var", value)
@@ -170,7 +183,7 @@ def used_variables(node) -> set[str]:
 
 
 def _fold(node, x, y, ops):
-    """Evaluate the tree; ``ops`` holds the domain's num/pow/exp/ln."""
+    """Evaluate the tree; ``ops`` holds the domain's num/div/pow/exp/ln."""
     kind = node[0]
     if kind == "num":
         return ops["num"](node[1])
@@ -185,7 +198,7 @@ def _fold(node, x, y, ops):
     if kind == "mul":
         return _fold(node[1], x, y, ops) * _fold(node[2], x, y, ops)
     if kind == "div":
-        return _fold(node[1], x, y, ops) / _fold(node[2], x, y, ops)
+        return ops["div"](_fold(node[1], x, y, ops), _fold(node[2], x, y, ops))
     if kind == "pow":
         return ops["pow"](_fold(node[1], x, y, ops), node[2])
     if kind in ("exp", "ln"):
@@ -193,15 +206,45 @@ def _fold(node, x, y, ops):
     raise ValueError(f"unknown node {kind!r}")
 
 
-_FLOAT_OPS = {"num": float, "pow": operator.pow, "exp": math.exp,
-              "ln": math.log}
+_FLOAT_OPS = {"num": float, "div": operator.truediv, "pow": operator.pow,
+              "exp": math.exp, "ln": math.log}
+
+
+def _elementwise(f, nin: int):
+    """``f`` on each element, as Python floats, of float arrays; on floats
+    alone it is ``f`` itself."""
+    ufunc = np.frompyfunc(f, nin, 1)
+
+    def apply(*args):
+        out = ufunc(*args)
+        return out.astype(float) if isinstance(out, np.ndarray) else out
+    return apply
+
+
+def _array_div(a, b):
+    if np.any(np.equal(b, 0)):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+_ARRAY_OPS = {"num": float, "div": _array_div,
+              "pow": _elementwise(operator.pow, 2),
+              "exp": _elementwise(math.exp, 1),
+              "ln": _elementwise(math.log, 1)}
 
 
 def eval_jet(node, x: Jet, y: Jet) -> Jet:
     return _fold(node, x, y, {
         "num": lambda q: Jet.constant(q, x.base, x.order),
-        "pow": Jet.pow_int, "exp": Jet.exp, "ln": Jet.ln})
+        "div": operator.truediv, "pow": Jet.pow_int, "exp": Jet.exp,
+        "ln": Jet.ln})
 
 
-def eval_float(node, x: float, y: float) -> float:
+def eval_float(node, x, y):
+    """The float value at (x, y).  When ``x`` or ``y`` is a 1-D float array,
+    the values at every point: an array, or a float if the tree reads
+    neither array."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _fold(node, x, y, _ARRAY_OPS)
     return _fold(node, x, y, _FLOAT_OPS)

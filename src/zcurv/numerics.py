@@ -100,6 +100,17 @@ def _steps(lo: Fraction, hi: Fraction, h: Fraction) -> int:
     return int(m)
 
 
+def grid_points(lo, h, m: int) -> list[float]:
+    """float(lo + i*h) for i = 0..m.  Each point is one correctly rounded
+    int true division (n0 + i*dn) / d, as ``Fraction.__float__`` is, so it is
+    the same float, and it overflows with the same OverflowError."""
+    lo, h = Fraction(lo), Fraction(h)
+    d = math.lcm(lo.denominator, h.denominator)
+    n0 = lo.numerator * (d // lo.denominator)
+    dn = h.numerator * (d // h.denominator)
+    return [(n0 + i * dn) / d for i in range(m + 1)]
+
+
 def _float_matrix(a: CartanMatrix) -> list[list[float]]:
     return [[float(v) for v in row] for row in a.entries]
 
@@ -159,10 +170,10 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
             f"boundary traces disagree at the corner by {gap:.3e}")
     n = a.rank
     values = np.empty((m + 1, m + 1, n), dtype=np.float64)
-    for i in range(m + 1):
-        values[i, 0] = data.y_edge(float(data.x0 + i * h))
-    for j in range(m + 1):
-        values[0, j] = data.x_edge(float(data.y0 + j * h))
+    for i, x in enumerate(grid_points(data.x0, h, m)):
+        values[i, 0] = data.y_edge(x)
+    for j, y in enumerate(grid_points(data.y0, h, m)):
+        values[0, j] = data.x_edge(y)
     af = _float_matrix(a)
     h2 = float(h) * float(h)
     firsts = np.empty_like(values)
@@ -217,9 +228,9 @@ def write_csv(grid: Grid, path) -> None:
     """Row-major CSV export with 17-significant-digit floats."""
     lines = ["x,y," + ",".join(f"G_{k + 1}" for k in range(grid.rank))]
     line = "%s,%s," + ",".join(["%.17g"] * grid.rank)
-    ys = [f"{grid.y_at(j):.17g}" for j in range(grid.steps + 1)]
-    for i, row in enumerate(grid.values.tolist()):
-        x = f"{grid.x_at(i):.17g}"
+    xs, ys = ([f"{v:.17g}" for v in grid_points(lo, grid.h, grid.steps)]
+              for lo in (grid.x0, grid.y0))
+    for x, row in zip(xs, grid.values.tolist()):
         lines.extend(line % (x, y, *g) for y, g in zip(ys, row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

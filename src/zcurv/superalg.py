@@ -140,20 +140,23 @@ def _expand_in_basis(m: SuperMatrix, basis: dict[str, SuperMatrix]):
 
     The fixture bases have pairwise disjoint supports, so matching each
     basis element on one of its nonzero positions is exact; closure is
-    verified by reconstructing m.  Raises ValueError outside the span.
+    verified by reconstructing m: c*b is subtracted from a copy of m at the
+    nonzero entries of b.  Raises ValueError outside the span.
     """
     coeffs = []
-    residue = m
+    residue = [list(row) for row in m.entries]
     for name, b in basis.items():
-        pos = next(((i, j) for i in range(b.size) for j in range(b.size)
-                    if b.entries[i][j]), None)
-        if pos is None:
+        support = [(i, j, v) for i, row in enumerate(b.entries)
+                   for j, v in enumerate(row) if v]
+        if not support:
             continue
-        c = residue.entries[pos[0]][pos[1]] / b.entries[pos[0]][pos[1]]
+        i0, j0, v0 = support[0]
+        c = residue[i0][j0] / v0
         if c:
             coeffs.append((c, name))
-            residue = residue - b.scale(c)
-    if not residue.is_zero():
+            for i, j, v in support:
+                residue[i][j] -= c * v
+    if any(v for row in residue for v in row):
         raise ValueError("bracket value lies outside the span of the basis")
     return tuple(coeffs)
 

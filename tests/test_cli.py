@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,10 @@ import pytest
 import zcurv
 
 from conftest import DATA, GOLDEN
+from zcurv.cartan import standard_cartan
 from zcurv.cli import main
+from zcurv.exprparse import eval_float, parse_expression
+from zcurv.numerics import GoursatData, solve_goursat, write_csv
 
 
 def run(capsys, *argv):
@@ -355,3 +360,77 @@ def test_huge_integer_power_is_fast(capsys):
     assert time.perf_counter() - start < 0.5
     assert code == 3
     assert "vanishes" in err
+
+
+def _seeded_function(rng, family, t):
+    """Text of a poly, exp or Moebius function of the text ``t``, small on
+    |t| <= 1."""
+    a, b, c = (Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+               for _ in range(3))
+    if family == "poly":
+        return f"({a})*{t}^2+({b})*{t}+({c})"
+    if family == "exp":
+        return f"({a})*exp(({b})*{t})+({c})"
+    return f"(({a})*{t}+({c}))/(({b})/8*{t}+1)"
+
+
+SIDE = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_solve_matches_pointwise_traces(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    rank = 1 + seed % 3
+    x0, y0 = (rng.choice([Fraction(0), Fraction(-1, 4), Fraction(1, 3)])
+              for _ in range(2))
+    fs = [_seeded_function(rng, ("poly", "exp", "rat")[seed // 3], "X")
+          for _ in range(rank)]
+    gs = [_seeded_function(rng, rng.choice(["poly", "exp", "rat"]), "Y")
+          for _ in range(rank)]
+    # G_k = f_k(x) + g_k(y) - 3 on both characteristics
+    comps = [f"({f})+({g})-3" for f, g in zip(fs, gs)]
+    doc = {"x0": str(x0), "x1": str(x0 + SIDE), "y0": str(y0),
+           "y1": str(y0 + SIDE),
+           "x_edge": [u.replace("X", f"({x0})").replace("Y", "y")
+                      for u in comps],
+           "y_edge": [u.replace("X", "x").replace("Y", f"({y0})")
+                      for u in comps]}
+    (tmp_path / "b.json").write_text(json.dumps(doc))
+    matrix = standard_cartan(f"sl{rank + 1}")
+    (tmp_path / "a.cm").write_text(json.dumps(
+        {"matrix": [[int(v) for v in row] for row in matrix.entries]}))
+    code, out, err = run(capsys, "solve", "--cartan", str(tmp_path / "a.cm"),
+                         "--boundary", str(tmp_path / "b.json"), "--h",
+                         "1/32", "--out", str(tmp_path / "cli.csv"))
+    assert (code, err) == (0, "")
+    xn = [parse_expression(t) for t in doc["x_edge"]]
+    yn = [parse_expression(t) for t in doc["y_edge"]]
+    data = GoursatData(x0, x0 + SIDE, y0, y0 + SIDE,
+                       x_edge=lambda y: [eval_float(nd, 0.0, y) for nd in xn],
+                       y_edge=lambda x: [eval_float(nd, x, 0.0) for nd in yn])
+    grid = solve_goursat(matrix, data, Fraction(1, 32))
+    write_csv(grid, tmp_path / "oracle.csv")
+    assert ((tmp_path / "cli.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
+    assert f"corrector sweep residual: {grid.sweep_residual:.17g}\n" in out
+
+
+@pytest.mark.parametrize("x_edge,y_edge", [
+    ("10^300*10^300*y", "10^300*10^300-10^300*10^300"),
+    ("10^300*10^300-10^300*10^300", "10^300*10^300*x"),
+])
+def test_solve_overflowing_trace_prints_one_error_line(tmp_path, x_edge,
+                                                       y_edge):
+    # inf and nan on the traces: the array fold must not print a numpy
+    # RuntimeWarning before the solver's one error line
+    (tmp_path / "b.json").write_text(json.dumps(
+        {**BOUNDARY, "x_edge": [x_edge], "y_edge": [y_edge]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(zcurv.__file__).parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zcurv.cli", "solve", "--cartan", SL2,
+         "--boundary", "b.json", "--h", "1/8", "--out", "grid.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: exp overflow while updating grid cell "
+                           "(1, 1)\n")

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from zcurv.cartan import CartanMatrix, standard_cartan
 from zcurv.numerics import (CornerMismatchError, GoursatData, Grid,
                             GridOverflowError, convergence_order,
-                            residual_grid, solve_goursat, write_csv)
+                            grid_points, residual_grid, solve_goursat,
+                            write_csv)
 
 SL2 = standard_cartan("sl2")
 
@@ -177,6 +179,30 @@ def test_csv_export(tmp_path):
     assert float(first[2]) == pytest.approx(exact_symmetric(0.0, 0.0))
     # row-major: the second row advances y
     assert lines[2].split(",")[1] == "0.25"
+
+
+def test_grid_points_are_the_fraction_floats():
+    rng = random.Random(20261018)
+    cases = [(Fraction(-5, 7), Fraction(1, 7), 10)]  # passes exactly 0
+    for _ in range(300):
+        lo = Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 9))
+        h = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 9))
+        cases.append((lo, h, rng.randint(0, 40)))
+    for lo, h, m in cases:
+        expected = [float(lo + i * h) for i in range(m + 1)]
+        assert (np.array(grid_points(lo, h, m)).tobytes()
+                == np.array(expected).tobytes()), (lo, h, m)
+
+
+@pytest.mark.parametrize("lo,h,m", [(Fraction(10 ** 400, 3), Fraction(1), 2),
+                                    (Fraction(10 ** 308), Fraction(10 ** 308),
+                                     1)])
+def test_grid_points_overflow_like_fraction(lo, h, m):
+    with pytest.raises(OverflowError) as direct:
+        [float(lo + i * h) for i in range(m + 1)]
+    with pytest.raises(OverflowError) as helper:
+        grid_points(lo, h, m)
+    assert str(helper.value) == str(direct.value)
 
 
 def test_grid_validation():

@@ -1,4 +1,4 @@
-"""Property tests: the CLI exit contract and the two domains of the fold.
+"""Property tests: the CLI exit contract and the domains of the fold.
 
 Both are derandomized, so a run is repeatable.  Exponents stay at most 8
 and jet orders at most 6: coefficient sizes grow with the exponent and
@@ -14,11 +14,13 @@ import tempfile
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DATA
 from zcurv.cli import main
-from zcurv.exprparse import eval_float, eval_jet
+from zcurv.exprparse import eval_float, eval_jet, parse_expression
 from zcurv.jets import Jet
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -195,3 +197,76 @@ def test_float_fold_matches_jet_body(node, x0, y0):
     if math.isfinite(value) and math.isfinite(body):
         assert math.isclose(value, body, rel_tol=1e-9, abs_tol=1e-12), \
             (render(node), x0, y0)
+
+
+# -- the array fold against the float fold at each point ----------------------
+
+
+def assert_array_fold_is_pointwise(node, xs, ys):
+    """eval_float over the arrays gives, bit for bit, the float fold at each
+    point (x, y), and raises exactly when the float fold raises at a point."""
+    values, failed = [], False
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        try:
+            values.append(eval_float(node, x, y))
+        except (ValueError, ArithmeticError):
+            failed = True
+    try:
+        out = eval_float(node, xs, ys)
+    except (ValueError, ArithmeticError):
+        assert failed, render(node)
+        return None
+    assert not failed, render(node)
+    out = np.broadcast_to(out, xs.shape)
+    assert out.dtype == np.float64
+    assert out.tobytes() == np.array(values, dtype=float).tobytes(), \
+        render(node)
+    return out
+
+
+# 0, negative points and points outside the domains of ln and of 1/t
+coordinates = st.lists(fractions, max_size=6).map(
+    lambda qs: np.array([0.0, -1.0, 0.5] + [float(q) for q in qs]))
+
+
+@PROPERTY
+@given(trees, coordinates)
+def test_array_fold_matches_float_fold(node, xs):
+    assert_array_fold_is_pointwise(node, xs, xs[::-1].copy())
+    assert_array_fold_is_pointwise(node, xs, np.zeros_like(xs))
+
+
+XS = np.array([-2.0, -0.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+
+
+@pytest.mark.parametrize("text", [
+    "-x", "x+y", "x-y", "x*y", "x/(y+5)", "x/y", "(x+5)/(x-1/4)",
+    "x^3", "x^-3", "(y-1/4)^-2", "(x*0)^-1", "exp(x*y)", "exp(1000*x)",
+    "ln(x+5)", "ln(x)", "ln(y-1)+1/(y-1/4)", "10^300*10^300*y",
+    "10^300*10^300*y-10^300*10^300*y",
+])
+def test_array_fold_matches_float_fold_on_every_node_kind(text):
+    assert_array_fold_is_pointwise(parse_expression(text), XS, XS[::-1])
+
+
+def test_array_fold_raises_like_the_float_fold():
+    for text, error in [("0^-1", ZeroDivisionError),
+                        ("x^-1", ZeroDivisionError),
+                        ("(10^300*10^300-10^300*10^300)/0", ZeroDivisionError),
+                        ("x/(y*0)", ZeroDivisionError),
+                        ("ln(x)", ValueError), ("exp(1000*y)", OverflowError),
+                        ("(10^200*y)^2", OverflowError)]:
+        node = parse_expression(text)
+        with pytest.raises(error) as scalar:
+            for x, y in zip(XS.tolist(), XS[::-1].tolist()):
+                eval_float(node, x, y)
+        with pytest.raises(error) as array:
+            eval_float(node, XS, XS[::-1])
+        assert str(array.value) == str(scalar.value), text
+
+
+def test_array_fold_of_a_constant_broadcasts():
+    node = parse_expression("3*exp(1)-2^-2")
+    assert eval_float(node, XS, 0.0) == eval_float(node, 0.0, 0.0)
+    out = assert_array_fold_is_pointwise(node, XS, XS)
+    assert out.tobytes() == np.full(XS.shape, 3 * math.exp(1) - 0.25).tobytes()

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from zcurv.superalg import (SuperMatrix, bracket_table, osp12_basis,
-                            sl2_basis, supercommutator, supertrace)
+from zcurv.superalg import (SuperMatrix, _expand_in_basis, bracket_table,
+                            osp12_basis, sl2_basis, supercommutator,
+                            supertrace)
 from zcurv.zerocurv import Osp12Relations
 
 _PN = {"even": 0, "odd": 1}
@@ -206,3 +207,38 @@ def test_nonsquare_rejected():
 def test_aligned_printing():
     h = osp12_basis()["H"]
     assert str(h).splitlines() == [" 1  0  0", " 0  0  0", " 0  0 -1"]
+
+
+def scale_and_subtract_expansion(m: SuperMatrix, basis):
+    """Oracle: the whole-matrix ``residue - b.scale(c)`` expansion."""
+    coeffs, residue = [], m
+    for name, b in basis.items():
+        pos = next(((i, j) for i in range(b.size) for j in range(b.size)
+                    if b.entries[i][j]), None)
+        if pos is None:
+            continue
+        c = residue.entries[pos[0]][pos[1]] / b.entries[pos[0]][pos[1]]
+        if c:
+            coeffs.append((c, name))
+            residue = residue - b.scale(c)
+    if not residue.is_zero():
+        raise ValueError("outside the span")
+    return tuple(coeffs)
+
+
+def test_expansion_matches_scale_and_subtract():
+    rng = random.Random(20261018)
+    basis = osp12_basis()
+    for _ in range(200):
+        m = SuperMatrix.from_rows([[0] * 3] * 3, ("even", "odd", "even"))
+        for b in basis.values():
+            m = m + b.scale(rng.randint(-4, 4))
+        expected = scale_and_subtract_expansion(m, basis)
+        assert _expand_in_basis(m, basis) == expected
+        assert all(isinstance(c, Fraction) for c, _ in expected)
+    outside = SuperMatrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+                                    ("even", "odd", "even"))
+    with pytest.raises(ValueError):
+        scale_and_subtract_expansion(outside, basis)
+    with pytest.raises(ValueError, match="outside the span"):
+        _expand_in_basis(outside, basis)
