@@ -10,8 +10,6 @@ from .cartan import (AdmissibilityReport, CartanFormatError, CartanMatrix,
                      check_admissible, parse_cartan, render_cartan,
                      standard_cartan, whitelist_superprincipal)
 from .jets import Jet
-from .numerics import (GoursatData, Grid, convergence_order, residual_grid,
-                       solve_goursat, write_csv)
 from .scalars import Scalar
 from .solutions import (SolutionVector, conformal_transform,
                         liouville_residual, liouville_solution, lse_residual,
@@ -26,3 +24,14 @@ from .zerocurv import (SUPER_LIOUVILLE_SIGN, Connection, CurvatureResult,
                        nonreduced_obstruction)
 
 __version__ = "0.1.0"
+
+# the numerics names load numpy, so they are imported on first access
+_NUMERICS = {"GoursatData", "Grid", "convergence_order", "residual_grid",
+             "solve_goursat", "write_csv"}
+
+
+def __getattr__(name):
+    if name in _NUMERICS:
+        from . import numerics
+        return getattr(numerics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

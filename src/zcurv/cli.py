@@ -13,14 +13,10 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .cartan import CartanFormatError, parse_cartan
 from .exprparse import ExprSyntaxError, eval_float, eval_jet, \
     parse_expression, used_variables
 from .jets import Jet
-from .numerics import GoursatData, _steps, grid_points, solve_goursat, \
-    write_csv
 from .solutions import SolutionVector, liouville_residual, liouville_solution, \
     lse_residual
 from .superalg import bracket_table, osp12_basis, sl2_basis
@@ -216,11 +212,19 @@ def _cmd_verify_lse(args) -> int:
 def _sampled_edge(coords, traces):
     """Edge callable that looks up, by coordinate, traces already evaluated
     over the array ``coords`` (a trace that reads no coordinate is a float)."""
+    import numpy as np
+
     rows = np.column_stack([np.broadcast_to(t, coords.shape) for t in traces])
     return dict(zip(coords.tolist(), rows.tolist())).__getitem__
 
 
 def _cmd_solve(args) -> int:
+    # numpy and the solver load here, not with the CLI: no other verb uses them
+    import numpy as np
+
+    from .numerics import GoursatData, grid_points, solve_goursat, \
+        square_steps, write_csv
+
     matrix = _read_cartan(args.cartan)
     doc = _read_json(args.boundary)
     try:
@@ -247,8 +251,7 @@ def _cmd_solve(args) -> int:
         raise InputError(f"--h must be positive, got {args.h!r}")
     try:
         # the points solve_goursat samples: m steps from x0 and from y0
-        m = _steps(x0, x1, h)
-        _steps(y0, y1, h)
+        m = square_steps(x0, x1, y0, y1, h)
         xs, ys = (np.array(grid_points(lo, h, m)) for lo in (x0, y0))
         data = GoursatData(
             x0, x1, y0, y1,

@@ -25,13 +25,14 @@ ln) look up an operation table.  There are three tables:
   return inf or nan where Python raises "float division by zero".  The fold
   runs under ``np.errstate(over="ignore", invalid="ignore")``: Python's
   ``+``, ``-`` and ``*`` give inf and nan silently, and so does the array
-  fold.
+  fold.  This table is built on the first array call, so importing this
+  module does not load numpy; an array argument means numpy is loaded.
 """
 
+import functools
 import math
 import operator
-
-import numpy as np
+import sys
 
 from .jets import Jet
 
@@ -210,27 +211,28 @@ _FLOAT_OPS = {"num": float, "div": operator.truediv, "pow": operator.pow,
               "exp": math.exp, "ln": math.log}
 
 
-def _elementwise(f, nin: int):
-    """``f`` on each element, as Python floats, of float arrays; on floats
-    alone it is ``f`` itself."""
-    ufunc = np.frompyfunc(f, nin, 1)
+@functools.cache
+def _array_ops() -> dict:
+    """The array table, built once, on the first array call."""
+    import numpy as np
 
-    def apply(*args):
-        out = ufunc(*args)
-        return out.astype(float) if isinstance(out, np.ndarray) else out
-    return apply
+    def elementwise(f, nin: int):
+        """``f`` on each element, as Python floats, of float arrays; on
+        floats alone it is ``f`` itself."""
+        ufunc = np.frompyfunc(f, nin, 1)
 
+        def apply(*args):
+            out = ufunc(*args)
+            return out.astype(float) if isinstance(out, np.ndarray) else out
+        return apply
 
-def _array_div(a, b):
-    if np.any(np.equal(b, 0)):
-        raise ZeroDivisionError("float division by zero")
-    return a / b
+    def div(a, b):
+        if np.any(np.equal(b, 0)):
+            raise ZeroDivisionError("float division by zero")
+        return a / b
 
-
-_ARRAY_OPS = {"num": float, "div": _array_div,
-              "pow": _elementwise(operator.pow, 2),
-              "exp": _elementwise(math.exp, 1),
-              "ln": _elementwise(math.log, 1)}
+    return {"num": float, "div": div, "pow": elementwise(operator.pow, 2),
+            "exp": elementwise(math.exp, 1), "ln": elementwise(math.log, 1)}
 
 
 def eval_jet(node, x: Jet, y: Jet) -> Jet:
@@ -244,7 +246,9 @@ def eval_float(node, x, y):
     """The float value at (x, y).  When ``x`` or ``y`` is a 1-D float array,
     the values at every point: an array, or a float if the tree reads
     neither array."""
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and (isinstance(x, np.ndarray)
+                           or isinstance(y, np.ndarray)):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _fold(node, x, y, _ARRAY_OPS)
+            return _fold(node, x, y, _array_ops())
     return _fold(node, x, y, _FLOAT_OPS)

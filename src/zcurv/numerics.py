@@ -38,10 +38,7 @@ class Grid:
     sweep_residual: float = 0.0
 
     def __post_init__(self):
-        m = _steps(self.x0, self.x1, self.h)
-        if _steps(self.y0, self.y1, self.h) != m:
-            raise ValueError("x and y ranges must contain the same number "
-                             "of steps")
+        m = square_steps(self.x0, self.x1, self.y0, self.y1, self.h)
         if self.values.shape[:2] != (m + 1, m + 1):
             raise ValueError(f"values shape {self.values.shape} does not "
                              f"match {m + 1} grid points per side")
@@ -100,6 +97,15 @@ def _steps(lo: Fraction, hi: Fraction, h: Fraction) -> int:
     return int(m)
 
 
+def square_steps(x0, x1, y0, y1, h) -> int:
+    """The number of steps of ``h`` per side; both ranges must have it."""
+    m = _steps(x0, x1, h)
+    if _steps(y0, y1, h) != m:
+        raise ValueError("x and y ranges must contain the same number "
+                         "of steps")
+    return m
+
+
 def grid_points(lo, h, m: int) -> list[float]:
     """float(lo + i*h) for i = 0..m.  Each point is one correctly rounded
     int true division (n0 + i*dn) / d, as ``Fraction.__float__`` is, so it is
@@ -150,11 +156,20 @@ def _update(af, h2, va, vb, vc):
     return (first, final) if np.isfinite(final).all() else None
 
 
+def _check_finite(edge: str, var: str, coords, edge_values) -> None:
+    """Reject the first point of an edge with a non-finite trace value."""
+    bad = ~np.isfinite(edge_values).all(axis=1)
+    if bad.any():
+        raise ValueError(f"boundary trace {edge} is not finite at "
+                         f"{var} = {coords[int(bad.argmax())]!r}")
+
+
 def solve_goursat(a: CartanMatrix, data: GoursatData, h,
                   schedule: str = "sequential") -> Grid:
     """March the characteristic scheme over the rectangle in ``data``.
 
-    Both ``schedule`` values run the same anti-diagonal march.  An exp
+    Both ``schedule`` values run the same anti-diagonal march.  A
+    non-finite boundary value raises ValueError before it starts.  An exp
     overflow or a non-finite value raises GridOverflowError for the first
     such cell in anti-diagonal order (lowest i on the lowest diagonal)."""
     if not a.is_all_even():
@@ -162,18 +177,21 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
     if schedule not in ("sequential", "wavefront"):
         raise ValueError(f"unknown schedule {schedule!r}")
     h = Fraction(h)
-    m = _steps(data.x0, data.x1, h)
-    _steps(data.y0, data.y1, h)
+    m = square_steps(data.x0, data.x1, data.y0, data.y1, h)
     gap = data.corner_gap()
     if gap > CORNER_TOL:
         raise CornerMismatchError(
             f"boundary traces disagree at the corner by {gap:.3e}")
     n = a.rank
     values = np.empty((m + 1, m + 1, n), dtype=np.float64)
-    for i, x in enumerate(grid_points(data.x0, h, m)):
+    xs = grid_points(data.x0, h, m)
+    for i, x in enumerate(xs):
         values[i, 0] = data.y_edge(x)
-    for j, y in enumerate(grid_points(data.y0, h, m)):
+    _check_finite("y_edge", "x", xs, values[:, 0])
+    ys = grid_points(data.y0, h, m)
+    for j, y in enumerate(ys):
         values[0, j] = data.x_edge(y)
+    _check_finite("x_edge", "y", ys, values[0, :])
     af = _float_matrix(a)
     h2 = float(h) * float(h)
     firsts = np.empty_like(values)

@@ -422,7 +422,8 @@ def test_solve_matches_pointwise_traces(tmp_path, capsys, seed):
 def test_solve_overflowing_trace_prints_one_error_line(tmp_path, x_edge,
                                                        y_edge):
     # inf and nan on the traces: the array fold must not print a numpy
-    # RuntimeWarning before the solver's one error line
+    # RuntimeWarning before the solver's one error line, which names the
+    # non-finite trace, not the march
     (tmp_path / "b.json").write_text(json.dumps(
         {**BOUNDARY, "x_edge": [x_edge], "y_edge": [y_edge]}))
     env = {**os.environ, "PYTHONPATH": str(Path(zcurv.__file__).parents[1])}
@@ -432,5 +433,73 @@ def test_solve_overflowing_trace_prints_one_error_line(tmp_path, x_edge,
          "--boundary", "b.json", "--h", "1/8", "--out", "grid.csv"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3
-    assert proc.stderr == ("error: exp overflow while updating grid cell "
-                           "(1, 1)\n")
+    assert proc.stderr == ("error: boundary trace y_edge is not finite at "
+                           "x = 0.0\n")
+
+
+STEP_MISMATCH = "x and y ranges must contain the same number of steps"
+
+
+@pytest.mark.parametrize("boundary,message", [
+    pytest.param({"y1": "1/2", "x_edge": ["y"], "y_edge": ["x"]},
+                 STEP_MISMATCH, id="ranges-differ"),
+    pytest.param({"y1": "1/2", "x_edge": ["ln(5/8-y)"], "y_edge": ["x"]},
+                 STEP_MISMATCH, id="ranges-differ-trace-undefined-past-y1"),
+    pytest.param({"x_edge": ["10^300*10^300*y"], "y_edge": ["x"]},
+                 "boundary trace x_edge is not finite at y = 0.0",
+                 id="nan-corner"),
+    pytest.param({"x_edge": ["10^300*10^300-10^300*10^300"], "y_edge": ["x"]},
+                 "boundary trace x_edge is not finite at y = 0.0",
+                 id="nan-trace"),
+    pytest.param({"x_edge": ["0"], "y_edge": ["x*10^300*10^300"]},
+                 "boundary trace y_edge is not finite at x = 0.125",
+                 id="inf-past-corner"),
+])
+def test_solve_names_range_mismatch_and_non_finite_trace(
+        tmp_path, monkeypatch, capsys, boundary, message):
+    monkeypatch.chdir(tmp_path)
+    files, argv = _solve(boundary, h="1/8")
+    (tmp_path / "b.json").write_text(files["b.json"])
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (3, f"error: {message}\n")
+
+
+LAZY_NUMPY_SCRIPT = """
+import json, sys
+import zcurv
+from zcurv.cli import main
+data, out = sys.argv[1:]
+verbs = [["derive", "--cartan", data + "/sl3.cm"], ["derive-super"],
+         ["obstruction"], ["bracket-table", "--algebra", "osp12"],
+         ["admissible", "--cartan", data + "/osp12.cm", "--scheme", "lse1"],
+         ["verify-liouville", "--f", "x+1", "--g", "y+1"],
+         ["solve", "--cartan", data + "/sl2.cm", "--boundary", "b.json",
+          "--h", "1/8", "--out", out]]
+report = []
+for argv in verbs:
+    code = main(argv)
+    report.append([argv[0], code, "numpy" in sys.modules])
+from zcurv import (GoursatData, Grid, convergence_order, residual_grid,
+                   solve_goursat, write_csv)
+try:
+    zcurv.no_such_name
+except AttributeError:
+    report.append("no_such_name raises AttributeError")
+print(json.dumps(report))
+"""
+
+
+def test_only_solve_loads_numpy(tmp_path):
+    (tmp_path / "b.json").write_text(json.dumps(BOUNDARY))
+    env = {**os.environ, "PYTHONPATH": str(Path(zcurv.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_NUMPY_SCRIPT, str(DATA), "grid.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == [
+        ["derive", 0, False], ["derive-super", 0, False],
+        ["obstruction", 0, False], ["bracket-table", 0, False],
+        ["admissible", 0, False], ["verify-liouville", 0, False],
+        ["solve", 0, True], "no_such_name raises AttributeError"]
+    assert (tmp_path / "grid.csv").is_file()

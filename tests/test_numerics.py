@@ -117,6 +117,30 @@ def test_corner_mismatch_detected():
         solve_goursat(SL2, data, Fraction(1, 8))
 
 
+def test_range_mismatch_rejected_before_sampling():
+    def edge(t):
+        raise AssertionError("sampled a trace")
+
+    data = GoursatData(Fraction(0), Fraction(1), Fraction(0), Fraction(1, 2),
+                       x_edge=edge, y_edge=edge)
+    with pytest.raises(ValueError, match="same number of steps"):
+        solve_goursat(SL2, data, Fraction(1, 8))
+
+
+@pytest.mark.parametrize("x_edge,y_edge,message", [
+    (lambda y: [math.nan], lambda x: [0.0], "x_edge is not finite at y = 0.0"),
+    (lambda y: [0.0], lambda x: [math.inf if x > 0.3 else 0.0],
+     "y_edge is not finite at x = 0.375"),
+    (lambda y: [math.inf], lambda x: [math.inf],
+     "y_edge is not finite at x = 0.0"),
+])
+def test_non_finite_trace_named_before_the_march(x_edge, y_edge, message):
+    data = GoursatData(Fraction(0), Fraction(1), Fraction(0), Fraction(1),
+                       x_edge=x_edge, y_edge=y_edge)
+    with pytest.raises(ValueError, match=message):
+        solve_goursat(SL2, data, Fraction(1, 8))
+
+
 def test_exp_overflow_reported_with_location():
     data = GoursatData(Fraction(0), Fraction(1), Fraction(0), Fraction(1),
                        x_edge=lambda y: [400.0 + y],
