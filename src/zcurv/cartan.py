@@ -22,10 +22,17 @@ mismatch, non-rational entry), carries a line/column position.  Grammar::
 
 The renderer emits a canonical form (fixed key order, no whitespace), and
 ``parse_cartan(render_cartan(A)) == A`` for every valid ``A``.
+
+Determinant and inverse come from one fraction-free elimination: each row
+is scaled to integers by the lcm of its denominators, and Bareiss's
+integer-preserving elimination (E. H. Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968)
+runs on the result without building a ``Fraction``.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
 
 EVEN = "even"
 ODD = "odd"
@@ -164,23 +171,57 @@ def standard_cartan(name: str) -> CartanMatrix:
     raise ValueError(f"unknown standard cartan matrix {name!r}")
 
 
-def invert_rational(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square rational matrix by Gauss-Jordan."""
+def _fraction_free(rows, jordan: bool):
+    """Bareiss elimination of the rows, each scaled to integers by the lcm
+    of its denominators; every division is exact.
+
+    Returns (delta, swaps, scales, reduced): delta is (-1)^swaps times the
+    determinant of the scaled matrix, 0 exactly when it is singular.  With
+    ``jordan`` all rows are eliminated next to an identity block, which
+    ends as delta times the inverse of the scaled matrix; without it only
+    the rows below each pivot, which is enough for delta.
+    """
     n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v)
+             for v in row] for row in rows]
+    scales = [lcm(*(v.denominator for v in row)) for row in rows]
+    a = [[v.numerator * (s // v.denominator) for v in row]
+         + ([int(i == j) for j in range(n)] if jordan else [])
+         for i, (row, s) in enumerate(zip(rows, scales))]
+    prev, swaps = 1, 0
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            return 0, swaps, scales, a
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            swaps += 1
+        row_k = a[k]
+        p = row_k[k]
+        for i in range(n) if jordan else range(k + 1, n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(v * p - f * w) // prev for v, w in zip(a[i], row_k)]
+        prev = p
+    return prev, swaps, scales, a
+
+
+def determinant(rows) -> Fraction:
+    """Exact determinant of a square rational matrix."""
+    delta, swaps, scales, _ = _fraction_free(rows, jordan=False)
+    return Fraction(-delta if swaps % 2 else delta, prod(scales))
+
+
+def invert_rational(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of a square rational matrix: the adjugate over the
+    determinant, both read off one fraction-free elimination.  The inverse
+    of the row-scaled matrix D*M times D is the inverse of M."""
+    delta, _, scales, reduced = _fraction_free(rows, jordan=True)
+    if not delta:
+        raise ValueError("matrix is singular")
+    n = len(scales)
+    return tuple(tuple(Fraction(v * s, delta)
+                       for v, s in zip(row[n:], scales)) for row in reduced)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Symbolic differential superalgebra for the derivation engine.
 
 Expressions are Q-linear combinations of monomials; a monomial is an
-ordered product of atoms.  An atom is either
+ordered product of atoms.  A coefficient is an ``int`` when it is
+integral and a ``Fraction`` (with denominator > 1) otherwise, so the
+integral arithmetic that makes up nearly all of a derivation never builds
+a ``Fraction``.  An atom is either
 
 * a derivative of a named indeterminate function,
   ``dx^i dy^j (D+)^e+ (D-)^e- f`` with ``e+, e- in {0, 1}`` (the operator
@@ -15,11 +18,12 @@ everything.  D+ and D- act as odd derivations, dx and dy as even ones.
 All sign bookkeeping is literal algebra on these monomials.
 
 Every multi-term result (sums, products, derivatives, substitutions) is
-accumulated into one dict by ``_collect``: repeated monomials are added
-and zero coefficients dropped once, at the end.
+accumulated into one dict by ``_collect``: repeated monomials are added,
+and zero coefficients dropped and integral ones made ``int`` once, at the
+end.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -31,6 +35,20 @@ class Atom:
     dp: int = 0
     dm: int = 0
     base_parity: int = 0
+    # monomial order and hash, computed once; not part of repr or ==
+    sort_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lower_first = 0 if self.name[:1].islower() else 1
+        object.__setattr__(self, "sort_key", (
+            0, (lower_first, self.name.lower(), self.name), self.dx, self.dy,
+            self.dp, self.dm, self.base_parity))
+        object.__setattr__(self, "_hash", hash(
+            (self.name, self.dx, self.dy, self.dp, self.dm, self.base_parity)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def parity(self) -> int:
@@ -52,6 +70,10 @@ class ExpAtom:
     """exp of a rational-linear combination of names; parity even."""
 
     args: tuple[tuple[Fraction, str], ...]
+    sort_key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sort_key", (1, self.args, 0, 0, 0, 0, ""))
 
     @property
     def parity(self) -> int:
@@ -59,14 +81,6 @@ class ExpAtom:
 
     def render(self) -> str:
         return "exp(" + _linear_str(self.args) + ")"
-
-
-def _atom_sort_key(a):
-    if isinstance(a, ExpAtom):
-        return (1, a.args, 0, 0, 0, 0, "")
-    lower_first = 0 if a.name[:1].islower() else 1
-    return (0, (lower_first, a.name.lower(), a.name), a.dx, a.dy, a.dp, a.dm,
-            a.base_parity)
 
 
 def _mul_monomials(m1: tuple, m2: tuple) -> tuple:
@@ -78,7 +92,7 @@ def _mul_monomials(m1: tuple, m2: tuple) -> tuple:
     odd_left = sum(a.parity for a in m1)
     while i < len(m1) and j < len(m2):
         a, b = m1[i], m2[j]
-        if _atom_sort_key(a) <= _atom_sort_key(b):
+        if a.sort_key <= b.sort_key:
             odd_left -= a.parity
             out.append(a)
             i += 1
@@ -96,13 +110,19 @@ def _mul_monomials(m1: tuple, m2: tuple) -> tuple:
     return ((sign, tuple(out)),)
 
 
+def _coeff(c):
+    """The coefficient c as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _collect(pairs) -> "Expr":
     """Sum (monomial, coefficient) pairs in one dict, then drop the zero
-    sums once."""
-    terms: dict[tuple, Fraction] = {}
+    sums and make the integral ones int, once."""
+    terms: dict = {}
+    get = terms.get
     for mono, c in pairs:
-        terms[mono] = terms.get(mono, 0) + c
-    return Expr(terms)
+        terms[mono] = get(mono, 0) + c
+    return Expr._of({mono: _coeff(c) for mono, c in terms.items() if c})
 
 
 class Expr:
@@ -111,19 +131,26 @@ class Expr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms: dict[tuple, Fraction] = {
-            mono: c for mono, c in (terms or {}).items() if c}
+        self.terms: dict[tuple, int | Fraction] = {
+            mono: _coeff(c) for mono, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def _of(terms: dict) -> "Expr":
+        """Wrap terms whose coefficients are already nonzero and in form."""
+        out = object.__new__(Expr)
+        out.terms = terms
+        return out
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def rational(q) -> "Expr":
         q = Fraction(q)
-        return Expr({(): q} if q else {})
+        return Expr._of({(): _coeff(q)} if q else {})
 
     @staticmethod
     def atom(a) -> "Expr":
-        return Expr({(a,): Fraction(1)})
+        return Expr._of({(a,): 1})
 
     @staticmethod
     def sum(parts) -> "Expr":
@@ -135,15 +162,15 @@ class Expr:
         return Expr.sum((self, other))
 
     def __neg__(self) -> "Expr":
-        return Expr({m: -c for m, c in self.terms.items()})
+        return Expr._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Expr") -> "Expr":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Expr({m: c * q for m, c in self.terms.items()})
+            q = _coeff(other)
+            return _collect((m, c * q) for m, c in self.terms.items())
         return _collect((mono, sign * c1 * c2)
                         for m1, c1 in self.terms.items()
                         for m2, c2 in other.terms.items()
@@ -265,7 +292,7 @@ def _term_atom_key(a):
             a.base_parity, ())
 
 
-def _render_term(c: Fraction, mono: tuple) -> str:
+def _render_term(c: int | Fraction, mono: tuple) -> str:
     bits = []
     run_atom = None
     run = 0
@@ -287,7 +314,7 @@ def _render_term(c: Fraction, mono: tuple) -> str:
     return coeff + "*".join(bits)
 
 
-def _frac_str(c: Fraction) -> str:
+def _frac_str(c: int | Fraction) -> str:
     return str(c) if c.denominator == 1 else f"({c})"
 
 

@@ -24,7 +24,7 @@ obstruction to a flat non-reduced extension of the reduced connection.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cartan import CartanMatrix, standard_cartan
+from .cartan import CartanMatrix, determinant, standard_cartan
 from .superalg import bracket_table, osp12_basis
 from .superfield import SuperField
 from .symexpr import Atom, Expr, exp_linear, fn
@@ -44,13 +44,17 @@ class ChevalleyRelations:
 
     def __init__(self, cartan: CartanMatrix):
         self.cartan = cartan
+        # integral entries as int, so that brackets build no Fraction
+        self._entries = tuple(
+            tuple(v.numerator if v.denominator == 1 else v for v in row)
+            for row in cartan.entries)
 
     def parity(self, g: GenKey) -> int:
         return 0
 
     def bracket(self, g1: GenKey, g2: GenKey):
         (k1, i), (k2, j) = g1, g2
-        A = self.cartan.entries
+        A = self._entries
         if k1 == "H" and k2 == "H":
             return ()
         if k1 == "H" and k2 in ("X+", "X-"):
@@ -64,10 +68,10 @@ class ChevalleyRelations:
         if {k1, k2} == {"X+", "X-"}:
             if i != j:
                 return ()
-            c = Fraction(1) if k1 == "X+" else Fraction(-1)
-            return ((c, ("H", i)),)
-        # X+ with X+ (or X- with X-): level +-2
-        if i == j or A[i][j] == 0:
+            return ((1 if k1 == "X+" else -1, ("H", i)),)
+        # X+ with X+ (or X- with X-): level +-2.  The Serre relation makes
+        # [X_i, X_j] vanish when a_ij = 0, and by antisymmetry when a_ji = 0.
+        if i == j or A[i][j] == 0 or A[j][i] == 0:
             return ()
         raise OutOfSpanError(
             f"bracket [{k1}_{i}, {k2}_{j}] leaves the level -1..1 span")
@@ -180,7 +184,7 @@ def _curvature_parts(relations, dir1, coeffs1, dir2, coeffs2):
             terms = relations.bracket(g1, g2)
             if not terms:
                 continue
-            s = Fraction(-1 if pg1 and pc2 else 1)
+            s = -1 if pg1 and pc2 else 1
             prod = _lower(c1 * c2)
             for coef, g3 in terms:
                 acc(g3, prod * (coef * s))
@@ -324,7 +328,8 @@ def derive_toda(A: CartanMatrix, form: str = "lsbis") -> DerivedSystem:
                      for i in range(n))
         unknowns = tuple(gname)
     else:
-        A.inverse()  # raises ValueError("matrix is singular") when singular
+        if not determinant(A.entries):
+            raise ValueError("matrix is singular")
         final = tuple(
             Equation(Expr.atom(Atom(fname[i], dx=1, dy=1)),
                      exp_linear([(A.entries[i][j], fname[j])

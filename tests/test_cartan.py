@@ -2,11 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from zcurv.cartan import (AdmissibilityReport, CartanFormatError, CartanMatrix,
-                          check_admissible, invert_rational, parse_cartan,
-                          parse_family, render_cartan, standard_cartan,
-                          whitelist_superprincipal)
+                          check_admissible, determinant, invert_rational,
+                          parse_cartan, parse_family, render_cartan,
+                          standard_cartan, whitelist_superprincipal)
 
 
 def test_parse_rank_one():
@@ -168,6 +170,66 @@ def test_invert_rational():
         invert_rational([[0]])
     with pytest.raises(ValueError):
         invert_rational([[1, 1], [1, 1]])
+
+
+_ENTRY = st.one_of(st.just(Fraction(0)),
+                  st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)))
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Square rational matrices of size 1-6, often with a zero row, a zero
+    column or a row that is a multiple of another (singular cases)."""
+    n = draw(st.integers(1, 6))
+    rows = [[draw(_ENTRY) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(
+        ("plain", "zero row", "zero column", "dependent row")))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "zero row":
+        rows[i] = [Fraction(0)] * n
+    elif kind == "zero column":
+        for row in rows:
+            row[i] = Fraction(0)
+    elif kind == "dependent row" and i != j:
+        q = draw(_ENTRY)
+        rows[i] = [q * v for v in rows[j]]
+    return rows
+
+
+def _sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                          for v in row] for row in rows])
+
+
+def _fraction(q) -> Fraction:
+    return Fraction(int(q.p), int(q.q))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_rational_matrices())
+def test_elimination_matches_sympy(rows):
+    """determinant and invert_rational against sympy's det() and inv()."""
+    m = _sympy_matrix(rows)
+    det = m.det()
+    assert determinant(rows) == _fraction(det)
+    assert (determinant(rows) == 0) == (det == 0)
+    if det == 0:
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            invert_rational(rows)
+    else:
+        inv = m.inv()
+        n = len(rows)
+        assert invert_rational(rows) == tuple(
+            tuple(_fraction(inv[i, j]) for j in range(n)) for i in range(n))
+
+
+def test_determinant_accepts_int_and_fraction_rows():
+    assert determinant([[2, -1], [-1, 2]]) == 3
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[Fraction(1, 2), 1], [Fraction(1, 3), 5]]) \
+        == Fraction(13, 6)
+    assert determinant(standard_cartan("sl9").entries) == 9
+    assert determinant([[2, -2], [-2, 2]]) == 0
 
 
 def test_affine_matrix_accepted():

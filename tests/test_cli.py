@@ -183,6 +183,21 @@ def test_derive_singular_ls_exit_3(capsys):
     assert "singular" in err
 
 
+@pytest.mark.parametrize("matrix", [
+    [[2, -2], [-2, 2]],
+    [[2, -1, "1/2"], [-2, 2, -1], [0, 1, "-1/2"]],
+])
+def test_derive_ls_on_singular_gcm_prints_one_error_line(capsys, tmp_path,
+                                                          matrix):
+    cartan = tmp_path / "gcm.cm"
+    cartan.write_text(json.dumps({"matrix": matrix}))
+    code, out, err = run(capsys, "derive", "--cartan", str(cartan),
+                         "--form", "ls")
+    assert (code, out, err) == (3, "", "error: matrix is singular\n")
+    code, out, _ = run(capsys, "derive", "--cartan", str(cartan))
+    assert code == 0 and out
+
+
 def test_missing_file_exit_3(capsys):
     code, _, err = run(capsys, "derive", "--cartan", "no_such_file.cm")
     assert code == 3

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -336,3 +337,36 @@ def test_each_bracket_operand_parity_computed_once():
           ("X-", 0): _CountsParity(fn("B").terms)}
     _curvature_parts(rel, "dx", cx, "dy", cy)
     assert [c.parity_calls for c in cy.values()] == [1, 1]
+
+
+def test_level_two_brackets_are_antisymmetric():
+    """[X_i, X_j] and [X_j, X_i] (both X+ or both X-) agree: both vanish,
+    by the Serre relation when a_ij = 0 or a_ji = 0, or both leave the
+    level -1..1 span."""
+    def outcome(rel, g1, g2):
+        try:
+            return rel.bracket(g1, g2)
+        except OutOfSpanError:
+            return "out of span"
+
+    rel = ChevalleyRelations(CartanMatrix.from_rows([[2, 0], [-1, 2]]))
+    for k in ("X+", "X-"):
+        assert outcome(rel, (k, 0), (k, 1)) == ()
+        assert outcome(rel, (k, 1), (k, 0)) == ()
+
+    rng = random.Random(1212)
+    asymmetric = 0
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        rows = [[2 if i == j else rng.choice((0, 0, -1, -3, Fraction(-1, 2)))
+                 for j in range(n)] for i in range(n)]
+        rel = ChevalleyRelations(CartanMatrix.from_rows(rows))
+        for i in range(n):
+            for j in range(i + 1, n):
+                asymmetric += (rows[i][j] == 0) != (rows[j][i] == 0)
+                for k in ("X+", "X-"):
+                    forward = outcome(rel, (k, i), (k, j))
+                    assert forward == outcome(rel, (k, j), (k, i))
+                    both = rows[i][j] != 0 and rows[j][i] != 0
+                    assert forward == ("out of span" if both else ())
+    assert asymmetric > 20
