@@ -1,19 +1,33 @@
 """Truncated bivariate power series (jets) with exact coefficients.
 
-A jet of order K at base point (x0, y0) stores the coefficients of
-(x - x0)^i (y - y0)^j for i + j <= K.  Arithmetic is exact truncated ring
-arithmetic; products drop terms of total degree above K.  Coefficients are
-``Fraction`` whenever rational and fall back to the symbolic ``Scalar``
-ring for values involving exp/ln of rationals, so identities like
-``ln(exp(s)) == s`` hold coefficient-for-coefficient.  A stored coefficient
-is thus a nonzero ``Fraction`` or a non-rational, hence nonzero, ``Scalar``.
+A jet of order K at base point (x0, y0) has a coefficient for each
+(x - x0)^i (y - y0)^j with i + j <= K.  Arithmetic is exact truncated ring
+arithmetic; products drop terms of total degree above K.  A coefficient is
+a ``Fraction`` when rational and otherwise a ``Scalar``: a rational
+combination of exp/ln *units* (see ``scalars``), so identities like
+``ln(exp(s)) == s`` hold coefficient-for-coefficient.
 
-A product visits only the coefficient pairs that land within the order.
-When both factors are rational it multiplies integers: each factor is
-written as integer numerators over the lcm of its denominators, the pair
-products are summed as Python ints, and each output coefficient becomes one
-``Fraction``.  A factor with a ``Scalar`` coefficient takes the
-``smul``/``sadd`` arithmetic over the same pair loop.
+A jet is stored as one integer row per unit, that is per ``Scalar`` term
+key ``(r, logs, pows)``; rationals use the trivial unit.  Units are
+numbered in the order this process first meets them, and rows are keyed
+by that number, so a row lookup hashes an int.  A row is a dict
+``{(i, j): numerator}`` over one positive denominator, kept canonical: no
+zero numerators, no empty rows, and the numerators and the denominator
+have gcd 1.  Equal jets therefore have equal rows, so ``==`` and ``hash``
+are structural.  ``coeffs`` rebuilds the ``{(i, j): Fraction | Scalar}``
+view of the nonzero coefficients; a ``Scalar`` sorts its units when it is
+printed or converted to float, so unit numbers never reach either.
+
+Every ring operation is a row operation.  A product convolves the integer
+rows of each pair of units once, and the pair's unit product, a unit times
+a rational factor by the rules of ``Scalar.__mul__``, is cached.  A sum
+merges rows over the lcm of their denominators; a scalar factor, a
+negation or a derivative rescales the numerators.  Rows that land on one
+unit are added, and each result row is divided by one gcd.  So the
+``Scalar`` and ``Fraction`` work of an operation grows with the number of
+units, not with the number of coefficients; per coefficient it does
+integer arithmetic only.  A convolution indexes bidegree (i, j) as
+i * (K + 1) + j in one flat list, and pairs meet only within the order.
 
 ``exp``, ``ln`` and ``inverse`` of jets and superfields share one degree
 recurrence, ``degree_series``, derived from the Euler operator theta, which
@@ -25,13 +39,11 @@ with homogeneous parts P_d, d >= 1:
     ln       (1 + s) T = theta s       T_d = d P_d - sum_{k=1..d-1} P_k T_{d-k}
 
 with E_0 = W_0 = 1 and T = theta ln(1 + s), so ln's degree-d part is T_d / d.
-When P_1..P_n of a jet are rational, the recurrence runs on Python ints.
-Each P_k, and each finished degree of the output, is a row of integer
-numerators over one denominator; a degree's sum over k is formed over the
-lcm of its terms' denominators and then divided by the gcd of the row and
-that lcm, and each output coefficient becomes one ``Fraction``.
-Superfields and jets with ``Scalar`` coefficients run the recurrence on the
-objects, with each weight applied once per degree.
+When P_1..P_n of a jet are rational, the recurrence runs on the parts'
+integer rows: a degree's sum over k is formed over the lcm of its terms'
+denominators and then divided by the gcd of the row and that lcm.
+Superfields and jets with other units run the recurrence on the objects,
+with each weight applied once per degree.
 
 Derivatives lower the order by one: the top-degree coefficients of a
 derivative would need information beyond the input's truncation order.
@@ -40,22 +52,56 @@ Binary operations deliberately require equal base points and orders;
 """
 
 import math
-import operator
 from fractions import Fraction
+from itertools import compress
 
-from .scalars import Scalar, normalize, sadd, sexp, sinv, sln, smul
+from .scalars import _TRIVIAL_UNIT, Scalar, sexp, sinv, sln
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+# Units are numbered as first seen, so a row key hashes as an int; the
+# trivial unit is 0.
+_UNITS = [_TRIVIAL_UNIT]
+_UNIT_IDS = {_TRIVIAL_UNIT: 0}
+_RATIONAL = {0}
+# (u, v) -> (w, f) with unit u times unit v == f * unit w, as ids
+_UNIT_PRODUCTS: dict = {}
 
 
-def _as_coeff(v):
-    if isinstance(v, Fraction):
-        return v
+def _unit_id(unit) -> int:
+    uid = _UNIT_IDS.get(unit)
+    if uid is None:
+        uid = _UNIT_IDS[unit] = len(_UNITS)
+        _UNITS.append(unit)
+    return uid
+
+
+def _unit_product(u, v):
+    hit = _UNIT_PRODUCTS.get((u, v))
+    if hit is None:
+        product = Scalar({_UNITS[u]: _ONE}) * Scalar({_UNITS[v]: _ONE})
+        ((w, f),) = product._terms.items()
+        hit = _UNIT_PRODUCTS[(u, v)] = (_unit_id(w), f)
+    return hit
+
+
+def _unit_terms(v):
+    """The (unit id, nonzero Fraction) terms of an exact scalar."""
     if isinstance(v, Scalar):
-        return normalize(v)
-    if isinstance(v, int):
-        return Fraction(v)
+        return [(_unit_id(u), c) for u, c in v._terms.items()]
+    if isinstance(v, (int, Fraction)):
+        return [(0, Fraction(v))] if v else []
     raise TypeError(f"not an exact coefficient: {v!r}")
+
+
+def _scalar(terms):
+    """A coefficient from its nonzero {unit id: Fraction} terms."""
+    if not terms:
+        return _ZERO
+    if len(terms) == 1 and 0 in terms:
+        return terms[0]
+    return Scalar({_UNITS[u]: c for u, c in terms.items()})
 
 
 def degree_series(parts, first, kind):
@@ -67,7 +113,8 @@ def degree_series(parts, first, kind):
     ln(1 + s), first its constant); the recurrences are in the module
     docstring.  A jet with rational P_1..P_n takes the integer form there.
     """
-    if isinstance(first, Jet) and all(_rational(p.coeffs) for p in parts[1:]):
+    if isinstance(first, Jet) and all(p.rows.keys() <= _RATIONAL
+                                      for p in parts[1:]):
         return _integer_series(parts, first, kind)
     ln = kind == "ln"
     if kind == "exp":
@@ -93,20 +140,22 @@ def degree_series(parts, first, kind):
 def _integer_series(parts, first, kind):
     """``degree_series`` of a jet with rational P_1..P_n, on Python ints.
 
-    A row is a list of (x-degree, numerator) pairs with one denominator.
-    X_d (E_d, W_d or T_d) is the sum over k of weight * P_k * X_{d-k},
-    formed over L, the lcm of the terms' denominators, with each weight
-    scaled by L over its own term's denominator; for ln the k = d term
-    is d P_d, since T_0 = 0.
+    A degree's row is a list of (x-degree, numerator) pairs with one
+    denominator.  X_d (E_d, W_d or T_d) is the sum over k of weight * P_k *
+    X_{d-k}, formed over L, the lcm of the terms' denominators, with each
+    weight scaled by L over its own term's denominator; for ln the k = d
+    term is d P_d, since T_0 = 0.  The finished degrees and ``first``'s
+    rational row make one row over the lcm of their denominators.
     """
     rows = [([], 1)]
     for p in parts[1:]:
-        den = math.lcm(*(v.denominator for v in p.coeffs.values()))
-        rows.append(([(i, v.numerator * (den // v.denominator))
-                      for (i, _), v in p.coeffs.items()], den))
+        nums, den = p.rows.get(0, ({}, 1))
+        rows.append(([(i, n) for (i, _), n in nums.items()], den))
     one = ([(0, 1)], 1)
     seq = [([], 1) if kind == "ln" else one]  # T_0 = 0, E_0 = W_0 = 1
-    coeffs = dict(first.coeffs)
+    out = dict(first.rows)
+    nums, den = out.pop(0, ({}, 1))
+    done = [(0, [(0, n) for n in nums.values()], den)]  # (d, row, den)
     for d in range(1, len(parts)):
         terms = [(k if kind == "exp" else -1, rows[k], seq[d - k])
                  for k in range(1, d + 1)]
@@ -124,15 +173,20 @@ def _integer_series(parts, first, kind):
                     acc[i + j] += aw * b
         den = d * lcm if kind == "exp" else lcm
         g = math.gcd(den, *acc)
-        seq.append(([(i, n // g) for i, n in enumerate(acc) if n], den // g))
-        out = seq[d][1] * (d if kind == "ln" else 1)
-        for i, n in seq[d][0]:
-            coeffs[(i, d - i)] = Fraction(n, out)
-    return _ring_result(first.base, first.order, coeffs)
+        row = [(i, n // g) for i, n in enumerate(acc) if n]
+        seq.append((row, den // g))
+        if row:
+            done.append((d, row, den // g * (d if kind == "ln" else 1)))
+    lcm = math.lcm(*(den for _, _, den in done))
+    nums = {(i, d - i): n * (lcm // den)
+            for d, row, den in done for i, n in row}
+    if nums:
+        out[0] = _row(nums, lcm)
+    return _ring_result(first.base, first.order, out)
 
 
 class Jet:
-    __slots__ = ("base", "order", "coeffs")
+    __slots__ = ("base", "order", "rows")
 
     def __init__(self, base, order: int, coeffs: dict | None = None):
         x0, y0 = base
@@ -140,20 +194,19 @@ class Jet:
         if order < 0:
             raise ValueError("jet order must be >= 0")
         self.order = order
-        self.coeffs = {}
-        if coeffs:
-            for (i, j), v in coeffs.items():
-                if i < 0 or j < 0 or i + j > order:
-                    raise ValueError(f"bidegree {(i, j)} exceeds order {order}")
-                v = _as_coeff(v)
-                if v:
-                    self.coeffs[(i, j)] = v
+        terms = []
+        for (i, j), v in (coeffs or {}).items():
+            if i < 0 or j < 0 or i + j > order:
+                raise ValueError(f"bidegree {(i, j)} exceeds order {order}")
+            terms += [(u, {(i, j): c.numerator}, 1, c.denominator)
+                      for u, c in _unit_terms(v)]
+        self.rows = _collect(terms)
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def constant(value, base=(0, 0), order: int = 8) -> "Jet":
-        return Jet(base, order, {(0, 0): _as_coeff(value)})
+        return Jet(base, order, {(0, 0): value})
 
     @staticmethod
     def variable(which: str, base=(0, 0), order: int = 8) -> "Jet":
@@ -164,7 +217,7 @@ class Jet:
             mono, b = (0, 1), Fraction(base[1])
         else:
             raise ValueError("variable must be 'x' or 'y'")
-        return Jet(base, order, {(0, 0): b, mono: Fraction(1)})
+        return Jet(base, order, {(0, 0): b, mono: 1})
 
     @staticmethod
     def zero(base=(0, 0), order: int = 8) -> "Jet":
@@ -172,20 +225,33 @@ class Jet:
 
     # -- structure -----------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients, {(i, j): Fraction | Scalar}; a copy."""
+        terms: dict = {}
+        for u, (nums, den) in self.rows.items():
+            for k, n in nums.items():
+                terms.setdefault(k, {})[u] = Fraction(n, den)
+        return {k: _scalar(t) for k, t in terms.items()}
+
     def coefficient(self, i: int, j: int):
-        return self.coeffs.get((i, j), _ZERO)
+        key = (i, j)
+        return _scalar({u: Fraction(nums[key], den)
+                        for u, (nums, den) in self.rows.items()
+                        if key in nums})
 
     @property
     def body(self):
         """The constant coefficient."""
-        return self.coeffs.get((0, 0), _ZERO)
+        return self.coefficient(0, 0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def depends_only_on(self, which: str) -> bool:
         k = 1 if which == "x" else 0
-        return all(key[k] == 0 for key in self.coeffs)
+        return all(key[k] == 0 for nums, _ in self.rows.values()
+                   for key in nums)
 
     def _check_compatible(self, other: "Jet"):
         if self.base != other.base:
@@ -198,56 +264,59 @@ class Jet:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Jet):
-            return self + Jet.constant(other, self.base, self.order)
-        self._check_compatible(other)
-        coeffs = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            prev = coeffs.get(key)
-            coeffs[key] = v if prev is None else sadd(prev, v)
-        return _ring_result(self.base, self.order,
-                            {k: v for k, v in coeffs.items() if v})
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _ring_result(self.base, self.order,
-                            {k: -v for k, v in self.coeffs.items()})
-
     def __sub__(self, other):
-        if not isinstance(other, Jet):
-            other = Jet.constant(other, self.base, self.order)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _plus(self, other, sign):
+        if not isinstance(other, Jet):
+            other = Jet.constant(other, self.base, self.order)
+        self._check_compatible(other)
+        terms = [(u, nums, 1, den) for u, (nums, den) in self.rows.items()]
+        terms += [(u, nums, sign, den)
+                  for u, (nums, den) in other.rows.items()]
+        return _ring_result(self.base, self.order, _collect(terms))
+
+    def __neg__(self):
+        return _ring_result(self.base, self.order, _collect(
+            [(u, nums, -1, den) for u, (nums, den) in self.rows.items()]))
+
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            c = _as_coeff(other)
-            coeffs = {k: smul(v, c) for k, v in self.coeffs.items()}
-            return _ring_result(self.base, self.order,
-                                {k: v for k, v in coeffs.items() if v})
+            return self._scaled(other)
         self._check_compatible(other)
-        a, b = self.coeffs, other.coeffs
-        if _rational(a) and _rational(b):
-            da, na = _over_lcm(a)
-            db, nb = _over_lcm(b)
-            out = _convolve(na, nb, self.order, operator.mul, operator.add)
-            den = da * db
-            return _ring_result(self.base, self.order,
-                                {k: Fraction(n, den)
-                                 for k, n in out.items() if n})
-        out = _convolve(a, b, self.order, smul, sadd)
-        return _ring_result(self.base, self.order,
-                            {k: v for k, v in out.items() if v})
+        terms = []
+        for u, (a, da) in self.rows.items():
+            for v, (b, db) in other.rows.items():
+                nums = _convolve(a, b, self.order)
+                if nums:
+                    w, f = _unit_product(u, v)
+                    terms.append((w, nums, f.numerator,
+                                  da * db * f.denominator))
+        return _ring_result(self.base, self.order, _collect(terms))
 
     __rmul__ = __mul__
+
+    def _scaled(self, value) -> "Jet":
+        """This jet times an exact scalar: each row once per scalar term."""
+        terms = []
+        for v, c in _unit_terms(value):
+            for u, (nums, den) in self.rows.items():
+                w, f = _unit_product(u, v)
+                f *= c
+                terms.append((w, nums, f.numerator, den * f.denominator))
+        return _ring_result(self.base, self.order, _collect(terms))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.inverse()
-        return self * sinv(_as_coeff(other))
+        return self * sinv(_scalar(dict(_unit_terms(other))))
 
     def inverse(self) -> "Jet":
         """Multiplicative inverse; the body must be an invertible scalar."""
@@ -274,16 +343,16 @@ class Jet:
     def deriv_x(self) -> "Jet":
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        return _ring_result(self.base, self.order - 1,
-                            {(i - 1, j): smul(v, Fraction(i))
-                             for (i, j), v in self.coeffs.items() if i > 0})
+        return _ring_result(self.base, self.order - 1, _collect(
+            [(u, {(i - 1, j): n * i for (i, j), n in nums.items() if i}, 1,
+              den) for u, (nums, den) in self.rows.items()]))
 
     def deriv_y(self) -> "Jet":
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        return _ring_result(self.base, self.order - 1,
-                            {(i, j - 1): smul(v, Fraction(j))
-                             for (i, j), v in self.coeffs.items() if j > 0})
+        return _ring_result(self.base, self.order - 1, _collect(
+            [(u, {(i, j - 1): n * j for (i, j), n in nums.items() if j}, 1,
+              den) for u, (nums, den) in self.rows.items()]))
 
     def truncate(self, order: int) -> "Jet":
         if order < 0:
@@ -291,15 +360,20 @@ class Jet:
         if order > self.order:
             raise ValueError(
                 f"cannot extend order {self.order} jet to order {order}")
-        return _ring_result(self.base, order,
-                            {k: v for k, v in self.coeffs.items()
-                             if k[0] + k[1] <= order})
+        return _ring_result(self.base, order, _collect(
+            [(u, {k: n for k, n in nums.items() if k[0] + k[1] <= order}, 1,
+              den) for u, (nums, den) in self.rows.items()]))
 
     def _grades(self) -> list["Jet"]:
         """Homogeneous parts by total degree i + j, degrees 0..order."""
         parts = [{} for _ in range(self.order + 1)]
-        for (i, j), v in self.coeffs.items():
-            parts[i + j][(i, j)] = v
+        for u, (nums, den) in self.rows.items():
+            split = [{} for _ in parts]
+            for (i, j), n in nums.items():
+                split[i + j][(i, j)] = n
+            for d, part in enumerate(split):
+                if part:
+                    parts[d][u] = _row(part, den)
         return [_ring_result(self.base, self.order, p) for p in parts]
 
     def exp(self) -> "Jet":
@@ -334,8 +408,9 @@ class Jet:
         order = min(self.order, fx.order)
         dx = fx.truncate(order) - Jet.constant(x0, fx.base, order)
         dy = gy.truncate(order) - Jet.constant(y0, fx.base, order)
-        max_i = max((k[0] for k in self.coeffs), default=0)
-        max_j = max((k[1] for k in self.coeffs), default=0)
+        coeffs = self.coeffs
+        max_i = max((k[0] for k in coeffs), default=0)
+        max_j = max((k[1] for k in coeffs), default=0)
         xpow = [Jet.constant(1, fx.base, order)]
         for _ in range(max_i):
             xpow.append(xpow[-1] * dx)
@@ -343,7 +418,7 @@ class Jet:
         for _ in range(max_j):
             ypow.append(ypow[-1] * dy)
         acc = Jet.zero(fx.base, order)
-        for (i, j), v in sorted(self.coeffs.items()):
+        for (i, j), v in sorted(coeffs.items()):
             acc = acc + xpow[i] * ypow[j] * v
         return acc
 
@@ -365,21 +440,23 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         return (self.base == other.base and self.order == other.order
-                and self.coeffs == other.coeffs)
+                and self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.base, self.order,
-                     frozenset(self.coeffs.items())))
+                     frozenset((u, frozenset(nums.items()), den)
+                               for u, (nums, den) in self.rows.items())))
 
     def __repr__(self):
         return f"Jet(base={self.base}, order={self.order}, {self})"
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for (i, j) in sorted(self.coeffs, key=lambda k: (k[0] + k[1], -k[0])):
-            v = self.coeffs[(i, j)]
+        for (i, j) in sorted(coeffs, key=lambda k: (k[0] + k[1], -k[0])):
+            v = coeffs[(i, j)]
             mono = _monomial_str(i, j, self.base)
             coeff = str(v)
             if mono:
@@ -411,52 +488,75 @@ def _monomial_str(i: int, j: int, base) -> str:
     return "*".join(bits)
 
 
-def _ring_result(base, order, coeffs) -> Jet:
+def _ring_result(base, order, rows) -> Jet:
     """A jet from a ring operation, built without ``Jet``'s checks: ``base``
-    is a jet's Fraction pair and ``coeffs`` holds nonzero coefficients
-    within the order."""
+    is a jet's Fraction pair and ``rows`` are canonical rows within the
+    order."""
     jet = object.__new__(Jet)
     jet.base = base
     jet.order = order
-    jet.coeffs = coeffs
+    jet.rows = rows
     return jet
 
 
-def _rational(coeffs) -> bool:
-    return all(isinstance(v, Fraction) for v in coeffs.values())
+def _collect(terms) -> dict:
+    """Canonical rows from terms (unit, nums, m, den), each the row of
+    numerators nums * m over den, with m a nonzero int and no zero in
+    nums; terms on one unit are added over the lcm of their denominators,
+    and an empty row is dropped."""
+    groups: dict = {}
+    for term in terms:
+        groups.setdefault(term[0], []).append(term)
+    rows = {}
+    for u, group in groups.items():
+        if len(group) == 1:
+            _, nums, m, den = group[0]
+            if m != 1:
+                nums = {k: n * m for k, n in nums.items()}
+        else:
+            den = math.lcm(*(t[3] for t in group))
+            acc: dict = {}
+            get = acc.get
+            for _, part, m, d in group:
+                m *= den // d
+                for k, n in part.items():
+                    acc[k] = get(k, 0) + n * m
+            nums = {k: n for k, n in acc.items() if n}
+        if nums:
+            rows[u] = _row(nums, den)
+    return rows
 
 
-def _over_lcm(coeffs):
-    """(den, numerators) with coeffs[k] == numerators[k] / den."""
-    den = math.lcm(*(v.denominator for v in coeffs.values()))
-    return den, {k: v.numerator * (den // v.denominator)
-                 for k, v in coeffs.items()}
+def _row(nums, den):
+    """The row nums / den (nonzero numerators) divided by their gcd."""
+    g = math.gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {k: n // g for k, n in nums.items()}, den // g
 
 
-def _convolve(left, right, order, mul, add):
-    """Sums of mul(left[a], right[b]) by bidegree a + b, for a + b <= order.
+def _convolve(left, right, order) -> dict:
+    """Nonzero integer sums of left[a] * right[b] by bidegree a + b, for
+    a + b <= order.
 
-    A left coefficient of degree d meets only the right coefficients of
-    degree <= order - d, in the right factor's own order.  So the pairs are
-    visited exactly as the plain double loop visits them: every output sums
-    its terms in the same order, and keys appear in the same order.
+    Bidegree (i, j) sits at flat index i * (order + 1) + j, and within the
+    order a sum of bidegrees is the sum of their indices.  A left entry of
+    degree d meets only the right entries of degree <= order - d.
     """
-    entries = [(i, j, i + j, v) for (i, j), v in right.items()]
-    rows: dict = {}
-    out: dict = {}
-    get = out.get
-    for (i1, j1), v1 in left.items():
-        room = order - i1 - j1
-        row = rows.get(room)
+    s = order + 1
+    entries = [(i * s + j, i + j, n) for (i, j), n in right.items()]
+    by_room: dict = {}
+    acc = [0] * (s * s)
+    for (i, j), a in left.items():
+        room = order - i - j
+        row = by_room.get(room)
         if row is None:
-            row = rows[room] = [(i, j, v) for i, j, d, v in entries
-                                if d <= room]
-        for i2, j2, v2 in row:
-            key = (i1 + i2, j1 + j2)
-            prev = get(key)
-            term = mul(v1, v2)
-            out[key] = term if prev is None else add(prev, term)
-    return out
+            row = by_room[room] = [(k, n) for k, d, n in entries
+                                   if d <= room]
+        at = i * s + j
+        for k, b in row:
+            acc[at + k] += a * b
+    return {divmod(k, s): acc[k] for k in compress(range(s * s), acc)}
 
 
 def _magnitude(v) -> float:

@@ -252,8 +252,9 @@ def normalize(v):
     return v
 
 
-# Arithmetic helpers over Fraction | Scalar.  Jets store plain Fractions
-# whenever the value is rational, so the hot paths never touch Scalar.
+# Arithmetic helpers over Fraction | Scalar, which give a Fraction whenever
+# the value is rational.  Jets keep integer rows per unit instead, and use
+# only sexp, sln and sinv, once per operation.
 
 def sadd(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):

@@ -171,6 +171,8 @@ class Expr:
         if isinstance(other, (int, Fraction)):
             q = _coeff(other)
             return _collect((m, c * q) for m, c in self.terms.items())
+        if not isinstance(other, Expr):
+            return NotImplemented
         return _collect((mono, sign * c1 * c2)
                         for m1, c1 in self.terms.items()
                         for m2, c2 in other.terms.items()

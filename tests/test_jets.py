@@ -7,6 +7,7 @@ from conftest import random_fraction, random_jet
 from zcurv import jets
 from zcurv.jets import Jet
 from zcurv.scalars import Scalar, sadd, sexp, sinv, sln, smul
+from zcurv.solutions import liouville_solution
 from zcurv.superfield import SuperField, standard_gens
 
 
@@ -366,3 +367,124 @@ def test_rational_series_make_no_jet_products(monkeypatch):
     assert u.exp() == _reference_exp(u)
     assert u.ln() == _reference_ln(u)
     assert u.inverse() == _reference_inverse(u)
+
+
+# Unit rows against coefficient-wise Fraction | Scalar arithmetic.  Besides
+# SYMBOLS, 2^(1/2) and exp(-1/2) make unit pairs that fold to a rational:
+# 2^(1/2) * 2^(1/2) = 2 and exp(1/2) * exp(-1/2) = 1.
+ROOT2 = sexp(smul(Fraction(1, 2), sln(Fraction(2))))
+FOLDING = SYMBOLS + [ROOT2, sexp(Fraction(-1, 2))]
+_Q0 = Fraction(0)
+
+
+def _unit_jet(rng, order):
+    coeffs = {}
+    for d in range(order + 1):
+        for i in range(d + 1):
+            if rng.random() < 0.7:
+                v = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                if rng.random() < 0.6:
+                    v = smul(v, rng.choice(FOLDING))
+                coeffs[(i, d - i)] = v
+    return Jet((Fraction(1, 3), Fraction(-2)), order, coeffs)
+
+
+def _nonzero(coeffs):
+    return {k: v for k, v in coeffs.items() if v != 0}
+
+
+def _kinds(coeffs):
+    return {k: type(v) for k, v in coeffs.items()}
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_unit_rows_match_coefficientwise_arithmetic(order):
+    rng = random.Random(1300 + order)
+    for _ in range(4):
+        a, b = _unit_jet(rng, order), _unit_jet(rng, order)
+        ca, cb = a.coeffs, b.coeffs
+        keys = {*ca, *cb}
+        q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        s = smul(q, rng.choice(FOLDING))
+        cases = [
+            (a * b, naive_product(a, b)),
+            (a + b, _nonzero({k: sadd(ca.get(k, _Q0), cb.get(k, _Q0))
+                              for k in keys})),
+            (a - b, _nonzero({k: sadd(ca.get(k, _Q0),
+                                      smul(Fraction(-1), cb.get(k, _Q0)))
+                              for k in keys})),
+            (-a, {k: smul(Fraction(-1), v) for k, v in ca.items()}),
+            (a * q, {k: smul(v, q) for k, v in ca.items()}),
+            (a * s, _nonzero({k: smul(v, s) for k, v in ca.items()})),
+            (a.deriv_x(), {(i - 1, j): smul(v, Fraction(i))
+                           for (i, j), v in ca.items() if i}),
+            (a.deriv_y(), {(i, j - 1): smul(v, Fraction(j))
+                           for (i, j), v in ca.items() if j}),
+        ]
+        for got, want in cases:
+            assert got.coeffs == want
+            assert _kinds(got.coeffs) == _kinds(want)
+        for j in (a, b, a * b, a * s):
+            again = Jet(j.base, j.order, j.coeffs)
+            assert again == j
+            assert hash(again) == hash(j)
+            assert str(again) == str(j)
+    x, y = Jet.variable("x", a.base, order), Jet.variable("y", a.base, order)
+    for u, v in ((ROOT2, ROOT2), (FOLDING[1], FOLDING[-1])):
+        a, b = x * u + Fraction(1, 3) * u, (y - 5) * v
+        prod = a * b
+        assert prod.coeffs == naive_product(a, b)
+        assert all(isinstance(c, Fraction) for c in prod.coeffs.values())
+
+
+def _pairwise_ln(u):
+    """The coefficients of ln u as ln(c) + sum_n (-1)^(n+1) s^n / n with
+    c = u's body and s = u / c - 1, by coefficient-wise products."""
+    c = u.body
+    s = Jet(u.base, u.order, {k: smul(v, sinv(c))
+                              for k, v in u.coeffs.items() if k != (0, 0)})
+    out = {(0, 0): sln(c)}
+    power = s.coeffs
+    for n in range(1, u.order + 1):
+        for k, v in power.items():
+            out[k] = sadd(out.get(k, _Q0), smul(v, Fraction((-1) ** (n + 1), n)))
+        power = naive_product(Jet(u.base, u.order, power), s)
+    return _nonzero(out)
+
+
+def test_unit_products_are_per_unit_pair(monkeypatch):
+    """exp(x) times 3*exp(y) at (1/2, 1/2) carries exp(1/2) on every
+    coefficient: the product multiplies units once per pair of units, not
+    once per pair of coefficients."""
+    base, order = (Fraction(1, 2), Fraction(1, 2)), 16
+    f = Jet.variable("x", base, order).exp()
+    g = Jet.variable("y", base, order).exp() * 3
+
+    def units(jet):
+        return {u for v in jet.coeffs.values()
+                for u in (v._terms if isinstance(v, Scalar) else ["1"])}
+
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(jets, "_UNIT_PRODUCTS", {})
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    prod = f * g
+    assert 0 < len(calls) <= len(units(f)) * len(units(g))
+    monkeypatch.undo()
+    assert prod.coeffs == naive_product(f, g)
+
+    # F = (1/2) ln(f'g') - (1/2) ln((f + g)^2)
+    fp, gp = f.deriv_x(), g.deriv_y()
+    s = (f + g).truncate(fp.order)
+    lhs = _pairwise_ln(Jet(base, fp.order, naive_product(fp, gp)))
+    rhs = _pairwise_ln(Jet(base, fp.order, naive_product(s, s)))
+    want = _nonzero({k: smul(sadd(lhs.get(k, _Q0),
+                                  smul(Fraction(-1), rhs.get(k, _Q0))),
+                             Fraction(1, 2))
+                     for k in {*lhs, *rhs}})
+    assert liouville_solution(f, g).coeffs == want

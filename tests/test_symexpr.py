@@ -95,6 +95,12 @@ def test_rational_constants():
     assert (fn("a") - fn("a")).is_zero()
 
 
+@pytest.mark.parametrize("product", [lambda a: a * 0.5, lambda a: 0.5 * a])
+def test_a_float_factor_is_a_type_error(product):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        product(fn("a"))
+
+
 def test_exp_atoms_cannot_be_differentiated():
     with pytest.raises(ValueError):
         exp_linear([(1, "G")]).deriv_x()
