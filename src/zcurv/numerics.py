@@ -13,8 +13,9 @@ reported on the grid, not iterated to tolerance.
 
 Cell (i, j) depends on (i-1, j), (i, j-1) and (i-1, j-1) only, so the
 solver marches whole anti-diagonals as numpy slices, in the per-cell
-operation order of a scalar loop and with ``math.exp`` throughout.
-``residual_grid`` shares the right-hand side ``_rhs`` with the march.
+operation order of a scalar loop and with ``math.exp`` throughout.  The
+march and ``residual_grid`` each build the right-hand side ``_rhs_kernel``
+once.  ``write_csv`` formats a whole grid with one ``%`` on one template.
 """
 
 import math
@@ -117,40 +118,38 @@ def grid_points(lo, h, m: int) -> list[float]:
     return [(n0 + i * dn) / d for i in range(m + 1)]
 
 
-def _float_matrix(a: CartanMatrix) -> list[list[float]]:
-    return [[float(v) for v in row] for row in a.entries]
+def _rhs_kernel(a: CartanMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """rhs(g) = sum_l A_kl exp(g_l) for a block of cells, one cell per row of
+    ``g`` (0.0 when no entry is nonzero), bitwise equal to a scalar loop that
+    sums from 0.0 over ascending l and skips zero entries.  math.exp (np.exp
+    differs from it in the last bit on a few percent of arguments) maps one
+    flat list of the live columns, those some entry uses.  A zero entry in a
+    live column adds +-0.0, which leaves a sum started at +0.0 unchanged
+    while the exps are finite; when one is not, the scalar loop's final
+    value for that cell is not finite either."""
+    af = np.array(a.entries, dtype=float)
+    live = np.flatnonzero(af.any(axis=0))
+    cols = live if len(live) < len(af) else slice(None)
+    at = af[:, live].T[:, None, :]  # [l, 0, k] = A_k,live[l]
+
+    def rhs(g: np.ndarray) -> np.ndarray:
+        src = g[:, cols].T.ravel().tolist()  # live column by live column
+        e = np.fromiter(map(math.exp, src), float, len(src))
+        # one (cells, n) block of products per live column, added in order
+        return sum(e.reshape(len(live), len(g), 1) * at, 0.0)
+
+    return rhs
 
 
-# math.exp, not np.exp: the two differ in the last bit on a few percent of
-# arguments, and the committed grids were made with math.exp.
-_EXP = np.frompyfunc(math.exp, 1, 1)
-
-
-def _rhs(af: list[list[float]], g: np.ndarray) -> np.ndarray:
-    """sum_l A_kl exp(g_l) for a block of cells, one cell per row of ``g``,
-    summed from 0.0 over ascending l with zero entries skipped; columns no
-    entry uses are not exponentiated."""
-    live = [any(row[l] for row in af) for l in range(len(af))]
-    e = _EXP(g if all(live) else np.where(live, g, 0.0)).astype(float).T
-    out = np.empty_like(g)
-    for k, row in enumerate(af):
-        acc = 0.0
-        for l, a in enumerate(row):
-            if a:
-                acc = acc + a * e[l]
-        out[:, k] = acc
-    return out
-
-
-def _update(af, h2, va, vb, vc):
+def _update(rhs, h2, va, vb, vc):
     """(first, final) corrector values of cells whose (i-1, j), (i, j-1) and
     (i-1, j-1) corners are the rows of ``va``, ``vb``, ``vc``; None when an
     exp overflows or a final value is not finite."""
     ab = va + vb
     pred, abc = ab - vc, ab + vc
     try:
-        first = pred + h2 * _rhs(af, (abc + pred) * 0.25)
-        final = pred + h2 * _rhs(af, (abc + first) * 0.25)
+        first = pred + h2 * rhs((abc + pred) * 0.25)
+        final = pred + h2 * rhs((abc + first) * 0.25)
     except OverflowError:
         return None
     return (first, final) if np.isfinite(final).all() else None
@@ -178,21 +177,24 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
         raise ValueError(f"unknown schedule {schedule!r}")
     h = Fraction(h)
     m = square_steps(data.x0, data.x1, data.y0, data.y1, h)
+    n = a.rank
+    xs, ys = grid_points(data.x0, h, m), grid_points(data.y0, h, m)
+    y_rows = [data.y_edge(x) for x in xs]
+    x_rows = [data.x_edge(y) for y in ys]
+    for edge, rows in (("y_edge", y_rows), ("x_edge", x_rows)):
+        if wrong := [len(r) for r in rows if len(r) != n]:
+            raise ValueError(f"boundary trace {edge} gives {wrong[0]} "
+                             f"values for a rank-{n} matrix")
     gap = data.corner_gap()
     if gap > CORNER_TOL:
         raise CornerMismatchError(
             f"boundary traces disagree at the corner by {gap:.3e}")
-    n = a.rank
     values = np.empty((m + 1, m + 1, n), dtype=np.float64)
-    xs = grid_points(data.x0, h, m)
-    for i, x in enumerate(xs):
-        values[i, 0] = data.y_edge(x)
+    values[:, 0] = y_rows
     _check_finite("y_edge", "x", xs, values[:, 0])
-    ys = grid_points(data.y0, h, m)
-    for j, y in enumerate(ys):
-        values[0, j] = data.x_edge(y)
+    values[0, :] = x_rows
     _check_finite("x_edge", "y", ys, values[0, :])
-    af = _float_matrix(a)
+    rhs = _rhs_kernel(a)
     h2 = float(h) * float(h)
     firsts = np.empty_like(values)
     # cell (i, d - i) is row i*m + d of the flat views, so a diagonal and
@@ -203,10 +205,10 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
             lo, hi = max(1, d - m), min(m, d - 1)
             start, stop = lo * m + d, hi * m + d + 1
             corners = [flat[start - k:stop - k:m] for k in (m + 1, 1, m + 2)]
-            step = _update(af, h2, *corners)
+            step = _update(rhs, h2, *corners)
             if step is None:
                 i = next(i for i in range(lo, hi + 1) if _update(
-                    af, h2, *(c[i - lo:i - lo + 1] for c in corners)) is None)
+                    rhs, h2, *(c[i - lo:i - lo + 1] for c in corners)) is None)
                 raise GridOverflowError(i, d - i)
             flat_firsts[start:stop:m], flat[start:stop:m] = step
         diff = np.abs(values[1:, 1:] - firsts[1:, 1:]).reshape(-1, n)
@@ -224,8 +226,8 @@ def residual_grid(a: CartanMatrix, grid: Grid) -> float:
     hh = 4.0 * float(grid.h) * float(grid.h)
     with np.errstate(over="ignore", invalid="ignore"):
         mixed = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / hh
-        rhs = _rhs(_float_matrix(a), v[1:-1, 1:-1].reshape(-1, grid.rank))
-        gap = np.abs(mixed.reshape(rhs.shape) - rhs)
+        rhs = _rhs_kernel(a)(v[1:-1, 1:-1].reshape(-1, grid.rank))
+        gap = np.abs(mixed.reshape(-1, grid.rank) - rhs)
     return float(np.fmax.reduce(gap, axis=None, initial=0.0))
 
 
@@ -233,22 +235,28 @@ def convergence_order(samples: Sequence[tuple[float, float]]) -> float:
     """Least-squares slope of log(error) against log(h)."""
     if len(samples) < 2:
         raise ValueError("need at least two (h, error) samples")
+    for h, e in samples:
+        if not (float(h) > 0 and float(e) > 0):
+            raise ValueError(f"non-positive step or error in ({h}, {e})")
     xs = [math.log(float(h)) for h, _ in samples]
     ys = [math.log(float(e)) for _, e in samples]
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
     num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     den = sum((x - mx) ** 2 for x in xs)
+    if den == 0:
+        raise ValueError("the steps h are not distinct")
     return num / den
 
 
 def write_csv(grid: Grid, path) -> None:
-    """Row-major CSV export with 17-significant-digit floats."""
-    lines = ["x,y," + ",".join(f"G_{k + 1}" for k in range(grid.rank))]
-    line = "%s,%s," + ",".join(["%.17g"] * grid.rank)
+    """Row-major CSV export with 17-significant-digit floats, formatted by
+    one template that holds every line's x and y (which contain no %)."""
+    head = "x,y," + ",".join(f"G_{k + 1}" for k in range(grid.rank))
+    fields = ",".join(["%.17g"] * grid.rank)
     xs, ys = ([f"{v:.17g}" for v in grid_points(lo, grid.h, grid.steps)]
               for lo in (grid.x0, grid.y0))
-    for x, row in zip(xs, grid.values.tolist()):
-        lines.extend(line % (x, y, *g) for y, g in zip(ys, row))
+    template = "".join([f"{x},{y},{fields}\n" for x in xs for y in ys])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head + "\n")
+        fh.write(template % tuple(grid.values.ravel().tolist()))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -117,6 +118,21 @@ def test_corner_mismatch_detected():
         solve_goursat(SL2, data, Fraction(1, 8))
 
 
+@pytest.mark.parametrize("x_edge,y_edge,message", [
+    (lambda y: [1.0, 0.0], lambda x: [0.0], "y_edge gives 1 values"),
+    (lambda y: [0.0, 0.0, 0.0], lambda x: [0.0, 0.0],
+     "x_edge gives 3 values"),
+    (lambda y: [0.0, 0.0], lambda x: [0.0, 0.0] if x < 0.5 else [],
+     "y_edge gives 0 values"),
+])
+def test_trace_length_checked_before_the_corner(x_edge, y_edge, message):
+    # the corner check zips the traces, so it would not see a short one
+    data = GoursatData(Fraction(0), Fraction(1), Fraction(0), Fraction(1),
+                       x_edge=x_edge, y_edge=y_edge)
+    with pytest.raises(ValueError, match=message + " for a rank-2 matrix"):
+        solve_goursat(standard_cartan("sl3"), data, Fraction(1, 8))
+
+
 def test_range_mismatch_rejected_before_sampling():
     def edge(t):
         raise AssertionError("sampled a trace")
@@ -189,6 +205,19 @@ def test_convergence_order_synthetic():
     assert convergence_order(linear) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         convergence_order([(0.1, 1e-3)])
+
+
+@pytest.mark.parametrize("samples,message", [
+    ([(0.25, 1e-3), (0.125, 0.0)], "non-positive step or error"),
+    ([(0.25, 1e-3), (0.125, -2e-4)], "non-positive step or error"),
+    ([(0.25, 1e-3), (0.125, math.nan)], "non-positive step or error"),
+    ([(0.0, 1e-3), (0.125, 2e-4)], "non-positive step or error"),
+    ([(0.25, 1e-3), (0.25, 2e-4)], "not distinct"),
+    ([(0.125, 1e-3)] * 3, "not distinct"),
+])
+def test_convergence_order_names_bad_samples(samples, message):
+    with pytest.raises(ValueError, match=message):
+        convergence_order(samples)
 
 
 def test_csv_export(tmp_path):
@@ -390,14 +419,24 @@ BIG = 10 ** 308
     # no entry uses the second component, so its exp is never taken and
     # 800 does not overflow
     ([[2, 0], [0, 0]], [-3.0, 800.0]),
-], ids=["nan-corrector", "unused-column"])
+    # exp(-800) underflows, so every product of the last row is -0.0; the
+    # sum starts at +0.0 and gives +0.0, whose sign the last component's
+    # -0.0 predictor keeps
+    ([[2, -1, 0], [-1, 2, 0], [-1, -2, 0]],
+     lambda t: [-800.0 + t, -801.0 + t, 0.0 if t == 0.0 else -0.0]),
+    # the unused column sits between two used ones
+    ([[2, 0, -1], [-1, 0, 2], [0, 0, 2]], [-3.0, 800.0, -2.0]),
+], ids=["nan-corrector", "unused-column", "underflow-signed-zero",
+        "unused-middle-column"])
 def test_march_matches_reference_at_float_limits(rows, edge):
     a = CartanMatrix.from_rows(rows)
+    trace = edge if callable(edge) else lambda t: edge
     data = GoursatData(Fraction(0), Fraction(1), Fraction(0), Fraction(1),
-                       x_edge=lambda y: edge, y_edge=lambda x: edge)
+                       x_edge=trace, y_edge=trace)
     grid = solve_goursat(a, data, Fraction(1, 4))
     values, sweep = reference_solve(a, data, Fraction(1, 4))
     assert np.array_equal(grid.values, values)
+    assert grid.values.tobytes() == values.tobytes()  # signs of zeros too
     assert grid.sweep_residual == sweep
     assert residual_grid(a, grid) == reference_residual_grid(a, grid)
 
@@ -424,3 +463,68 @@ def test_unknown_schedule_rejected():
     with pytest.raises(ValueError):
         solve_goursat(SL2, symmetric_data(), Fraction(1, 8),
                       schedule="threads")
+
+
+# -- CSV and march fingerprint -----------------------------------------------
+# The per-line formatter that write_csv replaced, kept as the byte reference,
+# and one hash over the CSV bytes, sweep residuals and discrete residuals of
+# seeded solves and of grids holding -0.0, subnormals and values near the
+# float limits.  The constant was recorded with the per-line writer and the
+# per-row right-hand side sum, before the one-template writer and the
+# broadcast kernel replaced them.
+
+def reference_csv_text(grid):
+    lines = ["x,y," + ",".join(f"G_{k + 1}" for k in range(grid.rank))]
+    xs = [f"{float(grid.x0 + i * grid.h):.17g}" for i in range(grid.steps + 1)]
+    ys = [f"{float(grid.y0 + j * grid.h):.17g}" for j in range(grid.steps + 1)]
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            lines.append(",".join([x, y] + [f"{v:.17g}" for v in
+                                            grid.values[i, j].tolist()]))
+    return "\n".join(lines) + "\n"
+
+
+FINGERPRINT_MATRICES = [
+    CartanMatrix.from_rows([[2]]),
+    CartanMatrix.from_rows([[-1]]),
+    standard_cartan("sl3"),
+    CartanMatrix.from_rows([[2, 0, -1], [-1, 2, 0], [0, 0, 2]]),
+    standard_cartan("sl4"),
+    CartanMatrix.from_rows([[2, 0, -1, 0], [-1, 0, 0, 0], [0, 0, 2, -3],
+                            [0, 0, -1, 2]]),
+]
+FINGERPRINT_STEPS = [1, 2, 3, 5, 8, 13, 21, 34, 55, 80]
+EXTREME_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                  1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.1, -2.5, 1 / 3]
+CSV_FINGERPRINT = "72c7b977b0d47449"
+
+
+def fingerprint_cases():
+    rng = random.Random(1414)
+    for a in FINGERPRINT_MATRICES:
+        for m in FINGERPRINT_STEPS:
+            x0 = Fraction(rng.randint(-20, 20), rng.choice([3, 7, 10]))
+            y0 = Fraction(rng.randint(-20, 20), rng.choice([3, 7, 10]))
+            h = Fraction(1, rng.choice([64, 96, 100]))
+            yield a, solve_goursat(a, smooth_data(a.rank, x0, y0, m * h), h)
+    for rank, m in [(1, 1), (2, 4), (3, 6), (4, 9)]:
+        values = np.array([rng.choice(EXTREME_VALUES)
+                           for _ in range((m + 1) ** 2 * rank)])
+        x0 = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 999))
+        yield None, Grid(x0, x0 + 1, -x0, 1 - x0, Fraction(1, m),
+                         values.reshape(m + 1, m + 1, rank))
+
+
+def test_csv_and_march_fingerprint(tmp_path):
+    digest = hashlib.sha256()
+    out = tmp_path / "grid.csv"
+    for a, grid in fingerprint_cases():
+        write_csv(grid, out)
+        data = out.read_bytes()
+        assert data == reference_csv_text(grid).encode("utf-8")
+        digest.update(data)
+        digest.update(repr(grid.sweep_residual).encode())
+        if a is not None:
+            digest.update(repr(residual_grid(a, grid)).encode())
+    assert digest.hexdigest()[:16] == CSV_FINGERPRINT
