@@ -161,8 +161,8 @@ class _Parser:
 
 
 def _int_const(node):
-    if node[0] == "num" and node[1].denominator == 1:
-        return int(node[1])
+    if node[0] == "num":
+        return node[1]
     if node[0] == "neg":
         inner = _int_const(node[1])
         return None if inner is None else -inner

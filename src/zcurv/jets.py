@@ -29,21 +29,21 @@ units, not with the number of coefficients; per coefficient it does
 integer arithmetic only.  A convolution indexes bidegree (i, j) as
 i * (K + 1) + j in one flat list, and pairs meet only within the order.
 
-``exp``, ``ln`` and ``inverse`` of jets and superfields share one degree
-recurrence, ``degree_series``, derived from the Euler operator theta, which
-scales the degree-d part by d (Brent and Kung, JACM 1978).  For a series s
-with homogeneous parts P_d, d >= 1:
+``exp``, ``ln`` and ``inverse`` of a jet run one degree recurrence,
+``degree_series``, derived from the Euler operator theta, which scales the
+degree-d part by d (Brent and Kung, JACM 1978).  For a series s with
+homogeneous parts P_d, d >= 1:
 
     exp      theta E = (theta s) E     E_d = (1/d) sum_{k=1..d} (k P_k) E_{d-k}
     inverse  (1 + s) W = 1             W_d = -sum_{k=1..d} P_k W_{d-k}
     ln       (1 + s) T = theta s       T_d = d P_d - sum_{k=1..d-1} P_k T_{d-k}
 
 with E_0 = W_0 = 1 and T = theta ln(1 + s), so ln's degree-d part is T_d / d.
-When P_1..P_n of a jet are rational, the recurrence runs on the parts'
-integer rows: a degree's sum over k is formed over the lcm of its terms'
-denominators and then divided by the gcd of the row and that lcm.
-Superfields and jets with other units run the recurrence on the objects,
-with each weight applied once per degree.
+The recurrence runs on the parts' integer rows, whatever their units: each
+degree keeps one row per unit, a pair of units lands on their cached unit
+product, and a unit's sum over k is formed over the lcm of its terms'
+denominators and then divided by one gcd.  Superfields reach it through
+the exp, ln and inverse of their body jet (see ``superfield``).
 
 Derivatives lower the order by one: the top-degree coefficients of a
 derivative would need information beyond the input's truncation order.
@@ -64,8 +64,8 @@ _ONE = Fraction(1)
 # trivial unit is 0.
 _UNITS = [_TRIVIAL_UNIT]
 _UNIT_IDS = {_TRIVIAL_UNIT: 0}
-_RATIONAL = {0}
-# (u, v) -> (w, f) with unit u times unit v == f * unit w, as ids
+# (u, v) -> (w, m, q) with unit u times unit v == (m / q) * unit w, as ids
+# and ints
 _UNIT_PRODUCTS: dict = {}
 
 
@@ -82,7 +82,8 @@ def _unit_product(u, v):
     if hit is None:
         product = Scalar({_UNITS[u]: _ONE}) * Scalar({_UNITS[v]: _ONE})
         ((w, f),) = product._terms.items()
-        hit = _UNIT_PRODUCTS[(u, v)] = (_unit_id(w), f)
+        hit = _UNIT_PRODUCTS[(u, v)] = (_unit_id(w), f.numerator,
+                                         f.denominator)
     return hit
 
 
@@ -107,81 +108,69 @@ def _scalar(terms):
 def degree_series(parts, first, kind):
     """first + sum_{d>=1} out_d for the series ``kind`` of s = sum_d P_d.
 
-    ``parts`` are the homogeneous parts P_0..P_n of one graded element (P_0
-    is not read).  ``kind`` is "exp" (out_d = E_d, first = 1), "inverse"
-    (out_d = W_d of 1 / (1 + s), first = 1) or "ln" (out_d = T_d / d of
-    ln(1 + s), first its constant); the recurrences are in the module
-    docstring.  A jet with rational P_1..P_n takes the integer form there.
+    ``parts`` are the homogeneous jets P_0..P_n of one jet (P_0 is not
+    read).  ``kind`` is "exp" (out_d = E_d, first = 1), "inverse" (out_d =
+    W_d of 1 / (1 + s), first = 1) or "ln" (out_d = T_d / d of ln(1 + s),
+    first its constant); the recurrences are in the module docstring.
+
+    A degree X_d is a list of integer rows (unit, [(i, n)], den), one per
+    unit, with i the x-degree.  A term w * P_k * X_{d-k} adds the product
+    of the rows of units u and v to unit t, where u * v = (m / q) * t, with
+    weight w * m and the denominators' product times q; the trivial unit 0
+    is the identity.  Each unit's sum is formed over the lcm L of its
+    terms' denominators, each weight scaled by L over its own denominator,
+    and divided by one gcd.  For ln, T_0 = 0 and the d P_d term is added on
+    its own.  The degrees hold disjoint bidegrees, so each unit's finished
+    degrees and ``first``'s row make one row over the lcm of their
+    denominators.
     """
-    if isinstance(first, Jet) and all(p.rows.keys() <= _RATIONAL
-                                      for p in parts[1:]):
-        return _integer_series(parts, first, kind)
+    rows = [[]] + [[(u, [(i, n) for (i, _), n in nums.items()], den)
+                    for u, (nums, den) in p.rows.items()] for p in parts[1:]]
+    live = [k for k in range(1, len(parts)) if rows[k]]
     ln = kind == "ln"
-    if kind == "exp":
-        parts = parts[:1] + [parts[k] * k for k in range(1, len(parts))]
-    seq = [None if ln else first]  # E_0 = W_0 = 1, T_0 = 0
-    total = first
+    seq = [[] if ln else [(0, [(0, 1)], 1)]]  # T_0 = 0, E_0 = W_0 = 1
+    done = {u: [(0, [(0, n) for n in nums.values()], den)]
+            for u, (nums, den) in first.rows.items()}
     for d in range(1, len(parts)):
-        acc = parts[d] * d if ln and not parts[d].is_zero() else None
-        for k in range(1, d + 1):
-            prev = seq[d - k]
-            if prev is None or parts[k].is_zero():
-                continue
-            term = -(parts[k] * prev) if ln else parts[k] * prev
-            acc = term if acc is None else acc + term
-        if acc is not None and not ln:
-            acc = acc * Fraction(1, d) if kind == "exp" else -acc
-        seq.append(acc)
-        if acc is not None:
-            total = total + (acc * Fraction(1, d) if ln else acc)
-    return total
-
-
-def _integer_series(parts, first, kind):
-    """``degree_series`` of a jet with rational P_1..P_n, on Python ints.
-
-    A degree's row is a list of (x-degree, numerator) pairs with one
-    denominator.  X_d (E_d, W_d or T_d) is the sum over k of weight * P_k *
-    X_{d-k}, formed over L, the lcm of the terms' denominators, with each
-    weight scaled by L over its own term's denominator; for ln the k = d
-    term is d P_d, since T_0 = 0.  The finished degrees and ``first``'s
-    rational row make one row over the lcm of their denominators.
-    """
-    rows = [([], 1)]
-    for p in parts[1:]:
-        nums, den = p.rows.get(0, ({}, 1))
-        rows.append(([(i, n) for (i, _), n in nums.items()], den))
-    one = ([(0, 1)], 1)
-    seq = [([], 1) if kind == "ln" else one]  # T_0 = 0, E_0 = W_0 = 1
-    out = dict(first.rows)
-    nums, den = out.pop(0, ({}, 1))
-    done = [(0, [(0, n) for n in nums.values()], den)]  # (d, row, den)
-    for d in range(1, len(parts)):
-        terms = [(k if kind == "exp" else -1, rows[k], seq[d - k])
-                 for k in range(1, d + 1)]
-        if kind == "ln":
-            terms[-1] = (d, rows[d], one)
-        terms = [(w, row, rden * pden, prev)
-                 for w, (row, rden), (prev, pden) in terms if row and prev]
-        lcm = math.lcm(*(den for _, _, den, _ in terms))
-        acc = [0] * (d + 1)
-        for w, row, den, prev in terms:
-            w *= lcm // den
-            for i, a in row:
-                aw = a * w
-                for j, b in prev:
-                    acc[i + j] += aw * b
-        den = d * lcm if kind == "exp" else lcm
-        g = math.gcd(den, *acc)
-        row = [(i, n // g) for i, n in enumerate(acc) if n]
-        seq.append((row, den // g))
-        if row:
-            done.append((d, row, den // g * (d if kind == "ln" else 1)))
-    lcm = math.lcm(*(den for _, _, den in done))
-    nums = {(i, d - i): n * (lcm // den)
-            for d, row, den in done for i, n in row}
-    if nums:
-        out[0] = _row(nums, lcm)
+        groups: dict = {}
+        for k in live:
+            if k > d:
+                break
+            w = k if kind == "exp" else -1
+            for u, row, rden in rows[k]:
+                for v, prow, pden in seq[d - k]:
+                    if u and v:
+                        t, m, q = _unit_product(u, v)
+                    else:
+                        t, m, q = u or v, 1, 1
+                    groups.setdefault(t, []).append(
+                        (w * m, row, prow, rden * pden * q))
+        if ln:
+            for u, row, rden in rows[d]:
+                groups.setdefault(u, []).append((d, row, [(0, 1)], rden))
+        level = []
+        for t, terms in groups.items():
+            lcm = math.lcm(*[term[3] for term in terms])
+            acc = [0] * (d + 1)
+            for w, row, prev, den in terms:
+                w *= lcm // den
+                for i, a in row:
+                    aw = a * w
+                    for j, b in prev:
+                        acc[i + j] += aw * b
+            den = d * lcm if kind == "exp" else lcm
+            g = math.gcd(den, *acc)
+            row = [(i, n // g) for i, n in enumerate(acc) if n]
+            if row:
+                level.append((t, row, den // g))
+                done.setdefault(t, []).append(
+                    (d, row, den // g * (d if ln else 1)))
+        seq.append(level)
+    out = {}
+    for t, entries in done.items():
+        lcm = math.lcm(*[den for _, _, den in entries])
+        out[t] = _row({(i, d - i): n * (lcm // den)
+                       for d, row, den in entries for i, n in row}, lcm)
     return _ring_result(first.base, first.order, out)
 
 
@@ -296,9 +285,8 @@ class Jet:
             for v, (b, db) in other.rows.items():
                 nums = _convolve(a, b, self.order)
                 if nums:
-                    w, f = _unit_product(u, v)
-                    terms.append((w, nums, f.numerator,
-                                  da * db * f.denominator))
+                    w, m, q = _unit_product(u, v)
+                    terms.append((w, nums, m, da * db * q))
         return _ring_result(self.base, self.order, _collect(terms))
 
     __rmul__ = __mul__
@@ -308,8 +296,8 @@ class Jet:
         terms = []
         for v, c in _unit_terms(value):
             for u, (nums, den) in self.rows.items():
-                w, f = _unit_product(u, v)
-                f *= c
+                w, m, q = _unit_product(u, v)
+                f = c * m / q
                 terms.append((w, nums, f.numerator, den * f.denominator))
         return _ring_result(self.base, self.order, _collect(terms))
 
@@ -324,7 +312,7 @@ class Jet:
         if not c:
             raise ValueError("jet has zero body, cannot invert")
         ic = sinv(c)
-        # runs on self / c, whose coefficients stay rational more often
+        # the recurrence inverts 1 + s, so it runs on self / c
         series = degree_series((self * ic)._grades(),
                                Jet.constant(1, self.base, self.order),
                                "inverse")

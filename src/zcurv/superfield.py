@@ -11,12 +11,20 @@ The odd superderivations are
 
 which square to d/dx and d/dy and anticommute with each other.  Both lower
 the jet order by one (through the d/dx part), mirroring ``Jet.deriv_*``.
+
+exp and ln of an even field F = F0 + N split it into its body jet F0, the
+empty-subset component, and a nilpotent rest N.  Every component of N
+holds at least two generators, so with g generators N^(g/2 + 1) = 0 and
+
+    exp F = exp(F0) * sum_{k=0..g/2} N^k / k!
+    ln F  = ln F0 + sum_{k=1..g/2} (-1)^(k+1) (N F0^-1)^k / k
+
+are exact finite sums; exp, ln and inverse of F0 are jet series.
 """
 
 from fractions import Fraction
 
-from .jets import Jet, degree_series
-from .scalars import sexp, sinv, sln
+from .jets import Jet
 
 XI = "xi"
 ETA = "eta"
@@ -207,35 +215,35 @@ class SuperField:
 
     # -- exp / ln -----------------------------------------------------------
 
-    def _grades(self) -> list["SuperField"]:
-        """Homogeneous parts by jet degree i + j plus odd-generator count."""
-        parts = [{} for _ in range(self.order + len(self.gens) + 1)]
-        for mask, jet in self.comps.items():
-            for d, part in enumerate(jet._grades()):
-                parts[d + mask.bit_count()][mask] = part
-        return [SuperField(self.gens, self.base, self.order, p) for p in parts]
+    def _split(self, op: str) -> tuple[Jet, "SuperField"]:
+        """The body jet F0 and the nilpotent rest N of an even field."""
+        if self.parity() != 0:
+            raise ValueError(f"{op} requires an even-homogeneous superfield")
+        return self.component(0), SuperField(
+            self.gens, self.base, self.order,
+            {m: j for m, j in self.comps.items() if m})
 
     def exp(self) -> "SuperField":
         """exp of an even-homogeneous superfield."""
-        if self.parity() != 0:
-            raise ValueError("exp requires an even-homogeneous superfield")
-        series = degree_series(self._grades(),
-                               SuperField.constant(1, self.gens, self.base,
-                                                   self.order),
-                               "exp")
-        return series * sexp(self.body)
+        body, rest = self._split("exp")
+        acc = power = SuperField.constant(1, self.gens, self.base, self.order)
+        for k in range(1, len(self.gens) // 2 + 1):
+            power = power * rest * Fraction(1, k)
+            acc = acc + power
+        return acc * body.exp()
 
     def ln(self) -> "SuperField":
         """ln of an even-homogeneous superfield with loggable body."""
-        if self.parity() != 0:
-            raise ValueError("ln requires an even-homogeneous superfield")
-        c = self.body
-        if isinstance(c, Fraction) and c == 0:
+        body, rest = self._split("ln")
+        if not body.body:
             raise ValueError("ln of a superfield with zero body")
-        return degree_series((self * sinv(c))._grades(),
-                             SuperField.constant(sln(c), self.gens, self.base,
-                                                 self.order),
-                             "ln")
+        acc = SuperField.from_jet(body.ln(), self.gens)
+        ratio = rest * body.inverse()
+        power = SuperField.constant(1, self.gens, self.base, self.order)
+        for k in range(1, len(self.gens) // 2 + 1):
+            power = power * ratio
+            acc = acc + power * Fraction((-1) ** (k + 1), k)
+        return acc
 
     # -- protocol -------------------------------------------------------------
 

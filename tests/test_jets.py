@@ -268,8 +268,8 @@ def test_product_cancels_to_exact_zero(rng, order):
     assert (1, 1) not in skew.coeffs
 
 
-# The object-level recurrence that the integer series kernel replaced for
-# rational jets, kept verbatim as the exact reference.
+# The object-level recurrence that the integer series kernel replaced,
+# kept verbatim as the exact reference.
 
 def _reference_series(parts, first, kind):
     ln = kind == "ln"
@@ -310,9 +310,10 @@ def _reference_inverse(u):
     return _reference_series((u * ic)._grades(), one, "inverse") * ic
 
 
-def _series_jet(rng, order, shape, max_den):
-    """A rational jet with a positive body: dense parts, x-only parts, or
-    sparse parts with whole degrees left empty."""
+def _series_jet(rng, order, shape, max_den, units=None):
+    """A jet with a positive rational body: dense parts, x-only parts, or
+    sparse parts with whole degrees left empty.  The parts are rational, or
+    with ``units`` each coefficient is a rational times one of them."""
     coeffs = {(0, 0): Fraction(rng.randint(1, 50), rng.randint(1, max_den))}
     empty = rng.randint(1, max(order, 1))
     for d in range(1, order + 1):
@@ -326,27 +327,46 @@ def _series_jet(rng, order, shape, max_den):
             if keep:
                 coeffs[(i, d - i)] = Fraction(rng.randint(-60, 60),
                                               rng.randint(1, max_den))
+                if units:
+                    coeffs[(i, d - i)] = smul(coeffs[(i, d - i)],
+                                              rng.choice(units))
     return Jet((Fraction(-1, 2), Fraction(2, 3)), order, coeffs)
+
+
+# Units for the parts of series inputs: exp, ln and root units; unit pairs
+# that fold to a rational (2^(1/2) * 2^(1/2) = 2, exp(1/2) * exp(-1/2) = 1);
+# and the rational unit next to a non-rational one, also in one coefficient.
+ROOT2 = sexp(smul(Fraction(1, 2), sln(Fraction(2))))
+SERIES_UNITS = [
+    [sexp(Fraction(1, 3)), sln(Fraction(2)), ROOT2],
+    [ROOT2, sexp(Fraction(1, 2)), sexp(Fraction(-1, 2))],
+    [Fraction(1), sexp(Fraction(2, 5)), sadd(Fraction(1), sln(Fraction(3)))],
+]
 
 
 @pytest.mark.parametrize("order", range(17))
 def test_integer_series_matches_the_object_recurrence(order):
     rng = random.Random(1000 + order)
-    for shape in ("dense", "x-only", "sparse"):
-        for max_den in (1, 12, 10 ** 9):
-            u = _series_jet(rng, order, shape, max_den)
-            for got, want in ((u.exp(), _reference_exp(u)),
-                              (u.ln(), _reference_ln(u)),
-                              (u.inverse(), _reference_inverse(u))):
-                assert got == want
-                assert str(got) == str(want)
-            w = u - u.body * 2  # a negative body
-            assert w.inverse() == _reference_inverse(w)
+    inputs = [(shape, max_den, None) for shape in ("dense", "x-only", "sparse")
+              for max_den in (1, 12, 10 ** 9)]
+    if order <= 8:  # unit series gain units with each degree; keeps it quick
+        inputs += [(shape, 12, units) for units in SERIES_UNITS
+                   for shape in ("dense", "sparse")]
+    for shape, max_den, units in inputs:
+        u = _series_jet(rng, order, shape, max_den, units)
+        for got, want in ((u.exp(), _reference_exp(u)),
+                          (u.ln(), _reference_ln(u)),
+                          (u.inverse(), _reference_inverse(u))):
+            assert got == want
+            assert str(got) == str(want)
+        w = u - u.body * 2  # a negative body
+        assert w.inverse() == _reference_inverse(w)
 
 
 def test_rational_series_make_no_jet_products(monkeypatch):
     rng = random.Random(5)
-    u = _series_jet(rng, 9, "dense", 12)
+    inputs = [_series_jet(rng, 9, "dense", 12),
+              _series_jet(rng, 6, "dense", 12, SERIES_UNITS[0])]
     inside = []
     series = jets.degree_series
     mul = Jet.__mul__
@@ -364,15 +384,15 @@ def test_rational_series_make_no_jet_products(monkeypatch):
 
     monkeypatch.setattr(jets, "degree_series", watched_series)
     monkeypatch.setattr(Jet, "__mul__", watched_mul)
-    assert u.exp() == _reference_exp(u)
-    assert u.ln() == _reference_ln(u)
-    assert u.inverse() == _reference_inverse(u)
+    for u in inputs:
+        assert u.exp() == _reference_exp(u)
+        assert u.ln() == _reference_ln(u)
+        assert u.inverse() == _reference_inverse(u)
 
 
 # Unit rows against coefficient-wise Fraction | Scalar arithmetic.  Besides
 # SYMBOLS, 2^(1/2) and exp(-1/2) make unit pairs that fold to a rational:
 # 2^(1/2) * 2^(1/2) = 2 and exp(1/2) * exp(-1/2) = 1.
-ROOT2 = sexp(smul(Fraction(1, 2), sln(Fraction(2))))
 FOLDING = SYMBOLS + [ROOT2, sexp(Fraction(-1, 2))]
 _Q0 = Fraction(0)
 

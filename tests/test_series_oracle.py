@@ -83,22 +83,22 @@ def test_jet_series_match_sympy_taylor(rng, op, body, sym_body):
 
 
 def naive_exp(field):
-    c = field.body
-    s = field - SuperField.constant(c, GENS, field.base, field.order)
-    acc = power = SuperField.constant(1, GENS, field.base, field.order)
-    for k in range(1, field.order + len(GENS) + 1):
+    c, gens = field.body, field.gens
+    s = field - SuperField.constant(c, gens, field.base, field.order)
+    acc = power = SuperField.constant(1, gens, field.base, field.order)
+    for k in range(1, field.order + len(gens) + 1):
         power = power * s * Fraction(1, k)
         acc = acc + power
     return acc * sexp(c)
 
 
 def naive_ln(field):
-    c = field.body
-    one = SuperField.constant(1, GENS, field.base, field.order)
+    c, gens = field.body, field.gens
+    one = SuperField.constant(1, gens, field.base, field.order)
     u = field * sinv(c) - one
-    acc, power = SuperField.constant(sln(c), GENS, field.base,
+    acc, power = SuperField.constant(sln(c), gens, field.base,
                                      field.order), one
-    for k in range(1, field.order + len(GENS) + 1):
+    for k in range(1, field.order + len(gens) + 1):
         power = power * u
         acc = acc + power * Fraction((-1) ** (k + 1), k)
     return acc
@@ -109,15 +109,22 @@ def naive_ln(field):
     ("ln", Fraction(2)), ("ln", sexp(Fraction(1, 3)))])
 def test_superfield_series_match_power_series(rng, op, body):
     naive = naive_exp if op == "exp" else naive_ln
-    for _ in range(4):
-        base = (random_fraction(rng), random_fraction(rng))
-        field = random_superfield(rng, GENS, base, order=4, parity=0,
-                                  comps=4, terms=3)
-        field = field - field.body + SuperField.constant(body, GENS, base, 4)
-        got, want = getattr(field, op)(), naive(field)
-        for mask in range(1 << len(GENS)):
-            g, w = got.component(mask), want.component(mask)
-            for i in range(got.order + 1):
-                for j in range(got.order + 1 - i):
-                    assert g.coefficient(i, j) == w.coefficient(i, j), \
-                        (mask, i, j)
+    for gens in (GENS, standard_gens(4)):
+        # disjoint generator pairs, so that the top power N^(g/2) of the
+        # nilpotent part is not zero
+        pairs = {3 << 2 * i: Fraction(i + 1, 2) for i in range(len(gens) // 2)}
+        for _ in range(4):
+            base = (random_fraction(rng), random_fraction(rng))
+            field = random_superfield(rng, gens, base, order=4, parity=0,
+                                      comps=4, terms=3)
+            field = field - field.body + SuperField.constant(body, gens,
+                                                             base, 4)
+            field = field + SuperField(gens, base, 4, {
+                m: Jet.constant(v, base, 4) for m, v in pairs.items()})
+            got, want = getattr(field, op)(), naive(field)
+            for mask in range(1 << len(gens)):
+                g, w = got.component(mask), want.component(mask)
+                for i in range(got.order + 1):
+                    for j in range(got.order + 1 - i):
+                        assert g.coefficient(i, j) == w.coefficient(i, j), \
+                            (mask, i, j)
