@@ -39,8 +39,9 @@ homogeneous parts P_d, d >= 1:
     ln       (1 + s) T = theta s       T_d = d P_d - sum_{k=1..d-1} P_k T_{d-k}
 
 with E_0 = W_0 = 1 and T = theta ln(1 + s), so ln's degree-d part is T_d / d.
-The recurrence runs on the parts' integer rows, whatever their units: each
-degree keeps one row per unit, a pair of units lands on their cached unit
+The recurrence reads the parts off the jet's own integer rows, whatever
+their units: each unit's row splits by total degree, each degree keeps one
+row per unit over its own gcd, a pair of units lands on their cached unit
 product, and a unit's sum over k is formed over the lcm of its terms'
 denominators and then divided by one gcd.  Superfields reach it through
 the exp, ln and inverse of their body jet (see ``superfield``).
@@ -105,33 +106,44 @@ def _scalar(terms):
     return Scalar({_UNITS[u]: c for u, c in terms.items()})
 
 
-def degree_series(parts, first, kind):
+def degree_series(jet, first, kind):
     """first + sum_{d>=1} out_d for the series ``kind`` of s = sum_d P_d.
 
-    ``parts`` are the homogeneous jets P_0..P_n of one jet (P_0 is not
-    read).  ``kind`` is "exp" (out_d = E_d, first = 1), "inverse" (out_d =
-    W_d of 1 / (1 + s), first = 1) or "ln" (out_d = T_d / d of ln(1 + s),
-    first its constant); the recurrences are in the module docstring.
+    P_d is the degree-d part of ``jet`` (P_0 is not read), and ``first``
+    is an exact scalar.  ``kind`` is "exp" (out_d = E_d, first = 1),
+    "inverse" (out_d = W_d of 1 / (1 + s), first = 1) or "ln" (out_d =
+    T_d / d of ln(1 + s), first its constant); the recurrences are in the
+    module docstring.
 
     A degree X_d is a list of integer rows (unit, [(i, n)], den), one per
-    unit, with i the x-degree.  A term w * P_k * X_{d-k} adds the product
-    of the rows of units u and v to unit t, where u * v = (m / q) * t, with
+    unit, with i the x-degree.  P_d's rows are read off the jet's: each
+    unit's row is split by total degree i + j, and each degree's row is
+    divided by its own gcd.  A term w * P_k * X_{d-k} adds the product of
+    the rows of units u and v to unit t, where u * v = (m / q) * t, with
     weight w * m and the denominators' product times q; the trivial unit 0
     is the identity.  Each unit's sum is formed over the lcm L of its
     terms' denominators, each weight scaled by L over its own denominator,
     and divided by one gcd.  For ln, T_0 = 0 and the d P_d term is added on
     its own.  The degrees hold disjoint bidegrees, so each unit's finished
-    degrees and ``first``'s row make one row over the lcm of their
+    degrees and ``first``'s terms make one row over the lcm of their
     denominators.
     """
-    rows = [[]] + [[(u, [(i, n) for (i, _), n in nums.items()], den)
-                    for u, (nums, den) in p.rows.items()] for p in parts[1:]]
-    live = [k for k in range(1, len(parts)) if rows[k]]
+    size = jet.order + 1
+    rows = [[] for _ in range(size)]
+    for u, (nums, den) in jet.rows.items():
+        split: dict = {}
+        for (i, j), n in nums.items():
+            if i + j:
+                split.setdefault(i + j, []).append((i, n))
+        for d, row in split.items():
+            g = math.gcd(den, *[n for _, n in row])
+            rows[d].append((u, [(i, n // g) for i, n in row], den // g))
+    live = [k for k in range(1, size) if rows[k]]
     ln = kind == "ln"
     seq = [[] if ln else [(0, [(0, 1)], 1)]]  # T_0 = 0, E_0 = W_0 = 1
-    done = {u: [(0, [(0, n) for n in nums.values()], den)]
-            for u, (nums, den) in first.rows.items()}
-    for d in range(1, len(parts)):
+    done = {u: [(0, [(0, c.numerator)], c.denominator)]
+            for u, c in _unit_terms(first)}
+    for d in range(1, size):
         groups: dict = {}
         for k in live:
             if k > d:
@@ -171,7 +183,7 @@ def degree_series(parts, first, kind):
         lcm = math.lcm(*[den for _, _, den in entries])
         out[t] = _row({(i, d - i): n * (lcm // den)
                        for d, row, den in entries for i, n in row}, lcm)
-    return _ring_result(first.base, first.order, out)
+    return _ring_result(jet.base, jet.order, out)
 
 
 class Jet:
@@ -311,12 +323,8 @@ class Jet:
         c = self.body
         if not c:
             raise ValueError("jet has zero body, cannot invert")
-        ic = sinv(c)
-        # the recurrence inverts 1 + s, so it runs on self / c
-        series = degree_series((self * ic)._grades(),
-                               Jet.constant(1, self.base, self.order),
-                               "inverse")
-        return series * ic
+        ic = sinv(c)  # the recurrence inverts 1 + s, so it runs on self / c
+        return degree_series(self * ic, 1, "inverse") * ic
 
     def pow_int(self, n: int) -> "Jet":
         if n < 0:
@@ -352,32 +360,16 @@ class Jet:
             [(u, {k: n for k, n in nums.items() if k[0] + k[1] <= order}, 1,
               den) for u, (nums, den) in self.rows.items()]))
 
-    def _grades(self) -> list["Jet"]:
-        """Homogeneous parts by total degree i + j, degrees 0..order."""
-        parts = [{} for _ in range(self.order + 1)]
-        for u, (nums, den) in self.rows.items():
-            split = [{} for _ in parts]
-            for (i, j), n in nums.items():
-                split[i + j][(i, j)] = n
-            for d, part in enumerate(split):
-                if part:
-                    parts[d][u] = _row(part, den)
-        return [_ring_result(self.base, self.order, p) for p in parts]
-
     def exp(self) -> "Jet":
         """exp as a truncated series; the body goes through the scalar ring."""
-        series = degree_series(self._grades(),
-                               Jet.constant(1, self.base, self.order), "exp")
-        return series * sexp(self.body)
+        return degree_series(self, 1, "exp") * sexp(self.body)
 
     def ln(self) -> "Jet":
         """ln as a truncated series; requires a positive-loggable body."""
         c = self.body
         if not c:
             raise ValueError("ln of a jet with zero body")
-        return degree_series((self * sinv(c))._grades(),
-                             Jet.constant(sln(c), self.base, self.order),
-                             "ln")
+        return degree_series(self * sinv(c), sln(c), "ln")
 
     def compose(self, fx: "Jet", gy: "Jet") -> "Jet":
         """Substitute x -> fx, y -> gy.

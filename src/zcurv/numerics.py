@@ -196,10 +196,9 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
     _check_finite("x_edge", "y", ys, values[0, :])
     rhs = _rhs_kernel(a)
     h2 = float(h) * float(h)
-    firsts = np.empty_like(values)
-    # cell (i, d - i) is row i*m + d of the flat views, so a diagonal and
+    # cell (i, d - i) is row i*m + d of the flat view, so a diagonal and
     # its three known corners are slices of step m
-    flat, flat_firsts = values.reshape(-1, n), firsts.reshape(-1, n)
+    flat, sweep = values.reshape(-1, n), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(2, 2 * m + 1):
             lo, hi = max(1, d - m), min(m, d - 1)
@@ -210,14 +209,15 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
                 i = next(i for i in range(lo, hi + 1) if _update(
                     rhs, h2, *(c[i - lo:i - lo + 1] for c in corners)) is None)
                 raise GridOverflowError(i, d - i)
-            flat_firsts[start:stop:m], flat[start:stop:m] = step
-        diff = np.abs(values[1:, 1:] - firsts[1:, 1:]).reshape(-1, n)
-    # as in a running max(): a cell whose first component differs by NaN
-    # drops out, and later NaN components are skipped
-    sweep = float(np.fmax.reduce(diff[~np.isnan(diff[:, 0])], axis=None,
-                                 initial=0.0))
+            flat[start:stop:m] = step[1]
+            diff = np.abs(step[1] - step[0])
+            top = diff.max()
+            if math.isnan(top):  # as in max(), a cell whose first component
+                # differs by NaN drops out, and later NaNs are skipped
+                top = np.nanmax(diff[~np.isnan(diff[:, 0])], initial=0.0)
+            sweep = max(sweep, top)
     return Grid(Fraction(data.x0), Fraction(data.x1), Fraction(data.y0),
-                Fraction(data.y1), h, values, sweep)
+                Fraction(data.y1), h, values, float(sweep))
 
 
 def residual_grid(a: CartanMatrix, grid: Grid) -> float:

@@ -293,21 +293,29 @@ def _reference_series(parts, first, kind):
     return total
 
 
+def _homogeneous_parts(u):
+    """The parts of u by total degree i + j, one jet per degree 0..order."""
+    parts = [{} for _ in range(u.order + 1)]
+    for (i, j), c in u.coeffs.items():
+        parts[i + j][(i, j)] = c
+    return [Jet(u.base, u.order, p) for p in parts]
+
+
 def _reference_exp(u):
     one = Jet.constant(1, u.base, u.order)
-    return _reference_series(u._grades(), one, "exp") * sexp(u.body)
+    return _reference_series(_homogeneous_parts(u), one, "exp") * sexp(u.body)
 
 
 def _reference_ln(u):
     c = u.body
-    return _reference_series((u * sinv(c))._grades(),
+    return _reference_series(_homogeneous_parts(u * sinv(c)),
                              Jet.constant(sln(c), u.base, u.order), "ln")
 
 
 def _reference_inverse(u):
     ic = sinv(u.body)
     one = Jet.constant(1, u.base, u.order)
-    return _reference_series((u * ic)._grades(), one, "inverse") * ic
+    return _reference_series(_homogeneous_parts(u * ic), one, "inverse") * ic
 
 
 def _series_jet(rng, order, shape, max_den, units=None):
@@ -388,6 +396,24 @@ def test_rational_series_make_no_jet_products(monkeypatch):
         assert u.exp() == _reference_exp(u)
         assert u.ln() == _reference_ln(u)
         assert u.inverse() == _reference_inverse(u)
+
+
+def test_series_build_a_fixed_number_of_jets(monkeypatch):
+    # the series read the jet's rows directly, so a call builds the scaled
+    # input, the series and the scaled result, however high the order
+    u = _series_jet(random.Random(9), 9, "dense", 12)
+    built = []
+    ring_result = jets._ring_result
+
+    def counted(*args):
+        built.append(True)
+        return ring_result(*args)
+
+    monkeypatch.setattr(jets, "_ring_result", counted)
+    for series in (u.exp, u.ln, u.inverse):
+        built.clear()
+        series()
+        assert len(built) <= 3, series.__name__
 
 
 # Unit rows against coefficient-wise Fraction | Scalar arithmetic.  Besides

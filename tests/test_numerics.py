@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -426,8 +427,13 @@ BIG = 10 ** 308
      lambda t: [-800.0 + t, -801.0 + t, 0.0 if t == 0.0 else -0.0]),
     # the unused column sits between two used ones
     ([[2, 0, -1], [-1, 0, 2], [0, 0, 2]], [-3.0, 800.0, -2.0]),
+    # the largest update shares its anti-diagonals with cells whose first
+    # corrector component is NaN, and the sweep must still count it
+    ([[0, BIG, -BIG], [0, 0, -BIG], [0, -BIG, 0]],
+     lambda t: [[-6.0, 0.0, 6.0], [6.0, 6.0, 6.0], [-6.0, -6.0, 0.0],
+                [6.0, 6.0, 6.0], [0.0, 0.0, 6.0]][round(4 * t)]),
 ], ids=["nan-corrector", "unused-column", "underflow-signed-zero",
-        "unused-middle-column"])
+        "unused-middle-column", "nan-beside-largest-update"])
 def test_march_matches_reference_at_float_limits(rows, edge):
     a = CartanMatrix.from_rows(rows)
     trace = edge if callable(edge) else lambda t: edge
@@ -463,6 +469,21 @@ def test_unknown_schedule_rejected():
     with pytest.raises(ValueError):
         solve_goursat(SL2, symmetric_data(), Fraction(1, 8),
                       schedule="threads")
+
+
+def test_march_keeps_no_second_grid():
+    # the sweep residual is folded in diagonal by diagonal, so the march
+    # holds the grid and one diagonal's temporaries, not a grid of first
+    # corrector values
+    a = standard_cartan("sl4")
+    data = smooth_data(a.rank, 0, 0, 1)
+    tracemalloc.start()
+    try:
+        grid = solve_goursat(a, data, Fraction(1, 256))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grid.values.nbytes
 
 
 # -- CSV and march fingerprint -----------------------------------------------
