@@ -37,17 +37,20 @@ class VerificationFailure(Exception):
 
 def _jet_order(args) -> int:
     """--order, else ZCURV_ORDER, else DEFAULT_ORDER; at least 2."""
-    if args.order is not None:
-        if args.order < 2:
-            raise InputError("--order must be >= 2")
-        return args.order
-    raw = os.environ.get("ZCURV_ORDER", str(DEFAULT_ORDER))
-    try:
-        order = int(raw)
-    except ValueError:
-        order = -1
+    order = args.order
+    if order is None:
+        raw = os.environ.get("ZCURV_ORDER", str(DEFAULT_ORDER))
+        try:
+            order = int(raw)
+        except ValueError:
+            order = -1
+        if order < 2:
+            raise InputError(
+                f"ZCURV_ORDER must be an integer >= 2, got {raw!r}")
     if order < 2:
-        raise InputError(f"ZCURV_ORDER must be an integer >= 2, got {raw!r}")
+        raise InputError("--order must be >= 2")
+    if (order + 1) ** 2 > sys.maxsize:  # no list of coefficients that long
+        raise InputError(f"jet order {order} is too large")
     return order
 
 
@@ -96,28 +99,35 @@ def _parse_checked(text, allow: set[str]):
         raise InputError(f"expected an expression string, got {text!r}")
     try:
         node = parse_expression(text)
-        # recurses deeper per level than the evaluators, so they cannot
-        # overflow the stack on a tree that passes here
         extra = used_variables(node) - allow
     except ExprSyntaxError as exc:
         raise InputError(f"bad expression {text!r}: {exc}") from None
     except RecursionError:
-        raise InputError(f"expression of {len(text)} characters is nested "
-                         "too deeply") from None
+        raise _nested_too_deeply(text) from None
     if extra:
         raise InputError(
             f"expression {text!r} may only use {sorted(allow)}")
     return node
 
 
-def _build_jet(text, base, order: int, allow: set[str]) -> Jet:
-    node = _parse_checked(text, allow)
-    x = Jet.variable("x", base, order)
-    y = Jet.variable("y", base, order)
+def _nested_too_deeply(text: str) -> InputError:
+    return InputError(f"expression of {len(text)} characters is nested too "
+                      "deeply")
+
+
+def _evaluate(text: str, where: str, evaluate, *args):
+    """``evaluate(*args)``, the fold of ``text``, whose errors name it."""
     try:
-        return eval_jet(node, x, y)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot evaluate {text!r} as a jet: {exc}") from None
+        return evaluate(*args)
+    except (ValueError, ArithmeticError) as exc:
+        raise InputError(f"cannot evaluate {text!r} {where}: {exc}") from None
+    except RecursionError:  # the memo fold nests as deep as _parse_checked
+        raise _nested_too_deeply(text) from None
+
+
+def _build_jet(text, x: Jet, y: Jet, allow: set[str], memo: dict) -> Jet:
+    node = _parse_checked(text, allow)
+    return _evaluate(text, "as a jet", eval_jet, node, x, y, memo)
 
 
 def _read_json(path: str) -> dict:
@@ -170,10 +180,11 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_verify_liouville(args) -> int:
-    order = _jet_order(args)
-    base = _parse_base(args.base)
-    f = _build_jet(args.f, base, order, {"x"})
-    g = _build_jet(args.g, base, order, {"y"})
+    order, base = _jet_order(args), _parse_base(args.base)
+    x, y = (Jet.variable(v, base, order) for v in "xy")
+    memo = {}
+    f = _build_jet(args.f, x, y, {"x"}, memo)
+    g = _build_jet(args.g, x, y, {"y"}, memo)
     try:
         solution = liouville_solution(f, g)
         residual = liouville_residual(solution)
@@ -187,8 +198,8 @@ def _cmd_verify_liouville(args) -> int:
 
 
 def _cmd_verify_lse(args) -> int:
-    order = _jet_order(args)
-    base = _parse_base(args.base)
+    order, base = _jet_order(args), _parse_base(args.base)
+    x, y = (Jet.variable(v, base, order) for v in "xy")
     matrix = _read_cartan(args.cartan)
     doc = _read_json(args.solution)
     comps = doc.get("components")
@@ -196,7 +207,8 @@ def _cmd_verify_lse(args) -> int:
         raise InputError(
             f"{args.solution}: 'components' must list {matrix.rank} "
             "expressions")
-    jets = tuple(_build_jet(text, base, order, {"x", "y"}) for text in comps)
+    memo = {}  # the components share most subtrees: fold each once
+    jets = tuple(_build_jet(text, x, y, {"x", "y"}, memo) for text in comps)
     try:
         residuals = lse_residual(SolutionVector(jets, matrix), args.form)
     except ValueError as exc:
@@ -209,11 +221,14 @@ def _cmd_verify_lse(args) -> int:
     return 0
 
 
-def _sampled_edge(coords, traces):
-    """Edge callable that looks up, by coordinate, traces already evaluated
-    over the array ``coords`` (a trace that reads no coordinate is a float)."""
+def _sampled_edge(edge: str, texts, nodes, x, y):
+    """Edge callable that looks up, by coordinate, the traces evaluated once
+    over the one array among ``x`` and ``y``, with one memo."""
     import numpy as np
 
+    coords, memo = (x if isinstance(x, np.ndarray) else y), {}
+    traces = [_evaluate(text, f"on {edge}", eval_float, node, x, y, memo)
+              for text, node in zip(texts, nodes)]
     rows = np.column_stack([np.broadcast_to(t, coords.shape) for t in traces])
     return dict(zip(coords.tolist(), rows.tolist())).__getitem__
 
@@ -255,10 +270,8 @@ def _cmd_solve(args) -> int:
         xs, ys = (np.array(grid_points(lo, h, m)) for lo in (x0, y0))
         data = GoursatData(
             x0, x1, y0, y1,
-            x_edge=_sampled_edge(ys, [eval_float(nd, 0.0, ys)
-                                      for nd in x_nodes]),
-            y_edge=_sampled_edge(xs, [eval_float(nd, xs, 0.0)
-                                      for nd in y_nodes]))
+            x_edge=_sampled_edge("x_edge", x_exprs, x_nodes, 0.0, ys),
+            y_edge=_sampled_edge("y_edge", y_exprs, y_nodes, xs, 0.0))
         grid = solve_goursat(matrix, data, h)
     except (ValueError, ArithmeticError) as exc:
         raise InputError(str(exc)) from None

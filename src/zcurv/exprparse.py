@@ -27,6 +27,10 @@ ln) look up an operation table.  There are three tables:
   ``+``, ``-`` and ``*`` give inf and nan silently, and so does the array
   fold.  This table is built on the first array call, so importing this
   module does not load numpy; an array argument means numpy is loaded.
+
+A jet or array call folds each distinct subtree once, in a memo keyed by the
+node tuple that callers may share across calls with the same x and y.  The
+fold at one float point keeps no memo and costs one call a node.
 """
 
 import functools
@@ -183,28 +187,42 @@ def used_variables(node) -> set[str]:
                          if isinstance(c, tuple)))
 
 
-def _fold(node, x, y, ops):
-    """Evaluate the tree; ``ops`` holds the domain's num/div/pow/exp/ln."""
+def _fold(node, x, y, ops, fold):
+    """Evaluate the tree; ``ops`` holds the domain's num/div/pow/exp/ln, and
+    ``fold`` evaluates a child: ``_fold`` itself, or a memo's."""
     kind = node[0]
     if kind == "num":
         return ops["num"](node[1])
     if kind == "var":
         return x if node[1] == "x" else y
     if kind == "neg":
-        return -_fold(node[1], x, y, ops)
+        return -fold(node[1], x, y, ops, fold)
     if kind == "add":
-        return _fold(node[1], x, y, ops) + _fold(node[2], x, y, ops)
+        return fold(node[1], x, y, ops, fold) + fold(node[2], x, y, ops, fold)
     if kind == "sub":
-        return _fold(node[1], x, y, ops) - _fold(node[2], x, y, ops)
+        return fold(node[1], x, y, ops, fold) - fold(node[2], x, y, ops, fold)
     if kind == "mul":
-        return _fold(node[1], x, y, ops) * _fold(node[2], x, y, ops)
+        return fold(node[1], x, y, ops, fold) * fold(node[2], x, y, ops, fold)
     if kind == "div":
-        return ops["div"](_fold(node[1], x, y, ops), _fold(node[2], x, y, ops))
+        return ops["div"](fold(node[1], x, y, ops, fold),
+                          fold(node[2], x, y, ops, fold))
     if kind == "pow":
-        return ops["pow"](_fold(node[1], x, y, ops), node[2])
+        return ops["pow"](fold(node[1], x, y, ops, fold), node[2])
     if kind in ("exp", "ln"):
-        return ops[kind](_fold(node[1], x, y, ops))
+        return ops[kind](fold(node[1], x, y, ops, fold))
     raise ValueError(f"unknown node {kind!r}")
+
+
+def _memo_fold(node, x, y, ops, memo):
+    """``_fold`` that reuses and fills ``memo`` (a fresh dict if None)."""
+    memo = {} if memo is None else memo
+
+    def fold(node, x, y, ops, _):
+        value = memo.get(node)
+        if value is None:
+            value = memo[node] = _fold(node, x, y, ops, fold)
+        return value
+    return fold(node, x, y, ops, fold)
 
 
 _FLOAT_OPS = {"num": float, "div": operator.truediv, "pow": operator.pow,
@@ -235,20 +253,21 @@ def _array_ops() -> dict:
             "exp": elementwise(math.exp, 1), "ln": elementwise(math.log, 1)}
 
 
-def eval_jet(node, x: Jet, y: Jet) -> Jet:
-    return _fold(node, x, y, {
+def eval_jet(node, x: Jet, y: Jet, memo=None) -> Jet:
+    """The jet of the tree; ``memo`` holds subtrees folded with this x, y."""
+    return _memo_fold(node, x, y, {
         "num": lambda q: Jet.constant(q, x.base, x.order),
         "div": operator.truediv, "pow": Jet.pow_int, "exp": Jet.exp,
-        "ln": Jet.ln})
+        "ln": Jet.ln}, memo)
 
 
-def eval_float(node, x, y):
+def eval_float(node, x, y, memo=None):
     """The float value at (x, y).  When ``x`` or ``y`` is a 1-D float array,
     the values at every point: an array, or a float if the tree reads
-    neither array."""
+    neither array; ``memo`` then acts as in ``eval_jet``."""
     np = sys.modules.get("numpy")
     if np is not None and (isinstance(x, np.ndarray)
                            or isinstance(y, np.ndarray)):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _fold(node, x, y, _array_ops())
-    return _fold(node, x, y, _FLOAT_OPS)
+            return _memo_fold(node, x, y, _array_ops(), memo)
+    return _fold(node, x, y, _FLOAT_OPS, _fold)

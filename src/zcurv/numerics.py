@@ -198,7 +198,7 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
     h2 = float(h) * float(h)
     # cell (i, d - i) is row i*m + d of the flat view, so a diagonal and
     # its three known corners are slices of step m
-    flat, sweep = values.reshape(-1, n), 0.0
+    flat, sweep, steps = values.reshape(-1, n), 0.0, []
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(2, 2 * m + 1):
             lo, hi = max(1, d - m), min(m, d - 1)
@@ -210,12 +210,14 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
                     rhs, h2, *(c[i - lo:i - lo + 1] for c in corners)) is None)
                 raise GridOverflowError(i, d - i)
             flat[start:stop:m] = step[1]
-            diff = np.abs(step[1] - step[0])
-            top = diff.max()
-            if math.isnan(top):  # as in max(), a cell whose first component
-                # differs by NaN drops out, and later NaNs are skipped
-                top = np.nanmax(diff[~np.isnan(diff[:, 0])], initial=0.0)
-            sweep = max(sweep, top)
+            steps.append(step[1] - step[0])
+            if len(steps) == 16 or d == 2 * m:  # one reduce per 16 diagonals
+                diff, steps = np.abs(np.concatenate(steps)), []
+                top = diff.max()
+                if math.isnan(top):  # as in max(), drop cells whose first
+                    # component differs by NaN, and skip later NaNs
+                    top = np.nanmax(diff[~np.isnan(diff[:, 0])], initial=0.0)
+                sweep = max(sweep, top)
     return Grid(Fraction(data.x0), Fraction(data.x1), Fraction(data.y0),
                 Fraction(data.y1), h, values, float(sweep))
 

@@ -12,9 +12,11 @@ import pytest
 import zcurv
 
 from conftest import DATA, GOLDEN
+from zcurv import cli, exprparse
 from zcurv.cartan import standard_cartan
 from zcurv.cli import main
-from zcurv.exprparse import eval_float, parse_expression
+from zcurv.exprparse import eval_float, eval_jet, parse_expression
+from zcurv.jets import Jet
 from zcurv.numerics import GoursatData, solve_goursat, write_csv
 
 
@@ -106,6 +108,76 @@ def test_verify_lse(tmp_path, capsys):
                        "--base", "1,1")
     assert code == 1
     assert "verification failed" in err
+
+
+SHARED = "1+exp(x)+y"
+
+
+def test_verify_lse_folds_a_shared_subtree_once(tmp_path, monkeypatch,
+                                                capsys):
+    # G_i = ln(w_i) + ln(f'g') - 2 ln(f+g) on sl4, f = 1+exp(x), g = y: all
+    # three components hold ln(1+exp(x)+y)
+    (tmp_path / "sl4.cm").write_text(json.dumps({"matrix": [
+        [int(v) for v in row] for row in standard_cartan("sl4").entries]}))
+    (tmp_path / "sol.json").write_text(json.dumps({"components": [
+        f"ln({w})+x-2*ln({SHARED})" for w in (3, 4, 3)]}))
+    argv = ["verify-lse", "--cartan", str(tmp_path / "sl4.cm"), "--solution",
+            str(tmp_path / "sol.json"), "--form", "lsbis", "--order", "6"]
+    shared = eval_jet(parse_expression(SHARED),
+                      *(Jet.variable(v, (0, 0), 6) for v in "xy"))
+    seen, ln = [], Jet.ln
+    monkeypatch.setattr(Jet, "ln", lambda jet: seen.append(jet) or ln(jet))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sum(jet == shared for jet in seen) == 1
+    # each component folded on its own prints the same bytes
+    monkeypatch.setattr(cli, "eval_jet", lambda node, x, y, memo:
+                        exprparse.eval_jet(node, x, y))
+    assert run(capsys, *argv) == (0, out, "")
+
+
+def test_verify_lse_names_the_failing_component_after_a_shared_one(tmp_path,
+                                                                   capsys):
+    bad = "-2*ln(x+y)+ln(x+y-2)"  # ln of a zero body at the base (1, 1)
+    doc = tmp_path / "sol.json"
+    doc.write_text(json.dumps({"components": ["-2*ln(x+y)+ln(x+y-1)", bad]}))
+    code, _, err = run(capsys, "verify-lse", "--cartan", str(DATA / "sl3.cm"),
+                       "--solution", str(doc), "--form", "lsbis",
+                       "--base", "1,1")
+    assert code == 3
+    assert err.startswith(f"error: cannot evaluate {bad!r} as a jet: ")
+    assert err.count("\n") == 1
+
+
+def _longest_parsed_sum() -> int:
+    """The most terms of x+x+...+x that the parse check accepts here."""
+    lo, hi = 1, 2000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            cli._parse_checked("+".join(["x"] * mid), {"x"})
+            lo = mid
+        except cli.InputError:
+            hi = mid
+    return lo
+
+
+def test_sums_near_the_parse_depth_limit_exit_0_or_3(tmp_path, monkeypatch,
+                                                     capsys):
+    # the memo fold nests two frames a level, as the parse check does, so a
+    # sum that parses may still be too deep to fold
+    monkeypatch.chdir(tmp_path)
+    longest = _longest_parsed_sum()
+    for n in range(longest - 8, longest + 4):
+        text = "+".join(["x"] * n)
+        code, _, err = run(capsys, "verify-liouville", "--f", f"{text}+1",
+                           "--g", "y+1", "--order", "3")
+        assert code == 0 or err.endswith("nested too deeply\n"), n
+        (tmp_path / "b.json").write_text(json.dumps(
+            {**BOUNDARY, "y_edge": [f"{text}-{n}*x-2*ln(x+2)"]}))
+        code, _, err = run(capsys, "solve", "--cartan", SL2, "--boundary",
+                           "b.json", "--h", "1/4", "--out", "grid.csv")
+        assert code == 0 or err.endswith("nested too deeply\n"), n
 
 
 def test_verify_lse_component_count(tmp_path, capsys):
@@ -238,6 +310,19 @@ def test_bad_order_env_exit_3(capsys, monkeypatch):
     assert "ZCURV_ORDER" in err
 
 
+@pytest.mark.parametrize("flags,env", [(["--order", "99999999999"], "8"),
+                                       ([], "99999999999")],
+                         ids=["--order", "ZCURV_ORDER"])
+def test_order_without_a_coefficient_table_exit_3(capsys, monkeypatch, flags,
+                                                  env):
+    # (order + 1)^2 > sys.maxsize: rejected before any jet is built
+    monkeypatch.setenv("ZCURV_ORDER", env)
+    code, out, err = run(capsys, "verify-liouville", "--f", "x+1", "--g",
+                         "y+1", *flags)
+    assert (code, out) == (3, "")
+    assert err == "error: jet order 99999999999 is too large\n"
+
+
 def test_verify_lse_exact_verdict_rejects_underflowing_residual(tmp_path,
                                                                 capsys):
     # the residual's only coefficient is about 2e-400: 0.0 as a float
@@ -319,8 +404,6 @@ def _verify_lse(solution):
 @pytest.mark.parametrize("files,argv", [
     pytest.param(*_solve({}, h="0"), id="h-zero"),
     pytest.param(*_solve({}, h="-1/4"), id="h-negative"),
-    pytest.param(*_solve({"x_edge": ["1/y"], "y_edge": ["1/x"]}),
-                 id="trace-divides-by-zero"),
     pytest.param(*_solve({"x_edge": ["exp(1000*y+1000)"],
                           "y_edge": ["exp(1000*x+1000)"]}),
                  id="trace-overflows"),
@@ -460,6 +543,16 @@ STEP_MISMATCH = "x and y ranges must contain the same number of steps"
                  STEP_MISMATCH, id="ranges-differ"),
     pytest.param({"y1": "1/2", "x_edge": ["ln(5/8-y)"], "y_edge": ["x"]},
                  STEP_MISMATCH, id="ranges-differ-trace-undefined-past-y1"),
+    pytest.param({"x_edge": ["1/y"], "y_edge": ["1/x"]},
+                 "cannot evaluate '1/y' on x_edge: float division by zero",
+                 id="trace-divides-by-zero"),
+    pytest.param({"x_edge": ["-2*ln(y+2)"], "y_edge": ["-2*ln(x+2)+ln(x)"]},
+                 "cannot evaluate '-2*ln(x+2)+ln(x)' on y_edge: math domain "
+                 "error", id="trace-outside-ln-domain"),
+    pytest.param({"x_edge": ["-2*ln(y+2)+10^400"], "y_edge": ["-2*ln(x+2)"]},
+                 "cannot evaluate '-2*ln(y+2)+10^400' on x_edge: (34, "
+                 "'Numerical result out of range')",
+                 id="trace-power-overflows"),
     pytest.param({"x_edge": ["10^300*10^300*y"], "y_edge": ["x"]},
                  "boundary trace x_edge is not finite at y = 0.0",
                  id="nan-corner"),

@@ -236,6 +236,40 @@ def test_array_fold_matches_float_fold(node, xs):
     assert_array_fold_is_pointwise(node, xs, np.zeros_like(xs))
 
 
+# -- one memo across trees ---------------------------------------------------
+
+
+def outcome(fold):
+    """The value of ``fold()``, or the type and text of the error it raises."""
+    try:
+        return fold()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(st.lists(trees, min_size=1, max_size=3), fractions, fractions,
+       coordinates)
+def test_one_memo_folds_like_each_tree_alone(parts, x0, y0, xs):
+    # later trees reuse earlier ones, so the memo holds their subtrees
+    nodes = parts + [("mul", a, ("exp", b)) for a, b in zip(parts, parts[1:])]
+    x, y = (Jet.variable(v, (x0, y0), 2) for v in "xy")
+    ys, jet_memo, array_memo = xs[::-1].copy(), {}, {}
+    for node in nodes:
+        alone = outcome(lambda: eval_jet(node, x, y))
+        shared = outcome(lambda: eval_jet(node, x, y, jet_memo))
+        assert shared == alone, render(node)
+        if isinstance(alone, Jet):
+            assert shared.rows == alone.rows, render(node)
+        alone = outcome(lambda: eval_float(node, xs, ys))
+        shared = outcome(lambda: eval_float(node, xs, ys, array_memo))
+        assert type(shared) is type(alone), render(node)
+        if isinstance(alone, tuple):
+            assert shared == alone, render(node)
+        else:
+            assert np.asarray(shared).tobytes() == np.asarray(alone).tobytes()
+
+
 XS = np.array([-2.0, -0.5, -0.0, 0.0, 0.25, 1.0, 3.0])
 
 
