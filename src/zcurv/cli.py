@@ -3,10 +3,13 @@
 Exit codes: 0 success, 1 verification failure (or inadmissible matrix),
 2 usage errors, 3 file/parse/input errors.  Output is byte-deterministic
 for identical inputs.  The environment variable ZCURV_ORDER (integer >= 2)
-overrides the default jet order 8 where no --order flag is given.
+overrides the default jet order 8 where no --order flag is given.  ``main``
+builds the argparse parser on its first call and reuses it for every later
+call in the process.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,7 +22,7 @@ from .exprparse import ExprSyntaxError, eval_float, eval_jet, \
 from .jets import Jet
 from .solutions import SolutionVector, liouville_residual, liouville_solution, \
     lse_residual
-from .superalg import bracket_table, osp12_basis, sl2_basis
+from .superalg import fixture_table
 from .symexpr import _linear_str
 from .zerocurv import derive_super_liouville, derive_toda, \
     nonreduced_obstruction
@@ -119,6 +122,9 @@ def _evaluate(text: str, where: str, evaluate, *args):
     """``evaluate(*args)``, the fold of ``text``, whose errors name it."""
     try:
         return evaluate(*args)
+    except OverflowError:  # ** and math.exp each word it their own way
+        raise InputError(f"cannot evaluate {text!r} {where}: float "
+                         "overflow") from None
     except (ValueError, ArithmeticError) as exc:
         raise InputError(f"cannot evaluate {text!r} {where}: {exc}") from None
     except RecursionError:  # the memo fold nests as deep as _parse_checked
@@ -287,8 +293,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bracket_table(args) -> int:
-    basis = sl2_basis() if args.algebra == "sl2" else osp12_basis()
-    table = bracket_table(basis)
+    table = fixture_table(args.algebra)
     for a in table.names:
         for b in table.names:
             braces = table.parity(a) and table.parity(b)
@@ -297,6 +302,7 @@ def _cmd_bracket_table(args) -> int:
     return 0
 
 
+@functools.cache  # the parser depends on no input: build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zcurv",

@@ -17,11 +17,11 @@ coincide with mathematical equality on everything this package produces:
   ``exp(ln(2)) -> 2`` and ``2^(3/2) -> 2 * 2^(1/2)``.
 
 ``exp`` is defined on scalars that are rational-plus-linear-in-ln-primes;
-``ln`` on single-term scalars with positive coefficient and no ln factors.
-Both raise ``ValueError`` otherwise.  Values that happen to be rational are
-always returned as plain ``Fraction``; the module-level ``s*`` helpers
-accept either representation, which keeps the common all-rational paths on
-fast ``Fraction`` arithmetic.
+``ln`` on single-term scalars with positive coefficient and no ln factors,
+whose coefficient ``_factor`` can factor exactly.  Both raise ``ValueError``
+otherwise.  Values that happen to be rational are always returned as plain
+``Fraction``; the module-level ``s*`` helpers accept either representation,
+which keeps the common all-rational paths on fast ``Fraction`` arithmetic.
 """
 
 import math
@@ -29,26 +29,79 @@ from fractions import Fraction
 
 _TRIVIAL_UNIT = (Fraction(0), (), ())
 
+_TRIAL_BOUND = 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981  # _MR_BASES decide primality below
+_RHO_STEPS = 1 << 22  # ample for a factor below 1.8e12; a few seconds at most
+
 
 def _factor(n: int) -> dict[int, int]:
-    """Prime factorisation of a positive integer by trial division."""
+    """Prime factorisation of n >= 1: trial division up to _TRIAL_BOUND, then
+    Miller-Rabin proves a cofactor prime or Pollard-Brent rho splits it.
+    Past _MR_EXACT_BELOW rho only peels small factors, so the ValueError for
+    a cofactor out of reach comes fast."""
     if n < 1:
         raise ValueError(f"cannot factor non-positive integer {n}")
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    rest, d = n, 2
+    while d <= _TRIAL_BOUND and d * d <= rest:
+        while rest % d == 0:
+            out[d] = out.get(d, 0) + 1
+            rest //= d
+        d += 1 if d == 2 else 2
+    todo = [rest] if rest > 1 else []
+    while todo:  # no cofactor has a prime factor below d
+        m = todo.pop()
+        big, composite = m >= _MR_EXACT_BELOW, m >= d * d and _witness(m)
+        p = composite and _rho(m, _RHO_STEPS >> 10 if big else _RHO_STEPS)
+        if p:
+            todo += [p, m // p]
+        elif big or composite:
+            raise ValueError(f"cannot factor {n} exactly: its factor {m} "
+                             "is beyond reach")
+        else:  # proven prime
+            out[m] = out.get(m, 0) + 1
     return out
+
+
+def _witness(m: int) -> bool:
+    """Whether a base in _MR_BASES proves the odd m > 41 composite."""
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    for a in _MR_BASES:
+        xs = [pow(a, (m - 1) >> s, m)]
+        for _ in range(s - 1):
+            xs.append(xs[-1] * xs[-1] % m)
+        if xs[0] != 1 and m - 1 not in xs:
+            return True
+    return False
+
+
+def _rho(m: int, steps: int) -> int:
+    """Pollard-Brent rho: a proper factor of the composite m, or 0 when none
+    turns up within about 3 * steps iterations of x -> x^2 + c, c = 1, 2."""
+    for c in (1, 2):
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1 and r <= steps:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = math.gcd(q, m)
+                if g != 1:
+                    break
+            r *= 2
+        if g == m:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(x - ys, m)
+        if 1 < g < m:
+            return g
+    return 0
 
 
 def _prime_exponents(q: Fraction) -> dict[int, int]:

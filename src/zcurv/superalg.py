@@ -6,11 +6,15 @@ matrices; ``osp12`` is a 3x3 realisation with parity vector
 (even, odd, even), the unique assignment that makes H, X+- even and the
 odd generators d+- homogeneous.  The rank-1 relation tables consumed by
 the zero-curvature engine, brackets and generator parities alike, are
-computed from these matrices, never written by hand.
+computed from these matrices, never written by hand, once per process:
+``fixture_table`` shares each fixture's read-only table.
 """
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .cartan import EVEN, ODD
 
@@ -122,11 +126,12 @@ class BracketTable:
 
     ``table[(a, b)]`` is a tuple of (coefficient, name) pairs, and
     ``parities[a]`` is the parity (0 even, 1 odd) of basis element ``a``.
+    Both maps are read-only, so one table can be shared.
     """
 
     names: tuple[str, ...]
-    table: dict[tuple[str, str], tuple[tuple[Fraction, str], ...]]
-    parities: dict[str, int]
+    table: Mapping[tuple[str, str], tuple[tuple[Fraction, str], ...]]
+    parities: Mapping[str, int]
 
     def bracket(self, a: str, b: str) -> tuple[tuple[Fraction, str], ...]:
         return self.table[(a, b)]
@@ -176,7 +181,8 @@ def bracket_table(basis: dict[str, SuperMatrix]) -> BracketTable:
         for b_name, b in basis.items():
             table[(a_name, b_name)] = _expand_in_basis(
                 supercommutator(a, b), basis)
-    return BracketTable(tuple(basis), table, parities)
+    return BracketTable(tuple(basis), MappingProxyType(table),
+                        MappingProxyType(parities))
 
 
 def sl2_basis() -> dict[str, SuperMatrix]:
@@ -203,3 +209,9 @@ def osp12_basis() -> dict[str, SuperMatrix]:
             [[0, 0, 0], [1, 0, 0], [0, 1, 0]], pars),
     }
 
+
+@functools.cache
+def fixture_table(name: str) -> BracketTable:
+    """The bracket table of the ``sl2`` or ``osp12`` fixture, computed on the
+    first call and shared by every later one."""
+    return bracket_table({"sl2": sl2_basis, "osp12": osp12_basis}[name]())

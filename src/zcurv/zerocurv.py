@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cartan import CartanMatrix, determinant, standard_cartan
-from .superalg import bracket_table, osp12_basis
+from .superalg import fixture_table
 from .superfield import SuperField
 from .symexpr import Atom, Expr, exp_linear, fn
 
@@ -82,7 +82,7 @@ class Osp12Relations:
 
     def __init__(self):
         self.cartan = standard_cartan("osp12")
-        self._table = bracket_table(osp12_basis())
+        self._table = fixture_table("osp12")
 
     def parity(self, g: GenKey) -> int:
         return self._table.parity(g[0])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -460,6 +461,23 @@ def test_huge_integer_power_is_fast(capsys):
     assert "vanishes" in err
 
 
+@pytest.mark.parametrize("base,code", [("1e20,0", 0), ("1e40,0", 3)])
+def test_base_with_large_prime_factors_ends_fast(capsys, base, code):
+    # ln((f+g)^2) factors (10^20+2)^2, 10^20+2 = 2*3*155977777*106852828571,
+    # which rho splits; 10^40+2 leaves a cofactor past the Miller-Rabin bound
+    start = time.perf_counter()
+    got, out, err = run(capsys, "verify-liouville", "--f", "x+1", "--g",
+                        "y+1", "--base", base, "--order", "4")
+    assert time.perf_counter() - start < 2
+    assert got == code
+    if code == 0:
+        assert (out, err) == ("residual order: 1\nmax residual coefficient "
+                              "magnitude: 0.0\n", "")
+    else:
+        assert err.startswith("error: cannot factor 1000000000000000000000")
+        assert err.count("\n") == 1
+
+
 def _seeded_function(rng, family, t):
     """Text of a poly, exp or Moebius function of the text ``t``, small on
     |t| <= 1."""
@@ -550,9 +568,12 @@ STEP_MISMATCH = "x and y ranges must contain the same number of steps"
                  "cannot evaluate '-2*ln(x+2)+ln(x)' on y_edge: math domain "
                  "error", id="trace-outside-ln-domain"),
     pytest.param({"x_edge": ["-2*ln(y+2)+10^400"], "y_edge": ["-2*ln(x+2)"]},
-                 "cannot evaluate '-2*ln(y+2)+10^400' on x_edge: (34, "
-                 "'Numerical result out of range')",
-                 id="trace-power-overflows"),
+                 "cannot evaluate '-2*ln(y+2)+10^400' on x_edge: float "
+                 "overflow", id="trace-power-overflows"),
+    pytest.param({"x_edge": ["-2*ln(y+2)+exp(1000)"],
+                  "y_edge": ["-2*ln(x+2)"]},
+                 "cannot evaluate '-2*ln(y+2)+exp(1000)' on x_edge: float "
+                 "overflow", id="trace-exp-overflows"),
     pytest.param({"x_edge": ["10^300*10^300*y"], "y_edge": ["x"]},
                  "boundary trace x_edge is not finite at y = 0.0",
                  id="nan-corner"),
@@ -611,3 +632,52 @@ def test_only_solve_loads_numpy(tmp_path):
         ["admissible", 0, False], ["verify-liouville", 0, False],
         ["solve", 0, True], "no_such_name raises AttributeError"]
     assert (tmp_path / "grid.csv").is_file()
+
+
+# -- one parser per process --------------------------------------------------
+
+SEQUENCE = [["derive-super"], ["bracket-table", "--algebra", "sl2"],
+            ["verify-liouville", "--f", "x+1", "--g", "y+1", "--order", "4"],
+            ["verify-liouville", "--f", "x+1"],  # usage error: exit 2
+            ["obstruction"], ["-h"], ["verify-lse", "-h"],
+            ["bracket-table", "--algebra", "osp12"]]
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error and -h
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    codes = [_in_process(capsys, argv)[0] for argv in SEQUENCE]
+    assert codes == [0, 0, 0, 2, 0, 0, 0, 0]
+    one_build = len(built)
+    cli.build_parser.__wrapped__()  # the root parser and one per verb
+    assert len(built) == 2 * one_build == 2 * 9
+
+
+def test_in_process_calls_match_a_fresh_process(monkeypatch, capsys):
+    # help text wraps at the terminal width: fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(zcurv.__file__).parents[1])}
+    cli.build_parser.cache_clear()
+    first = [_in_process(capsys, argv) for argv in SEQUENCE]
+    again = [_in_process(capsys, argv) for argv in SEQUENCE]
+    assert again == first
+    for argv, got in zip(SEQUENCE, again):
+        proc = subprocess.run([sys.executable, "-m", "zcurv.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv

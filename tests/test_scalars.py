@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from zcurv.scalars import Scalar, as_scalar, sadd, sexp, sinv, sln, smul
+from zcurv.scalars import (_MR_EXACT_BELOW, Scalar, _factor, as_scalar, sadd,
+                           sexp, sinv, sln, smul)
 
 
 def test_ln_expands_over_primes():
@@ -133,3 +135,31 @@ def test_equal_scalars_convert_to_equal_floats(terms, shuffler):
         backward = sadd(backward, p)
     assert forward == backward
     assert float(forward) == float(backward)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.integers(min_value=1, max_value=10**24 - 1))
+def test_factor_matches_sympy(n):
+    assert _factor(n) == sympy.factorint(n)
+
+
+@pytest.mark.parametrize("n", [
+    10**20 + 2,                       # 2 * 3 * 155977777 * 106852828571
+    1009**10,                         # past the Miller-Rabin bound
+    1000003**2,                       # a square of a prime past trial division
+    (10**12 + 39) * (10**12 + 61),    # two primes near the largest rho needs
+    318665857834031151167461,         # strong pseudoprime to bases 2 to 37
+])
+def test_factor_splits_large_cofactors(n):
+    assert _factor(n) == sympy.factorint(n)
+
+
+@pytest.mark.parametrize("n,cofactor", [
+    (2**89 - 1, 2**89 - 1),                       # a prime past the bound
+    (10**40 + 2, (10**40 + 2) // 6),              # no small factor to peel
+])
+def test_factor_rejects_what_it_cannot_decide(n, cofactor):
+    assert cofactor >= _MR_EXACT_BELOW
+    with pytest.raises(ValueError, match=f"cannot factor {n} exactly: its "
+                       f"factor {cofactor} "):
+        _factor(n)

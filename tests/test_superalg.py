@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from zcurv.superalg import (SuperMatrix, _expand_in_basis, bracket_table,
-                            osp12_basis, sl2_basis, supercommutator,
-                            supertrace)
+                            fixture_table, osp12_basis, sl2_basis,
+                            supercommutator, supertrace)
 from zcurv.zerocurv import Osp12Relations
 
 _PN = {"even": 0, "odd": 1}
@@ -242,3 +242,23 @@ def test_expansion_matches_scale_and_subtract():
         scale_and_subtract_expansion(outside, basis)
     with pytest.raises(ValueError, match="outside the span"):
         _expand_in_basis(outside, basis)
+
+
+@pytest.mark.parametrize("name,basis", [("sl2", sl2_basis),
+                                        ("osp12", osp12_basis)])
+def test_fixture_table_equals_a_fresh_table(name, basis):
+    assert fixture_table(name) == bracket_table(basis())
+
+
+def test_osp12_relations_share_one_fixture_table():
+    first, second = Osp12Relations(), Osp12Relations()
+    assert first._table is second._table is fixture_table("osp12")
+
+
+def test_shared_fixture_table_is_read_only():
+    table = fixture_table("osp12")
+    with pytest.raises(TypeError):
+        table.table[("H", "H")] = ()
+    with pytest.raises(TypeError):
+        table.parities["H"] = 1
+    assert table == bracket_table(osp12_basis())
