@@ -9,7 +9,9 @@ for which the two known solvable Toda-type superizations apply:
 
 The file format is a strict JSON subset parsed with a hand-rolled reader so
 that every error, including semantic ones (non-square matrix, parity-length
-mismatch, non-rational entry), carries a line/column position.  Grammar::
+mismatch, non-rational entry), carries a line/column position.  The reader
+keeps one offset and works the line and column out of it only when it
+raises; whitespace is space, tab, CR and LF, and only LF starts a line::
 
     document  = object
     object    = '{' pair (',' pair)* '}'
@@ -19,6 +21,8 @@ mismatch, non-rational entry), carries a line/column position.  Grammar::
       "parities" : array of "even" / "odd" strings (optional, default even)
       "name"     : string (optional)
     rational  = integer literal, or string "p/q" with integer p, q
+    integer   = '-'? [0-9]+                  -- ASCII digits only
+    string    = '"' (char other than '"' and '\\', or \\" \\\\ \\/)* '"'
 
 The renderer emits a canonical form (fixed key order, no whitespace), and
 ``parse_cartan(render_cartan(A)) == A`` for every valid ``A``.
@@ -30,6 +34,7 @@ multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968)
 runs on the result without building a ``Fraction``.
 """
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
@@ -228,178 +233,144 @@ def invert_rational(rows) -> tuple[tuple[Fraction, ...], ...]:
 # file format
 
 
+_WS = re.compile(r"[ \t\r\n]*")
+_INT = re.compile(r"-?[0-9]*")
+_STRING_BODY = re.compile(r'[^"\\]*(?:\\["\\/][^"\\]*)*')
+_ESCAPE = re.compile(r"\\(.)")
+
+
 class _Reader:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def error(self, message: str):
-        raise CartanFormatError(message, self.line, self.col)
-
-    def mark(self) -> tuple[int, int]:
-        return self.line, self.col
-
-    def error_at(self, message: str, mark: tuple[int, int]):
-        raise CartanFormatError(message, mark[0], mark[1])
+    def error(self, message: str, pos: int | None = None):
+        pos = self.pos if pos is None else pos
+        raise CartanFormatError(message, self.text.count("\n", 0, pos) + 1,
+                                pos - self.text.rfind("\n", 0, pos))
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
+        return self.text[self.pos:self.pos + 1]
 
     def skip_ws(self):
-        while self.peek() in " \t\r\n" and self.peek():
-            self.advance()
+        self.pos = _WS.match(self.text, self.pos).end()
+
+    def accept(self, ch: str) -> bool:
+        """Skip whitespace, then step over ``ch`` if it comes next."""
+        self.skip_ws()
+        found = self.peek() == ch
+        self.pos += found
+        return found
 
     def expect(self, ch: str):
-        self.skip_ws()
-        if self.peek() != ch:
+        if not self.accept(ch):
             got = self.peek() or "end of input"
             self.error(f"expected {ch!r}, found {got!r}")
-        self.advance()
 
     def read_string(self) -> str:
         self.expect('"')
-        out = []
-        while True:
-            if not self.peek():
-                self.error("unterminated string")
-            ch = self.advance()
-            if ch == '"':
-                return "".join(out)
-            if ch == "\\":
-                esc = self.advance() if self.peek() else self.error("unterminated escape")
-                if esc not in '"\\/':
-                    self.error(f"unsupported escape \\{esc}")
-                out.append(esc)
-            else:
-                out.append(ch)
-
-    def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.advance()
-        if not self.peek().isdigit():
-            self.error("expected an integer")
-        while self.peek().isdigit():
-            self.advance()
-        return int(self.text[start:self.pos])
+        body = _STRING_BODY.match(self.text, self.pos)
+        self.pos = body.end()
+        if self.peek() == '"':
+            self.pos += 1
+            return _ESCAPE.sub(r"\1", body.group())
+        if not self.peek():
+            self.error("unterminated string")
+        esc = self.text[self.pos + 1:self.pos + 2]  # after a backslash
+        self.pos += 1 + len(esc)
+        self.error(f"unsupported escape \\{esc}" if esc
+                   else "unterminated escape")
 
     def read_rational(self) -> Fraction:
         self.skip_ws()
-        mark = self.mark()
+        start = self.pos
         if self.peek() == '"':
             raw = self.read_string()
-            parts = raw.split("/")
             try:
-                if len(parts) == 2:
-                    num, den = int(parts[0]), int(parts[1])
-                    if den == 0:
-                        raise ZeroDivisionError
-                    return Fraction(num, den)
-                if len(parts) == 1:
-                    return Fraction(int(parts[0]))
+                if raw.isascii() and raw.count("/") <= 1:
+                    return Fraction(*map(int, raw.split("/")))
             except (ValueError, ZeroDivisionError):
                 pass
-            self.error_at(f"non-rational entry {raw!r}", mark)
-        if self.peek() == "-" or self.peek().isdigit():
-            n = self.read_int()
-            if self.peek() in ".eE":
-                self.error_at("non-rational entry: floats are not allowed; "
-                              'write "p/q"', mark)
-            return Fraction(n)
-        got = self.peek() or "end of input"
-        self.error(f"expected a rational entry, found {got!r}")
+            self.error(f"non-rational entry {raw!r}", start)
+        digits = _INT.match(self.text, start).group()
+        if not digits:
+            got = self.peek() or "end of input"
+            self.error(f"expected a rational entry, found {got!r}")
+        self.pos += len(digits)
+        if digits == "-":
+            self.error("expected an integer")
+        if self.peek() in (".", "e", "E"):
+            self.error("non-rational entry: floats are not allowed; "
+                       'write "p/q"', start)
+        try:
+            return Fraction(int(digits))
+        except ValueError:  # past sys.get_int_max_str_digits()
+            self.error(f"integer of {len(digits)} digits is too long", start)
 
     def read_array(self, read_item):
         self.expect("[")
-        items = []
-        self.skip_ws()
-        if self.peek() == "]":
-            self.advance()
-            return items
-        while True:
+        if self.accept("]"):
+            return []
+        items = [read_item()]
+        while self.accept(","):  # the next item starts right after the comma
             items.append(read_item())
-            self.skip_ws()
-            if self.peek() == ",":
-                self.advance()
-                continue
-            self.expect("]")
-            return items
+        self.expect("]")
+        return items
 
 
 def parse_cartan(text: str) -> CartanMatrix:
     """Parse a Cartan-matrix document; all errors carry line/column."""
     r = _Reader(text)
     r.expect("{")
-    matrix = None
-    matrix_mark = None
-    parities = None
-    parity_mark = None
-    name = None
+    matrix = parities = name = None
     seen: set[str] = set()
     while True:
         r.skip_ws()
-        key_mark = r.mark()
+        key_mark = r.pos
         key = r.read_string()
         if key in seen:
-            r.error_at(f"duplicate key {key!r}", key_mark)
+            r.error(f"duplicate key {key!r}", key_mark)
         seen.add(key)
         r.expect(":")
         if key == "matrix":
             r.skip_ws()
-            matrix_mark = r.mark()
-            rows = r.read_array(lambda: (r.mark(), r.read_array(r.read_rational)))
-            matrix = rows
+            matrix_mark = r.pos
+            matrix = r.read_array(
+                lambda: (r.pos, r.read_array(r.read_rational)))
         elif key == "parities":
             r.skip_ws()
-            parity_mark = r.mark()
+            parity_mark = r.pos
 
             def read_parity():
-                m = r.mark()
+                m = r.pos
                 raw = r.read_string()
                 if raw not in (EVEN, ODD):
-                    r.error_at(f"parity must be 'even' or 'odd', got {raw!r}", m)
+                    r.error(f"parity must be 'even' or 'odd', got {raw!r}", m)
                 return raw
 
             parities = r.read_array(read_parity)
         elif key == "name":
-            r.skip_ws()
             name = r.read_string()
         else:
-            r.error_at(f"unknown key {key!r}", key_mark)
-        r.skip_ws()
-        if r.peek() == ",":
-            r.advance()
-            continue
-        r.expect("}")
-        break
+            r.error(f"unknown key {key!r}", key_mark)
+        if not r.accept(","):
+            break
+    r.expect("}")
     r.skip_ws()
     if r.peek():
         r.error("trailing content after document")
     if matrix is None:
-        raise CartanFormatError("missing required key 'matrix'", 1, 1)
+        r.error("missing required key 'matrix'", 0)
     n = len(matrix)
     if n == 0:
-        r.error_at("matrix must have at least one row", matrix_mark)
+        r.error("matrix must have at least one row", matrix_mark)
     for row_mark, row in matrix:
         if len(row) != n:
-            r.error_at(
+            r.error(
                 f"non-square matrix: row has {len(row)} entries, expected {n}",
                 row_mark)
     if parities is not None and len(parities) != n:
-        r.error_at(
+        r.error(
             f"parity list has length {len(parities)}, expected {n}",
             parity_mark)
     rows = tuple(tuple(row) for _, row in matrix)

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure (or inadmissible matrix),
-2 usage errors, 3 file/parse/input errors.  Output is byte-deterministic
-for identical inputs.  The environment variable ZCURV_ORDER (integer >= 2)
+2 usage errors, 3 file/parse/input errors.  ``main`` alone maps input
+faults to exit 3: any ``ValueError`` or ``ArithmeticError`` of a verb ends as
+one ``error: ...`` line.  An ``InputError`` (a ``ValueError``) only adds the
+file, expression or flag at fault.  Output is byte-deterministic for
+identical inputs.  The environment variable ZCURV_ORDER (integer >= 2)
 overrides the default jet order 8 where no --order flag is given.  ``main``
 builds the argparse parser on its first call and reuses it for every later
 call in the process.
@@ -16,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .cartan import CartanFormatError, parse_cartan
+from .cartan import check_admissible, parse_cartan
 from .exprparse import ExprSyntaxError, eval_float, eval_jet, \
     parse_expression, used_variables
 from .jets import Jet
@@ -30,8 +33,8 @@ from .zerocurv import derive_super_liouville, derive_toda, \
 DEFAULT_ORDER = 8
 
 
-class InputError(Exception):
-    """File or input-data problem: exit code 3."""
+class InputError(ValueError):
+    """File or input-data problem that names its input: exit code 3."""
 
 
 class VerificationFailure(Exception):
@@ -84,15 +87,16 @@ def _parse_base(text: str) -> tuple[Fraction, Fraction]:
         raise InputError(f"--base expects rationals, got {text!r}") from None
 
 
-def _read_cartan(path: str):
+def _read(path: str, parse):
+    """``parse`` of the text of a UTF-8 file, with errors that name it."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
-        return parse_cartan(text)
-    except CartanFormatError as exc:
+        return parse(text)
+    except (ValueError, RecursionError) as exc:  # bad document, deep nesting
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -137,13 +141,7 @@ def _build_jet(text, x: Jet, y: Jet, allow: set[str], memo: dict) -> Jet:
 
 
 def _read_json(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, nesting
-        raise InputError(f"{path}: {exc}") from None
+    doc = _read(path, json.loads)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     return doc
@@ -153,12 +151,8 @@ def _read_json(path: str) -> dict:
 
 
 def _cmd_derive(args) -> int:
-    matrix = _read_cartan(args.cartan)
-    try:
-        system = derive_toda(matrix, form=args.form)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    print(system.render())
+    matrix = _read(args.cartan, parse_cartan)
+    print(derive_toda(matrix, form=args.form).render())
     return 0
 
 
@@ -173,9 +167,7 @@ def _cmd_obstruction(args) -> int:
 
 
 def _cmd_admissible(args) -> int:
-    from .cartan import check_admissible
-
-    matrix = _read_cartan(args.cartan)
+    matrix = _read(args.cartan, parse_cartan)
     report = check_admissible(matrix, args.scheme)
     print(f"scheme: {report.scheme}")
     print(f"admissible: {'yes' if report.admissible else 'no'}")
@@ -191,11 +183,7 @@ def _cmd_verify_liouville(args) -> int:
     memo = {}
     f = _build_jet(args.f, x, y, {"x"}, memo)
     g = _build_jet(args.g, x, y, {"y"}, memo)
-    try:
-        solution = liouville_solution(f, g)
-        residual = liouville_residual(solution)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    residual = liouville_residual(liouville_solution(f, g))
     mag = residual.max_abs_coeff()
     print(f"residual order: {residual.order}")
     print(f"max residual coefficient magnitude: {mag!r}")
@@ -206,7 +194,7 @@ def _cmd_verify_liouville(args) -> int:
 def _cmd_verify_lse(args) -> int:
     order, base = _jet_order(args), _parse_base(args.base)
     x, y = (Jet.variable(v, base, order) for v in "xy")
-    matrix = _read_cartan(args.cartan)
+    matrix = _read(args.cartan, parse_cartan)
     doc = _read_json(args.solution)
     comps = doc.get("components")
     if not isinstance(comps, list) or len(comps) != matrix.rank:
@@ -215,10 +203,7 @@ def _cmd_verify_lse(args) -> int:
             "expressions")
     memo = {}  # the components share most subtrees: fold each once
     jets = tuple(_build_jet(text, x, y, {"x", "y"}, memo) for text in comps)
-    try:
-        residuals = lse_residual(SolutionVector(jets, matrix), args.form)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    residuals = lse_residual(SolutionVector(jets, matrix), args.form)
     mags = [res.max_abs_coeff() for res in residuals]
     for i, (res, mag) in enumerate(zip(residuals, mags)):
         print(f"component {i + 1}: max residual coefficient {mag!r} "
@@ -246,13 +231,16 @@ def _cmd_solve(args) -> int:
     from .numerics import GoursatData, grid_points, solve_goursat, \
         square_steps, write_csv
 
-    matrix = _read_cartan(args.cartan)
+    matrix = _read(args.cartan, parse_cartan)
     doc = _read_json(args.boundary)
     try:
-        x0, x1 = Fraction(doc["x0"]), Fraction(doc["x1"])
-        y0, y1 = Fraction(doc["y0"]), Fraction(doc["y1"])
-        x_exprs = doc["x_edge"]
-        y_exprs = doc["y_edge"]
+        ends = {key: doc[key] for key in ("x0", "x1", "y0", "y1")}
+        for key, value in ends.items():
+            if isinstance(value, bool):  # Fraction(True) would read it as 1
+                raise TypeError(f"{key} must be a rational, got "
+                                f"{json.dumps(value)}")
+        x0, x1, y0, y1 = map(Fraction, ends.values())
+        x_exprs, y_exprs = doc["x_edge"], doc["y_edge"]
     except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise InputError(f"{args.boundary}: bad boundary document "
                          f"({exc})") from None
@@ -270,17 +258,14 @@ def _cmd_solve(args) -> int:
             from None
     if h <= 0:
         raise InputError(f"--h must be positive, got {args.h!r}")
-    try:
-        # the points solve_goursat samples: m steps from x0 and from y0
-        m = square_steps(x0, x1, y0, y1, h)
-        xs, ys = (np.array(grid_points(lo, h, m)) for lo in (x0, y0))
-        data = GoursatData(
-            x0, x1, y0, y1,
-            x_edge=_sampled_edge("x_edge", x_exprs, x_nodes, 0.0, ys),
-            y_edge=_sampled_edge("y_edge", y_exprs, y_nodes, xs, 0.0))
-        grid = solve_goursat(matrix, data, h)
-    except (ValueError, ArithmeticError) as exc:
-        raise InputError(str(exc)) from None
+    # the points solve_goursat samples: m steps from x0 and from y0
+    m = square_steps(x0, x1, y0, y1, h)
+    xs, ys = (np.array(grid_points(lo, h, m)) for lo in (x0, y0))
+    data = GoursatData(
+        x0, x1, y0, y1,
+        x_edge=_sampled_edge("x_edge", x_exprs, x_nodes, 0.0, ys),
+        y_edge=_sampled_edge("y_edge", y_exprs, y_nodes, xs, 0.0))
+    grid = solve_goursat(matrix, data, h)
     try:
         write_csv(grid, args.out)
     except OSError as exc:
@@ -363,7 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (ValueError, ArithmeticError) as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except VerificationFailure as exc:

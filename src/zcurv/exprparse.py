@@ -7,11 +7,12 @@
     primary = integer | 'x' | 'y' | 'exp' '(' expr ')' | 'ln' '(' expr ')'
             | '(' expr ')'
 
-Every literal is an integer token, stored as ``("num", int)``; rational
-constants are written as quotients of integers ("3/2").  One recursive fold
-evaluates the AST: the leaves and the four arithmetic nodes neg, add, sub
-and mul use Python operators, and the remaining nodes (num, div, pow, exp,
-ln) look up an operation table.  There are three tables:
+Every literal is an integer token of ASCII digits, stored as
+``("num", int)``; rational constants are written as quotients of integers
+("3/2").  One recursive fold evaluates the AST: the leaves and the four
+arithmetic nodes neg, add, sub and mul use Python operators, and the
+remaining nodes (num, div, pow, exp, ln) look up an operation table.  There
+are three tables:
 
 * jets (``Jet.constant``, ``operator.truediv``, ``Jet.pow_int``,
   ``Jet.exp``, ``Jet.ln``) give exact jets at a base point;
@@ -62,11 +63,15 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes '²'
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ExprSyntaxError(f"integer of {j - i} digits is too "
+                                      "long", i) from None
             i = j
             continue
         if ch.isalpha():

@@ -36,10 +36,10 @@ _RHO_STEPS = 1 << 22  # ample for a factor below 1.8e12; a few seconds at most
 
 
 def _factor(n: int) -> dict[int, int]:
-    """Prime factorisation of n >= 1: trial division up to _TRIAL_BOUND, then
-    Miller-Rabin proves a cofactor prime or Pollard-Brent rho splits it.
-    Past _MR_EXACT_BELOW rho only peels small factors, so the ValueError for
-    a cofactor out of reach comes fast."""
+    """Prime factorisation of n >= 1: trial division to _TRIAL_BOUND; then a
+    square cofactor splits into its two roots, and any other is proved prime
+    by Miller-Rabin or split by Pollard-Brent rho.  Past _MR_EXACT_BELOW rho
+    only peels small factors, so a cofactor out of reach fails fast."""
     if n < 1:
         raise ValueError(f"cannot factor non-positive integer {n}")
     out: dict[int, int] = {}
@@ -52,6 +52,9 @@ def _factor(n: int) -> dict[int, int]:
     todo = [rest] if rest > 1 else []
     while todo:  # no cofactor has a prime factor below d
         m = todo.pop()
+        if (root := math.isqrt(m)) ** 2 == m:
+            todo += [root, root]
+            continue
         big, composite = m >= _MR_EXACT_BELOW, m >= d * d and _witness(m)
         p = composite and _rho(m, _RHO_STEPS >> 10 if big else _RHO_STEPS)
         if p:

@@ -62,6 +62,133 @@ def test_malformed_documents(doc, fragment):
     assert fragment in str(err.value)
 
 
+# Every error path of the reader, with the exact message and 1-based line and
+# column.  Tabs and carriage returns count as one column; only '\n' starts a
+# line.  The second row and the second parity are marked right after their
+# comma, before any whitespace; the first row, the matrix and the parity list
+# after it.
+POSITIONED_ERRORS = [
+    ('', "expected '{', found 'end of input'", 1, 1),
+    ('  \n x', "expected '{', found 'x'", 2, 2),
+    ('["matrix"]', "expected '{', found '['", 1, 1),
+    ('{', 'expected \'"\', found \'end of input\'', 1, 2),
+    ('{"matrix', "unterminated string", 1, 9),
+    ('{"mat\\', "unterminated escape", 1, 7),
+    ('{"m\\x"', "unsupported escape \\x", 1, 6),
+    ('{"m\\\n"', "unsupported escape \\\n", 2, 1),
+    ('{"matrix":[[2]],"name":"a\\qb"}', "unsupported escape \\q", 1, 28),
+    ('{"name":"a\\"b\\\\","matrix":[[1,2]]}',
+     "non-square matrix: row has 2 entries, expected 1", 1, 28),
+    ('{"name":5,"matrix":[[2]]}', 'expected \'"\', found \'5\'', 1, 9),
+    ('{"matrix" [[2]]}', "expected ':', found '['", 1, 11),
+    ('{"matrix":[[2]],}', 'expected \'"\', found \'}\'', 1, 17),
+    ('{"matrix":[[2]] "name":"x"}', 'expected \'}\', found \'"\'', 1, 17),
+    ('{"matrix":[[2.5]]}',
+     'non-rational entry: floats are not allowed; write "p/q"', 1, 13),
+    ('{"matrix":[[1e3]]}',
+     'non-rational entry: floats are not allowed; write "p/q"', 1, 13),
+    ('{"matrix":[[2],[-7E1]]}',
+     'non-rational entry: floats are not allowed; write "p/q"', 1, 17),
+    ('{"matrix":[[-]]}', "expected an integer", 1, 14),
+    ('{"matrix":[[-\n1]]}', "expected an integer", 1, 14),
+    ('{"matrix":[[x]]}', "expected a rational entry, found 'x'", 1, 13),
+    ('{"matrix":[[', "expected a rational entry, found 'end of input'", 1, 13),
+    ('{"matrix":[[2 3]]}', "expected ']', found '3'", 1, 15),
+    ('{"matrix":[[-1\n.5]]}', "expected ']', found '.'", 2, 1),
+    ('{"matrix":[[2],]}', "expected '[', found ']'", 1, 16),
+    ('{"matrix":[[2,]]}', "expected a rational entry, found ']'", 1, 15),
+    ('{"matrix":[["2/0"]]}', "non-rational entry '2/0'", 1, 13),
+    ('{"matrix":[["a"]]}', "non-rational entry 'a'", 1, 13),
+    ('{"matrix":[["1/2/3"]]}', "non-rational entry '1/2/3'", 1, 13),
+    ('{"matrix":[["1/2",\r"x"]]}', "non-rational entry 'x'", 1, 20),
+    ('{"matrix":[[2]],"matrix":[[2]]}', "duplicate key 'matrix'", 1, 17),
+    ('{"matrix":[[2]],\n\t"extra":1}', "unknown key 'extra'", 2, 2),
+    ('{"mätrix":1}', "unknown key 'mätrix'", 1, 2),
+    ('{\t"matrix":[[2]],\t\t"bad":0}', "unknown key 'bad'", 1, 20),
+    ('{"matrix":[[2]],"parities":["big"]}',
+     "parity must be 'even' or 'odd', got 'big'", 1, 29),
+    ('{"matrix":[[2,0],[0,2]],"parities":["even",  "big"]}',
+     "parity must be 'even' or 'odd', got 'big'", 1, 44),
+    ('{"matrix":[[2]],"parities":[odd]}', 'expected \'"\', found \'o\'',
+     1, 29),
+    ('{"matrix":[[2]],"parities":["odd"', "expected ']', found 'end of input'",
+     1, 34),
+    ('{"matrix":[[2]]} x', "trailing content after document", 1, 18),
+    ('{"matrix":[[2]]}\n\n  }', "trailing content after document", 3, 3),
+    ('{"parities":["even"]}', "missing required key 'matrix'", 1, 1),
+    ('{"matrix":[]}', "matrix must have at least one row", 1, 11),
+    ('{"matrix": \n  []}', "matrix must have at least one row", 2, 3),
+    ('{"matrix":[[2,-1],[0]]}',
+     "non-square matrix: row has 1 entries, expected 2", 1, 19),
+    ('{"matrix":[[2,-1],\r\n  [0]]}',
+     "non-square matrix: row has 1 entries, expected 2", 1, 19),
+    ('{"matrix":[ \t[2,-1]]}',
+     "non-square matrix: row has 2 entries, expected 1", 1, 14),
+    ('{"matrix":[[2,-1],[0,2]],\n "parities":["even","even","odd"]}',
+     "parity list has length 3, expected 2", 2, 13),
+    ('{\n"matrix":[[2]],\n"parities":["even","odd"]}',
+     "parity list has length 2, expected 1", 3, 12),
+    ('{"matrix":[[2]],"parities":  [\n"odd",\n"even"]}',
+     "parity list has length 2, expected 1", 1, 30),
+]
+
+
+@pytest.mark.parametrize("doc,message,line,col", POSITIONED_ERRORS)
+def test_error_message_and_position(doc, message, line, col):
+    with pytest.raises(CartanFormatError) as err:
+        parse_cartan(doc)
+    assert str(err.value) == f"{message} (line {line}, column {col})"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+# Integers are ASCII digits: a bare integer is '-?[0-9]+', and a "p/q" string
+# holds no other digits either.
+@pytest.mark.parametrize("doc,message,line,col", [
+    ('{"matrix":[[2', "expected ']', found 'end of input'", 1, 14),
+    ('{"matrix":[[-12', "expected ']', found 'end of input'", 1, 16),
+    ('{"matrix":[[²]]}', "expected a rational entry, found '²'", 1, 13),
+    ('{"matrix":[[٣]]}', "expected a rational entry, found '٣'", 1, 13),
+    ('{"matrix":[[2²]]}', "expected ']', found '²'", 1, 14),
+    ('{"matrix":[["٣"]]}', "non-rational entry '٣'", 1, 13),
+    ('{"matrix":[["1/٣"]]}', "non-rational entry '1/٣'", 1, 13),
+    pytest.param('{"matrix":[[' + "1" * 5000 + "]]}",
+                 "integer of 5000 digits is too long", 1, 13,
+                 id="5000-digit-integer"),
+])
+def test_integers_are_ascii_and_end_cleanly(doc, message, line, col):
+    with pytest.raises(CartanFormatError) as err:
+        parse_cartan(doc)
+    assert str(err.value) == f"{message} (line {line}, column {col})"
+
+
+_VALID = ['{"matrix":[[2,-1],[-1,2]],"parities":["even","odd"],"name":"a"}',
+          '{ "matrix" : [ [ "1/2" ] ] }\n']
+_FRAGMENTS = ['{', '}', '[', ']', ',', ':', '"', '\\', ' ', '\n', '\t', '-',
+              '.', 'e', '/', '0', '7', '²', '٣', '"x"', '"odd"', '"1/3"', '']
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid document with a span replaced by a few fragments."""
+    doc = draw(st.sampled_from(_VALID))
+    i = draw(st.integers(0, len(doc)))
+    j = draw(st.integers(i, min(len(doc), i + 3)))
+    middle = "".join(draw(st.lists(st.sampled_from(_FRAGMENTS), max_size=3)))
+    return doc[:i] + middle + doc[j:]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(st.one_of(
+    st.text(max_size=24), _mutated_documents(),
+    st.text("-0123456789.e²٣\"/ ],", max_size=8)
+    .map('{"matrix":[['.__add__)))
+def test_parse_cartan_raises_only_format_errors(text):
+    try:
+        parse_cartan(text)
+    except CartanFormatError:
+        pass
+
+
 def test_render_parse_round_trip():
     samples = [
         CartanMatrix.from_rows([[2]]),

@@ -435,6 +435,17 @@ def test_input_failures_exit_3(tmp_path, monkeypatch, capsys, files, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("key,value", [("x0", True), ("y1", False)])
+def test_solve_rejects_boolean_domain_ends(tmp_path, monkeypatch, capsys, key,
+                                           value):
+    monkeypatch.chdir(tmp_path)
+    files, argv = _solve({key: value})
+    (tmp_path / "b.json").write_text(files["b.json"])
+    assert run(capsys, *argv) == (
+        3, "", f"error: b.json: bad boundary document ({key} must be a "
+        f"rational, got {json.dumps(value)})\n")
+
+
 def test_solve_overflow_prints_one_error_line(tmp_path):
     # 10^308 * exp(5) overflows to inf in a float product; the solver must
     # report the cell without a numpy RuntimeWarning on stderr
@@ -461,10 +472,14 @@ def test_huge_integer_power_is_fast(capsys):
     assert "vanishes" in err
 
 
-@pytest.mark.parametrize("base,code", [("1e20,0", 0), ("1e40,0", 3)])
+@pytest.mark.parametrize("base,code", [
+    ("1e20,0", 0), ("1e40,0", 3),
+    ("300000000580000000017,0", 0)])
 def test_base_with_large_prime_factors_ends_fast(capsys, base, code):
     # ln((f+g)^2) factors (10^20+2)^2, 10^20+2 = 2*3*155977777*106852828571,
-    # which rho splits; 10^40+2 leaves a cofactor past the Miller-Rabin bound
+    # which rho splits; 10^40+2 leaves a cofactor past the Miller-Rabin bound.
+    # At 300000000580000000017 f+g = p*q with p = 10000000019 and
+    # q = 30000000001: (p*q)^2 is past the bound, but its square root is not
     start = time.perf_counter()
     got, out, err = run(capsys, "verify-liouville", "--f", "x+1", "--g",
                         "y+1", "--base", base, "--order", "4")

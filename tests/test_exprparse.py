@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zcurv.exprparse import (ExprSyntaxError, eval_float, eval_jet,
                              parse_expression, used_variables)
@@ -55,6 +56,7 @@ def test_used_variables():
 
 @pytest.mark.parametrize("text", [
     "x +", "(x", "x)", "2 **, x", "foo(x)", "x^y", "x^(1/2)", "@", "exp x",
+    "x+²", "٣", pytest.param("1" * 5000, id="5000-digit-integer"),
 ])
 def test_syntax_errors(text):
     with pytest.raises(ExprSyntaxError):
@@ -72,3 +74,13 @@ def test_evaluation_errors_surface():
         build("ln(x)")  # zero body at the default base point
     with pytest.raises(ValueError):
         build("1/x")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.one_of(st.text(max_size=16),
+                 st.text("xy()+-*/^0123456789 expln²٣_", max_size=16)))
+def test_parse_raises_only_syntax_errors(text):
+    try:
+        parse_expression(text)
+    except ExprSyntaxError:
+        pass

@@ -75,7 +75,7 @@ def expressions(names: str = "xy"):
         st.sampled_from([f"{v}+1", f"exp({v})", f"2*{v}^3+{v}+5"]),
         trees_in(names).map(render),
         # no '^' here: a drawn exponent could be as large as 10^13
-        st.text(alphabet="xy()+-*/0123456789 expln", max_size=16),
+        st.text(alphabet="xy()+-*/0123456789 expln²٣", max_size=16),
         st.sampled_from(["", "x^y", "exp(", "1/0", "ln(0)", "((x)"]))
 
 
@@ -92,7 +92,8 @@ ends = st.one_of(st.sampled_from(["0", "1/2", "1", "2", "-1", "1/0", "a"]),
                  st.integers(-1, 2), st.floats(-1, 2), st.none())
 cartan_files = st.one_of(
     st.sampled_from([(DATA / f).read_bytes()
-                     for f in ("sl2.cm", "sl3.cm", "osp12.cm", "null1.cm")]),
+                     for f in ("sl2.cm", "sl3.cm", "osp12.cm", "null1.cm")]
+                    + ['{"matrix":[[2²]]}'.encode()]),
     st.binary(max_size=24),
     st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=2),
              min_size=1, max_size=2).map(

@@ -154,6 +154,13 @@ def test_factor_splits_large_cofactors(n):
     assert _factor(n) == sympy.factorint(n)
 
 
+def test_factor_halves_a_square_past_the_bound():
+    p, q = 10000000019, 30000000001  # sympy.nextprime(10^10), (3*10^10)
+    assert (p * q) ** 2 >= _MR_EXACT_BELOW > p * q
+    assert _factor((p * q) ** 2) == {p: 2, q: 2}
+    assert _factor(6 * (p * q) ** 2) == {2: 1, 3: 1, p: 2, q: 2}
+
+
 @pytest.mark.parametrize("n,cofactor", [
     (2**89 - 1, 2**89 - 1),                       # a prime past the bound
     (10**40 + 2, (10**40 + 2) // 6),              # no small factor to peel
