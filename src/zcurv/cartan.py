@@ -20,11 +20,12 @@ raises; whitespace is space, tab, CR and LF, and only LF starts a line::
       "matrix"   : array of equal-length arrays of rationals (required)
       "parities" : array of "even" / "odd" strings (optional, default even)
       "name"     : string (optional)
-    rational  = integer literal, or string "p/q" with integer p, q
+    rational  = integer | '"' integer ('/' integer)? '"'
     integer   = '-'? [0-9]+                  -- ASCII digits only
     string    = '"' (char other than '"' and '\\', or \\" \\\\ \\/)* '"'
 
-The renderer emits a canonical form (fixed key order, no whitespace), and
+The renderer emits a canonical form (fixed key order, no whitespace,
+``\\`` and ``"`` escaped in the name), and
 ``parse_cartan(render_cartan(A)) == A`` for every valid ``A``.
 
 Determinant and inverse come from one fraction-free elimination: each row
@@ -235,6 +236,7 @@ def invert_rational(rows) -> tuple[tuple[Fraction, ...], ...]:
 
 _WS = re.compile(r"[ \t\r\n]*")
 _INT = re.compile(r"-?[0-9]*")
+_RATIONAL_STRING = re.compile(r"-?[0-9]+(?:/-?[0-9]+)?")
 _STRING_BODY = re.compile(r'[^"\\]*(?:\\["\\/][^"\\]*)*')
 _ESCAPE = re.compile(r"\\(.)")
 
@@ -287,7 +289,7 @@ class _Reader:
         if self.peek() == '"':
             raw = self.read_string()
             try:
-                if raw.isascii() and raw.count("/") <= 1:
+                if _RATIONAL_STRING.fullmatch(raw):
                     return Fraction(*map(int, raw.split("/")))
             except (ValueError, ZeroDivisionError):
                 pass
@@ -390,5 +392,6 @@ def render_cartan(a: CartanMatrix) -> str:
     parts = [f'"matrix":[{rows}]']
     parts.append('"parities":[' + ",".join(f'"{p}"' for p in a.parities) + "]")
     if a.name is not None:
-        parts.append(f'"name":"{a.name}"')
+        name = a.name.replace("\\", "\\\\").replace('"', '\\"')
+        parts.append(f'"name":"{name}"')
     return "{" + ",".join(parts) + "}"

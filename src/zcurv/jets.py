@@ -7,10 +7,10 @@ a ``Fraction`` when rational and otherwise a ``Scalar``: a rational
 combination of exp/ln *units* (see ``scalars``), so identities like
 ``ln(exp(s)) == s`` hold coefficient-for-coefficient.
 
-A jet is stored as one integer row per unit, that is per ``Scalar`` term
-key ``(r, logs, pows)``; rationals use the trivial unit.  Units are
-numbered in the order this process first meets them, and rows are keyed
-by that number, so a row lookup hashes an int.  A row is a dict
+A jet is stored as one integer row per unit, keyed by the number that
+keys a ``Scalar``'s terms; ``scalars`` numbers the units as this process
+first meets them (rationals use the trivial unit 0), so a row lookup
+hashes an int and a jet never sees a unit tuple.  A row is a dict
 ``{(i, j): numerator}`` over one positive denominator, kept canonical: no
 zero numerators, no empty rows, and the numerators and the denominator
 have gcd 1.  Equal jets therefore have equal rows, so ``==`` and ``hash``
@@ -19,8 +19,8 @@ view of the nonzero coefficients; a ``Scalar`` sorts its units when it is
 printed or converted to float, so unit numbers never reach either.
 
 Every ring operation is a row operation.  A product convolves the integer
-rows of each pair of units once, and the pair's unit product, a unit times
-a rational factor by the rules of ``Scalar.__mul__``, is cached.  A sum
+rows of each pair of units once and takes the pair's unit product, a unit
+times a rational factor, from the cache ``scalars._unit_product``.  A sum
 merges rows over the lcm of their denominators; a scalar factor, a
 negation or a derivative rescales the numerators.  Rows that land on one
 unit are added, and each result row is divided by one gcd.  So the
@@ -56,54 +56,16 @@ import math
 from fractions import Fraction
 from itertools import compress
 
-from .scalars import _TRIVIAL_UNIT, Scalar, sexp, sinv, sln
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-# Units are numbered as first seen, so a row key hashes as an int; the
-# trivial unit is 0.
-_UNITS = [_TRIVIAL_UNIT]
-_UNIT_IDS = {_TRIVIAL_UNIT: 0}
-# (u, v) -> (w, m, q) with unit u times unit v == (m / q) * unit w, as ids
-# and ints
-_UNIT_PRODUCTS: dict = {}
-
-
-def _unit_id(unit) -> int:
-    uid = _UNIT_IDS.get(unit)
-    if uid is None:
-        uid = _UNIT_IDS[unit] = len(_UNITS)
-        _UNITS.append(unit)
-    return uid
-
-
-def _unit_product(u, v):
-    hit = _UNIT_PRODUCTS.get((u, v))
-    if hit is None:
-        product = Scalar({_UNITS[u]: _ONE}) * Scalar({_UNITS[v]: _ONE})
-        ((w, f),) = product._terms.items()
-        hit = _UNIT_PRODUCTS[(u, v)] = (_unit_id(w), f.numerator,
-                                         f.denominator)
-    return hit
+from .scalars import Scalar, _unit_product, normalize, sexp, sinv, sln
 
 
 def _unit_terms(v):
-    """The (unit id, nonzero Fraction) terms of an exact scalar."""
+    """The (unit number, nonzero Fraction) terms of an exact scalar."""
     if isinstance(v, Scalar):
-        return [(_unit_id(u), c) for u, c in v._terms.items()]
+        return v._terms.items()
     if isinstance(v, (int, Fraction)):
         return [(0, Fraction(v))] if v else []
     raise TypeError(f"not an exact coefficient: {v!r}")
-
-
-def _scalar(terms):
-    """A coefficient from its nonzero {unit id: Fraction} terms."""
-    if not terms:
-        return _ZERO
-    if len(terms) == 1 and 0 in terms:
-        return terms[0]
-    return Scalar({_UNITS[u]: c for u, c in terms.items()})
 
 
 def degree_series(jet, first, kind):
@@ -233,13 +195,13 @@ class Jet:
         for u, (nums, den) in self.rows.items():
             for k, n in nums.items():
                 terms.setdefault(k, {})[u] = Fraction(n, den)
-        return {k: _scalar(t) for k, t in terms.items()}
+        return {k: normalize(Scalar(t)) for k, t in terms.items()}
 
     def coefficient(self, i: int, j: int):
         key = (i, j)
-        return _scalar({u: Fraction(nums[key], den)
-                        for u, (nums, den) in self.rows.items()
-                        if key in nums})
+        return normalize(Scalar({u: Fraction(nums[key], den)
+                                 for u, (nums, den) in self.rows.items()
+                                 if key in nums}))
 
     @property
     def body(self):
@@ -316,7 +278,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.inverse()
-        return self * sinv(_scalar(dict(_unit_terms(other))))
+        return self * sinv(normalize(Scalar(dict(_unit_terms(other)))))
 
     def inverse(self) -> "Jet":
         """Multiplicative inverse; the body must be an invertible scalar."""

@@ -22,12 +22,22 @@ whose coefficient ``_factor`` can factor exactly.  Both raise ``ValueError``
 otherwise.  Values that happen to be rational are always returned as plain
 ``Fraction``; the module-level ``s*`` helpers accept either representation,
 which keeps the common all-rational paths on fast ``Fraction`` arithmetic.
+
+This module owns the one table of units, tuples ``(r, ((p, c), ...),
+((q, m), ...))`` numbered as this process first meets them (the trivial
+unit is 0).  A ``Scalar`` keys its terms, and a jet its rows, by that
+number, and every product of either takes unit products from one cache,
+``_unit_product``.  Printing and ``float`` sort terms by the unit tuple.
 """
 
 import math
 from fractions import Fraction
 
-_TRIVIAL_UNIT = (Fraction(0), (), ())
+# unit number -> unit tuple, and back; the trivial unit exp(0) is 0
+_UNITS = [(Fraction(0), (), ())]
+_UNIT_IDS = {_UNITS[0]: 0}
+# (u, v) -> (w, m, q) with unit u times unit v == (m / q) * unit w
+_UNIT_PRODUCTS: dict = {}
 
 _TRIAL_BOUND = 1000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -116,8 +126,18 @@ def _prime_exponents(q: Fraction) -> dict[int, int]:
     return {p: e for p, e in out.items() if e}
 
 
-def _fold_unit(exp_rat: Fraction, exp_logs: dict[int, Fraction]) -> tuple[tuple, Fraction]:
-    """Canonicalise prime-power exponents into [0, 1); return (key, factor)."""
+def _unit_id(unit) -> int:
+    uid = _UNIT_IDS.get(unit)
+    if uid is None:
+        uid = _UNIT_IDS[unit] = len(_UNITS)
+        _UNITS.append(unit)
+    return uid
+
+
+def _fold_unit(exp_rat: Fraction, exp_logs: dict[int, Fraction],
+               pows: tuple = ()) -> tuple[int, Fraction]:
+    """Canonicalise prime-power exponents into [0, 1); return (unit number,
+    factor) of exp(exp_rat) * prod p^c times the ln factors ``pows``."""
     factor = Fraction(1)
     logs = []
     for p in sorted(exp_logs):
@@ -130,7 +150,22 @@ def _fold_unit(exp_rat: Fraction, exp_logs: dict[int, Fraction]) -> tuple[tuple,
             c -= k
         if c:
             logs.append((p, c))
-    return (exp_rat, tuple(logs)), factor
+    return _unit_id((exp_rat, tuple(logs), pows)), factor
+
+
+def _unit_product(u: int, v: int) -> tuple[int, int, int]:
+    """(w, m, q) with unit u times unit v == (m / q) * unit w; cached."""
+    hit = _UNIT_PRODUCTS.get((u, v))
+    if hit is None:
+        (r1, l1, m1), (r2, l2, m2) = _UNITS[u], _UNITS[v]
+        logs, pows = dict(l1), dict(m1)
+        for p, c in l2:
+            logs[p] = logs.get(p, Fraction(0)) + c
+        for p, m in m2:
+            pows[p] = pows.get(p, 0) + m
+        w, f = _fold_unit(r1 + r2, logs, tuple(sorted(pows.items())))
+        hit = _UNIT_PRODUCTS[(u, v)] = (w, f.numerator, f.denominator)
+    return hit
 
 
 class Scalar:
@@ -146,7 +181,7 @@ class Scalar:
     @staticmethod
     def from_rational(q) -> "Scalar":
         q = Fraction(q)
-        return Scalar({_TRIVIAL_UNIT: q} if q else {})
+        return Scalar({0: q} if q else {})
 
     # -- queries ------------------------------------------------------
 
@@ -154,14 +189,14 @@ class Scalar:
         return not self._terms
 
     def is_rational(self) -> bool:
-        return not self._terms or set(self._terms) == {_TRIVIAL_UNIT}
+        return not self._terms or self._terms.keys() == {0}
 
     def as_fraction(self) -> Fraction:
         if not self._terms:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"scalar {self} is not rational")
-        return self._terms[_TRIVIAL_UNIT]
+        return self._terms[0]
 
     # -- ring operations ----------------------------------------------
 
@@ -186,17 +221,10 @@ class Scalar:
     def __mul__(self, other):
         other = as_scalar(other)
         terms: dict = {}
-        for (r1, l1, m1), c1 in self._terms.items():
-            for (r2, l2, m2), c2 in other._terms.items():
-                logs = dict(l1)
-                for p, c in l2:
-                    logs[p] = logs.get(p, Fraction(0)) + c
-                unit, factor = _fold_unit(r1 + r2, logs)
-                pows = dict(m1)
-                for p, m in m2:
-                    pows[p] = pows.get(p, 0) + m
-                key = (unit[0], unit[1], tuple(sorted(pows.items())))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2 * factor
+        for u, c1 in self._terms.items():
+            for v, c2 in other._terms.items():
+                w, m, q = _unit_product(u, v)
+                terms[w] = terms.get(w, Fraction(0)) + c1 * c2 * m / q
         return Scalar(terms)
 
     __rmul__ = __mul__
@@ -204,11 +232,12 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if len(self._terms) != 1:
             raise ValueError(f"cannot invert multi-term scalar {self}")
-        ((r, logs, pows), c), = self._terms.items()
+        ((u, c),) = self._terms.items()
+        r, logs, pows = _UNITS[u]
         if pows:
             raise ValueError(f"cannot invert scalar with ln factors: {self}")
-        unit, factor = _fold_unit(-r, {p: -e for p, e in logs})
-        return Scalar({(unit[0], unit[1], ()): factor / c})
+        w, factor = _fold_unit(-r, {p: -e for p, e in logs})
+        return Scalar({w: factor / c})
 
     # -- exp / ln -----------------------------------------------------
 
@@ -216,22 +245,24 @@ class Scalar:
         """exp of a scalar of the form  r + sum b_p ln(p)."""
         r = Fraction(0)
         logs: dict[int, Fraction] = {}
-        for (er, el, lp), c in self._terms.items():
-            if (er, el, lp) == _TRIVIAL_UNIT:
+        for u, c in self._terms.items():
+            er, el, lp = _UNITS[u]
+            if not u:
                 r += c
             elif er == 0 and not el and len(lp) == 1 and lp[0][1] == 1:
                 p = lp[0][0]
                 logs[p] = logs.get(p, Fraction(0)) + c
             else:
                 raise ValueError(f"exp not defined on scalar term {self}")
-        unit, factor = _fold_unit(r, logs)
-        return normalize(Scalar({(unit[0], unit[1], ()): factor}))
+        w, factor = _fold_unit(r, logs)
+        return normalize(Scalar({w: factor}))
 
     def ln(self) -> "Scalar":
         """ln of a single-term positive scalar with no ln factors."""
         if len(self._terms) != 1:
             raise ValueError(f"ln not defined on multi-term scalar {self}")
-        ((r, logs, pows), c), = self._terms.items()
+        ((u, c),) = self._terms.items()
+        r, logs, pows = _UNITS[u]
         if pows:
             raise ValueError(f"ln not defined on scalar with ln factors: {self}")
         if c <= 0:
@@ -241,10 +272,10 @@ class Scalar:
             exps[p] = exps.get(p, Fraction(0)) + e
         terms: dict = {}
         if r:
-            terms[_TRIVIAL_UNIT] = r
+            terms[0] = r
         for p, e in exps.items():
             if e:
-                terms[(Fraction(0), (), ((p, 1),))] = e
+                terms[_unit_id((Fraction(0), (), ((p, 1),)))] = e
         return normalize(Scalar(terms))
 
     # -- conversions / protocol ---------------------------------------
@@ -253,7 +284,8 @@ class Scalar:
         """Exactly rounded sum over the sorted units, so equal scalars give
         equal floats whatever order their terms were accumulated in."""
         values = []
-        for (r, logs, pows), c in sorted(self._terms.items()):
+        for u, c in sorted(self._terms.items(), key=lambda t: _UNITS[t[0]]):
+            r, logs, pows = _UNITS[u]
             v = float(c) * math.exp(float(r))
             for p, e in logs:
                 v *= p ** float(e)
@@ -281,7 +313,8 @@ class Scalar:
         if not self._terms:
             return "0"
         parts = []
-        for (r, logs, pows), c in sorted(self._terms.items()):
+        for u, c in sorted(self._terms.items(), key=lambda t: _UNITS[t[0]]):
+            r, logs, pows = _UNITS[u]
             bits = []
             if c != 1 or (r == 0 and not logs and not pows):
                 bits.append(str(c) if c.denominator == 1 else f"({c})")
@@ -309,8 +342,9 @@ def normalize(v):
 
 
 # Arithmetic helpers over Fraction | Scalar, which give a Fraction whenever
-# the value is rational.  Jets keep integer rows per unit instead, and use
-# only sexp, sln and sinv, once per operation.
+# the value is rational.  Jets keep integer rows keyed by this module's unit
+# numbers instead, take unit products from _unit_product, and use only sexp,
+# sln and sinv, once per operation.
 
 def sadd(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):

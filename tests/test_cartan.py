@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zcurv.cartan import (AdmissibilityReport, CartanFormatError, CartanMatrix,
                           check_admissible, determinant, invert_rational,
@@ -101,6 +101,10 @@ POSITIONED_ERRORS = [
     ('{"matrix":[["a"]]}', "non-rational entry 'a'", 1, 13),
     ('{"matrix":[["1/2/3"]]}', "non-rational entry '1/2/3'", 1, 13),
     ('{"matrix":[["1/2",\r"x"]]}', "non-rational entry 'x'", 1, 20),
+    ('{"matrix":[[" 3"]]}', "non-rational entry ' 3'", 1, 13),
+    ('{"matrix":[["+3"]]}', "non-rational entry '+3'", 1, 13),
+    ('{"matrix":[["1_0"]]}', "non-rational entry '1_0'", 1, 13),
+    ('{"matrix":[["1/ 2"]]}', "non-rational entry '1/ 2'", 1, 13),
     ('{"matrix":[[2]],"matrix":[[2]]}', "duplicate key 'matrix'", 1, 17),
     ('{"matrix":[[2]],\n\t"extra":1}', "unknown key 'extra'", 2, 2),
     ('{"mätrix":1}', "unknown key 'mätrix'", 1, 2),
@@ -199,6 +203,16 @@ def test_render_parse_round_trip():
     ]
     for m in samples:
         assert parse_cartan(render_cartan(m)) == m
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.sampled_from([[[2]], [[0, Fraction(-3, 7)], [5, 1]]]),
+       st.text(st.one_of(st.sampled_from('"\\/\n'), st.characters()),
+               max_size=12))
+@example([[2]], 'a"b\\c/d\nπ²')
+def test_render_parse_round_trip_escapes_names(rows, name):
+    m = CartanMatrix.from_rows(rows, name=name)
+    assert parse_cartan(render_cartan(m)) == m
 
 
 def test_render_is_canonical():

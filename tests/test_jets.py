@@ -1,10 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import random_fraction, random_jet
-from zcurv import jets
+from conftest import DATA, GOLDEN, random_fraction, random_jet
+from zcurv import jets, scalars
 from zcurv.jets import Jet
 from zcurv.scalars import Scalar, sadd, sexp, sinv, sln, smul
 from zcurv.solutions import liouville_solution
@@ -501,26 +506,23 @@ def _pairwise_ln(u):
 def test_unit_products_are_per_unit_pair(monkeypatch):
     """exp(x) times 3*exp(y) at (1/2, 1/2) carries exp(1/2) on every
     coefficient: the product multiplies units once per pair of units, not
-    once per pair of coefficients."""
+    once per pair of coefficients.  Both scalars and jets take a unit
+    product from _unit_product, so the test counts its calls."""
     base, order = (Fraction(1, 2), Fraction(1, 2)), 16
     f = Jet.variable("x", base, order).exp()
     g = Jet.variable("y", base, order).exp() * 3
 
-    def units(jet):
-        return {u for v in jet.coeffs.values()
-                for u in (v._terms if isinstance(v, Scalar) else ["1"])}
-
     calls = []
-    mul = Scalar.__mul__
+    unit_product = scalars._unit_product
 
-    def counted(self, other):
-        calls.append(1)
-        return mul(self, other)
+    def counted(u, v):
+        calls.append((u, v))
+        return unit_product(u, v)
 
-    monkeypatch.setattr(jets, "_UNIT_PRODUCTS", {})
-    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(scalars, "_unit_product", counted)
+    monkeypatch.setattr(jets, "_unit_product", counted)
     prod = f * g
-    assert 0 < len(calls) <= len(units(f)) * len(units(g))
+    assert 0 < len(calls) <= len(f.rows) * len(g.rows)
     monkeypatch.undo()
     assert prod.coeffs == naive_product(f, g)
 
@@ -534,3 +536,55 @@ def test_unit_products_are_per_unit_pair(monkeypatch):
                              Fraction(1, 2))
                      for k in {*lhs, *rhs}})
     assert liouville_solution(f, g).coeffs == want
+
+
+# Units are numbered as a process first meets them.  This script meets
+# ln(7), exp(1/3) and ln(2) before anything else, and then the units
+# exp(k/6) ln(2)^a ln(7)^b of the jet it renders last in descending order,
+# the reverse of the order they print in.  Then it runs CLI commands.
+FRESH_UNIT_ORDER_SCRIPT = """
+import contextlib, io, json, sys
+from fractions import Fraction
+from zcurv.scalars import sexp, sln, smul
+first = [sln(Fraction(7)), sexp(Fraction(1, 3)), sln(Fraction(2))]
+for k in range(16, -1, -1):
+    for a in (2, 1, 0):
+        for b in (2, 1, 0):
+            v = sexp(Fraction(k, 6))
+            for factor in [first[2]] * a + [first[0]] * b:
+                v = smul(v, factor)
+from zcurv.cli import main
+from zcurv.jets import Jet
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out.append([code, buf.getvalue()])
+base = (Fraction(1, 2), Fraction(1, 2))
+p = ((Jet.variable("x", base, 4).exp() + sln(Fraction(7)))
+     * (Jet.variable("y", base, 4).exp() * sexp(Fraction(1, 3)) + first[2]))
+out.append([str(p * p), repr((p * p).evaluate(0.6, 0.4))])
+print(json.dumps(out))
+"""
+
+
+def test_unit_order_never_reaches_output(tmp_path):
+    doc = tmp_path / "sol.json"
+    doc.write_text(json.dumps({"components": ["-2*ln(x+y)"]}))
+    argvs = [["verify-liouville", "--f", "x+1", "--g", "y+1", "--order", "8"],
+             ["verify-lse", "--cartan", str(DATA / "sl2.cm"), "--solution",
+              str(doc), "--form", "lsbis", "--base", "1,1"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(jets.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", FRESH_UNIT_ORDER_SCRIPT,
+                           json.dumps(argvs)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    liouville, lse, rendered = json.loads(proc.stdout)
+    assert liouville == [0, (GOLDEN / "verify_liouville.txt").read_text()]
+    assert lse == [0, (GOLDEN / "verify_lse.txt").read_text()]
+    base = (Fraction(1, 2), Fraction(1, 2))
+    p = ((Jet.variable("x", base, 4).exp() + sln(Fraction(7)))
+         * (Jet.variable("y", base, 4).exp() * sexp(Fraction(1, 3))
+            + sln(Fraction(2))))
+    assert rendered == [str(p * p), repr((p * p).evaluate(0.6, 0.4))]

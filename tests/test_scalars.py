@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from zcurv import scalars
 from zcurv.scalars import (_MR_EXACT_BELOW, Scalar, _factor, as_scalar, sadd,
                            sexp, sinv, sln, smul)
 
@@ -170,3 +172,75 @@ def test_factor_rejects_what_it_cannot_decide(n, cofactor):
     with pytest.raises(ValueError, match=f"cannot factor {n} exactly: its "
                        f"factor {cofactor} "):
         _factor(n)
+
+
+# The ring against sympy: each unit exp(r) * prod p^c * prod ln(q)^m maps to
+# its sympy expression, so a scalar maps to a sum of sympy terms.
+def _sympy_terms(v):
+    if isinstance(v, Fraction):
+        return [sympy.Rational(v.numerator, v.denominator)] if v else []
+    terms = []
+    for u, c in v._terms.items():
+        r, logs, pows = scalars._UNITS[u]
+        term = sympy.Rational(c.numerator, c.denominator) * sympy.exp(
+            sympy.Rational(r.numerator, r.denominator))
+        for p, e in logs:
+            term *= sympy.Integer(p) ** sympy.Rational(e.numerator,
+                                                       e.denominator)
+        for q, m in pows:
+            term *= sympy.log(q) ** m
+        terms.append(term)
+    return terms
+
+
+def _sympy(v):
+    return sympy.Add(*_sympy_terms(v))
+
+
+def _same(expr, want):
+    return sympy.expand(expr - want) == 0
+
+
+ROOT3 = sexp(smul(Fraction(1, 2), sln(Fraction(3))))
+CBRT2 = sexp(smul(Fraction(1, 3), sln(Fraction(2))))
+# units without ln factors, then units with them
+_PLAIN = [Fraction(1), sexp(Fraction(1, 3)), sexp(Fraction(-2)), ROOT3,
+          CBRT2, smul(sexp(Fraction(1, 2)), CBRT2)]
+_ORACLE_UNITS = _PLAIN + [sln(Fraction(2)), sln(Fraction(5)),
+                          smul(ROOT3, sln(Fraction(3)))]
+_RATS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _combination(pairs):
+    out = Fraction(0)
+    for u, q in pairs:
+        out = sadd(out, smul(q, _ORACLE_UNITS[u]))
+    return out
+
+
+_SUMS = st.lists(st.tuples(st.integers(0, len(_ORACLE_UNITS) - 1), _RATS),
+                 min_size=1, max_size=4).map(_combination)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(_SUMS, _SUMS, st.integers(0, len(_PLAIN) - 1),
+       _RATS.filter(bool), st.lists(_RATS, min_size=4, max_size=4))
+def test_scalar_ring_matches_sympy(a, b, plain, q, exponent):
+    """Products, inverse, exp, ln and float against sympy's own rules."""
+    product = smul(a, b)
+    assert _same(_sympy(product), _sympy(a) * _sympy(b))
+    single = smul(q, _PLAIN[plain])
+    assert _same(_sympy(sinv(single)) * _sympy(single), 1)
+    positive = smul(abs(q), _PLAIN[plain])
+    assert _same(_sympy(sln(positive)), sympy.expand_log(
+        sympy.log(_sympy(positive)), force=True, factor=True))
+    r, *logs = exponent
+    arg = r
+    for p, c in zip((2, 3, 5), logs):
+        arg = sadd(arg, smul(c, sln(Fraction(p))))
+    assert _same(_sympy(sexp(arg)), sympy.exp(_sympy(arg)))
+    for v in (a, b, product, sinv(single), sln(positive), sexp(arg)):
+        terms = _sympy_terms(v)
+        scale = sum(abs(float(sympy.N(t, 30))) for t in terms)
+        want = float(sympy.N(sympy.Add(*terms), 30))
+        assert abs(float(v) - want) <= 1e-14 * scale
