@@ -13,6 +13,10 @@ a ``Fraction``.  An atom is either
 * an opaque ``exp(...)`` of a rational-linear combination of names, used
   only on the right-hand sides of derived systems and never differentiated.
 
+Atoms are named tuples, so equality and hashing come from their fields.
+``_term_key`` is the one print order of monomials; it also picks the
+leading term that a derived equation makes positive.
+
 Odd atoms anticommute and square to zero; even atoms commute with
 everything.  D+ and D- act as odd derivations, dx and dy as even ones.
 All sign bookkeeping is literal algebra on these monomials.
@@ -23,32 +27,25 @@ and zero coefficients dropped and integral ones made ``int`` once, at the
 end.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     name: str
     dx: int = 0
     dy: int = 0
     dp: int = 0
     dm: int = 0
     base_parity: int = 0
-    # monomial order and hash, computed once; not part of repr or ==
-    sort_key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        lower_first = 0 if self.name[:1].islower() else 1
-        object.__setattr__(self, "sort_key", (
-            0, (lower_first, self.name.lower(), self.name), self.dx, self.dy,
-            self.dp, self.dm, self.base_parity))
-        object.__setattr__(self, "_hash", hash(
-            (self.name, self.dx, self.dy, self.dp, self.dm, self.base_parity)))
-
-    def __hash__(self):
-        return self._hash
+    @property
+    def sort_key(self) -> tuple:
+        """The monomial order: names case-insensitively, lower case first."""
+        name = self.name
+        lower_first = 0 if name[:1].islower() else 1
+        return (0, (lower_first, name.lower(), name), self.dx, self.dy,
+                self.dp, self.dm, self.base_parity)
 
     @property
     def parity(self) -> int:
@@ -65,15 +62,14 @@ class Atom:
         return out
 
 
-@dataclass(frozen=True)
-class ExpAtom:
+class ExpAtom(NamedTuple):
     """exp of a rational-linear combination of names; parity even."""
 
     args: tuple[tuple[Fraction, str], ...]
-    sort_key: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sort_key", (1, self.args, 0, 0, 0, 0, ""))
+    @property
+    def sort_key(self) -> tuple:
+        return (1, self.args)
 
     @property
     def parity(self) -> int:
@@ -245,11 +241,8 @@ class Expr:
     def render(self) -> str:
         if not self.terms:
             return "0"
-        def term_key(mono):
-            return (len(mono),
-                    tuple(_term_atom_key(a) for a in mono))
         parts = []
-        for mono in sorted(self.terms, key=term_key):
+        for mono in sorted(self.terms, key=_term_key):
             c = self.terms[mono]
             parts.append(_render_term(c, mono))
         text = parts[0]
@@ -286,12 +279,17 @@ def _derive_atom(a: Atom, op: str) -> tuple[int, Atom]:
     raise ValueError(f"unknown derivation {op!r}")
 
 
+def _term_key(mono: tuple) -> tuple:
+    """The print order of monomials: shorter first, then atom by atom."""
+    return (len(mono), tuple(_term_atom_key(a) for a in mono))
+
+
 def _term_atom_key(a):
     if isinstance(a, ExpAtom):
-        return (1, 0, 0, "", 0, 0, 0, 0, a.args)
-    upper_first = 0 if not a.name[:1].islower() else 1
-    return (0, -a.dp, -a.dm, a.name.lower(), upper_first, a.dx, a.dy,
-            a.base_parity, ())
+        return (1, a.args)
+    # case-folded name, then the name itself: "B" before "b", "aB" before "ab"
+    return (0, -a.dp, -a.dm, a.name.lower(), a.name, a.dx, a.dy,
+            a.base_parity)
 
 
 def _render_term(c: int | Fraction, mono: tuple) -> str:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .cartan import CartanMatrix, determinant, standard_cartan
 from .superalg import fixture_table
 from .superfield import SuperField
-from .symexpr import Atom, Expr, exp_linear, fn
+from .symexpr import Atom, Expr, _term_key, exp_linear, fn
 
 GenKey = tuple[str, int]
 
@@ -252,7 +252,7 @@ class DerivationError(RuntimeError):
 
 def _split_equation(expr: Expr) -> Equation:
     """Move derivative terms left, the rest (negated) right; normalise the
-    leading left term to a positive coefficient."""
+    first printed left term to a positive coefficient."""
     lhs, rhs = {}, {}
     for mono, c in expr.terms.items():
         if any(isinstance(a, Atom) and (a.dx or a.dy or a.dp or a.dm)
@@ -263,7 +263,7 @@ def _split_equation(expr: Expr) -> Equation:
     lhs, rhs = Expr(lhs), Expr(rhs)
     if lhs.is_zero():
         raise DerivationError("equation has no derivative term")
-    first = min(lhs.terms, key=lambda m: (len(m), tuple(map(repr, m))))
+    first = min(lhs.terms, key=_term_key)
     if lhs.terms[first] < 0:
         lhs, rhs = -lhs, -rhs
     return Equation(lhs, rhs)

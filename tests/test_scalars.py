@@ -139,6 +139,22 @@ def test_equal_scalars_convert_to_equal_floats(terms, shuffler):
     assert float(forward) == float(backward)
 
 
+def test_float_sums_in_sorted_unit_order_past_an_intermediate_overflow():
+    """fsum raises when a partial sum leaves the float range, so the unit
+    order of a sum near the top of that range decides whether it converts."""
+    e = sexp(Fraction(709))
+    a = e
+    b = smul(e, sexp(smul(Fraction(1, 2), sln(Fraction(2)))))
+    c = smul(e, sexp(smul(Fraction(1, 2), sln(Fraction(3)))))
+    forward = sadd(sadd(a, c), smul(Fraction(-1), b))
+    backward = sadd(sadd(a, smul(Fraction(-1), b)), c)
+    assert forward == backward
+    assert float(forward) == float(backward) == 1.0830523449032066e+308
+    # the terms of forward in insertion order, a + c first, overflow
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum([float(a), float(c), -float(b)])
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(st.integers(min_value=1, max_value=10**24 - 1))
 def test_factor_matches_sympy(n):

@@ -70,6 +70,9 @@ def test_render_canonical():
     assert (a * b * 2).render() == "2*a*B"
     assert (a * a).render() == "a^2"
     assert fn("F").d_minus().d_plus().render() == "D+(D-(F))"
+    # names equal but for case past their first letter still print in one order
+    assert (fn("ab") + fn("aB")).render() == (fn("aB") + fn("ab")).render() \
+        == "aB + ab"
     assert Expr().render() == "0"
     assert (exp_linear([(2, "F1"), (-1, "F2")]) * Fraction(1, 2)).render() \
         == "(1/2)*exp(2*F1 - F2)"
@@ -116,7 +119,8 @@ _NAMES = {"a": 0, "B": 0, "alpha": 1, "beta": 1}
 
 @st.composite
 def _exprs(draw):
-    """Small sums of products of even and odd atoms."""
+    """Small sums of products of even and odd atoms, some of them with an
+    exp(...) factor."""
     out = Expr()
     for _ in range(draw(st.integers(0, 3))):
         term = Expr.rational(Fraction(draw(st.integers(-3, 3)),
@@ -126,8 +130,19 @@ def _exprs(draw):
             term = term * Expr.atom(Atom(name, dx=draw(st.integers(0, 1)),
                                          dp=draw(st.integers(0, 1)),
                                          base_parity=_NAMES[name]))
+        if draw(st.booleans()):
+            term = term * exp_linear(
+                [(draw(st.integers(-2, 2)), draw(st.sampled_from("FG")))])
         out = out + term
     return out
+
+
+def _graded_parts(e):
+    """The even and odd parts of e, each homogeneous."""
+    parts = ({}, {})
+    for mono, c in e.terms.items():
+        parts[sum(a.parity for a in mono) % 2][mono] = c
+    return [(p, Expr(terms)) for p, terms in enumerate(parts)]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -144,6 +159,15 @@ def test_sum_equals_folding_with_add(parts, data):
     assert total == folded
     assert all(total.terms.values())
     assert total.render() == folded.render()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_exprs(), _exprs(), _exprs())
+def test_products_associate_and_commute_up_to_grading(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    for pa, a_part in _graded_parts(a):
+        for pb, b_part in _graded_parts(b):
+            assert a_part * b_part == (-1) ** (pa * pb) * (b_part * a_part)
 
 
 def test_sum_of_nothing_is_zero():

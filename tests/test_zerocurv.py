@@ -10,7 +10,8 @@ from zcurv.superfield import SuperField, standard_gens
 from zcurv.symexpr import Atom, Expr, fn
 from zcurv.zerocurv import (SUPER_LIOUVILLE_SIGN, ChevalleyRelations,
                             Connection, LieValuedField, Osp12Relations,
-                            OutOfSpanError, _curvature_parts, curvature,
+                            OutOfSpanError, _curvature_parts,
+                            _split_equation, curvature,
                             derive_super_liouville, derive_toda,
                             nonreduced_obstruction)
 
@@ -214,6 +215,14 @@ def test_derive_super_liouville_structure():
     assert system.defs == ("F = ln(a*b)",)
     assert any("derived signs" in note for note in system.notes)
     assert SUPER_LIOUVILLE_SIGN == 1
+
+
+def test_split_equation_leads_with_a_positive_printed_term():
+    # the first printed left term, D+(beta), gets the positive coefficient
+    expr = fn("alpha", 1).d_minus() - fn("beta", 1).d_plus() + fn("a") * fn("b")
+    eq = _split_equation(expr)
+    assert eq.render() == "D+(beta) - D-(alpha) = a*b"
+    assert _split_equation(-expr).render() == eq.render()
 
 
 def test_obstruction_scalar_terms_are_exactly_one():
