@@ -9,6 +9,11 @@ identical inputs.  The environment variable ZCURV_ORDER (integer >= 2)
 overrides the default jet order 8 where no --order flag is given.  ``main``
 builds the argparse parser on its first call and reuses it for every later
 call in the process.
+
+Importing this module loads no other zcurv module: each verb imports what
+it uses when it runs.  ``verify-liouville`` loads ``exprparse``, ``jets``,
+``scalars`` and ``solutions`` only; ``derive`` needs nearly every module;
+only ``solve`` loads numpy.
 """
 
 import argparse
@@ -18,17 +23,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-
-from .cartan import check_admissible, parse_cartan
-from .exprparse import ExprSyntaxError, eval_float, eval_jet, \
-    parse_expression, used_variables
-from .jets import Jet
-from .solutions import SolutionVector, liouville_residual, liouville_solution, \
-    lse_residual
-from .superalg import fixture_table
-from .symexpr import _linear_str
-from .zerocurv import derive_super_liouville, derive_toda, \
-    nonreduced_obstruction
 
 DEFAULT_ORDER = 8
 
@@ -102,6 +96,7 @@ def _read(path: str, parse):
 
 def _parse_checked(text, allow: set[str]):
     """Parse an expression that may only use the variables in ``allow``."""
+    from .exprparse import ExprSyntaxError, parse_expression, used_variables
     if not isinstance(text, str):
         raise InputError(f"expected an expression string, got {text!r}")
     try:
@@ -135,7 +130,9 @@ def _evaluate(text: str, where: str, evaluate, *args):
         raise _nested_too_deeply(text) from None
 
 
-def _build_jet(text, x: Jet, y: Jet, allow: set[str], memo: dict) -> Jet:
+def _build_jet(text, x: "Jet", y: "Jet", allow: set[str],
+               memo: dict) -> "Jet":
+    from .exprparse import eval_jet
     node = _parse_checked(text, allow)
     return _evaluate(text, "as a jet", eval_jet, node, x, y, memo)
 
@@ -151,22 +148,27 @@ def _read_json(path: str) -> dict:
 
 
 def _cmd_derive(args) -> int:
+    from .cartan import parse_cartan
+    from .zerocurv import derive_toda
     matrix = _read(args.cartan, parse_cartan)
     print(derive_toda(matrix, form=args.form).render())
     return 0
 
 
 def _cmd_derive_super(args) -> int:
+    from .zerocurv import derive_super_liouville
     print(derive_super_liouville().render())
     return 0
 
 
 def _cmd_obstruction(args) -> int:
+    from .zerocurv import nonreduced_obstruction
     print(nonreduced_obstruction().render())
     return 0
 
 
 def _cmd_admissible(args) -> int:
+    from .cartan import check_admissible, parse_cartan
     matrix = _read(args.cartan, parse_cartan)
     report = check_admissible(matrix, args.scheme)
     print(f"scheme: {report.scheme}")
@@ -178,6 +180,8 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_verify_liouville(args) -> int:
+    from .jets import Jet
+    from .solutions import liouville_residual, liouville_solution
     order, base = _jet_order(args), _parse_base(args.base)
     x, y = (Jet.variable(v, base, order) for v in "xy")
     memo = {}
@@ -192,6 +196,9 @@ def _cmd_verify_liouville(args) -> int:
 
 
 def _cmd_verify_lse(args) -> int:
+    from .cartan import parse_cartan
+    from .jets import Jet
+    from .solutions import SolutionVector, lse_residual
     order, base = _jet_order(args), _parse_base(args.base)
     x, y = (Jet.variable(v, base, order) for v in "xy")
     matrix = _read(args.cartan, parse_cartan)
@@ -217,6 +224,7 @@ def _sampled_edge(edge: str, texts, nodes, x, y):
     over the one array among ``x`` and ``y``, with one memo."""
     import numpy as np
 
+    from .exprparse import eval_float
     coords, memo = (x if isinstance(x, np.ndarray) else y), {}
     traces = [_evaluate(text, f"on {edge}", eval_float, node, x, y, memo)
               for text, node in zip(texts, nodes)]
@@ -225,12 +233,11 @@ def _sampled_edge(edge: str, texts, nodes, x, y):
 
 
 def _cmd_solve(args) -> int:
-    # numpy and the solver load here, not with the CLI: no other verb uses them
     import numpy as np
 
+    from .cartan import parse_cartan
     from .numerics import GoursatData, grid_points, solve_goursat, \
         square_steps, write_csv
-
     matrix = _read(args.cartan, parse_cartan)
     doc = _read_json(args.boundary)
     try:
@@ -278,6 +285,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bracket_table(args) -> int:
+    from .superalg import fixture_table
+    from .symexpr import _linear_str
     table = fixture_table(args.algebra)
     for a in table.names:
         for b in table.names:

@@ -39,8 +39,6 @@ import math
 import operator
 import sys
 
-from .jets import Jet
-
 
 class ExprSyntaxError(ValueError):
     def __init__(self, message: str, pos: int):
@@ -258,8 +256,9 @@ def _array_ops() -> dict:
             "exp": elementwise(math.exp, 1), "ln": elementwise(math.log, 1)}
 
 
-def eval_jet(node, x: Jet, y: Jet, memo=None) -> Jet:
+def eval_jet(node, x: "Jet", y: "Jet", memo=None) -> "Jet":
     """The jet of the tree; ``memo`` holds subtrees folded with this x, y."""
+    from .jets import Jet  # here, so that ``solve`` loads no jets
     return _memo_fold(node, x, y, {
         "num": lambda q: Jet.constant(q, x.base, x.order),
         "div": operator.truediv, "pow": Jet.pow_int, "exp": Jet.exp,

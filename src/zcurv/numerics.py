@@ -243,8 +243,7 @@ def convergence_order(samples: Sequence[tuple[float, float]]) -> float:
     xs = [math.log(float(h)) for h, _ in samples]
     ys = [math.log(float(e)) for _, e in samples]
     mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    num = sum((x - mx) * y for x, y in zip(xs, ys))  # sum(x - mx) is 0
     den = sum((x - mx) ** 2 for x in xs)
     if den == 0:
         raise ValueError("the steps h are not distinct")

@@ -40,26 +40,34 @@ _UNIT_IDS = {_UNITS[0]: 0}
 _UNIT_PRODUCTS: dict = {}
 
 _TRIAL_BOUND = 1000
+_TRIAL_DIVISORS = (2, 3, *(d for k in range(6, _TRIAL_BOUND + 2, 6)
+                           for d in (k - 1, k + 1) if d <= _TRIAL_BOUND))
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981  # _MR_BASES decide primality below
 _RHO_STEPS = 1 << 22  # ample for a factor below 1.8e12; a few seconds at most
 
 
 def _factor(n: int) -> dict[int, int]:
-    """Prime factorisation of n >= 1: trial division to _TRIAL_BOUND; then a
-    square cofactor splits into its two roots, and any other is proved prime
-    by Miller-Rabin or split by Pollard-Brent rho.  Past _MR_EXACT_BELOW rho
-    only peels small factors, so a cofactor out of reach fails fast."""
+    """Prime factorisation of n >= 1: trial division by 2, 3 and 6k +- 1 up
+    to _TRIAL_BOUND, which ends it when the cofactor left is 1 or a prime;
+    else a square cofactor splits into its two roots, and any other is proved
+    prime by Miller-Rabin or split by Pollard-Brent rho.  Past _MR_EXACT_BELOW
+    rho only peels small factors, so a cofactor out of reach fails fast."""
     if n < 1:
         raise ValueError(f"cannot factor non-positive integer {n}")
     out: dict[int, int] = {}
-    rest, d = n, 2
-    while d <= _TRIAL_BOUND and d * d <= rest:
+    rest = n
+    for d in _TRIAL_DIVISORS:
+        if d * d > rest:
+            break
         while rest % d == 0:
             out[d] = out.get(d, 0) + 1
             rest //= d
-        d += 1 if d == 2 else 2
-    todo = [rest] if rest > 1 else []
+    if rest < d * d:  # no prime factor below d: rest is 1 or a prime
+        if rest > 1:
+            out[rest] = 1
+        return out
+    todo = [rest]
     while todo:  # no cofactor has a prime factor below d
         m = todo.pop()
         if (root := math.isqrt(m)) ** 2 == m:

@@ -15,25 +15,25 @@ and generally G = A F intertwines the residuals exactly:
 square A, invertible or not.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .cartan import CartanMatrix
 from .jets import Jet
-from .superfield import SuperField
-from .zerocurv import SUPER_LIOUVILLE_SIGN
+
+# D+(D-(F)) = sign * exp(F): zerocurv derives the sign, and re-exports it
+SUPER_LIOUVILLE_SIGN = 1
 
 
-@dataclass(frozen=True)
-class SolutionVector:
-    """One jet per node of the Cartan matrix."""
+class SolutionVector(namedtuple("SolutionVector", "components cartan")):
+    """One jet per node of a ``CartanMatrix``: an immutable pair, equal when
+    its fields are."""
 
-    components: tuple[Jet, ...]
-    cartan: CartanMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.components) != self.cartan.rank:
+    def __new__(cls, components: tuple[Jet, ...], cartan: "CartanMatrix"):
+        if len(components) != cartan.rank:
             raise ValueError("component count must equal the rank")
+        return super().__new__(cls, components, cartan)
 
 
 def liouville_solution(f: Jet, g: Jet) -> Jet:
@@ -133,8 +133,8 @@ def conformal_transform(f_jet: Jet, phi: Jet, psi: Jet) -> Jet:
     return comp.truncate(order) + w.truncate(order)
 
 
-def super_liouville_residual(field: SuperField,
-                             sign: int = SUPER_LIOUVILLE_SIGN) -> SuperField:
+def super_liouville_residual(field: "SuperField",
+                             sign: int = SUPER_LIOUVILLE_SIGN) -> "SuperField":
     """Residual of  D+(D-(F)) = sign * exp(F)  for an even superfield."""
     if field.parity() != 0:
         raise ValueError("super residual requires an even-homogeneous field")

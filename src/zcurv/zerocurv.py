@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cartan import CartanMatrix, determinant, standard_cartan
+from .solutions import SUPER_LIOUVILLE_SIGN
 from .superalg import fixture_table
 from .superfield import SuperField
 from .symexpr import Atom, Expr, _term_key, exp_linear, fn
@@ -351,9 +352,6 @@ def _super_pair():
     cplus = {("H", 0): fn("alpha", 1), ("d+", 0): fn("a")}
     cminus = {("H", 0): fn("beta", 1), ("d-", 0): fn("b")}
     return Osp12Relations(), cplus, cminus
-
-
-SUPER_LIOUVILLE_SIGN = 1
 
 
 def derive_super_liouville() -> DerivedSystem:

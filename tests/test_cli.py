@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import random
@@ -132,8 +133,8 @@ def test_verify_lse_folds_a_shared_subtree_once(tmp_path, monkeypatch,
     assert (code, err) == (0, "")
     assert sum(jet == shared for jet in seen) == 1
     # each component folded on its own prints the same bytes
-    monkeypatch.setattr(cli, "eval_jet", lambda node, x, y, memo:
-                        exprparse.eval_jet(node, x, y))
+    monkeypatch.setattr(exprparse, "eval_jet", lambda node, x, y, memo:
+                        eval_jet(node, x, y))
     assert run(capsys, *argv) == (0, out, "")
 
 
@@ -608,45 +609,90 @@ def test_solve_names_range_mismatch_and_non_finite_trace(
     assert (code, err) == (3, f"error: {message}\n")
 
 
-LAZY_NUMPY_SCRIPT = """
+LOADS_SCRIPT = """
 import json, sys
-import zcurv
-from zcurv.cli import main
-data, out = sys.argv[1:]
-verbs = [["derive", "--cartan", data + "/sl3.cm"], ["derive-super"],
-         ["obstruction"], ["bracket-table", "--algebra", "osp12"],
-         ["admissible", "--cartan", data + "/osp12.cm", "--scheme", "lse1"],
-         ["verify-liouville", "--f", "x+1", "--g", "y+1"],
-         ["solve", "--cartan", data + "/sl2.cm", "--boundary", "b.json",
-          "--h", "1/8", "--out", out]]
-report = []
-for argv in verbs:
-    code = main(argv)
-    report.append([argv[0], code, "numpy" in sys.modules])
-from zcurv import (GoursatData, Grid, convergence_order, residual_grid,
-                   solve_goursat, write_csv)
-try:
-    zcurv.no_such_name
-except AttributeError:
-    report.append("no_such_name raises AttributeError")
-print(json.dumps(report))
+before = set(sys.modules)
+if sys.argv[1:] == ["zcurv"]:
+    import zcurv
+    code = 0
+else:
+    import zcurv.cli
+    code = zcurv.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+new = set(sys.modules) - before
+print(json.dumps([code, sorted(m for m in new if m.split(".")[0] == "zcurv"),
+                  "numpy" in new, "dataclasses" in new]))
 """
+
+# zcurv modules past zcurv and zcurv.cli that each verb loads in a fresh
+# process, and whether it loads numpy and dataclasses
+SYMBOLIC = ["cartan", "jets", "scalars", "solutions", "superalg",
+            "superfield", "symexpr", "zerocurv"]
+VERB_LOADS = [
+    (["zcurv"], None, False, False),
+    ([], [], False, False),
+    (["derive", "--cartan", str(DATA / "sl3.cm")], SYMBOLIC, False, True),
+    (["derive-super"], SYMBOLIC, False, True),
+    (["obstruction"], SYMBOLIC, False, True),
+    (["bracket-table", "--algebra", "osp12"],
+     ["cartan", "superalg", "symexpr"], False, True),
+    (["admissible", "--cartan", str(DATA / "osp12.cm"), "--scheme", "lse1"],
+     ["cartan"], False, True),
+    (["verify-liouville", "--f", "x+1", "--g", "y+1"],
+     ["exprparse", "jets", "scalars", "solutions"], False, False),
+    (["verify-lse", "--cartan", str(DATA / "sl2.cm"), "--solution", "s.json",
+      "--form", "lsbis"],
+     ["cartan", "exprparse", "jets", "scalars", "solutions"], False, True),
+    (["solve", "--cartan", str(DATA / "sl2.cm"), "--boundary", "b.json",
+      "--h", "1/8", "--out", "grid.csv"],
+     ["cartan", "exprparse", "numerics"], True, True),
+]
+# every name zcurv exported when its __init__ imported each module eagerly
+EXPORTS = {
+    "cartan": "AdmissibilityReport CartanFormatError CartanMatrix "
+              "check_admissible parse_cartan render_cartan standard_cartan "
+              "whitelist_superprincipal",
+    "jets": "Jet", "scalars": "Scalar",
+    "numerics": "GoursatData Grid convergence_order residual_grid "
+                "solve_goursat write_csv",
+    "solutions": "SolutionVector conformal_transform liouville_residual "
+                 "liouville_solution lse_residual super_liouville_residual "
+                 "transform_GF",
+    "superalg": "BracketTable SuperMatrix bracket_table osp12_basis "
+                "sl2_basis supercommutator supertrace",
+    "superfield": "SuperField standard_gens",
+    "zerocurv": "SUPER_LIOUVILLE_SIGN Connection CurvatureResult "
+                "DerivedSystem LieValuedField Osp12Relations "
+                "ChevalleyRelations OutOfSpanError curvature "
+                "derive_super_liouville derive_toda nonreduced_obstruction",
+}
 
 
 def test_only_solve_loads_numpy(tmp_path):
     (tmp_path / "b.json").write_text(json.dumps(BOUNDARY))
+    (tmp_path / "s.json").write_text('{"components": ["-2*ln(x+y+1)"]}')
     env = {**os.environ, "PYTHONPATH": str(Path(zcurv.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", LAZY_NUMPY_SCRIPT, str(DATA), "grid.csv"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == [
-        ["derive", 0, False], ["derive-super", 0, False],
-        ["obstruction", 0, False], ["bracket-table", 0, False],
-        ["admissible", 0, False], ["verify-liouville", 0, False],
-        ["solve", 0, True], "no_such_name raises AttributeError"]
+    got, want = {}, {}
+    for argv, loads, numpy, dataclasses in VERB_LOADS:
+        proc = subprocess.run([sys.executable, "-c", LOADS_SCRIPT, *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        key = argv[0] if argv else "zcurv.cli"
+        got[key] = json.loads(proc.stdout.splitlines()[-1])
+        modules = ["zcurv"] if loads is None else \
+            ["zcurv", "zcurv.cli", *(f"zcurv.{m}" for m in loads)]
+        want[key] = [0, sorted(modules), numpy, dataclasses]
+    assert got == want
     assert (tmp_path / "grid.csv").is_file()
+
+
+def test_every_exported_name_resolves_lazily():
+    for module, names in EXPORTS.items():
+        for name in names.split():
+            assert getattr(zcurv, name) is getattr(
+                importlib.import_module(f"zcurv.{module}"), name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zcurv.no_such_name
 
 
 # -- one parser per process --------------------------------------------------

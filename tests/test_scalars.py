@@ -155,9 +155,18 @@ def test_float_sums_in_sorted_unit_order_past_an_intermediate_overflow():
         math.fsum([float(a), float(c), -float(b)])
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=150)
-@given(st.integers(min_value=1, max_value=10**24 - 1))
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.one_of(st.integers(min_value=1, max_value=10**6 - 1),
+                 st.integers(min_value=1, max_value=10**24 - 1)))
 def test_factor_matches_sympy(n):
+    assert _factor(n) == sympy.factorint(n)
+
+
+# 1, a composite trial divisor, the last trial divisors 991 and 997, and the
+# first prime past them, 1009
+@pytest.mark.parametrize("n", [1, 25, 991 * 997, 997**2, 997 * 1009,
+                               1009**2, 6 * 999983])
+def test_factor_around_the_last_trial_divisors(n):
     assert _factor(n) == sympy.factorint(n)
 
 

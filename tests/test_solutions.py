@@ -121,6 +121,20 @@ def test_lse_residual_rank_one_normalisations():
         SolutionVector((f_jet,), sl2), "lsbis"))
 
 
+def test_solution_vector_checks_rank_is_immutable_and_equal_by_fields():
+    sl3 = standard_cartan("sl3")
+    comps = (jet_x(4), jet_x(4) * 2)
+    sol = SolutionVector(comps, sl3)
+    assert sol == SolutionVector(comps, standard_cartan("sl3"))
+    assert hash(sol) == hash(SolutionVector(comps, sl3))
+    assert sol != SolutionVector(comps[::-1], sl3)
+    with pytest.raises(AttributeError):
+        sol.components = comps[::-1]
+    with pytest.raises(ValueError, match="component count must equal the "
+                       "rank"):
+        SolutionVector(comps[:1], sl3)
+
+
 def test_lse_residual_of_zero_solution():
     sl3 = standard_cartan("sl3")
     zeros = SolutionVector((Jet.zero(order=6), Jet.zero(order=6)), sl3)
