@@ -7,6 +7,9 @@ for which the two known solvable Toda-type superizations apply:
 * scheme ``lse1``: every diagonal entry is 0 or 1;
 * scheme ``lse2``: every diagonal entry is 2 or 1.
 
+``CartanMatrix`` and ``AdmissibilityReport`` are named tuples: immutable,
+and equal and hashed by their fields.
+
 The file format is a strict JSON subset parsed with a hand-rolled reader so
 that every error, including semantic ones (non-square matrix, parity-length
 mismatch, non-rational entry), carries a line/column position.  The reader
@@ -36,9 +39,10 @@ runs on the result without building a ``Fraction``.
 """
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm, prod
+from typing import NamedTuple
 
 EVEN = "even"
 ODD = "odd"
@@ -53,23 +57,22 @@ class CartanFormatError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
-    parities: tuple[str, ...]
-    name: str | None = None
+class CartanMatrix(namedtuple("CartanMatrix", "entries parities name")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.entries)
+    def __new__(cls, entries: tuple[tuple[Fraction, ...], ...],
+                parities: tuple[str, ...], name: str | None = None):
+        n = len(entries)
         if n < 1:
             raise ValueError("cartan matrix must have rank >= 1")
-        if any(len(row) != n for row in self.entries):
+        if any(len(row) != n for row in entries):
             raise ValueError("cartan matrix must be square")
-        if len(self.parities) != n:
+        if len(parities) != n:
             raise ValueError(
-                f"parity list has length {len(self.parities)}, expected {n}")
-        if any(p not in (EVEN, ODD) for p in self.parities):
+                f"parity list has length {len(parities)}, expected {n}")
+        if any(p not in (EVEN, ODD) for p in parities):
             raise ValueError("parities must be 'even' or 'odd'")
+        return super().__new__(cls, entries, parities, name)
 
     @staticmethod
     def from_rows(rows, parities=None, name=None) -> "CartanMatrix":
@@ -94,15 +97,13 @@ class CartanMatrix:
         return invert_rational(self.entries)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     scheme: str
-    admissible: bool
-    offending_indices: tuple[int, ...] = field(default=())
+    offending_indices: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.admissible != (not self.offending_indices):
-            raise ValueError("admissible must mirror empty offending_indices")
+    @property
+    def admissible(self) -> bool:
+        return not self.offending_indices
 
 
 _ALLOWED_DIAGONAL = {"lse1": (Fraction(0), Fraction(1)),
@@ -116,7 +117,7 @@ def check_admissible(a: CartanMatrix, scheme: str) -> AdmissibilityReport:
         raise ValueError(f"unknown scheme {scheme!r}; expected lse1 or lse2")
     allowed = _ALLOWED_DIAGONAL[scheme]
     bad = tuple(i for i, d in enumerate(a.diagonal) if d not in allowed)
-    return AdmissibilityReport(scheme, not bad, bad)
+    return AdmissibilityReport(scheme, bad)
 
 
 def parse_family(descriptor: str) -> tuple[str, int, int]:

@@ -266,7 +266,7 @@ def _cmd_solve(args) -> int:
     if h <= 0:
         raise InputError(f"--h must be positive, got {args.h!r}")
     # the points solve_goursat samples: m steps from x0 and from y0
-    m = square_steps(x0, x1, y0, y1, h)
+    m = square_steps(x0, x1, y0, y1, h, n)
     xs, ys = (np.array(grid_points(lo, h, m)) for lo in (x0, y0))
     data = GoursatData(
         x0, x1, y0, y1,

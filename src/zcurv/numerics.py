@@ -16,35 +16,34 @@ solver marches whole anti-diagonals as numpy slices, in the per-cell
 operation order of a scalar loop and with ``math.exp`` throughout.  The
 march and ``residual_grid`` each build the right-hand side ``_rhs_kernel``
 once.  ``write_csv`` formats a whole grid with one ``%`` on one template.
+``square_steps`` refuses a grid of over MAX_GRID_VALUES values before
+anything is sampled or allocated.  Grids and their data are named tuples.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .cartan import CartanMatrix
 
 
-@dataclass(frozen=True)
-class Grid:
-    x0: Fraction
-    x1: Fraction
-    y0: Fraction
-    y1: Fraction
-    h: Fraction
-    values: np.ndarray  # (M+1, M+1, n), [i, j] at (x0 + i h, y0 + j h)
-    sweep_residual: float = 0.0
+class Grid(namedtuple("Grid", "x0 x1 y0 y1 h values sweep_residual")):
+    """``values`` is (M+1, M+1, n), [i, j] at (x0 + i h, y0 + j h)."""
 
-    def __post_init__(self):
-        m = square_steps(self.x0, self.x1, self.y0, self.y1, self.h)
-        if self.values.shape[:2] != (m + 1, m + 1):
-            raise ValueError(f"values shape {self.values.shape} does not "
+    __slots__ = ()
+
+    def __new__(cls, x0: Fraction, x1: Fraction, y0: Fraction, y1: Fraction,
+                h: Fraction, values: np.ndarray, sweep_residual: float = 0.0):
+        m = square_steps(x0, x1, y0, y1, h)
+        if values.shape[:2] != (m + 1, m + 1):
+            raise ValueError(f"values shape {values.shape} does not "
                              f"match {m + 1} grid points per side")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("grid contains non-finite values")
+        return super().__new__(cls, x0, x1, y0, y1, h, values, sweep_residual)
 
     @property
     def steps(self) -> int:
@@ -61,8 +60,7 @@ class Grid:
         return float(self.y0 + j * self.h)
 
 
-@dataclass(frozen=True)
-class GoursatData:
+class GoursatData(NamedTuple):
     """Boundary traces on x = x0 (a function of y) and y = y0 (of x)."""
 
     x0: Fraction
@@ -79,6 +77,7 @@ class GoursatData:
 
 
 CORNER_TOL = 1e-12
+MAX_GRID_VALUES = 2 ** 25  # float64 values in one grid: 256 MiB
 
 
 class CornerMismatchError(ValueError):
@@ -98,12 +97,17 @@ def _steps(lo: Fraction, hi: Fraction, h: Fraction) -> int:
     return int(m)
 
 
-def square_steps(x0, x1, y0, y1, h) -> int:
-    """The number of steps of ``h`` per side; both ranges must have it."""
+def square_steps(x0, x1, y0, y1, h, rank: int = 1) -> int:
+    """The number m of steps of ``h`` per side; both ranges must have it,
+    and a rank-``rank`` grid of (m + 1)^2 points must fit MAX_GRID_VALUES."""
     m = _steps(x0, x1, h)
     if _steps(y0, y1, h) != m:
         raise ValueError("x and y ranges must contain the same number "
                          "of steps")
+    if (size := (m + 1) ** 2 * rank) > MAX_GRID_VALUES:
+        raise ValueError(f"a rank-{rank} grid of {m + 1} x {m + 1} points "
+                         f"holds {size} values, over the limit of "
+                         f"{MAX_GRID_VALUES}")
     return m
 
 
@@ -175,9 +179,8 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
         raise ValueError("the Goursat solver handles all-even matrices")
     if schedule not in ("sequential", "wavefront"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    h = Fraction(h)
-    m = square_steps(data.x0, data.x1, data.y0, data.y1, h)
-    n = a.rank
+    h, n = Fraction(h), a.rank
+    m = square_steps(data.x0, data.x1, data.y0, data.y1, h, n)
     xs, ys = grid_points(data.x0, h, m), grid_points(data.y0, h, m)
     y_rows = [data.y_edge(x) for x in xs]
     x_rows = [data.x_edge(y) for y in ys]

@@ -7,35 +7,38 @@ matrices; ``osp12`` is a 3x3 realisation with parity vector
 odd generators d+- homogeneous.  The rank-1 relation tables consumed by
 the zero-curvature engine, brackets and generator parities alike, are
 computed from these matrices, never written by hand, once per process:
-``fixture_table`` shares each fixture's read-only table.
+``fixture_table`` shares each fixture's read-only table.  ``SuperMatrix``
+and ``BracketTable`` are named tuples; a supermatrix adds and negates
+entrywise, and ``*`` raises TypeError instead of repeating the tuple.
 """
 
 import functools
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .cartan import EVEN, ODD
 
 _PNUM = {EVEN: 0, ODD: 1}
 
 
-@dataclass(frozen=True)
-class SuperMatrix:
+class SuperMatrix(namedtuple("SuperMatrix", "entries row_parities")):
     """Square rational matrix with one parity per row (= per column)."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
-    row_parities: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+    def __new__(cls, entries: tuple[tuple[Fraction, ...], ...],
+                row_parities: tuple[str, ...]):
+        n = len(entries)
+        if any(len(row) != n for row in entries):
             raise ValueError("supermatrix must be square")
-        if len(self.row_parities) != n:
+        if len(row_parities) != n:
             raise ValueError("parity vector length must equal matrix size")
-        if any(p not in (EVEN, ODD) for p in self.row_parities):
+        if any(p not in (EVEN, ODD) for p in row_parities):
             raise ValueError("parities must be 'even' or 'odd'")
+        return super().__new__(cls, entries, row_parities)
 
     @staticmethod
     def from_rows(rows, parities) -> "SuperMatrix":
@@ -79,6 +82,11 @@ class SuperMatrix:
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
         return self + (-other)
 
+    def __mul__(self, other):  # not the tuple repetition: see scale()
+        return NotImplemented
+
+    __rmul__ = __mul__
+
     def scale(self, c) -> "SuperMatrix":
         c = Fraction(c)
         return SuperMatrix(
@@ -120,8 +128,7 @@ def supertrace(x: SuperMatrix) -> Fraction:
                for i, p in enumerate(x.row_parities))
 
 
-@dataclass(frozen=True)
-class BracketTable:
+class BracketTable(NamedTuple):
     """All ordered graded brackets of a named basis, expanded in the basis.
 
     ``table[(a, b)]`` is a tuple of (coefficient, name) pairs, and

@@ -19,12 +19,14 @@ the rank-1 super table is computed from the osp(1|2) matrix fixtures,
 never written by hand.  ``[D1, D2]`` vanishes for the pairs (dx, dy) and
 (D+, D-); for (D+, D+) it is the operator 2*dx, which is exactly the
 obstruction to a flat non-reduced extension of the reduced connection.
+Fields, connections, curvatures and derived systems are named tuples.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
-from .cartan import CartanMatrix, determinant, standard_cartan
+from .cartan import CartanMatrix, determinant
 from .solutions import SUPER_LIOUVILLE_SIGN
 from .superalg import fixture_table
 from .superfield import SuperField
@@ -44,7 +46,6 @@ class ChevalleyRelations:
     """Level -1..1 relations of the generators attached to a Cartan matrix."""
 
     def __init__(self, cartan: CartanMatrix):
-        self.cartan = cartan
         # integral entries as int, so that brackets build no Fraction
         self._entries = tuple(
             tuple(v.numerator if v.denominator == 1 else v for v in row)
@@ -82,7 +83,6 @@ class Osp12Relations:
     """Rank-1 super relations read off the osp(1|2) matrix bracket table."""
 
     def __init__(self):
-        self.cartan = standard_cartan("osp12")
         self._table = fixture_table("osp12")
 
     def parity(self, g: GenKey) -> int:
@@ -93,8 +93,7 @@ class Osp12Relations:
                      for c, name in self._table.bracket(g1[0], g2[0]))
 
 
-@dataclass(frozen=True)
-class LieValuedField:
+class LieValuedField(NamedTuple):
     """Finite map from abstract generators to coefficient values.
 
     Coefficients are superfields in concrete computations and symbolic
@@ -105,40 +104,34 @@ class LieValuedField:
     relations: ChevalleyRelations | Osp12Relations
     coefficients: dict
 
-    @property
-    def cartan(self) -> CartanMatrix:
-        return self.relations.cartan
-
     def nonzero(self) -> dict:
         return {g: c for g, c in self.coefficients.items() if not c.is_zero()}
 
 
-@dataclass(frozen=True)
-class Connection:
-    direction: str
-    value: LieValuedField
+class Connection(namedtuple("Connection", "direction value")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.direction not in _DIR_PARITY:
-            raise ValueError(f"unknown direction {self.direction!r}")
-        rel = self.value.relations
+    def __new__(cls, direction: str, value: LieValuedField):
+        if direction not in _DIR_PARITY:
+            raise ValueError(f"unknown direction {direction!r}")
+        rel = value.relations
         super_gens = {"d+", "d-"}
-        dp = _DIR_PARITY[self.direction]
-        for g, c in self.value.nonzero().items():
+        dp = _DIR_PARITY[direction]
+        for g, c in value.nonzero().items():
             if dp == 0 and g[0] in super_gens:
                 raise ValueError(
-                    f"direction {self.direction} cannot carry generator {g[0]}")
+                    f"direction {direction} cannot carry generator {g[0]}")
             cp = c.parity()
             if cp is None:
                 raise ValueError(f"coefficient of {g} is not homogeneous")
             if (cp + rel.parity(g)) % 2 != dp:
                 raise ValueError(
                     f"coefficient parity {cp} of {g} does not match "
-                    f"direction {self.direction}")
+                    f"direction {direction}")
+        return super().__new__(cls, direction, value)
 
 
-@dataclass(frozen=True)
-class CurvatureResult:
+class CurvatureResult(NamedTuple):
     """Generator coefficients plus any leftover operator part.
 
     ``operator`` maps 'dx'/'dy' to a rational constant; it is empty for the
@@ -147,7 +140,7 @@ class CurvatureResult:
     """
 
     generators: dict
-    operator: dict = field(default_factory=dict)
+    operator: dict
 
     def coefficient(self, g: GenKey):
         return self.generators.get(g)
@@ -217,8 +210,7 @@ def curvature(c1: Connection, c2: Connection) -> CurvatureResult:
 # derived systems
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
     lhs: Expr
     rhs: Expr
 
@@ -226,9 +218,7 @@ class Equation:
         return f"{self.lhs.render()} = {self.rhs.render()}"
 
 
-@dataclass(frozen=True)
-class DerivedSystem:
-    unknowns: tuple[str, ...]
+class DerivedSystem(NamedTuple):
     first_order: tuple[Equation, ...]
     final: tuple[Equation, ...]
     defs: tuple[str, ...] = ()
@@ -327,7 +317,6 @@ def derive_toda(A: CartanMatrix, form: str = "lsbis") -> DerivedSystem:
             for i in range(n))
         defs = tuple(f"{gname[i]} = ln(b{suffix[i]}*B{suffix[i]})"
                      for i in range(n))
-        unknowns = tuple(gname)
     else:
         if not determinant(A.entries):
             raise ValueError("matrix is singular")
@@ -338,12 +327,11 @@ def derive_toda(A: CartanMatrix, form: str = "lsbis") -> DerivedSystem:
             for i in range(n))
         defs = tuple(f"{gname[i]} = ln(b{suffix[i]}*B{suffix[i]})"
                      for i in range(n)) + ("F = inverse(A)*G",)
-        unknowns = tuple(fname)
     notes = (
         "index convention: [H_i, X_j+] = A_ji*X_j+ and [X_i+, X_j-] = "
         "delta_ij*H_i; pinned by the eliminated G-form system",
     )
-    return DerivedSystem(unknowns, first_order, final, defs, notes)
+    return DerivedSystem(first_order, final, defs, notes)
 
 
 def _super_pair():
@@ -403,8 +391,7 @@ def derive_super_liouville() -> DerivedSystem:
         "elimination: alpha = D+(ln(b)), beta = -D-(ln(a)); "
         "second-order sign +1",
     )
-    return DerivedSystem(("alpha", "beta", "a", "b", "F"),
-                         first_order, final, ("F = ln(a*b)",), notes)
+    return DerivedSystem(first_order, final, ("F = ln(a*b)",), notes)
 
 
 def nonreduced_obstruction() -> DerivedSystem:
@@ -431,5 +418,4 @@ def nonreduced_obstruction() -> DerivedSystem:
         "(D-)^2; no choice of coefficients cancels them, so the "
         "non-reduced zero-curvature conditions are unsatisfiable",
     )
-    return DerivedSystem(("alpha", "beta", "a", "b"), (), tuple(equations),
-                         (), notes)
+    return DerivedSystem((), tuple(equations), (), notes)

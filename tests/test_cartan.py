@@ -5,10 +5,10 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from zcurv.cartan import (AdmissibilityReport, CartanFormatError, CartanMatrix,
-                          check_admissible, determinant, invert_rational,
-                          parse_cartan, parse_family, render_cartan,
-                          standard_cartan, whitelist_superprincipal)
+from zcurv.cartan import (CartanFormatError, CartanMatrix, check_admissible,
+                          determinant, invert_rational, parse_cartan,
+                          parse_family, render_cartan, standard_cartan,
+                          whitelist_superprincipal)
 
 
 def test_parse_rank_one():
@@ -255,11 +255,6 @@ def test_schemes_agree_exactly_on_all_ones_diagonal():
         both = (check_admissible(m, "lse1").admissible
                 and check_admissible(m, "lse2").admissible)
         assert both == all(d == 1 for d in diag)
-
-
-def test_admissibility_report_invariant():
-    with pytest.raises(ValueError):
-        AdmissibilityReport("lse1", True, (0,))
 
 
 def test_whitelist_examples():

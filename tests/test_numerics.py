@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from zcurv.cartan import CartanMatrix, standard_cartan
-from zcurv.numerics import (CornerMismatchError, GoursatData, Grid,
-                            GridOverflowError, convergence_order,
-                            grid_points, residual_grid, solve_goursat,
-                            write_csv)
+from zcurv.numerics import (MAX_GRID_VALUES, CornerMismatchError,
+                            GoursatData, Grid, GridOverflowError,
+                            convergence_order, grid_points, residual_grid,
+                            solve_goursat, square_steps, write_csv)
 
 SL2 = standard_cartan("sl2")
 
@@ -266,6 +266,25 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(Fraction(0), Fraction(1), Fraction(0), Fraction(1),
              Fraction(1, 4), np.full((5, 5, 1), np.nan))
+
+
+def test_grid_size_is_bounded_before_sampling_or_allocation():
+    side = 5792  # the most points per side of a rank-1 grid in the bound
+    assert side ** 2 <= MAX_GRID_VALUES < (side + 1) ** 2
+    assert square_steps(0, side - 1, 0, side - 1, 1) == side - 1
+    with pytest.raises(ValueError) as info:
+        square_steps(0, side - 1, 0, side - 1, 1, 2)
+    assert str(info.value) == (
+        f"a rank-2 grid of {side} x {side} points holds {2 * side ** 2} "
+        f"values, over the limit of {MAX_GRID_VALUES}")
+
+    def unsampled(t):
+        raise AssertionError("a trace was sampled")
+
+    data = GoursatData(Fraction(0), Fraction(1), Fraction(0), Fraction(1),
+                       x_edge=unsampled, y_edge=unsampled)
+    with pytest.raises(ValueError, match=f"limit of {MAX_GRID_VALUES}$"):
+        solve_goursat(SL2, data, Fraction(1, 10 ** 9))
 
 
 # -- scalar reference oracle -------------------------------------------------
