@@ -45,6 +45,11 @@ _TRIAL_DIVISORS = (2, 3, *(d for k in range(6, _TRIAL_BOUND + 2, 6)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981  # _MR_BASES decide primality below
 _RHO_STEPS = 1 << 22  # ample for a factor below 1.8e12; a few seconds at most
+# The largest cofactor that Miller-Rabin and rho are tried on.  Each of their
+# steps works modulo the cofactor: at 1024 bits one rho pass that finds
+# nothing takes about 0.2 s, at 20,000 bits minutes.
+MAX_COFACTOR_BITS = 1024
+_SHORT_DIGITS = 24  # an integer of more than twice this many digits is cut
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -52,7 +57,8 @@ def _factor(n: int) -> dict[int, int]:
     to _TRIAL_BOUND, which ends it when the cofactor left is 1 or a prime;
     else a square cofactor splits into its two roots, and any other is proved
     prime by Miller-Rabin or split by Pollard-Brent rho.  Past _MR_EXACT_BELOW
-    rho only peels small factors, so a cofactor out of reach fails fast."""
+    rho only peels small factors, so a cofactor out of reach fails fast, and
+    one of more than MAX_COFACTOR_BITS bits fails before either runs."""
     if n < 1:
         raise ValueError(f"cannot factor non-positive integer {n}")
     out: dict[int, int] = {}
@@ -73,16 +79,37 @@ def _factor(n: int) -> dict[int, int]:
         if (root := math.isqrt(m)) ** 2 == m:
             todo += [root, root]
             continue
+        if m.bit_length() > MAX_COFACTOR_BITS:
+            raise ValueError(
+                f"cannot factor {_short(n)} exactly: its factor {_short(m)} "
+                f"has {m.bit_length()} bits, past the limit of "
+                f"{MAX_COFACTOR_BITS}")
         big, composite = m >= _MR_EXACT_BELOW, m >= d * d and _witness(m)
         p = composite and _rho(m, _RHO_STEPS >> 10 if big else _RHO_STEPS)
         if p:
             todo += [p, m // p]
         elif big or composite:
-            raise ValueError(f"cannot factor {n} exactly: its factor {m} "
-                             "is beyond reach")
+            raise ValueError(f"cannot factor {_short(n)} exactly: its factor "
+                             f"{_short(m)} is beyond reach")
         else:  # proven prime
             out[m] = out.get(m, 0) + 1
     return out
+
+
+def _short(n: int) -> str:
+    """n in full, or past twice _SHORT_DIGITS digits its leading and
+    trailing digits and its digit count.  No str() of the whole of n, so it
+    also prints integers past sys.get_int_max_str_digits()."""
+    if abs(n) < 10 ** (2 * _SHORT_DIGITS):
+        return str(n)
+    sign, n = "-" if n < 0 else "", abs(n)
+    digits = int((n.bit_length() - 1) * math.log10(2))  # at most the count
+    power = 10 ** digits
+    while power <= n:
+        digits, power = digits + 1, power * 10
+    head = n // 10 ** (digits - _SHORT_DIGITS)
+    tail = n % 10 ** _SHORT_DIGITS
+    return f"{sign}{head}...{tail:0{_SHORT_DIGITS}d} ({digits} digits)"
 
 
 def _witness(m: int) -> bool:

@@ -14,8 +14,11 @@ a ``Fraction``.  An atom is either
   only on the right-hand sides of derived systems and never differentiated.
 
 Atoms are named tuples, so equality and hashing come from their fields.
-``_term_key`` is the one print order of monomials; it also picks the
-leading term that a derived equation makes positive.
+``sort_key`` orders the atoms of a monomial and ``_term_key`` is the one
+print order of monomials; it also picks the leading term that a derived
+equation makes positive.  Each Atom's sort key, parity and print key are
+computed once, into the module table ``_ATOM_KEYS``, which every product,
+derivative, parity and print order reads.
 
 Odd atoms anticommute and square to zero; even atoms commute with
 everything.  D+ and D- act as odd derivations, dx and dy as even ones.
@@ -24,7 +27,9 @@ All sign bookkeeping is literal algebra on these monomials.
 Every multi-term result (sums, products, derivatives, substitutions) is
 accumulated into one dict by ``_collect``: repeated monomials are added,
 and zero coefficients dropped and integral ones made ``int`` once, at the
-end.
+end.  The common cheap cases skip it: a product by 1 or -1 is the
+expression or its negation, and a product of two single terms is one
+monomial merge, which for two single atoms is one key comparison.
 """
 
 from fractions import Fraction
@@ -79,29 +84,52 @@ class ExpAtom(NamedTuple):
         return "exp(" + _linear_str(self.args) + ")"
 
 
+# Atom -> (sort_key, parity, print key), each computed the first time the
+# atom is met.  Atom names come from the caller's rank, so the table stays
+# small; an ExpAtom's args carry input rationals, so its keys are not kept.
+_ATOM_KEYS: dict = {}
+
+
+def _keys(a) -> tuple:
+    keys = _ATOM_KEYS.get(a)
+    if keys is None:
+        keys = (a.sort_key, a.parity, _term_atom_key(a))
+        if isinstance(a, Atom):
+            _ATOM_KEYS[a] = keys
+    return keys
+
+
 def _mul_monomials(m1: tuple, m2: tuple) -> tuple:
     """Merge two canonical monomials into zero or one (sign, monomial)
     results: none when an odd atom would be squared."""
+    if not m1 or not m2:
+        return ((1, m1 or m2),)
+    if len(m1) == len(m2) == 1:
+        (ka, pa, _), (kb, pb, _) = _keys(m1[0]), _keys(m2[0])
+        if ka < kb:
+            return ((1, m1 + m2),)
+        if kb < ka:
+            return ((-1 if pa and pb else 1, m2 + m1),)
+        return () if pa else ((1, m1 + m2),)  # equal keys: equal atoms
+    k1, k2 = [_keys(a) for a in m1], [_keys(b) for b in m2]
     out = []
     sign = 1
     i = j = 0
-    odd_left = sum(a.parity for a in m1)
+    odd_left = sum(k[1] for k in k1)
     while i < len(m1) and j < len(m2):
-        a, b = m1[i], m2[j]
-        if a.sort_key <= b.sort_key:
-            odd_left -= a.parity
-            out.append(a)
+        if k1[i][0] <= k2[j][0]:
+            odd_left -= k1[i][1]
+            out.append(m1[i])
             i += 1
         else:
-            if b.parity:
-                if odd_left % 2:
-                    sign = -sign
-            out.append(b)
+            if k2[j][1] and odd_left % 2:
+                sign = -sign
+            out.append(m2[j])
             j += 1
     out.extend(m1[i:])
     out.extend(m2[j:])
     for k in range(len(out) - 1):
-        if out[k] == out[k + 1] and out[k].parity:
+        if out[k] == out[k + 1] and _keys(out[k])[1]:
             return ()  # odd atom squared
     return ((sign, tuple(out)),)
 
@@ -165,10 +193,18 @@ class Expr:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
             q = _coeff(other)
             return _collect((m, c * q) for m, c in self.terms.items())
         if not isinstance(other, Expr):
             return NotImplemented
+        if len(self.terms) == len(other.terms) == 1:
+            ((m1, c1),), ((m2, c2),) = self.terms.items(), other.terms.items()
+            return Expr._of({m: _coeff(s * c1 * c2)
+                             for s, m in _mul_monomials(m1, m2)})
         return _collect((mono, sign * c1 * c2)
                         for m1, c1 in self.terms.items()
                         for m2, c2 in other.terms.items()
@@ -180,7 +216,7 @@ class Expr:
         return not self.terms
 
     def parity(self) -> int | None:
-        seen = {sum(a.parity for a in m) % 2 for m in self.terms}
+        seen = {sum(_keys(a)[1] for a in m) % 2 for m in self.terms}
         if not seen:
             return 0
         if len(seen) > 1:
@@ -194,13 +230,15 @@ class Expr:
 
         def pairs():
             for mono, c in self.terms.items():
+                odd_before = 0
                 for i, a in enumerate(mono):
                     if isinstance(a, ExpAtom):
                         raise ValueError(
                             "cannot differentiate an exp(...) atom")
                     sign, new_atom = _derive_atom(a, op)
-                    if op_parity and sum(b.parity for b in mono[:i]) % 2:
+                    if op_parity and odd_before % 2:
                         sign = -sign
+                    odd_before += _keys(a)[1]
                     for s1, partial in _mul_monomials(mono[:i], (new_atom,)):
                         for s2, new_mono in _mul_monomials(partial,
                                                            mono[i + 1:]):
@@ -281,7 +319,7 @@ def _derive_atom(a: Atom, op: str) -> tuple[int, Atom]:
 
 def _term_key(mono: tuple) -> tuple:
     """The print order of monomials: shorter first, then atom by atom."""
-    return (len(mono), tuple(_term_atom_key(a) for a in mono))
+    return (len(mono), tuple(_keys(a)[2] for a in mono))
 
 
 def _term_atom_key(a):
@@ -338,6 +376,7 @@ def exp_linear(pairs) -> Expr:
     zero sums dropped and the rest sorted by name; exp(0) is 1."""
     coeffs: dict[str, Fraction] = {}
     for c, n in pairs:
-        coeffs[n] = coeffs.get(n, 0) + Fraction(c)
+        if c:
+            coeffs[n] = coeffs.get(n, 0) + Fraction(c)
     args = tuple((c, n) for n, c in sorted(coeffs.items()) if c)
     return Expr.atom(ExpAtom(args)) if args else Expr.rational(1)

@@ -36,6 +36,7 @@ GenKey = tuple[str, int]
 
 _DIR_PARITY = {"dx": 0, "dy": 0, "D+": 1, "D-": 1}
 _DIR_METHOD = {"dx": "deriv_x", "dy": "deriv_y", "D+": "d_plus", "D-": "d_minus"}
+_LEVEL = {"X+": 1, "X-": -1}
 
 
 class OutOfSpanError(ValueError):
@@ -57,20 +58,16 @@ class ChevalleyRelations:
     def bracket(self, g1: GenKey, g2: GenKey):
         (k1, i), (k2, j) = g1, g2
         A = self._entries
-        if k1 == "H" and k2 == "H":
-            return ()
-        if k1 == "H" and k2 in ("X+", "X-"):
-            sign = 1 if k2 == "X+" else -1
-            c = sign * A[j][i]
-            return ((c, g2),) if c else ()
-        if k2 == "H" and k1 in ("X+", "X-"):
-            sign = -1 if k1 == "X+" else 1
-            c = sign * A[i][j]
-            return ((c, g1),) if c else ()
-        if {k1, k2} == {"X+", "X-"}:
-            if i != j:
+        if k1 == "H":
+            if k2 == "H":
                 return ()
-            return ((1 if k1 == "X+" else -1, ("H", i)),)
+            c = _LEVEL[k2] * A[j][i]
+            return ((c, g2),) if c else ()
+        if k2 == "H":
+            c = -_LEVEL[k1] * A[i][j]
+            return ((c, g1),) if c else ()
+        if k1 != k2:  # X+ with X-
+            return ((_LEVEL[k1], ("H", i)),) if i == j else ()
         # X+ with X+ (or X- with X-): level +-2.  The Serre relation makes
         # [X_i, X_j] vanish when a_ij = 0, and by antisymmetry when a_ji = 0.
         if i == j or A[i][j] == 0 or A[j][i] == 0:

@@ -318,12 +318,38 @@ def test_bad_order_env_exit_3(capsys, monkeypatch):
                          ids=["--order", "ZCURV_ORDER"])
 def test_order_without_a_coefficient_table_exit_3(capsys, monkeypatch, flags,
                                                   env):
-    # (order + 1)^2 > sys.maxsize: rejected before any jet is built
+    # far past MAX_ORDER: rejected before any jet is built
     monkeypatch.setenv("ZCURV_ORDER", env)
     code, out, err = run(capsys, "verify-liouville", "--f", "x+1", "--g",
                          "y+1", *flags)
     assert (code, out) == (3, "")
-    assert err == "error: jet order 99999999999 is too large\n"
+    assert err == ("error: jet order 99999999999 is past the limit of "
+                   "128\n")
+
+
+@pytest.mark.parametrize("argv,env_order,limit", [
+    (["--f", "x+1", "--g", "y+1", "--order", "100000"], "8", "of 128"),
+    (["--f", "x+1", "--g", "y+1"], "100000", "of 128"),
+    (["--f", "(x+1)^3000", "--g", "y+1", "--base", "1,1", "--order", "4"],
+     "8", "of 1024"),
+    (["--f", "(x+1)^10000", "--g", "y+1", "--base", "1,1", "--order", "4"],
+     "8", "of 1024"),
+], ids=["order", "ZCURV_ORDER", "cofactor-3000", "cofactor-10000"])
+def test_input_past_a_limit_exits_3_at_once(argv, env_order, limit):
+    # a jet order past MAX_ORDER, and a cofactor of about 3,000 or 10,000
+    # bits left by ln((f+g)^2): each took from 1.5 s to minutes before
+    env = {**os.environ, "PYTHONPATH": str(Path(zcurv.__file__).parents[1]),
+           "ZCURV_ORDER": env_order}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "zcurv.cli", "verify-liouville", *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert f"past the limit {limit}" in proc.stderr
+    assert len(proc.stderr) < 300
 
 
 def test_verify_lse_exact_verdict_rejects_underflowing_residual(tmp_path,

@@ -6,8 +6,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from zcurv import scalars
-from zcurv.scalars import (_MR_EXACT_BELOW, Scalar, _factor, as_scalar, sadd,
-                           sexp, sinv, sln, smul)
+from zcurv.scalars import (_MR_EXACT_BELOW, MAX_COFACTOR_BITS, Scalar,
+                           _factor, _short, as_scalar, sadd, sexp, sinv, sln,
+                           smul)
 
 
 def test_ln_expands_over_primes():
@@ -197,6 +198,42 @@ def test_factor_rejects_what_it_cannot_decide(n, cofactor):
     with pytest.raises(ValueError, match=f"cannot factor {n} exactly: its "
                        f"factor {cofactor} "):
         _factor(n)
+
+
+def test_factor_splits_squares_before_the_cofactor_limit():
+    # 1009^400 has 3,990 bits: the square split takes it down to 1009^25
+    # before the limit is applied; 1009^401 is no square and is refused
+    assert (1009**25).bit_length() <= MAX_COFACTOR_BITS
+    assert (1009**400).bit_length() > MAX_COFACTOR_BITS
+    assert _factor(1009**400) == {1009: 400}
+    n = 1009**401
+    with pytest.raises(ValueError) as err:
+        _factor(n)
+    assert str(err.value) == (
+        f"cannot factor {_short(n)} exactly: its factor {_short(n)} has "
+        f"{n.bit_length()} bits, past the limit of {MAX_COFACTOR_BITS}")
+
+
+def test_short_form_matches_str():
+    # powers of ten and their neighbours, where a digit count read off the
+    # bit length is off by one if anywhere
+    for k in [*range(1, 400), 1000, 4299]:
+        for n in (10**k - 1, 10**k, 10**k + 7, 3 * 10**k // 7, -(10**k)):
+            text = str(n)
+            digits = len(text.lstrip("-"))
+            if digits <= 48:
+                assert _short(n) == text
+            else:
+                sign = "-" if n < 0 else ""
+                assert _short(n) == (f"{sign}{text.lstrip('-')[:24]}..."
+                                     f"{text[-24:]} ({digits} digits)")
+
+
+def test_short_form_past_the_str_digit_limit():
+    n = 10**20000 + 12345
+    assert _short(n) == ("1" + "0" * 23 + "..." + "0" * 19 + "12345"
+                         + " (20001 digits)")
+    assert _short(-n).startswith("-1000")
 
 
 # The ring against sympy: each unit exp(r) * prod p^c * prod ln(q)^m maps to

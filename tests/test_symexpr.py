@@ -1,9 +1,20 @@
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zcurv.symexpr import Atom, Expr, exp_linear, fn
+import zcurv
+from conftest import DATA, GOLDEN
+from zcurv import symexpr
+from zcurv.cartan import CartanMatrix, render_cartan, standard_cartan
+from zcurv.symexpr import Atom, ExpAtom, Expr, _mul_monomials, exp_linear, fn
+from zcurv.zerocurv import derive_toda
 
 
 def test_operator_word_normalisation():
@@ -175,3 +186,99 @@ def test_sum_of_nothing_is_zero():
     assert Expr.sum([]).is_zero()
     a = fn("a")
     assert Expr.sum([a, -a]).terms == {}
+
+
+# Even and odd atoms, derivative words, names equal but for case, and exp
+# atoms; drawn from a small pool, so monomials often share atoms.
+_POOL = (Atom("a"), Atom("a", dx=1), Atom("aB", dp=1), Atom("ab", dy=1),
+         Atom("ab", base_parity=1), Atom("B", dm=1),
+         Atom("alpha", base_parity=1), Atom("alpha", dx=1, dp=1,
+                                            base_parity=1),
+         Atom("b", dy=2, dp=1, dm=1), ExpAtom(((Fraction(1), "F"),)),
+         ExpAtom(((Fraction(-1, 2), "F"), (Fraction(2), "G"))))
+
+
+def _canonical(atoms):
+    """Sorted by sort_key, with no odd atom twice."""
+    out = []
+    for a in sorted(atoms, key=lambda a: a.sort_key):
+        if not (a.parity and out and out[-1] == a):
+            out.append(a)
+    return tuple(out)
+
+
+def _reference_product(m1, m2):
+    """Sort m1 + m2 by sort_key, a sign from each odd atom of m2 that moves
+    past an odd atom of m1, and zero when an odd atom is squared."""
+    merged = sorted(m1 + m2, key=lambda a: a.sort_key)
+    if any(x == y and x.parity for x, y in zip(merged, merged[1:])):
+        return ()
+    swaps = sum(1 for x in m1 for y in m2
+                if x.parity and y.parity and y.sort_key < x.sort_key)
+    return (((-1) ** swaps, tuple(merged)),)
+
+
+_monomials = st.lists(st.sampled_from(_POOL), max_size=4).map(_canonical)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=600)
+@given(_monomials, _monomials)
+def test_monomial_product_matches_a_reference_merge(m1, m2):
+    want = _reference_product(m1, m2)
+    assert _mul_monomials(m1, m2) == want
+    # the same through Expr's product of two single terms
+    assert (Expr({m1: 2}) * Expr({m2: Fraction(3, 4)})).terms == {
+        m: Fraction(3, 2) * sign for sign, m in want}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_exprs(), st.sampled_from([1, -1, Fraction(1), Fraction(-1), 2,
+                                  Fraction(-3, 2), 0]))
+def test_product_by_a_rational_scales_each_coefficient(e, q):
+    want = Expr({m: c * q for m, c in e.terms.items()})
+    assert e * q == q * e == want
+    assert all(type(c) is int or c.denominator > 1
+               for c in (e * q).terms.values())
+
+
+def _relabelled_sl17() -> CartanMatrix:
+    a = standard_cartan("sl17").entries
+    p = random.Random(17).sample(range(16), 16)
+    return CartanMatrix.from_rows([[a[i][j] for j in p] for i in p])
+
+
+def test_atom_keys_do_not_depend_on_the_order_atoms_are_met(tmp_path):
+    # A fresh interpreter, under another hash seed, fills its key table from
+    # a relabelled sl17 before it meets sl3's atoms.
+    (tmp_path / "sl17.cm").write_text(render_cartan(_relabelled_sl17()))
+    argv = [["derive", "--cartan", "sl17.cm", "--form", form]
+            for form in ("ls", "lsbis")]
+    argv.append(["derive", "--cartan", str(DATA / "sl3.cm")])
+    script = ("import sys; from zcurv.cli import main\n"
+              f"for argv in {argv!r}: assert main(argv) == 0\n")
+    env = {**os.environ, "PYTHONHASHSEED": "7",
+           "PYTHONPATH": str(Path(zcurv.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    sl17 = "".join(derive_toda(_relabelled_sl17(), form).render() + "\n"
+                   for form in ("ls", "lsbis"))
+    golden = (GOLDEN / "derive_sl3_lsbis.txt").read_text()
+    assert proc.stdout == sl17 + golden
+
+
+def test_one_derivation_computes_each_sort_key_once(monkeypatch):
+    calls = Counter()
+    sort_key = Atom.sort_key.fget
+
+    def counted(atom):
+        calls[atom] += 1
+        return sort_key(atom)
+
+    monkeypatch.setattr(Atom, "sort_key", property(counted))
+    monkeypatch.setattr(symexpr, "_ATOM_KEYS", {})
+    derive_toda(_relabelled_sl17(), "ls").render()
+    assert max(calls.values()) == 1
+    assert set(calls) == set(symexpr._ATOM_KEYS)
+    assert len(calls) == 16 * 9  # a, b, A, B, their dx or dy, and F_xy

@@ -379,3 +379,49 @@ def test_level_two_brackets_are_antisymmetric():
                     both = rows[i][j] != 0 and rows[j][i] != 0
                     assert forward == ("out of span" if both else ())
     assert asymmetric > 20
+
+
+def _reference_bracket(A, g1, g2):
+    """[g1, g2] from [H_i, X_j+-] = +-A_ji X_j+-, [X_i+, X_j-] = delta_ij H_i,
+    antisymmetry, and the Serre relation at level +-2."""
+    (k1, i), (k2, j) = g1, g2
+    if k1 == k2 == "H":
+        return ()
+    if k1 == "H":
+        c = A[j][i] if k2 == "X+" else -A[j][i]
+        return ((c, g2),) if c else ()
+    if k2 == "H" or (k1, k2) == ("X-", "X+"):
+        return tuple((-c, g) for c, g in _reference_bracket(A, g2, g1))
+    if (k1, k2) == ("X+", "X-"):
+        return ((1, ("H", i)),) if i == j else ()
+    if i == j or A[i][j] == 0 or A[j][i] == 0:
+        return ()
+    return "out of span"
+
+
+def test_chevalley_bracket_matches_the_relations_table():
+    # seeded matrices with rational off-diagonal entries, some zero on one
+    # side of a pair only, so every Serre case and out-of-span pair turns up
+    seen = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        A = [[Fraction(2) if i == j else Fraction(rng.choice(
+              [0, 0, -1, -2, Fraction(-1, 2), Fraction(-3, 4)]))
+              for j in range(n)] for i in range(n)]
+        rel = ChevalleyRelations(CartanMatrix.from_rows(A))
+        gens = [(k, i) for k in ("H", "X+", "X-") for i in range(n)]
+        for g1 in gens:
+            for g2 in gens:
+                try:
+                    got = rel.bracket(g1, g2)
+                except OutOfSpanError:
+                    got = "out of span"
+                assert got == _reference_bracket(A, g1, g2), (seed, g1, g2)
+                if got and got != "out of span" and got[0][0].denominator > 1:
+                    seen.add("rational")
+                if g1[0] == g2[0] == "X+" and g1 != g2:
+                    i, j = g1[1], g2[1]
+                    seen.add((A[i][j] == 0, A[j][i] == 0, got))
+    assert {"rational", (False, False, "out of span"), (True, False, ()),
+            (False, True, ()), (True, True, ())} <= seen
