@@ -7,8 +7,10 @@ one ``error: ...`` line.  An ``InputError`` (a ``ValueError``) only adds the
 file, expression or flag at fault.  Output is byte-deterministic for
 identical inputs.  The environment variable ZCURV_ORDER (integer >= 2)
 overrides the default jet order 8 where no --order flag is given; either
-way the order is at most MAX_ORDER.  ``main`` builds the argparse parser on
-its first call and reuses it for every later call in the process.
+way the order is at most MAX_ORDER.  A rational input (--base, --h, a
+boundary's x0..y1) has at most MAX_RATIONAL_BITS bits in its numerator and
+denominator.  ``main`` builds the argparse parser on its first call and
+reuses it for every later call in the process.
 
 Importing this module loads no other zcurv module: each verb imports what
 it uses when it runs.  ``verify-liouville`` loads ``exprparse``, ``jets``,
@@ -21,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -29,6 +32,11 @@ DEFAULT_ORDER = 8
 # coefficients and a product costs about K^4/24 coefficient products, so
 # verify-liouville on x+1, y+1 takes 1.6 s at order 128 and 34 s at 256.
 MAX_ORDER = 128
+# The most bits in the numerator or denominator of a rational input (--base,
+# --h, a boundary's x0..y1), and the largest decimal exponent: Fraction
+# builds 10^e before it reduces, and Fraction("1e-9999999") alone takes 9 s.
+MAX_RATIONAL_BITS = 1024
+_DECIMAL_EXPONENT = r"\s*[-+]?[\d._]*[eE][-+]?([\d_]+)\s*"
 
 
 class InputError(ValueError):
@@ -76,12 +84,33 @@ def _check_residuals(residuals, mags, tol: float) -> None:
         raise VerificationFailure(f"residual {max(mags)!r} exceeds {tol!r}")
 
 
+def _rational(value, what: str) -> Fraction:
+    """``Fraction(value)`` for the input ``what``.  InputError for a decimal
+    exponent or a numerator or denominator past MAX_RATIONAL_BITS, before
+    Fraction builds the power of ten; else Fraction's own errors."""
+    exponent = isinstance(value, str) and re.fullmatch(_DECIMAL_EXPONENT,
+                                                       value)
+    digits = exponent and exponent[1].replace("_", "").lstrip("0")
+    if digits and (len(digits) > len(str(MAX_RATIONAL_BITS))
+                   or int(digits) > MAX_RATIONAL_BITS):
+        raise InputError(f"{what} {value!r} has a decimal exponent past the "
+                         f"limit of {MAX_RATIONAL_BITS}")
+    q = Fraction(value)
+    if max(q.numerator.bit_length(),
+           q.denominator.bit_length()) > MAX_RATIONAL_BITS:
+        raise InputError(f"{what} {value!r} has a numerator or denominator "
+                         f"past the limit of {MAX_RATIONAL_BITS} bits")
+    return q
+
+
 def _parse_base(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError(f"--base expects 'x0,y0', got {text!r}")
     try:
-        return Fraction(parts[0]), Fraction(parts[1])
+        return _rational(parts[0], "--base"), _rational(parts[1], "--base")
+    except InputError:
+        raise
     except (ValueError, ZeroDivisionError):
         raise InputError(f"--base expects rationals, got {text!r}") from None
 
@@ -131,7 +160,7 @@ def _evaluate(text: str, where: str, evaluate, *args):
                          "overflow") from None
     except (ValueError, ArithmeticError) as exc:
         raise InputError(f"cannot evaluate {text!r} {where}: {exc}") from None
-    except RecursionError:  # the memo fold nests as deep as _parse_checked
+    except RecursionError:  # a fold nests one frame a level of the tree
         raise _nested_too_deeply(text) from None
 
 
@@ -251,8 +280,11 @@ def _cmd_solve(args) -> int:
             if isinstance(value, bool):  # Fraction(True) would read it as 1
                 raise TypeError(f"{key} must be a rational, got "
                                 f"{json.dumps(value)}")
-        x0, x1, y0, y1 = map(Fraction, ends.values())
+        x0, x1, y0, y1 = (_rational(value, f"{args.boundary}: {key}")
+                          for key, value in ends.items())
         x_exprs, y_exprs = doc["x_edge"], doc["y_edge"]
+    except InputError:
+        raise
     except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise InputError(f"{args.boundary}: bad boundary document "
                          f"({exc})") from None
@@ -264,7 +296,9 @@ def _cmd_solve(args) -> int:
     x_nodes = [_parse_checked(text, {"y"}) for text in x_exprs]
     y_nodes = [_parse_checked(text, {"x"}) for text in y_exprs]
     try:
-        h = Fraction(args.h)
+        h = _rational(args.h, "--h")
+    except InputError:
+        raise
     except (ValueError, ZeroDivisionError):
         raise InputError(f"--h expects a rational step, got {args.h!r}") \
             from None

@@ -9,10 +9,14 @@
 
 Every literal is an integer token of ASCII digits, stored as
 ``("num", int)``; rational constants are written as quotients of integers
-("3/2").  One recursive fold evaluates the AST: the leaves and the four
-arithmetic nodes neg, add, sub and mul use Python operators, and the
-remaining nodes (num, div, pow, exp, ln) look up an operation table.  There
-are three tables:
+("3/2").  Each tree is compiled once into a *program*: a closure per
+node that calls its children's closures and applies the node's
+operation from an operation table.  The parser builds the program as it
+builds the tuple, and the parsed tree carries it, so it lives as long as
+the tree.  ``eval_float``, ``eval_jet`` and ``used_variables`` compile a
+hand-built tuple on its first use, into one bounded cache keyed by the
+tree's value.  A program records which of x and y its tree reads.  One
+program runs all three tables:
 
 * jets (``Jet.constant``, ``operator.truediv``, ``Jet.pow_int``,
   ``Jet.exp``, ``Jet.ln``) give exact jets at a base point;
@@ -29,9 +33,17 @@ are three tables:
   fold.  This table is built on the first array call, so importing this
   module does not load numpy; an array argument means numpy is loaded.
 
-A jet or array call folds each distinct subtree once, in a memo keyed by the
-node tuple that callers may share across calls with the same x and y.  The
-fold at one float point keeps no memo and costs one call a node.
+neg, add, sub and mul are Python's operators in every table.  A subtree
+that reads neither x nor y has one float under the float and array
+tables, folded once per program (by the parser, or for a hand-built tree
+by the first float or array call that returns); a fold that raises keeps
+nothing, so the same error comes at the same point on every call.  Jet
+constants depend on the base point and order and are folded on each call.
+A jet or array call folds each distinct subtree once, in a memo keyed by
+the node tuple that callers may share across calls with the same x and y;
+the float fold at one point keeps no memo.  A tree deeper than the
+recursion limit, which no fold could descend, raises ``RecursionError``
+when parsed.
 """
 
 import functools
@@ -47,23 +59,21 @@ class ExprSyntaxError(ValueError):
 
 
 _TOKEN_CHARS = set("+-*/^()")
+_DIGITS = set("0123456789")  # ASCII only: str.isdigit also takes '²'
 
 
 def _tokenize(text: str):
     tokens = []
+    n = len(text)
     i = 0
-    while i < len(text):
+    while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
         if ch in _TOKEN_CHARS:
             tokens.append((ch, ch, i))
             i += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes '²'
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
+        elif ch in _DIGITS:
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
                 j += 1
             try:
                 tokens.append(("int", int(text[i:j]), i))
@@ -71,30 +81,176 @@ def _tokenize(text: str):
                 raise ExprSyntaxError(f"integer of {j - i} digits is too "
                                       "long", i) from None
             i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
+        elif ch.isalpha():
+            j = i + 1
+            while j < n and text[j].isalnum():
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, len(text)))
+        elif ch.isspace():
+            i += 1
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, n))
     return tokens
 
 
+# -- programs ----------------------------------------------------------------
+#
+# A program is a closure run(x, y, ops, memo) over one node; memo is None for
+# the float fold at one point.  A part is the tuple (node, run, mask, depth,
+# value) of one subtree: mask holds the bits of the variables it reads.  The
+# parser folds a subtree that reads no variable to its float ``value`` (None
+# if that raises) and leaves its ``run`` None: such a subtree gets closures
+# only when a jet, or a float that raises, needs them.  ``_compile`` builds a
+# closure for every node of a hand-built tree.
+
+_X, _Y = 1, 2
+_VARIABLES = (frozenset(), frozenset("x"), frozenset("y"), frozenset("xy"))
+_MAX_PROGRAMS = 256
+_PROGRAMS: dict = {}  # hand-built tree -> (run, variables), oldest first
+
+
+def _leaf(node):
+    """The part of a num or var node."""
+    kind, arg = node
+    if kind == "num":
+        def run(x, y, ops, memo):
+            if memo is None or (value := memo.get(node)) is None:
+                value = ops["num"](arg)
+                if memo is not None:
+                    memo[node] = value
+            return value
+        return node, run, 0, 1, None
+    if arg == "x":
+        return node, lambda x, y, ops, memo: x, _X, 1, None
+    return node, lambda x, y, ops, memo: y, _Y, 1, None
+
+
+def _fold(op, *args):
+    """The float table's ``op`` of a folded node's operands, or None when an
+    operand is None or the operation raises: the program then raises the
+    same error on every float call."""
+    if None in args:
+        return None
+    try:
+        return _FLOAT_OPS[op](*args)
+    except (ValueError, ArithmeticError):
+        return None
+
+
+def _unary(node, part):
+    """The part of a neg, exp, ln or pow node over the part of its argument;
+    pow passes its exponent, ``node[2]``, after the argument."""
+    _, a, mask, depth, value = part
+    op, rest = node[0], node[2:]
+    if a is None:
+        return node, None, 0, depth + 1, _fold(op, value, *rest)
+
+    def run(x, y, ops, memo):
+        if memo is None or (value := memo.get(node)) is None:
+            value = ops[op](a(x, y, ops, memo), *rest)
+            if memo is not None:
+                memo[node] = value
+        return value
+    return node, run, mask, depth + 1, None
+
+
+def _binary(node, left, right):
+    """The part of an add, sub, mul or div node over its operands' parts.
+    When the node reads a variable, a constant operand folds its float
+    once."""
+    _, a, ma, da, va = left
+    _, b, mb, db, vb = right
+    op = node[0]
+    depth = (da if da > db else db) + 1
+    if depth > sys.getrecursionlimit():  # a chain of terms parses in a loop
+        raise RecursionError(f"expression nested {depth} deep")
+    if a is None and b is None:
+        return node, None, 0, depth, _fold(op, va, vb)
+    if ma and not mb:
+        b = _constant(node[2], b, vb)
+    elif mb and not ma:
+        a = _constant(node[1], a, va)
+
+    def run(x, y, ops, memo):
+        if memo is None or (value := memo.get(node)) is None:
+            value = ops[op](a(x, y, ops, memo), b(x, y, ops, memo))
+            if memo is not None:
+                memo[node] = value
+        return value
+    return node, run, ma | mb, depth, None
+
+
+def _constant(node, run, value):
+    """The program of a tree that reads neither x nor y.  The float and array
+    tables give it one float (their ``num`` is ``float``): ``value``, or if
+    None the first that a call returns; a call that raises keeps nothing.
+    ``run`` is its closures, compiled when first needed if None."""
+    def const(x, y, ops, memo):
+        nonlocal run, value
+        floats = ops["num"] is float
+        if floats and value is not None:
+            return value
+        if run is None:
+            run = _compile(node)[1]
+        if not floats:  # jets: constants depend on the point
+            return run(x, y, ops, memo)
+        value = run(x, y, _FLOAT_OPS, None)
+        return value
+    return const
+
+
+def _compile(node):
+    """The part of a hand-built tree, with a closure for every node."""
+    kind = node[0]
+    if kind in ("num", "var"):
+        return _leaf(node)
+    if kind in ("neg", "exp", "ln", "pow"):
+        return _unary(node, _compile(node[1]))
+    if kind in ("add", "sub", "mul", "div"):
+        return _binary(node, _compile(node[1]), _compile(node[2]))
+    raise ValueError(f"unknown node {kind!r}")
+
+
+def _finish(node, part):
+    """(run, variables) of the tree ``node`` from its part."""
+    _, run, mask, _, value = part
+    return (run if mask else _constant(node, run, value)), _VARIABLES[mask]
+
+
+def _program(node):
+    """(run, variables) of the tree.  A parsed tree carries its own; a
+    hand-built tuple's is compiled on first use into ``_PROGRAMS``."""
+    if type(node) is _Tree:
+        return node.program
+    program = _PROGRAMS.get(node)
+    if program is None:
+        if len(_PROGRAMS) >= _MAX_PROGRAMS:
+            del _PROGRAMS[next(iter(_PROGRAMS))]
+        program = _PROGRAMS[node] = _finish(node, _compile(node))
+    return program
+
+
+# -- parsing -----------------------------------------------------------------
+
+_X_PART, _Y_PART = _leaf(("var", "x")), _leaf(("var", "y"))
+
+
 class _Parser:
+    """Recursive descent that returns the part of each subtree it reads;
+    ``kind`` is the kind of the next token."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
+        self.tokens.append(self.tokens[-1])  # reading "end" stays at "end"
         self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
+        self.kind = self.tokens[0][0]
 
     def next(self):
         tok = self.tokens[self.i]
         self.i += 1
+        self.kind = self.tokens[self.i][0]
         return tok
 
     def expect(self, kind: str):
@@ -104,66 +260,66 @@ class _Parser:
         return tok
 
     def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprSyntaxError("trailing input", tok[2])
-        return node
+        part = self.expr()
+        if self.kind != "end":
+            raise ExprSyntaxError("trailing input", self.tokens[self.i][2])
+        return part
 
     def expr(self):
-        node = self.term()
-        while self.peek()[0] in "+-":
-            op = self.next()[0]
-            node = ("add" if op == "+" else "sub", node, self.term())
-        return node
+        part = self.term()
+        while self.kind in "+-":
+            kind = "add" if self.next()[0] == "+" else "sub"
+            rhs = self.term()
+            part = _binary((kind, part[0], rhs[0]), part, rhs)
+        return part
 
     def term(self):
-        node = self.factor()
-        while self.peek()[0] in "*/":
-            op = self.next()[0]
+        part = self.factor()
+        while self.kind in "*/":
+            kind = "mul" if self.next()[0] == "*" else "div"
             rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            part = _binary((kind, part[0], rhs[0]), part, rhs)
+        return part
 
     def factor(self):
-        tok = self.peek()
-        if tok[0] == "-":
+        if self.kind == "-":
             self.next()
-            return ("neg", self.factor())
-        if tok[0] == "+":
+            part = self.factor()
+            return _unary(("neg", part[0]), part)
+        if self.kind == "+":
             self.next()
             return self.factor()
         return self.power()
 
     def power(self):
-        node = self.primary()
-        if self.peek()[0] == "^":
+        part = self.primary()
+        if self.kind == "^":
             pos = self.next()[2]
-            exponent = self.factor()
-            n = _int_const(exponent)
+            n = _int_const(self.factor()[0])
             if n is None:
                 raise ExprSyntaxError("exponent must be an integer", pos)
-            return ("pow", node, n)
-        return node
+            return _unary(("pow", part[0], n), part)
+        return part
 
     def primary(self):
-        tok = self.next()
-        kind, value, pos = tok
+        kind, value, pos = self.next()
         if kind == "int":
-            return ("num", value)
+            return ("num", value), None, 0, 1, _fold("num", value)
         if kind == "name":
-            if value in ("x", "y"):
-                return ("var", value)
+            if value == "x":
+                return _X_PART
+            if value == "y":
+                return _Y_PART
             if value in ("exp", "ln"):
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return (value, arg)
+                return _unary((value, arg[0]), arg)
             raise ExprSyntaxError(f"unknown name {value!r}", pos)
         if kind == "(":
-            node = self.expr()
+            part = self.expr()
             self.expect(")")
-            return node
+            return part
         raise ExprSyntaxError("expected a value", pos)
 
 
@@ -176,60 +332,33 @@ def _int_const(node):
     return None
 
 
+class _Tree(tuple):
+    """A parsed tree: a tuple that carries its program, so the program lives
+    as long as the tree.  A copy is a plain tuple."""
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 def parse_expression(text: str):
-    return _Parser(text).parse()
+    """The tree of ``text``, which carries the program the parse built."""
+    part = _Parser(text).parse()
+    tree = _Tree(part[0])
+    tree.program = _finish(part[0], part)
+    return tree
 
 
 def used_variables(node) -> set[str]:
-    kind = node[0]
-    if kind == "var":
-        return {node[1]}
-    if kind == "num":
-        return set()
-    return set().union(*(used_variables(c) for c in node[1:]
-                         if isinstance(c, tuple)))
+    """The variables the tree reads, as its program records them."""
+    return set(_program(node)[1])
 
 
-def _fold(node, x, y, ops, fold):
-    """Evaluate the tree; ``ops`` holds the domain's num/div/pow/exp/ln, and
-    ``fold`` evaluates a child: ``_fold`` itself, or a memo's."""
-    kind = node[0]
-    if kind == "num":
-        return ops["num"](node[1])
-    if kind == "var":
-        return x if node[1] == "x" else y
-    if kind == "neg":
-        return -fold(node[1], x, y, ops, fold)
-    if kind == "add":
-        return fold(node[1], x, y, ops, fold) + fold(node[2], x, y, ops, fold)
-    if kind == "sub":
-        return fold(node[1], x, y, ops, fold) - fold(node[2], x, y, ops, fold)
-    if kind == "mul":
-        return fold(node[1], x, y, ops, fold) * fold(node[2], x, y, ops, fold)
-    if kind == "div":
-        return ops["div"](fold(node[1], x, y, ops, fold),
-                          fold(node[2], x, y, ops, fold))
-    if kind == "pow":
-        return ops["pow"](fold(node[1], x, y, ops, fold), node[2])
-    if kind in ("exp", "ln"):
-        return ops[kind](fold(node[1], x, y, ops, fold))
-    raise ValueError(f"unknown node {kind!r}")
+# -- operation tables ---------------------------------------------------------
 
-
-def _memo_fold(node, x, y, ops, memo):
-    """``_fold`` that reuses and fills ``memo`` (a fresh dict if None)."""
-    memo = {} if memo is None else memo
-
-    def fold(node, x, y, ops, _):
-        value = memo.get(node)
-        if value is None:
-            value = memo[node] = _fold(node, x, y, ops, fold)
-        return value
-    return fold(node, x, y, ops, fold)
-
-
-_FLOAT_OPS = {"num": float, "div": operator.truediv, "pow": operator.pow,
-              "exp": math.exp, "ln": math.log}
+_ARITHMETIC = {"neg": operator.neg, "add": operator.add,
+               "sub": operator.sub, "mul": operator.mul}
+_FLOAT_OPS = {**_ARITHMETIC, "num": float, "div": operator.truediv,
+              "pow": operator.pow, "exp": math.exp, "ln": math.log}
 
 
 @functools.cache
@@ -252,26 +381,30 @@ def _array_ops() -> dict:
             raise ZeroDivisionError("float division by zero")
         return a / b
 
-    return {"num": float, "div": div, "pow": elementwise(operator.pow, 2),
+    return {**_ARITHMETIC, "num": float, "div": div,
+            "pow": elementwise(operator.pow, 2),
             "exp": elementwise(math.exp, 1), "ln": elementwise(math.log, 1)}
 
 
 def eval_jet(node, x: "Jet", y: "Jet", memo=None) -> "Jet":
     """The jet of the tree; ``memo`` holds subtrees folded with this x, y."""
     from .jets import Jet  # here, so that ``solve`` loads no jets
-    return _memo_fold(node, x, y, {
-        "num": lambda q: Jet.constant(q, x.base, x.order),
+    return _program(node)[0](x, y, {
+        **_ARITHMETIC, "num": lambda q: Jet.constant(q, x.base, x.order),
         "div": operator.truediv, "pow": Jet.pow_int, "exp": Jet.exp,
-        "ln": Jet.ln}, memo)
+        "ln": Jet.ln}, {} if memo is None else memo)
 
 
 def eval_float(node, x, y, memo=None):
     """The float value at (x, y).  When ``x`` or ``y`` is a 1-D float array,
     the values at every point: an array, or a float if the tree reads
     neither array; ``memo`` then acts as in ``eval_jet``."""
+    run = _program(node)[0]
+    if isinstance(x, float) and isinstance(y, float):
+        return run(x, y, _FLOAT_OPS, None)
     np = sys.modules.get("numpy")
     if np is not None and (isinstance(x, np.ndarray)
                            or isinstance(y, np.ndarray)):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _memo_fold(node, x, y, _array_ops(), memo)
-    return _fold(node, x, y, _FLOAT_OPS, _fold)
+            return run(x, y, _array_ops(), {} if memo is None else memo)
+    return run(x, y, _FLOAT_OPS, None)

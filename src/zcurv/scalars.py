@@ -112,6 +112,12 @@ def _short(n: int) -> str:
     return f"{sign}{head}...{tail:0{_SHORT_DIGITS}d} ({digits} digits)"
 
 
+def _short_fraction(q: Fraction) -> str:
+    """``str(q)`` with numerator and denominator printed by ``_short``."""
+    text = _short(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{_short(q.denominator)}"
+
+
 def _witness(m: int) -> bool:
     """Whether a base in _MR_BASES proves the odd m > 41 composite."""
     s = ((m - 1) & (1 - m)).bit_length() - 1
@@ -352,11 +358,12 @@ class Scalar:
             r, logs, pows = _UNITS[u]
             bits = []
             if c != 1 or (r == 0 and not logs and not pows):
-                bits.append(str(c) if c.denominator == 1 else f"({c})")
+                text = _short_fraction(c)
+                bits.append(text if c.denominator == 1 else f"({text})")
             if r:
-                bits.append(f"exp({r})")
+                bits.append(f"exp({_short_fraction(r)})")
             for p, e in logs:
-                bits.append(f"{p}^({e})")
+                bits.append(f"{p}^({_short_fraction(e)})")
             for p, m in pows:
                 bits.append(f"ln({p})" + (f"^{m}" if m > 1 else ""))
             parts.append("*".join(bits))

@@ -183,6 +183,18 @@ def test_sums_near_the_parse_depth_limit_exit_0_or_3(tmp_path, monkeypatch,
         assert code == 0 or err.endswith("nested too deeply\n"), n
 
 
+def test_a_long_sum_folds_and_one_past_the_recursion_limit_exits_3(capsys):
+    # a program folds one frame a level, so 800 terms fold; a sum deeper
+    # than the recursion limit is refused when it is parsed
+    text = "+".join(["x"] * 800)
+    code, out, err = run(capsys, "verify-liouville", "--f", f"{text}+1",
+                         "--g", "y+1", "--order", "3")
+    assert (code, err) == (0, "")
+    text = "+".join(["x"] * (sys.getrecursionlimit() + 1))
+    code, _, err = run(capsys, "verify-liouville", "--f", text, "--g", "y+1")
+    assert code == 3 and err.endswith("nested too deeply\n")
+
+
 def test_verify_lse_component_count(tmp_path, capsys):
     doc = tmp_path / "sol.json"
     doc.write_text(json.dumps({"components": ["x"]}))
@@ -414,6 +426,78 @@ SL2 = str(DATA / "sl2.cm")
 BOUNDARY = {"x0": "0", "x1": "1", "y0": "0", "y1": "1",
             "x_edge": ["-2*ln(y+2)"], "y_edge": ["-2*ln(x+2)"]}
 NOT_UTF8 = b'{"matrix":[[2]],"name":"\xff"}'
+
+
+HUGE_EXPONENT = "1e-9999999"  # Fraction alone spends about 9 s on it
+
+
+@pytest.mark.parametrize("argv,boundary,message", [
+    (["verify-liouville", "--f", "x+1", "--g", "y+1", "--base",
+      f"1/3,{HUGE_EXPONENT}", "--order", "8"], None,
+     f"--base '{HUGE_EXPONENT}' has a decimal exponent past the limit of "
+     "1024"),
+    (["verify-liouville", "--f", "x+1", "--g", "y+1", "--base",
+      "1/3,1e-100000", "--order", "8"], None, "decimal exponent past the "
+     "limit of 1024"),
+    (["verify-liouville", "--f", "x+1", "--g", "y+1", "--base",
+      f"1/{10**400},0", "--order", "8"], None, "numerator or denominator "
+     "past the limit of 1024 bits"),
+    (["solve", "--cartan", str(DATA / "sl2.cm"), "--boundary", "b.json",
+      "--h", HUGE_EXPONENT, "--out", "grid.csv"], BOUNDARY,
+     f"--h '{HUGE_EXPONENT}' has a decimal exponent past the limit of 1024"),
+    (["solve", "--cartan", str(DATA / "sl2.cm"), "--boundary", "b.json",
+      "--h", "1/4", "--out", "grid.csv"], {**BOUNDARY, "x0": HUGE_EXPONENT},
+     f"b.json: x0 '{HUGE_EXPONENT}' has a decimal exponent past the limit"),
+    (["solve", "--cartan", str(DATA / "sl2.cm"), "--boundary", "b.json",
+      "--h", "1/4", "--out", "grid.csv"], {**BOUNDARY, "y1": 10**400},
+     "b.json: y1 1000000"),
+], ids=["base-exponent", "base-exponent-100000", "base-denominator",
+        "h-exponent", "boundary-exponent", "boundary-integer"])
+def test_rational_past_the_limit_exits_3_at_once(tmp_path, argv, boundary,
+                                                 message):
+    if boundary is not None:
+        (tmp_path / "b.json").write_text(json.dumps(boundary))
+    env = {**os.environ, "PYTHONPATH": str(Path(zcurv.__file__).parents[1])}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "zcurv.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "past the limit of 1024" in proc.stderr
+    assert not (tmp_path / "grid.csv").exists()
+
+
+def test_rational_limit_is_on_bits():
+    top = 2**cli.MAX_RATIONAL_BITS
+    for text in (str(top - 1), f"-1/{top - 1}", "1e308", "1e-300",
+                 "1.5e-000300", " 7/3 ", "1_0e1_0", "2e0", "2e-0_0"):
+        assert cli._rational(text, "x") == Fraction(text.strip())
+    assert cli._rational(0.1, "x") == Fraction(0.1)
+    for value in (str(top), f"1/{top}", "1e309", "1e1025", "0e1025",
+                  f"1e-{'9' * 5000}", "1e-9_999_999", ".5E+00_1025", top,
+                  5e-324):
+        with pytest.raises(cli.InputError, match="past the limit of 1024"):
+            cli._rational(value, "x")
+    for value in ("1e", "e5", "1/0", "", "x"):  # Fraction's own errors
+        with pytest.raises((ValueError, ZeroDivisionError)) as err:
+            cli._rational(value, "x")
+        assert not isinstance(err.value, cli.InputError)
+
+
+def test_a_scalar_in_an_error_prints_long_integers_short(capsys):
+    # 10^5000 in the constant term: str() of it would pass Python's
+    # 4,300-digit limit and replace this message with its own
+    code, out, err = run(capsys, "verify-liouville", "--f", "exp(x)+10^5000",
+                         "--g", "y^2+y+2", "--base", "1/2,1/3", "--order",
+                         "4")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: cannot invert multi-term scalar (810000000000000000000000..."
+        "000000000000000000000484 (10002 digits)/81) + (18000000000000000000"
+        "0000...000000000000000000000044 (5002 digits)/9)*exp(1/2) + exp(1)\n")
 
 
 def _solve(boundary, h="1/4", out="grid.csv"):

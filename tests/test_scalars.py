@@ -236,6 +236,20 @@ def test_short_form_past_the_str_digit_limit():
     assert _short(-n).startswith("-1000")
 
 
+def test_str_prints_long_integers_short():
+    # each rational of a term (coefficient, exp argument, prime exponent)
+    # prints as str() would, with long integers in _short's form
+    v = sadd(smul(Fraction(7, 3), sexp(Fraction(1, 2))), sln(Fraction(12)))
+    assert str(v) == "2*ln(2) + ln(3) + (7/3)*exp(1/2)"
+    assert str(sexp(sadd(smul(Fraction(1, 2), sln(Fraction(2))),
+                         Fraction(1, 3)))) == "exp(1/3)*2^(1/2)"
+    big = 10**5000 + 1  # str() of it passes Python's 4,300-digit limit
+    v = sadd(smul(Fraction(big, 3), sexp(Fraction(-big, 7))), Fraction(-big))
+    assert str(v) == (f"({_short(big)}/3)*exp({_short(-big)}/7) + "
+                      f"{_short(-big)}")
+    assert len(str(v)) < 250
+
+
 # The ring against sympy: each unit exp(r) * prod p^c * prod ln(q)^m maps to
 # its sympy expression, so a scalar maps to a sum of sympy terms.
 def _sympy_terms(v):
