@@ -93,14 +93,23 @@ def _rational(value, what: str) -> Fraction:
     digits = exponent and exponent[1].replace("_", "").lstrip("0")
     if digits and (len(digits) > len(str(MAX_RATIONAL_BITS))
                    or int(digits) > MAX_RATIONAL_BITS):
-        raise InputError(f"{what} {value!r} has a decimal exponent past the "
-                         f"limit of {MAX_RATIONAL_BITS}")
+        raise InputError(f"{what} {_clip(value)} has a decimal exponent past "
+                         f"the limit of {MAX_RATIONAL_BITS}")
     q = Fraction(value)
     if max(q.numerator.bit_length(),
            q.denominator.bit_length()) > MAX_RATIONAL_BITS:
-        raise InputError(f"{what} {value!r} has a numerator or denominator "
-                         f"past the limit of {MAX_RATIONAL_BITS} bits")
+        raise InputError(f"{what} {_clip(value)} has a numerator or "
+                         f"denominator past the limit of {MAX_RATIONAL_BITS} "
+                         "bits")
     return q
+
+
+def _clip(value) -> str:
+    """``repr(value)``, with the middle of a long one left out."""
+    text = repr(value)
+    if len(text) <= 48:
+        return text
+    return f"{text[:24]}...{text[-12:]} ({len(text)} characters)"
 
 
 def _parse_base(text: str) -> tuple[Fraction, Fraction]:

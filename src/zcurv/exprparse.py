@@ -13,10 +13,9 @@ Every literal is an integer token of ASCII digits, stored as
 node that calls its children's closures and applies the node's
 operation from an operation table.  The parser builds the program as it
 builds the tuple, and the parsed tree carries it, so it lives as long as
-the tree.  ``eval_float``, ``eval_jet`` and ``used_variables`` compile a
-hand-built tuple on its first use, into one bounded cache keyed by the
-tree's value.  A program records which of x and y its tree reads.  One
-program runs all three tables:
+the tree; ``eval_float``, ``eval_jet`` and ``used_variables`` compile a
+hand-built tuple on each call.  A program records which of x and y its
+tree reads.  One program runs all three tables:
 
 * jets (``Jet.constant``, ``operator.truediv``, ``Jet.pow_int``,
   ``Jet.exp``, ``Jet.ln``) give exact jets at a base point;
@@ -34,16 +33,17 @@ program runs all three tables:
   module does not load numpy; an array argument means numpy is loaded.
 
 neg, add, sub and mul are Python's operators in every table.  A subtree
-that reads neither x nor y has one float under the float and array
-tables, folded once per program (by the parser, or for a hand-built tree
-by the first float or array call that returns); a fold that raises keeps
-nothing, so the same error comes at the same point on every call.  Jet
-constants depend on the base point and order and are folded on each call.
-A jet or array call folds each distinct subtree once, in a memo keyed by
-the node tuple that callers may share across calls with the same x and y;
-the float fold at one point keeps no memo.  A tree deeper than the
-recursion limit, which no fold could descend, raises ``RecursionError``
-when parsed.
+that reads neither x nor y is folded to its float when the program is
+built, and the float and array tables take that value.  Its closures are
+compiled the first time a jet call, or a float call whose fold raises,
+needs them: jet constants depend on the base point and order and are
+folded on each call, and a raise runs the closures again, so the same
+error comes at the same point on every call.  A jet or array call folds each
+distinct subtree once, in a memo keyed by the node tuple that callers may
+share across calls with the same x and y; the float fold at one point
+keeps no memo.  A fold descends one frame a level of the tree, so a tree
+deeper than the recursion limit less ``_CALLER_FRAMES`` raises
+``RecursionError`` when it is parsed.
 """
 
 import functools
@@ -59,21 +59,23 @@ class ExprSyntaxError(ValueError):
 
 
 _TOKEN_CHARS = set("+-*/^()")
-_DIGITS = set("0123456789")  # ASCII only: str.isdigit also takes '²'
 
 
 def _tokenize(text: str):
     tokens = []
-    n = len(text)
     i = 0
-    while i < n:
+    while i < len(text):
         ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
         if ch in _TOKEN_CHARS:
             tokens.append((ch, ch, i))
             i += 1
-        elif ch in _DIGITS:
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
+            continue
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes '²'
+            j = i
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             try:
                 tokens.append(("int", int(text[i:j]), i))
@@ -81,17 +83,16 @@ def _tokenize(text: str):
                 raise ExprSyntaxError(f"integer of {j - i} digits is too "
                                       "long", i) from None
             i = j
-        elif ch.isalpha():
-            j = i + 1
-            while j < n and text[j].isalnum():
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(text) and text[j].isalnum():
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
-        elif ch.isspace():
-            i += 1
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+            continue
+        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -99,38 +100,42 @@ def _tokenize(text: str):
 #
 # A program is a closure run(x, y, ops, memo) over one node; memo is None for
 # the float fold at one point.  A part is the tuple (node, run, mask, depth,
-# value) of one subtree: mask holds the bits of the variables it reads.  The
-# parser folds a subtree that reads no variable to its float ``value`` (None
-# if that raises) and leaves its ``run`` None: such a subtree gets closures
-# only when a jet, or a float that raises, needs them.  ``_compile`` builds a
-# closure for every node of a hand-built tree.
+# value) of one subtree: mask holds the bits of the variables it reads, and
+# when it reads none, value is its float (None if that raises).  The parser
+# and ``_compile`` build parts with the same builders, which give a node a
+# closure when one of its children has one: a num leaf has one only when
+# ``_compile`` is asked for closures, so a subtree that reads no variable has
+# none until a jet, or a float fold that raises, needs them.
 
 _X, _Y = 1, 2
 _VARIABLES = (frozenset(), frozenset("x"), frozenset("y"), frozenset("xy"))
-_MAX_PROGRAMS = 256
-_PROGRAMS: dict = {}  # hand-built tree -> (run, variables), oldest first
+# Frames of the stack that a tree's depth leaves to the callers of its fold
+# and to the operations at its deepest node: every tree that parses folds.
+_CALLER_FRAMES = 100
 
 
-def _leaf(node):
-    """The part of a num or var node."""
+def _leaf(node, closure: bool):
+    """The part of a num or var node; a num gets a closure if ``closure``."""
     kind, arg = node
-    if kind == "num":
-        def run(x, y, ops, memo):
-            if memo is None or (value := memo.get(node)) is None:
-                value = ops["num"](arg)
-                if memo is not None:
-                    memo[node] = value
-            return value
-        return node, run, 0, 1, None
-    if arg == "x":
-        return node, lambda x, y, ops, memo: x, _X, 1, None
-    return node, lambda x, y, ops, memo: y, _Y, 1, None
+    if kind == "var":
+        if arg == "x":
+            return node, lambda x, y, ops, memo: x, _X, 1, None
+        return node, lambda x, y, ops, memo: y, _Y, 1, None
+    if not closure:
+        return node, None, 0, 1, _fold("num", arg)
+
+    def run(x, y, ops, memo):
+        if memo is None or (value := memo.get(node)) is None:
+            value = ops["num"](arg)
+            if memo is not None:
+                memo[node] = value
+        return value
+    return node, run, 0, 1, _fold("num", arg)
 
 
 def _fold(op, *args):
-    """The float table's ``op`` of a folded node's operands, or None when an
-    operand is None or the operation raises: the program then raises the
-    same error on every float call."""
+    """The float table's ``op`` of a constant node's operands, or None when
+    an operand is None or the operation raises."""
     if None in args:
         return None
     try:
@@ -139,13 +144,21 @@ def _fold(op, *args):
         return None
 
 
+def _check_depth(depth: int) -> None:
+    if depth > sys.getrecursionlimit() - _CALLER_FRAMES:
+        raise RecursionError(f"expression nested {depth} deep")
+
+
 def _unary(node, part):
     """The part of a neg, exp, ln or pow node over the part of its argument;
     pow passes its exponent, ``node[2]``, after the argument."""
     _, a, mask, depth, value = part
     op, rest = node[0], node[2:]
+    _check_depth(depth + 1)
+    if not mask:
+        value = _fold(op, value, *rest)
     if a is None:
-        return node, None, 0, depth + 1, _fold(op, value, *rest)
+        return node, None, 0, depth + 1, value
 
     def run(x, y, ops, memo):
         if memo is None or (value := memo.get(node)) is None:
@@ -153,21 +166,20 @@ def _unary(node, part):
             if memo is not None:
                 memo[node] = value
         return value
-    return node, run, mask, depth + 1, None
+    return node, run, mask, depth + 1, value
 
 
 def _binary(node, left, right):
     """The part of an add, sub, mul or div node over its operands' parts.
-    When the node reads a variable, a constant operand folds its float
-    once."""
+    When the node reads a variable, a constant operand gives its float."""
     _, a, ma, da, va = left
     _, b, mb, db, vb = right
     op = node[0]
     depth = (da if da > db else db) + 1
-    if depth > sys.getrecursionlimit():  # a chain of terms parses in a loop
-        raise RecursionError(f"expression nested {depth} deep")
+    _check_depth(depth)  # a chain of terms parses in a loop
+    value = None if ma | mb else _fold(op, va, vb)
     if a is None and b is None:
-        return node, None, 0, depth, _fold(op, va, vb)
+        return node, None, 0, depth, value
     if ma and not mb:
         b = _constant(node[2], b, vb)
     elif mb and not ma:
@@ -179,78 +191,71 @@ def _binary(node, left, right):
             if memo is not None:
                 memo[node] = value
         return value
-    return node, run, ma | mb, depth, None
+    return node, run, ma | mb, depth, value
 
 
 def _constant(node, run, value):
-    """The program of a tree that reads neither x nor y.  The float and array
-    tables give it one float (their ``num`` is ``float``): ``value``, or if
-    None the first that a call returns; a call that raises keeps nothing.
-    ``run`` is its closures, compiled when first needed if None."""
+    """The program of a tree that reads neither x nor y, from its closure
+    ``run`` (None if it has none yet) and float ``value``.  The float and
+    array tables (whose ``num`` is ``float``) get ``value``.  Jets, whose
+    constants depend on the point, and a float fold that raises run the
+    tree's closures, compiled the first time they are needed."""
     def const(x, y, ops, memo):
-        nonlocal run, value
-        floats = ops["num"] is float
-        if floats and value is not None:
+        nonlocal run
+        if value is not None and ops["num"] is float:
             return value
         if run is None:
-            run = _compile(node)[1]
-        if not floats:  # jets: constants depend on the point
-            return run(x, y, ops, memo)
-        value = run(x, y, _FLOAT_OPS, None)
-        return value
+            run = _compile(node, closures=True)[1]
+        return run(x, y, ops, memo)
     return const
 
 
-def _compile(node):
-    """The part of a hand-built tree, with a closure for every node."""
+def _compile(node, closures: bool = False):
+    """The part of a hand-built tree, as the parser builds it; with
+    ``closures``, every node has a closure."""
     kind = node[0]
     if kind in ("num", "var"):
-        return _leaf(node)
+        return _leaf(node, closures)
     if kind in ("neg", "exp", "ln", "pow"):
-        return _unary(node, _compile(node[1]))
+        return _unary(node, _compile(node[1], closures))
     if kind in ("add", "sub", "mul", "div"):
-        return _binary(node, _compile(node[1]), _compile(node[2]))
+        return _binary(node, _compile(node[1], closures),
+                       _compile(node[2], closures))
     raise ValueError(f"unknown node {kind!r}")
 
 
-def _finish(node, part):
-    """(run, variables) of the tree ``node`` from its part."""
-    _, run, mask, _, value = part
+def _finish(part):
+    """(run, variables) of a tree from its part."""
+    node, run, mask, _, value = part
     return (run if mask else _constant(node, run, value)), _VARIABLES[mask]
 
 
 def _program(node):
     """(run, variables) of the tree.  A parsed tree carries its own; a
-    hand-built tuple's is compiled on first use into ``_PROGRAMS``."""
+    hand-built tuple is compiled on each call."""
     if type(node) is _Tree:
         return node.program
-    program = _PROGRAMS.get(node)
-    if program is None:
-        if len(_PROGRAMS) >= _MAX_PROGRAMS:
-            del _PROGRAMS[next(iter(_PROGRAMS))]
-        program = _PROGRAMS[node] = _finish(node, _compile(node))
-    return program
+    return _finish(_compile(node))
 
 
 # -- parsing -----------------------------------------------------------------
 
-_X_PART, _Y_PART = _leaf(("var", "x")), _leaf(("var", "y"))
+_X_PART, _Y_PART = _leaf(("var", "x"), False), _leaf(("var", "y"), False)
 
 
 class _Parser:
-    """Recursive descent that returns the part of each subtree it reads;
-    ``kind`` is the kind of the next token."""
+    """Recursive descent that returns the part of each subtree it reads."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
-        self.tokens.append(self.tokens[-1])  # reading "end" stays at "end"
         self.i = 0
-        self.kind = self.tokens[0][0]
+
+    def peek(self):
+        return self.tokens[self.i]
 
     def next(self):
         tok = self.tokens[self.i]
         self.i += 1
-        self.kind = self.tokens[self.i][0]
         return tok
 
     def expect(self, kind: str):
@@ -261,13 +266,14 @@ class _Parser:
 
     def parse(self):
         part = self.expr()
-        if self.kind != "end":
-            raise ExprSyntaxError("trailing input", self.tokens[self.i][2])
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ExprSyntaxError("trailing input", tok[2])
         return part
 
     def expr(self):
         part = self.term()
-        while self.kind in "+-":
+        while self.peek()[0] in "+-":
             kind = "add" if self.next()[0] == "+" else "sub"
             rhs = self.term()
             part = _binary((kind, part[0], rhs[0]), part, rhs)
@@ -275,25 +281,26 @@ class _Parser:
 
     def term(self):
         part = self.factor()
-        while self.kind in "*/":
+        while self.peek()[0] in "*/":
             kind = "mul" if self.next()[0] == "*" else "div"
             rhs = self.factor()
             part = _binary((kind, part[0], rhs[0]), part, rhs)
         return part
 
     def factor(self):
-        if self.kind == "-":
+        tok = self.peek()
+        if tok[0] == "-":
             self.next()
             part = self.factor()
             return _unary(("neg", part[0]), part)
-        if self.kind == "+":
+        if tok[0] == "+":
             self.next()
             return self.factor()
         return self.power()
 
     def power(self):
         part = self.primary()
-        if self.kind == "^":
+        if self.peek()[0] == "^":
             pos = self.next()[2]
             n = _int_const(self.factor()[0])
             if n is None:
@@ -304,7 +311,7 @@ class _Parser:
     def primary(self):
         kind, value, pos = self.next()
         if kind == "int":
-            return ("num", value), None, 0, 1, _fold("num", value)
+            return _leaf(("num", value), False)
         if kind == "name":
             if value == "x":
                 return _X_PART
@@ -344,7 +351,7 @@ def parse_expression(text: str):
     """The tree of ``text``, which carries the program the parse built."""
     part = _Parser(text).parse()
     tree = _Tree(part[0])
-    tree.program = _finish(part[0], part)
+    tree.program = _finish(part)
     return tree
 
 
@@ -400,8 +407,6 @@ def eval_float(node, x, y, memo=None):
     the values at every point: an array, or a float if the tree reads
     neither array; ``memo`` then acts as in ``eval_jet``."""
     run = _program(node)[0]
-    if isinstance(x, float) and isinstance(y, float):
-        return run(x, y, _FLOAT_OPS, None)
     np = sys.modules.get("numpy")
     if np is not None and (isinstance(x, np.ndarray)
                            or isinstance(y, np.ndarray)):

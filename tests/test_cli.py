@@ -167,8 +167,8 @@ def _longest_parsed_sum() -> int:
 
 def test_sums_near_the_parse_depth_limit_exit_0_or_3(tmp_path, monkeypatch,
                                                      capsys):
-    # the memo fold nests two frames a level, as the parse check does, so a
-    # sum that parses may still be too deep to fold
+    # the parse refuses a tree deeper than a fold can descend from here, so
+    # a sum near the limit exits 0 or is refused when it is parsed
     monkeypatch.chdir(tmp_path)
     longest = _longest_parsed_sum()
     for n in range(longest - 8, longest + 4):
@@ -183,16 +183,25 @@ def test_sums_near_the_parse_depth_limit_exit_0_or_3(tmp_path, monkeypatch,
         assert code == 0 or err.endswith("nested too deeply\n"), n
 
 
-def test_a_long_sum_folds_and_one_past_the_recursion_limit_exits_3(capsys):
-    # a program folds one frame a level, so 800 terms fold; a sum deeper
-    # than the recursion limit is refused when it is parsed
-    text = "+".join(["x"] * 800)
-    code, out, err = run(capsys, "verify-liouville", "--f", f"{text}+1",
-                         "--g", "y+1", "--order", "3")
-    assert (code, err) == (0, "")
-    text = "+".join(["x"] * (sys.getrecursionlimit() + 1))
-    code, _, err = run(capsys, "verify-liouville", "--f", text, "--g", "y+1")
-    assert code == 3 and err.endswith("nested too deeply\n")
+def test_the_longest_sum_that_parses_folds(tmp_path, monkeypatch, capsys):
+    # both verbs fold the deepest tree that parses; one level more exits 3
+    monkeypatch.chdir(tmp_path)
+    longest = _longest_parsed_sum()
+    assert longest < sys.getrecursionlimit()
+    for depth, want in ((longest, 0), (longest + 1, 3)):
+        text = "+".join(["x"] * depth)
+        code, _, err = run(capsys, "verify-liouville", "--f", text, "--g",
+                           "y+1", "--order", "3")
+        assert code == want and err.endswith(
+            "nested too deeply\n" if want else ""), depth
+        n = depth - 2  # (x+...+x - n*x) - 2*ln(x+2) is two levels deeper
+        (tmp_path / "b.json").write_text(json.dumps(
+            {**BOUNDARY, "y_edge": ["+".join(["x"] * n) +
+                                    f"-{n}*x-2*ln(x+2)"]}))
+        code, _, err = run(capsys, "solve", "--cartan", SL2, "--boundary",
+                           "b.json", "--h", "1/4", "--out", "grid.csv")
+        assert code == want and err.endswith(
+            "nested too deeply\n" if want else ""), depth
 
 
 def test_verify_lse_component_count(tmp_path, capsys):
@@ -449,10 +458,15 @@ HUGE_EXPONENT = "1e-9999999"  # Fraction alone spends about 9 s on it
       "--h", "1/4", "--out", "grid.csv"], {**BOUNDARY, "x0": HUGE_EXPONENT},
      f"b.json: x0 '{HUGE_EXPONENT}' has a decimal exponent past the limit"),
     (["solve", "--cartan", str(DATA / "sl2.cm"), "--boundary", "b.json",
-      "--h", "1/4", "--out", "grid.csv"], {**BOUNDARY, "y1": 10**400},
-     "b.json: y1 1000000"),
+      "--h", "1/4", "--out", "grid.csv"], {**BOUNDARY, "y1": 10**4000},
+     "b.json: y1 100000000000000000000000...000000000000 (4001 characters) "
+     "has a numerator"),
+    (["verify-liouville", "--f", "x+1", "--g", "y+1", "--base",
+      f"1/{'7' * 4000},0", "--order", "8"], None,
+     "--base '1/777777777777777777777...77777777777' (4004 characters) "
+     "has a numerator"),
 ], ids=["base-exponent", "base-exponent-100000", "base-denominator",
-        "h-exponent", "boundary-exponent", "boundary-integer"])
+        "h-exponent", "boundary-exponent", "boundary-integer", "base-long"])
 def test_rational_past_the_limit_exits_3_at_once(tmp_path, argv, boundary,
                                                  message):
     if boundary is not None:
@@ -465,7 +479,7 @@ def test_rational_past_the_limit_exits_3_at_once(tmp_path, argv, boundary,
     assert time.perf_counter() - start < 2
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("error: ") and message in proc.stderr
-    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 160
     assert "past the limit of 1024" in proc.stderr
     assert not (tmp_path / "grid.csv").exists()
 

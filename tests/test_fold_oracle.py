@@ -4,8 +4,8 @@
 tree was compiled into closures, kept here, with its own copies of the
 float, array and jet tables, as the reference.  Every fold of a program
 must equal it bit for bit and raise the same error with the same text.
-The program cache of hand-built trees is keyed by their values, so CI runs
-this file under two hash seeds.
+The jet and array folds keep a memo keyed by node tuples, so CI runs this
+file under two hash seeds.
 """
 
 import copy
@@ -14,6 +14,7 @@ import math
 import operator
 import pickle
 import struct
+import sys
 import time
 
 import numpy as np
@@ -157,25 +158,14 @@ def reference_folds(node, x0, y0, xs):
             jet_key(outcome(lambda: reference_jet(node, jx, jy))))
 
 
-def fresh(fold):
-    """``fold()`` with an empty program cache, which is then put back."""
-    saved = dict(exprparse._PROGRAMS)
-    exprparse._PROGRAMS.clear()
-    try:
-        return fold()
-    finally:
-        exprparse._PROGRAMS.clear()
-        exprparse._PROGRAMS.update(saved)
-
-
 # -- properties ---------------------------------------------------------------
 
 
 @PROPERTY
 @given(trees, fractions, fractions, coordinates)
 def test_compiled_folds_match_the_reference(node, x0, y0, xs):
-    want = reference_folds(node, x0, y0, xs)
-    assert fresh(lambda: folds(node, x0, y0, xs)) == want, render(node)
+    assert folds(node, x0, y0, xs) == reference_folds(node, x0, y0,
+                                                      xs), render(node)
     parsed = parse_expression(render(node))
     assert folds(parsed, x0, y0, xs) == reference_folds(parsed, x0, y0,
                                                         xs), render(node)
@@ -185,12 +175,14 @@ def test_compiled_folds_match_the_reference(node, x0, y0, xs):
 @given(trees, st.lists(st.tuples(fractions, fractions), min_size=2,
                        max_size=5), coordinates)
 def test_a_warm_program_folds_like_a_fresh_one(node, points, xs):
-    # the warm program has folded its constants at the earlier points, and
-    # under every table in turn
+    # one parsed tree has run its program at the earlier points, and under
+    # every table in turn; a fresh parse of it has run nothing
+    text = render(node)
+    warm = parse_expression(text)
     for x0, y0 in points:
-        warm = folds(node, x0, y0, xs)
-        assert warm == fresh(lambda: folds(node, x0, y0, xs)), render(node)
-        assert warm == reference_folds(node, x0, y0, xs), render(node)
+        result = folds(warm, x0, y0, xs)
+        assert result == folds(parse_expression(text), x0, y0, xs), text
+        assert result == reference_folds(warm, x0, y0, xs), text
 
 
 @pytest.mark.parametrize("text", [
@@ -213,29 +205,13 @@ def test_a_raising_constant_raises_on_every_call(text):
 @PROPERTY
 @given(st.sampled_from(["x", "y", "xy"]).flatmap(trees_in))
 def test_recorded_variables_match_the_walk(node):
-    assert fresh(lambda: used_variables(node)) == reference_variables(node)
+    assert used_variables(node) == reference_variables(node)
     parsed = parse_expression(render(node))
     assert used_variables(parsed) == reference_variables(parsed)
     assert parsed.program[1] == reference_variables(parsed)
 
 
-# -- the cache and the parsed tree --------------------------------------------
-
-
-def test_the_program_cache_is_bounded():
-    # hand-built trees share it; a parsed tree carries its own program
-    nodes = [("add", ("mul", ("var", "x"), ("num", k)), ("ln", ("var", "y")))
-             for k in range(3 * exprparse._MAX_PROGRAMS)]
-    for node in nodes:
-        eval_float(node, 2.0, 1.0)
-    assert len(exprparse._PROGRAMS) == exprparse._MAX_PROGRAMS
-    assert nodes[0] not in exprparse._PROGRAMS  # dropped, compiled again
-    assert eval_float(nodes[0], 2.0, 1.0) == reference_float(nodes[0], 2.0,
-                                                             1.0)
-    assert nodes[0] in exprparse._PROGRAMS
-    parsed = parse_expression("x*3+ln(y)")
-    assert eval_float(parsed, 2.0, 1.0) == reference_float(parsed, 2.0, 1.0)
-    assert parsed not in exprparse._PROGRAMS
+# -- the parsed tree ----------------------------------------------------------
 
 
 def test_a_parsed_tree_is_its_tuple():
@@ -254,3 +230,13 @@ def test_a_chain_past_the_recursion_limit_is_refused_at_once():
     with pytest.raises(RecursionError):
         parse_expression("+".join(["x"] * 200_000))
     assert time.perf_counter() - t0 < 2
+
+
+def test_negations_past_the_depth_limit_are_refused_when_parsed():
+    # each minus sign is a parse frame, so the neg nodes check depth too
+    deepest = sys.getrecursionlimit() - exprparse._CALLER_FRAMES
+    chain = "+".join(["x"] * (deepest - 300))
+    tree = parse_expression("-" * 300 + f"({chain})")
+    assert eval_float(tree, 1.0, 0.0) == deepest - 300
+    with pytest.raises(RecursionError):
+        parse_expression("-" * 301 + f"({chain})")
