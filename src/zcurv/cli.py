@@ -9,8 +9,9 @@ identical inputs.  The environment variable ZCURV_ORDER (integer >= 2)
 overrides the default jet order 8 where no --order flag is given; either
 way the order is at most MAX_ORDER.  A rational input (--base, --h, a
 boundary's x0..y1) has at most MAX_RATIONAL_BITS bits in its numerator and
-denominator.  ``main`` builds the argparse parser on its first call and
-reuses it for every later call in the process.
+denominator, and an expression at most MAX_EXPRESSION_CHARS characters.
+``main`` builds the argparse parser on its first call and reuses it for
+every later call in the process.
 
 Importing this module loads no other zcurv module: each verb imports what
 it uses when it runs.  ``verify-liouville`` loads ``exprparse``, ``jets``,
@@ -37,6 +38,9 @@ MAX_ORDER = 128
 # builds 10^e before it reduces, and Fraction("1e-9999999") alone takes 9 s.
 MAX_RATIONAL_BITS = 1024
 _DECIMAL_EXPONENT = r"\s*[-+]?[\d._]*[eE][-+]?([\d_]+)\s*"
+# The longest expression accepted: parse and fold take time and memory
+# linear in its length, about 2 s for a 100,000-term sum of jets.
+MAX_EXPRESSION_CHARS = 2 ** 18
 
 
 class InputError(ValueError):
@@ -137,47 +141,48 @@ def _read(path: str, parse):
         raise InputError(f"{path}: {exc}") from None
 
 
-def _parse_checked(text, allow: set[str]):
-    """Parse an expression that may only use the variables in ``allow``."""
+def _parse_checked(text, allow: set[str], program):
+    """The tree of ``text``, parsed into ``program``; it may only use the
+    variables in ``allow``.  An error echoes the text through ``_clip``, or
+    gives its length if it is past MAX_EXPRESSION_CHARS."""
     from .exprparse import ExprSyntaxError, parse_expression, used_variables
     if not isinstance(text, str):
-        raise InputError(f"expected an expression string, got {text!r}")
+        raise InputError(f"expected an expression string, got {_clip(text)}")
+    if len(text) > MAX_EXPRESSION_CHARS:
+        raise InputError(f"expression of {len(text)} characters is past "
+                         f"the limit of {MAX_EXPRESSION_CHARS}")
     try:
-        node = parse_expression(text)
-        extra = used_variables(node) - allow
+        node = parse_expression(text, program)
     except ExprSyntaxError as exc:
-        raise InputError(f"bad expression {text!r}: {exc}") from None
-    except RecursionError:
-        raise _nested_too_deeply(text) from None
-    if extra:
+        raise InputError(f"bad expression {_clip(text)}: {exc}") from None
+    if used_variables(node) - allow:
         raise InputError(
-            f"expression {text!r} may only use {sorted(allow)}")
+            f"expression {_clip(text)} may only use {sorted(allow)}")
     return node
 
 
-def _nested_too_deeply(text: str) -> InputError:
-    return InputError(f"expression of {len(text)} characters is nested too "
-                      "deeply")
-
-
 def _evaluate(text: str, where: str, evaluate, *args):
-    """``evaluate(*args)``, the fold of ``text``, whose errors name it."""
+    """``evaluate(*args)``, the fold of ``text``, whose errors echo the text
+    through ``_clip``."""
     try:
         return evaluate(*args)
     except OverflowError:  # ** and math.exp each word it their own way
-        raise InputError(f"cannot evaluate {text!r} {where}: float "
+        raise InputError(f"cannot evaluate {_clip(text)} {where}: float "
                          "overflow") from None
     except (ValueError, ArithmeticError) as exc:
-        raise InputError(f"cannot evaluate {text!r} {where}: {exc}") from None
-    except RecursionError:  # a fold nests one frame a level of the tree
-        raise _nested_too_deeply(text) from None
+        raise InputError(f"cannot evaluate {_clip(text)} {where}: "
+                         f"{exc}") from None
 
 
-def _build_jet(text, x: "Jet", y: "Jet", allow: set[str],
-               memo: dict) -> "Jet":
-    from .exprparse import eval_jet
-    node = _parse_checked(text, allow)
-    return _evaluate(text, "as a jet", eval_jet, node, x, y, memo)
+def _build_jets(texts, x: "Jet", y: "Jet") -> tuple:
+    """The jets of ``texts``, pairs of a text and the variables it may use,
+    parsed into one program and folded with one memo, so a subtree they
+    share is folded once."""
+    from .exprparse import Program, eval_jet
+    program, memo = Program(), {}
+    return tuple(_evaluate(text, "as a jet", eval_jet,
+                           _parse_checked(text, allow, program), x, y, memo)
+                 for text, allow in texts)
 
 
 def _read_json(path: str) -> dict:
@@ -227,9 +232,7 @@ def _cmd_verify_liouville(args) -> int:
     from .solutions import liouville_residual, liouville_solution
     order, base = _jet_order(args), _parse_base(args.base)
     x, y = (Jet.variable(v, base, order) for v in "xy")
-    memo = {}
-    f = _build_jet(args.f, x, y, {"x"}, memo)
-    g = _build_jet(args.g, x, y, {"y"}, memo)
+    f, g = _build_jets([(args.f, {"x"}), (args.g, {"y"})], x, y)
     residual = liouville_residual(liouville_solution(f, g))
     mag = residual.max_abs_coeff()
     print(f"residual order: {residual.order}")
@@ -251,8 +254,7 @@ def _cmd_verify_lse(args) -> int:
         raise InputError(
             f"{args.solution}: 'components' must list {matrix.rank} "
             "expressions")
-    memo = {}  # the components share most subtrees: fold each once
-    jets = tuple(_build_jet(text, x, y, {"x", "y"}, memo) for text in comps)
+    jets = _build_jets([(text, {"x", "y"}) for text in comps], x, y)
     residuals = lse_residual(SolutionVector(jets, matrix), args.form)
     mags = [res.max_abs_coeff() for res in residuals]
     for i, (res, mag) in enumerate(zip(residuals, mags)):
@@ -264,7 +266,8 @@ def _cmd_verify_lse(args) -> int:
 
 def _sampled_edge(edge: str, texts, nodes, x, y):
     """Edge callable that looks up, by coordinate, the traces evaluated once
-    over the one array among ``x`` and ``y``, with one memo."""
+    over the one array among ``x`` and ``y``, with one memo: ``nodes`` are
+    the traces parsed into one program."""
     import numpy as np
 
     from .exprparse import eval_float
@@ -279,6 +282,7 @@ def _cmd_solve(args) -> int:
     import numpy as np
 
     from .cartan import parse_cartan
+    from .exprparse import Program
     from .numerics import GoursatData, grid_points, solve_goursat, \
         square_steps, write_csv
     matrix = _read(args.cartan, parse_cartan)
@@ -302,8 +306,9 @@ def _cmd_solve(args) -> int:
             and len(x_exprs) == n and len(y_exprs) == n):
         raise InputError(
             f"{args.boundary}: x_edge and y_edge must list {n} expressions")
-    x_nodes = [_parse_checked(text, {"y"}) for text in x_exprs]
-    y_nodes = [_parse_checked(text, {"x"}) for text in y_exprs]
+    x_program, y_program = Program(), Program()
+    x_nodes = [_parse_checked(text, {"y"}, x_program) for text in x_exprs]
+    y_nodes = [_parse_checked(text, {"x"}, y_program) for text in y_exprs]
     try:
         h = _rational(args.h, "--h")
     except InputError:

@@ -9,13 +9,18 @@
 
 Every literal is an integer token of ASCII digits, stored as
 ``("num", int)``; rational constants are written as quotients of integers
-("3/2").  Each tree is compiled once into a *program*: a closure per
-node that calls its children's closures and applies the node's
-operation from an operation table.  The parser builds the program as it
-builds the tuple, and the parsed tree carries it, so it lives as long as
-the tree; ``eval_float``, ``eval_jet`` and ``used_variables`` compile a
-hand-built tuple on each call.  A program records which of x and y its
-tree reads.  One program runs all three tables:
+("3/2").  ``parse_expression`` tokenizes once and parses with an operand
+stack and an operator stack (shunting-yard), so no input nests the Python
+stack.  It returns the tree as nested tuples and emits the same tree, in
+postorder, into a ``Program``: a straight-line list of slots, hash-consed
+on the flat key (op, operand, operand) whose operands are slot numbers, so
+a subtree that occurs twice gets one slot.  Each slot records the
+variables it reads and, when it reads none, its float (None if that
+raises).  Texts parsed into one program share their common subtrees.  A
+hand-built tuple is compiled into a program of its own on each call.
+
+One loop folds a tree's slots in the postorder of the tree, each distinct
+subtree once, under an operation table:
 
 * jets (``Jet.constant``, ``operator.truediv``, ``Jet.pow_int``,
   ``Jet.exp``, ``Jet.ln``) give exact jets at a base point;
@@ -32,18 +37,12 @@ tree reads.  One program runs all three tables:
   fold.  This table is built on the first array call, so importing this
   module does not load numpy; an array argument means numpy is loaded.
 
-neg, add, sub and mul are Python's operators in every table.  A subtree
-that reads neither x nor y is folded to its float when the program is
-built, and the float and array tables take that value.  Its closures are
-compiled the first time a jet call, or a float call whose fold raises,
-needs them: jet constants depend on the base point and order and are
-folded on each call, and a raise runs the closures again, so the same
-error comes at the same point on every call.  A jet or array call folds each
-distinct subtree once, in a memo keyed by the node tuple that callers may
-share across calls with the same x and y; the float fold at one point
-keeps no memo.  A fold descends one frame a level of the tree, so a tree
-deeper than the recursion limit less ``_CALLER_FRAMES`` raises
-``RecursionError`` when it is parsed.
+neg, add, sub and mul are Python's operators in every table.  The float and
+array tables take a constant slot's float and fold none of its operands;
+a constant whose float raises is folded again, so it raises the same error
+at the same point on every call.  A jet or array call may pass a memo, a
+dict of slot values that the trees of one program share at one x and y; it
+is ignored for a hand-built tuple and by the float fold at one point.
 """
 
 import functools
@@ -97,44 +96,75 @@ def _tokenize(text: str):
 
 
 # -- programs ----------------------------------------------------------------
-#
-# A program is a closure run(x, y, ops, memo) over one node; memo is None for
-# the float fold at one point.  A part is the tuple (node, run, mask, depth,
-# value) of one subtree: mask holds the bits of the variables it reads, and
-# when it reads none, value is its float (None if that raises).  The parser
-# and ``_compile`` build parts with the same builders, which give a node a
-# closure when one of its children has one: a num leaf has one only when
-# ``_compile`` is asked for closures, so a subtree that reads no variable has
-# none until a jet, or a float fold that raises, needs them.
 
-_X, _Y = 1, 2
+_BINARY = frozenset(("add", "sub", "mul", "div"))
 _VARIABLES = (frozenset(), frozenset("x"), frozenset("y"), frozenset("xy"))
-# Frames of the stack that a tree's depth leaves to the callers of its fold
-# and to the operations at its deepest node: every tree that parses folds.
-_CALLER_FRAMES = 100
 
 
-def _leaf(node, closure: bool):
-    """The part of a num or var node; a num gets a closure if ``closure``."""
-    kind, arg = node
-    if kind == "var":
-        if arg == "x":
-            return node, lambda x, y, ops, memo: x, _X, 1, None
-        return node, lambda x, y, ops, memo: y, _Y, 1, None
-    if not closure:
-        return node, None, 0, 1, _fold("num", arg)
+class Program:
+    """Hash-consed slots.  Slot s holds ``code[s] = (op, a, b)``: a num's
+    value or a var's name in ``a`` (and in ``b`` a float num's repr, else
+    None); otherwise the slot of the first operand in ``a``, and in ``b``
+    the second operand's slot, pow's integer exponent, or None.
+    ``masks[s]`` has bit 1 if the slot reads x and bit 2 if it reads y;
+    ``floats[s]`` is a constant slot's float, else None."""
 
-    def run(x, y, ops, memo):
-        if memo is None or (value := memo.get(node)) is None:
-            value = ops["num"](arg)
-            if memo is not None:
-                memo[node] = value
-        return value
-    return node, run, 0, 1, _fold("num", arg)
+    def __init__(self):
+        self.code, self.masks, self.floats = [], [], []
+        self.slots, self.plans = {}, {}
+
+    def emit(self, op: str, a, b=None) -> int:
+        """The slot of (op, a, b), appended if the program has none."""
+        key = (op, a, b)
+        slot = self.slots.get(key)
+        if slot is None:
+            masks, floats = self.masks, self.floats
+            if op == "var":
+                mask, args = (1 if a == "x" else 2), ()
+            elif op == "num":
+                mask, args = 0, (a,)
+            elif op in _BINARY:
+                mask, args = masks[a] | masks[b], (floats[a], floats[b])
+            else:
+                mask = masks[a]
+                args = (floats[a],) if b is None else (floats[a], b)
+            slot = self.slots[key] = len(self.code)
+            self.code.append(key)
+            masks.append(mask)
+            floats.append(None if mask else _float(op, args))
+        return slot
+
+    def plan(self, root: int, folded: bool):
+        """(constants, steps) of the fold of slot ``root``: the steps are
+        (slot, op, a, b) in the postorder of its tree, each slot once.  When
+        ``folded``, a slot with a float is a constant, {slot: float}, and its
+        operands are not visited."""
+        plan = self.plans.get((root, folded))
+        if plan is None:
+            code, floats = self.code, self.floats
+            consts, seen, order, stack = {}, set(), [], [root]
+            while stack:
+                s = stack.pop()
+                if s < 0:  # every operand of ~s is folded
+                    order.append(~s)
+                elif s not in seen:
+                    seen.add(s)
+                    if folded and floats[s] is not None:
+                        consts[s] = floats[s]
+                        continue
+                    op, a, b = code[s]
+                    stack.append(~s)
+                    if op in _BINARY:
+                        stack += (b, a)
+                    elif op not in ("num", "var"):
+                        stack.append(a)
+            plan = self.plans[root, folded] = consts, [(s, *code[s])
+                                                       for s in order]
+        return plan
 
 
-def _fold(op, *args):
-    """The float table's ``op`` of a constant node's operands, or None when
+def _float(op, args):
+    """The float table's ``op`` of a constant slot's operands, or None when
     an operand is None or the operation raises."""
     if None in args:
         return None
@@ -144,220 +174,141 @@ def _fold(op, *args):
         return None
 
 
-def _check_depth(depth: int) -> None:
-    if depth > sys.getrecursionlimit() - _CALLER_FRAMES:
-        raise RecursionError(f"expression nested {depth} deep")
-
-
-def _unary(node, part):
-    """The part of a neg, exp, ln or pow node over the part of its argument;
-    pow passes its exponent, ``node[2]``, after the argument."""
-    _, a, mask, depth, value = part
-    op, rest = node[0], node[2:]
-    _check_depth(depth + 1)
-    if not mask:
-        value = _fold(op, value, *rest)
-    if a is None:
-        return node, None, 0, depth + 1, value
-
-    def run(x, y, ops, memo):
-        if memo is None or (value := memo.get(node)) is None:
-            value = ops[op](a(x, y, ops, memo), *rest)
-            if memo is not None:
-                memo[node] = value
-        return value
-    return node, run, mask, depth + 1, value
-
-
-def _binary(node, left, right):
-    """The part of an add, sub, mul or div node over its operands' parts.
-    When the node reads a variable, a constant operand gives its float."""
-    _, a, ma, da, va = left
-    _, b, mb, db, vb = right
-    op = node[0]
-    depth = (da if da > db else db) + 1
-    _check_depth(depth)  # a chain of terms parses in a loop
-    value = None if ma | mb else _fold(op, va, vb)
-    if a is None and b is None:
-        return node, None, 0, depth, value
-    if ma and not mb:
-        b = _constant(node[2], b, vb)
-    elif mb and not ma:
-        a = _constant(node[1], a, va)
-
-    def run(x, y, ops, memo):
-        if memo is None or (value := memo.get(node)) is None:
-            value = ops[op](a(x, y, ops, memo), b(x, y, ops, memo))
-            if memo is not None:
-                memo[node] = value
-        return value
-    return node, run, ma | mb, depth, value
-
-
-def _constant(node, run, value):
-    """The program of a tree that reads neither x nor y, from its closure
-    ``run`` (None if it has none yet) and float ``value``.  The float and
-    array tables (whose ``num`` is ``float``) get ``value``.  Jets, whose
-    constants depend on the point, and a float fold that raises run the
-    tree's closures, compiled the first time they are needed."""
-    def const(x, y, ops, memo):
-        nonlocal run
-        if value is not None and ops["num"] is float:
-            return value
-        if run is None:
-            run = _compile(node, closures=True)[1]
-        return run(x, y, ops, memo)
-    return const
-
-
-def _compile(node, closures: bool = False):
-    """The part of a hand-built tree, as the parser builds it; with
-    ``closures``, every node has a closure."""
-    kind = node[0]
-    if kind in ("num", "var"):
-        return _leaf(node, closures)
-    if kind in ("neg", "exp", "ln", "pow"):
-        return _unary(node, _compile(node[1], closures))
-    if kind in ("add", "sub", "mul", "div"):
-        return _binary(node, _compile(node[1], closures),
-                       _compile(node[2], closures))
-    raise ValueError(f"unknown node {kind!r}")
-
-
-def _finish(part):
-    """(run, variables) of a tree from its part."""
-    node, run, mask, _, value = part
-    return (run if mask else _constant(node, run, value)), _VARIABLES[mask]
-
-
-def _program(node):
-    """(run, variables) of the tree.  A parsed tree carries its own; a
-    hand-built tuple is compiled on each call."""
-    if type(node) is _Tree:
-        return node.program
-    return _finish(_compile(node))
+def _compile(tree):
+    """(program, root) of a hand-built tuple."""
+    order, stack = [], [tree]
+    while stack:  # node, right subtree, left subtree: postorder reversed
+        node = stack.pop()
+        order.append(node)
+        kind = node[0]
+        if kind in _BINARY:
+            stack += (node[1], node[2])
+        elif kind in ("neg", "exp", "ln", "pow"):
+            stack.append(node[1])
+        elif kind not in ("num", "var"):
+            raise ValueError(f"unknown node {kind!r}")
+    program, slots = Program(), []
+    for node in reversed(order):
+        kind = node[0]
+        if kind in _BINARY:
+            b = slots.pop()
+            slots.append(program.emit(kind, slots.pop(), b))
+        elif kind == "num" and isinstance(node[1], float):
+            # 0.0 == -0.0 == 0: a float literal's key also holds its repr
+            slots.append(program.emit(kind, node[1], repr(node[1])))
+        elif kind in ("num", "var"):
+            slots.append(program.emit(kind, node[1]))
+        else:
+            slots.append(program.emit(kind, slots.pop(), *node[2:]))
+    return program, slots[0]
 
 
 # -- parsing -----------------------------------------------------------------
 
-_X_PART, _Y_PART = _leaf(("var", "x"), False), _leaf(("var", "y"), False)
-
-
-class _Parser:
-    """Recursive descent that returns the part of each subtree it reads."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}", tok[2])
-        return tok
-
-    def parse(self):
-        part = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprSyntaxError("trailing input", tok[2])
-        return part
-
-    def expr(self):
-        part = self.term()
-        while self.peek()[0] in "+-":
-            kind = "add" if self.next()[0] == "+" else "sub"
-            rhs = self.term()
-            part = _binary((kind, part[0], rhs[0]), part, rhs)
-        return part
-
-    def term(self):
-        part = self.factor()
-        while self.peek()[0] in "*/":
-            kind = "mul" if self.next()[0] == "*" else "div"
-            rhs = self.factor()
-            part = _binary((kind, part[0], rhs[0]), part, rhs)
-        return part
-
-    def factor(self):
-        tok = self.peek()
-        if tok[0] == "-":
-            self.next()
-            part = self.factor()
-            return _unary(("neg", part[0]), part)
-        if tok[0] == "+":
-            self.next()
-            return self.factor()
-        return self.power()
-
-    def power(self):
-        part = self.primary()
-        if self.peek()[0] == "^":
-            pos = self.next()[2]
-            n = _int_const(self.factor()[0])
-            if n is None:
-                raise ExprSyntaxError("exponent must be an integer", pos)
-            return _unary(("pow", part[0], n), part)
-        return part
-
-    def primary(self):
-        kind, value, pos = self.next()
-        if kind == "int":
-            return _leaf(("num", value), False)
-        if kind == "name":
-            if value == "x":
-                return _X_PART
-            if value == "y":
-                return _Y_PART
-            if value in ("exp", "ln"):
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return _unary((value, arg[0]), arg)
-            raise ExprSyntaxError(f"unknown name {value!r}", pos)
-        if kind == "(":
-            part = self.expr()
-            self.expect(")")
-            return part
-        raise ExprSyntaxError("expected a value", pos)
-
-
-def _int_const(node):
-    if node[0] == "num":
-        return node[1]
-    if node[0] == "neg":
-        inner = _int_const(node[1])
-        return None if inner is None else -inner
-    return None
+_OPERATORS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+# How tightly each pending operator binds; '(', exp and ln bind none.
+_PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 3}
 
 
 class _Tree(tuple):
-    """A parsed tree: a tuple that carries its program, so the program lives
-    as long as the tree.  A copy is a plain tuple."""
+    """A parsed tree: the tuple, with the ``program`` it was parsed into and
+    its ``root`` slot.  A copy is a plain tuple."""
 
     def __reduce__(self):
         return tuple, (tuple(self),)
 
 
-def parse_expression(text: str):
-    """The tree of ``text``, which carries the program the parse built."""
-    part = _Parser(text).parse()
-    tree = _Tree(part[0])
-    tree.program = _finish(part)
+def parse_expression(text: str, program: Program | None = None):
+    """The tree of ``text``, emitted into ``program`` (a new one if None)."""
+    program = Program() if program is None else program
+    emit, code, tokens = program.emit, program.code, _tokenize(text)
+    operands = []  # (slot, node)
+    pending = []   # (op, position of its token)
+
+    def reduce(level: int):
+        """Apply the pending operators that bind at least as tightly."""
+        while pending and _PRECEDENCE.get(pending[-1][0], 0) >= level:
+            op, pos = pending.pop()
+            s, node = operands.pop()
+            if op == "pow":  # s is the exponent: an integer under signs
+                n, sign = s, 1
+                while code[n][0] == "neg":
+                    n, sign = code[n][1], -sign
+                if code[n][0] != "num":
+                    raise ExprSyntaxError("exponent must be an integer", pos)
+                n = sign * code[n][1]
+                s, node = operands.pop()
+                operands.append((emit(op, s, n), (op, node, n)))
+            elif op == "neg":
+                operands.append((emit(op, s), (op, node)))
+            else:
+                a, left = operands.pop()
+                operands.append((emit(op, a, s), (op, left, node)))
+
+    i, operand = 0, True
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        if operand:  # the start of a factor
+            if kind == "-":
+                pending.append(("neg", pos))
+            elif kind == "(":
+                pending.append(("(", pos))
+            elif kind == "int":
+                operands.append((emit("num", value), ("num", value)))
+                operand = False
+            elif kind == "name" and value in ("x", "y"):
+                operands.append((emit("var", value), ("var", value)))
+                operand = False
+            elif kind == "name" and value in ("exp", "ln"):
+                if tokens[i][0] != "(":
+                    raise ExprSyntaxError("expected '('", tokens[i][2])
+                pending.append((value, pos))
+                i += 1
+            elif kind == "name":
+                raise ExprSyntaxError(f"unknown name {value!r}", pos)
+            elif kind != "+":
+                raise ExprSyntaxError("expected a value", pos)
+        elif kind == "^":  # right after a primary
+            pending.append(("pow", pos))
+            operand = True
+        else:  # the factor has ended
+            reduce(3)
+            if kind in _OPERATORS:
+                op = _OPERATORS[kind]
+                reduce(_PRECEDENCE[op])
+                pending.append((op, pos))
+                operand = True
+                continue
+            reduce(1)
+            if not pending:
+                if kind == "end":
+                    break
+                raise ExprSyntaxError("trailing input", pos)
+            if kind != ")":
+                raise ExprSyntaxError("expected ')'", pos)
+            op = pending.pop()[0]
+            if op != "(":  # exp or ln
+                s, node = operands.pop()
+                operands.append((emit(op, s), (op, node)))
+    slot, node = operands.pop()
+    tree = _Tree(node)
+    tree.program, tree.root = program, slot
     return tree
 
 
 def used_variables(node) -> set[str]:
     """The variables the tree reads, as its program records them."""
-    return set(_program(node)[1])
+    program, root = _program(node)
+    return set(_VARIABLES[program.masks[root]])
+
+
+def _program(node):
+    """(program, root) of a parsed tree, or of a hand-built tuple compiled
+    now."""
+    if type(node) is _Tree:
+        return node.program, node.root
+    return _compile(node)
 
 
 # -- operation tables ---------------------------------------------------------
@@ -393,23 +344,45 @@ def _array_ops() -> dict:
             "exp": elementwise(math.exp, 1), "ln": elementwise(math.log, 1)}
 
 
+def _fold(node, x, y, ops: dict, memo):
+    """The value of the tree under ``ops``; ``memo`` (a dict or None) holds
+    the values of slots of a parsed tree's program at this x, y."""
+    program, root = _program(node)
+    values = {} if memo is None or type(node) is not _Tree else memo
+    consts, steps = program.plan(root, ops["num"] is float)
+    values.update(consts)
+    for s, op, a, b in steps:
+        if s in values:
+            continue
+        if op in _BINARY:
+            values[s] = ops[op](values[a], values[b])
+        elif op == "var":
+            values[s] = x if a == "x" else y
+        elif op == "num":
+            values[s] = ops[op](a)
+        elif op == "pow":
+            values[s] = ops[op](values[a], b)
+        else:
+            values[s] = ops[op](values[a])
+    return values[root]
+
+
 def eval_jet(node, x: "Jet", y: "Jet", memo=None) -> "Jet":
-    """The jet of the tree; ``memo`` holds subtrees folded with this x, y."""
+    """The jet of the tree; ``memo`` holds slots folded with this x, y."""
     from .jets import Jet  # here, so that ``solve`` loads no jets
-    return _program(node)[0](x, y, {
+    return _fold(node, x, y, {
         **_ARITHMETIC, "num": lambda q: Jet.constant(q, x.base, x.order),
         "div": operator.truediv, "pow": Jet.pow_int, "exp": Jet.exp,
-        "ln": Jet.ln}, {} if memo is None else memo)
+        "ln": Jet.ln}, memo)
 
 
 def eval_float(node, x, y, memo=None):
     """The float value at (x, y).  When ``x`` or ``y`` is a 1-D float array,
     the values at every point: an array, or a float if the tree reads
     neither array; ``memo`` then acts as in ``eval_jet``."""
-    run = _program(node)[0]
     np = sys.modules.get("numpy")
     if np is not None and (isinstance(x, np.ndarray)
                            or isinstance(y, np.ndarray)):
         with np.errstate(over="ignore", invalid="ignore"):
-            return run(x, y, _array_ops(), {} if memo is None else memo)
-    return run(x, y, _FLOAT_OPS, None)
+            return _fold(node, x, y, _array_ops(), memo)
+    return _fold(node, x, y, _FLOAT_OPS, None)

@@ -15,7 +15,7 @@ Cell (i, j) depends on (i-1, j), (i, j-1) and (i-1, j-1) only, so the
 solver marches whole anti-diagonals as numpy slices, in the per-cell
 operation order of a scalar loop and with ``math.exp`` throughout.  The
 march and ``residual_grid`` each build the right-hand side ``_rhs_kernel``
-once.  ``write_csv`` formats a whole grid with one ``%`` on one template.
+once.  ``write_csv`` formats a grid with one ``%`` a block of rows.
 ``square_steps`` refuses a grid of over MAX_GRID_VALUES values before
 anything is sampled or allocated.  Grids and their data are named tuples.
 """
@@ -78,6 +78,9 @@ class GoursatData(NamedTuple):
 
 CORNER_TOL = 1e-12
 MAX_GRID_VALUES = 2 ** 25  # float64 values in one grid: 256 MiB
+# Values that write_csv formats at once: a whole grid of up to 128 x 128
+# points of rank 2, or 104 x 104 of rank 3.
+_CSV_BLOCK = 2 ** 15
 
 
 class CornerMismatchError(ValueError):
@@ -254,13 +257,19 @@ def convergence_order(samples: Sequence[tuple[float, float]]) -> float:
 
 
 def write_csv(grid: Grid, path) -> None:
-    """Row-major CSV export with 17-significant-digit floats, formatted by
-    one template that holds every line's x and y (which contain no %)."""
+    """Row-major CSV export with 17-significant-digit floats.  Each block of
+    rows of about _CSV_BLOCK values is formatted by one ``%`` on a template
+    that holds every line's x and y (which contain no %), so the text of at
+    most one block is held at a time."""
     head = "x,y," + ",".join(f"G_{k + 1}" for k in range(grid.rank))
     fields = ",".join(["%.17g"] * grid.rank)
     xs, ys = ([f"{v:.17g}" for v in grid_points(lo, grid.h, grid.steps)]
               for lo in (grid.x0, grid.y0))
-    template = "".join([f"{x},{y},{fields}\n" for x in xs for y in ys])
+    rows = max(1, _CSV_BLOCK // (len(ys) * grid.rank))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + "\n")
-        fh.write(template % tuple(grid.values.ravel().tolist()))
+        for i in range(0, len(xs), rows):
+            template = "".join([f"{x},{y},{fields}\n" for x in xs[i:i + rows]
+                                for y in ys])
+            fh.write(template % tuple(grid.values[i:i + rows].ravel()
+                                      .tolist()))

@@ -221,10 +221,6 @@ class DerivedSystem(NamedTuple):
     defs: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
-    @property
-    def equations(self) -> tuple[Equation, ...]:
-        return self.first_order + self.final
-
     def render(self) -> str:
         lines = [eq.render() for eq in self.first_order]
         if self.defs:

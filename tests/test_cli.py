@@ -152,56 +152,44 @@ def test_verify_lse_names_the_failing_component_after_a_shared_one(tmp_path,
     assert err.count("\n") == 1
 
 
-def _longest_parsed_sum() -> int:
-    """The most terms of x+x+...+x that the parse check accepts here."""
-    lo, hi = 1, 2000
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            cli._parse_checked("+".join(["x"] * mid), {"x"})
-            lo = mid
-        except cli.InputError:
-            hi = mid
-    return lo
+def _sum_to_x(terms: int) -> str:
+    """x+x+...+x less (terms - 1)*x, which is x."""
+    return "+".join(["x"] * terms) + f"-{terms - 1}*x"
 
 
-def test_sums_near_the_parse_depth_limit_exit_0_or_3(tmp_path, monkeypatch,
-                                                     capsys):
-    # the parse refuses a tree deeper than a fold can descend from here, so
-    # a sum near the limit exits 0 or is refused when it is parsed
+def _run_verbs(capsys, f, trace):
+    """verify-liouville on ``f`` and g = y+1, and solve with the y_edge
+    ``trace``; their exit codes and stderr."""
+    results = [run(capsys, "verify-liouville", "--f", f, "--g", "y+1",
+                   "--order", "3")]
+    Path("b.json").write_text(json.dumps({**BOUNDARY, "y_edge": [trace]}))
+    results.append(run(capsys, "solve", "--cartan", SL2, "--boundary",
+                       "b.json", "--h", "1/4", "--out", "grid.csv"))
+    return [(code, err) for code, _, err in results]
+
+
+def test_a_long_sum_and_deep_nesting_exit_0(tmp_path, monkeypatch, capsys):
+    # far past the recursion limit: parse and fold nest no frames; each f
+    # is x, so the trace is BOUNDARY's y_edge and the grid its golden
     monkeypatch.chdir(tmp_path)
-    longest = _longest_parsed_sum()
-    for n in range(longest - 8, longest + 4):
-        text = "+".join(["x"] * n)
-        code, _, err = run(capsys, "verify-liouville", "--f", f"{text}+1",
-                           "--g", "y+1", "--order", "3")
-        assert code == 0 or err.endswith("nested too deeply\n"), n
-        (tmp_path / "b.json").write_text(json.dumps(
-            {**BOUNDARY, "y_edge": [f"{text}-{n}*x-2*ln(x+2)"]}))
-        code, _, err = run(capsys, "solve", "--cartan", SL2, "--boundary",
-                           "b.json", "--h", "1/4", "--out", "grid.csv")
-        assert code == 0 or err.endswith("nested too deeply\n"), n
+    deep = "(" * 10_000 + "x" + ")+1" * 10_000 + "-10000"
+    for f in (_sum_to_x(100_000), deep):
+        assert _run_verbs(capsys, f, f"{f}-x-2*ln(x+2)") == [(0, "")] * 2
+        assert (tmp_path / "grid.csv").read_text() == golden("solve_grid.csv")
 
 
 def test_the_longest_sum_that_parses_folds(tmp_path, monkeypatch, capsys):
-    # both verbs fold the deepest tree that parses; one level more exits 3
+    # both verbs fold an expression of MAX_EXPRESSION_CHARS characters; one
+    # character more exits 3 with one line that names the limit
     monkeypatch.chdir(tmp_path)
-    longest = _longest_parsed_sum()
-    assert longest < sys.getrecursionlimit()
-    for depth, want in ((longest, 0), (longest + 1, 3)):
-        text = "+".join(["x"] * depth)
-        code, _, err = run(capsys, "verify-liouville", "--f", text, "--g",
-                           "y+1", "--order", "3")
-        assert code == want and err.endswith(
-            "nested too deeply\n" if want else ""), depth
-        n = depth - 2  # (x+...+x - n*x) - 2*ln(x+2) is two levels deeper
-        (tmp_path / "b.json").write_text(json.dumps(
-            {**BOUNDARY, "y_edge": ["+".join(["x"] * n) +
-                                    f"-{n}*x-2*ln(x+2)"]}))
-        code, _, err = run(capsys, "solve", "--cartan", SL2, "--boundary",
-                           "b.json", "--h", "1/4", "--out", "grid.csv")
-        assert code == want and err.endswith(
-            "nested too deeply\n" if want else ""), depth
+    limit = cli.MAX_EXPRESSION_CHARS
+    f = _sum_to_x(limit // 2 - 20)
+    f, trace = f.ljust(limit), f"{f}-x-2*ln(x+2)".ljust(limit)
+    assert _run_verbs(capsys, f, trace) == [(0, "")] * 2
+    assert (tmp_path / "grid.csv").read_text() == golden("solve_grid.csv")
+    assert _run_verbs(capsys, f + " ", trace + " ") == [
+        (3, f"error: expression of {limit + 1} characters is past the limit "
+         f"of {limit}\n")] * 2
 
 
 def test_verify_lse_component_count(tmp_path, capsys):
@@ -332,6 +320,19 @@ def test_bad_order_env_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "verify-liouville", "--f", "x+1", "--g", "y+1")
     assert code == 3
     assert "ZCURV_ORDER" in err
+
+
+def test_order_env_2_is_the_least_order(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "sol.json"
+    doc.write_text(json.dumps({"components": ["-2*ln(x+y)"]}))
+    argv = ["verify-lse", "--cartan", str(DATA / "sl2.cm"), "--solution",
+            str(doc), "--form", "lsbis", "--base", "1,1"]
+    monkeypatch.setenv("ZCURV_ORDER", "2")
+    assert run(capsys, *argv) == (
+        0, "component 1: max residual coefficient 0.0 (order 0)\n", "")
+    monkeypatch.setenv("ZCURV_ORDER", "1")
+    assert run(capsys, *argv) == (
+        3, "", "error: ZCURV_ORDER must be an integer >= 2, got '1'\n")
 
 
 @pytest.mark.parametrize("flags,env", [(["--order", "99999999999"], "8"),
@@ -501,6 +502,31 @@ def test_rational_limit_is_on_bits():
         assert not isinstance(err.value, cli.InputError)
 
 
+@pytest.mark.parametrize("base,message", [
+    ("1e1024,0", "--base '1e1024' has a numerator or denominator past the "
+     "limit of 1024 bits"),
+    ("1e1025,0", "--base '1e1025' has a decimal exponent past the limit of "
+     "1024"),
+])
+def test_base_at_the_decimal_exponent_limit(capsys, base, message):
+    # 10^1024 passes the exponent check and fails the bit check
+    assert run(capsys, "verify-liouville", "--f", "x+1", "--g", "y+1",
+               "--base", base) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-liouville", "--f", "+".join(["x"] * 600) + "+ln(1-1)", "--g",
+     "y+1"],
+    ["verify-liouville", "--f", "+".join(["x"] * 600) + "+@", "--g", "y+1"],
+    ["verify-liouville", "--f", "+".join(["y"] * 600), "--g", "y+1"],
+], ids=["evaluate", "parse", "variables"])
+def test_a_long_expression_is_echoed_clipped(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "..." in err and " characters)" in err and len(err) < 160
+
+
 def test_a_scalar_in_an_error_prints_long_integers_short(capsys):
     # 10^5000 in the constant term: str() of it would pass Python's
     # 4,300-digit limit and replace this message with its own
@@ -546,9 +572,9 @@ def _verify_lse(solution):
     pytest.param(*_solve({"x1": 1e400}), id="boundary-infinite-end"),
     pytest.param(*_verify_lse({"components": [5]}),
                  id="component-not-a-string"),
-    pytest.param(*_verify_lse({"components": ["(" * 3000 + "x" + ")" * 3000]}),
-                 id="component-nested-too-deeply"),
-    pytest.param(*_solve({"y_edge": ["+".join(["x"] * 3000)]}),
+    pytest.param(*_verify_lse({"components": [
+        "(" * 2**17 + "x" + ")" * 2**17]}), id="component-nested-too-deeply"),
+    pytest.param(*_solve({"y_edge": ["+".join(["x"] * (2**17 + 1))]}),
                  id="trace-too-deep"),
 ])
 def test_input_failures_exit_3(tmp_path, monkeypatch, capsys, files, argv):

@@ -505,6 +505,23 @@ def test_march_keeps_no_second_grid():
     assert peak < 2 * grid.values.nbytes
 
 
+def test_write_csv_keeps_no_copy_of_the_grid(tmp_path):
+    # the text of one block of rows at a time, not of the whole grid
+    values = np.random.default_rng(7).standard_normal((513, 513, 3))
+    grid = Grid(Fraction(0), Fraction(1), Fraction(0), Fraction(1),
+                Fraction(1, 512), values)
+    tracemalloc.start()
+    try:
+        write_csv(grid, tmp_path / "grid.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.values.nbytes
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
+    assert len(lines) == 1 + 513 * 513
+    assert lines[-1] == "1,1," + ",".join(f"{v:.17g}" for v in values[-1, -1])
+
+
 # -- CSV and march fingerprint -----------------------------------------------
 # The per-line formatter that write_csv replaced, kept as the byte reference,
 # and one hash over the CSV bytes, sweep residuals and discrete residuals of

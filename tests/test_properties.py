@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DATA
 from zcurv.cli import main
-from zcurv.exprparse import eval_float, eval_jet, parse_expression
+from zcurv.exprparse import Program, eval_float, eval_jet, parse_expression
 from zcurv.jets import Jet
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -252,21 +252,23 @@ def outcome(fold):
 @given(st.lists(trees, min_size=1, max_size=3), fractions, fractions,
        coordinates)
 def test_one_memo_folds_like_each_tree_alone(parts, x0, y0, xs):
-    # later trees reuse earlier ones, so the memo holds their subtrees
+    # later trees reuse earlier ones, so the program and the memo hold
+    # their subtrees; alone, each text is parsed into a program of its own
     nodes = parts + [("mul", a, ("exp", b)) for a, b in zip(parts, parts[1:])]
     x, y = (Jet.variable(v, (x0, y0), 2) for v in "xy")
-    ys, jet_memo, array_memo = xs[::-1].copy(), {}, {}
-    for node in nodes:
-        alone = outcome(lambda: eval_jet(node, x, y))
+    ys, jet_memo, array_memo, program = xs[::-1].copy(), {}, {}, Program()
+    for text in map(render, nodes):
+        node, own = parse_expression(text, program), parse_expression(text)
+        alone = outcome(lambda: eval_jet(own, x, y))
         shared = outcome(lambda: eval_jet(node, x, y, jet_memo))
-        assert shared == alone, render(node)
+        assert shared == alone, text
         if isinstance(alone, Jet):
-            assert shared.rows == alone.rows, render(node)
-        alone = outcome(lambda: eval_float(node, xs, ys))
+            assert shared.rows == alone.rows, text
+        alone = outcome(lambda: eval_float(own, xs, ys))
         shared = outcome(lambda: eval_float(node, xs, ys, array_memo))
-        assert type(shared) is type(alone), render(node)
+        assert type(shared) is type(alone), text
         if isinstance(alone, tuple):
-            assert shared == alone, render(node)
+            assert shared == alone, text
         else:
             assert np.asarray(shared).tobytes() == np.asarray(alone).tobytes()
 

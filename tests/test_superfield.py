@@ -107,6 +107,11 @@ def test_exp_of_zero():
         == SuperField.constant(1, GENS, order=4)
 
 
+def test_zero_has_the_default_order():
+    zero = SuperField.zero(standard_gens(2))
+    assert zero.order == 8 and zero.is_zero()
+
+
 def test_ln_inverts_exp(rng):
     for _ in range(100):
         s = random_superfield(rng, GENS, order=4, parity=0, comps=2, terms=2)
