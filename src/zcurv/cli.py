@@ -109,11 +109,13 @@ def _rational(value, what: str) -> Fraction:
 
 
 def _clip(value) -> str:
-    """``repr(value)``, with the middle of a long one left out."""
+    """``repr(value)``, with the middle of a long one left out and the
+    length of the value (of its repr, if it is not a string) given."""
     text = repr(value)
     if len(text) <= 48:
         return text
-    return f"{text[:24]}...{text[-12:]} ({len(text)} characters)"
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:24]}...{text[-12:]} ({size} characters)"
 
 
 def _parse_base(text: str) -> tuple[Fraction, Fraction]:
@@ -142,9 +144,9 @@ def _read(path: str, parse):
 
 
 def _parse_checked(text, allow: set[str], program):
-    """The tree of ``text``, parsed into ``program``; it may only use the
-    variables in ``allow``.  An error echoes the text through ``_clip``, or
-    gives its length if it is past MAX_EXPRESSION_CHARS."""
+    """The expression of ``text``, parsed into ``program``; it may only use
+    the variables in ``allow``.  An error echoes the text through ``_clip``,
+    or gives its length if it is past MAX_EXPRESSION_CHARS."""
     from .exprparse import ExprSyntaxError, parse_expression, used_variables
     if not isinstance(text, str):
         raise InputError(f"expected an expression string, got {_clip(text)}")
@@ -152,13 +154,13 @@ def _parse_checked(text, allow: set[str], program):
         raise InputError(f"expression of {len(text)} characters is past "
                          f"the limit of {MAX_EXPRESSION_CHARS}")
     try:
-        node = parse_expression(text, program)
+        expression = parse_expression(text, program)
     except ExprSyntaxError as exc:
         raise InputError(f"bad expression {_clip(text)}: {exc}") from None
-    if used_variables(node) - allow:
+    if used_variables(expression) - allow:
         raise InputError(
             f"expression {_clip(text)} may only use {sorted(allow)}")
-    return node
+    return expression
 
 
 def _evaluate(text: str, where: str, evaluate, *args):

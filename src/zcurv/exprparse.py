@@ -7,20 +7,20 @@
     primary = integer | 'x' | 'y' | 'exp' '(' expr ')' | 'ln' '(' expr ')'
             | '(' expr ')'
 
-Every literal is an integer token of ASCII digits, stored as
-``("num", int)``; rational constants are written as quotients of integers
-("3/2").  ``parse_expression`` tokenizes once and parses with an operand
-stack and an operator stack (shunting-yard), so no input nests the Python
-stack.  It returns the tree as nested tuples and emits the same tree, in
-postorder, into a ``Program``: a straight-line list of slots, hash-consed
-on the flat key (op, operand, operand) whose operands are slot numbers, so
-a subtree that occurs twice gets one slot.  Each slot records the
-variables it reads and, when it reads none, its float (None if that
-raises).  Texts parsed into one program share their common subtrees.  A
-hand-built tuple is compiled into a program of its own on each call.
+Every literal is an integer token of ASCII digits; rational constants are
+written as quotients of integers ("3/2").  ``parse_expression`` tokenizes
+once and parses with a stack of operand slots and a stack of operators
+(shunting-yard), so no input nests the Python stack.  It emits the tree,
+in postorder, into a ``Program``: a straight-line list of slots,
+hash-consed on the flat key (op, operand, operand) whose operands are slot
+numbers, so a subtree that occurs twice gets one slot.  Each slot records
+the variables it reads and, when it reads none, its float (None if that
+raises).  The parse returns an ``Expression``, the program and the slot of
+the tree's root; that pair is all there is of a parsed tree, and texts
+parsed into one program share their common subtrees.
 
-One loop folds a tree's slots in the postorder of the tree, each distinct
-subtree once, under an operation table:
+One loop folds an expression's slots in the postorder of its tree, each
+distinct subtree once, under an operation table:
 
 * jets (``Jet.constant``, ``operator.truediv``, ``Jet.pow_int``,
   ``Jet.exp``, ``Jet.ln``) give exact jets at a base point;
@@ -41,14 +41,15 @@ neg, add, sub and mul are Python's operators in every table.  The float and
 array tables take a constant slot's float and fold none of its operands;
 a constant whose float raises is folded again, so it raises the same error
 at the same point on every call.  A jet or array call may pass a memo, a
-dict of slot values that the trees of one program share at one x and y; it
-is ignored for a hand-built tuple and by the float fold at one point.
+dict of slot values that the expressions of one program share at one x and
+y; the float fold at one point ignores it.
 """
 
 import functools
 import math
 import operator
 import sys
+from typing import NamedTuple
 
 
 class ExprSyntaxError(ValueError):
@@ -103,11 +104,11 @@ _VARIABLES = (frozenset(), frozenset("x"), frozenset("y"), frozenset("xy"))
 
 class Program:
     """Hash-consed slots.  Slot s holds ``code[s] = (op, a, b)``: a num's
-    value or a var's name in ``a`` (and in ``b`` a float num's repr, else
-    None); otherwise the slot of the first operand in ``a``, and in ``b``
-    the second operand's slot, pow's integer exponent, or None.
-    ``masks[s]`` has bit 1 if the slot reads x and bit 2 if it reads y;
-    ``floats[s]`` is a constant slot's float, else None."""
+    integer or a var's name in ``a`` and None in ``b``; otherwise the slot
+    of the first operand in ``a``, and in ``b`` the second operand's slot,
+    pow's integer exponent, or None.  ``masks[s]`` has bit 1 if the slot
+    reads x and bit 2 if it reads y; ``floats[s]`` is a constant slot's
+    float, else None.  ``plans`` caches ``plan`` by (root, folded)."""
 
     def __init__(self):
         self.code, self.masks, self.floats = [], [], []
@@ -174,33 +175,12 @@ def _float(op, args):
         return None
 
 
-def _compile(tree):
-    """(program, root) of a hand-built tuple."""
-    order, stack = [], [tree]
-    while stack:  # node, right subtree, left subtree: postorder reversed
-        node = stack.pop()
-        order.append(node)
-        kind = node[0]
-        if kind in _BINARY:
-            stack += (node[1], node[2])
-        elif kind in ("neg", "exp", "ln", "pow"):
-            stack.append(node[1])
-        elif kind not in ("num", "var"):
-            raise ValueError(f"unknown node {kind!r}")
-    program, slots = Program(), []
-    for node in reversed(order):
-        kind = node[0]
-        if kind in _BINARY:
-            b = slots.pop()
-            slots.append(program.emit(kind, slots.pop(), b))
-        elif kind == "num" and isinstance(node[1], float):
-            # 0.0 == -0.0 == 0: a float literal's key also holds its repr
-            slots.append(program.emit(kind, node[1], repr(node[1])))
-        elif kind in ("num", "var"):
-            slots.append(program.emit(kind, node[1]))
-        else:
-            slots.append(program.emit(kind, slots.pop(), *node[2:]))
-    return program, slots[0]
+class Expression(NamedTuple):
+    """A parsed expression: the ``program`` it was emitted into and the slot
+    of its ``root``."""
+
+    program: Program
+    root: int
 
 
 # -- parsing -----------------------------------------------------------------
@@ -210,40 +190,30 @@ _OPERATORS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 _PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 3}
 
 
-class _Tree(tuple):
-    """A parsed tree: the tuple, with the ``program`` it was parsed into and
-    its ``root`` slot.  A copy is a plain tuple."""
-
-    def __reduce__(self):
-        return tuple, (tuple(self),)
-
-
-def parse_expression(text: str, program: Program | None = None):
-    """The tree of ``text``, emitted into ``program`` (a new one if None)."""
+def parse_expression(text: str, program: Program | None = None) -> Expression:
+    """The expression of ``text``, emitted into ``program`` (a new one if
+    None)."""
     program = Program() if program is None else program
     emit, code, tokens = program.emit, program.code, _tokenize(text)
-    operands = []  # (slot, node)
+    operands = []  # slots
     pending = []   # (op, position of its token)
 
     def reduce(level: int):
         """Apply the pending operators that bind at least as tightly."""
         while pending and _PRECEDENCE.get(pending[-1][0], 0) >= level:
             op, pos = pending.pop()
-            s, node = operands.pop()
+            s = operands.pop()
             if op == "pow":  # s is the exponent: an integer under signs
-                n, sign = s, 1
-                while code[n][0] == "neg":
-                    n, sign = code[n][1], -sign
-                if code[n][0] != "num":
+                sign = 1
+                while code[s][0] == "neg":
+                    s, sign = code[s][1], -sign
+                if code[s][0] != "num":
                     raise ExprSyntaxError("exponent must be an integer", pos)
-                n = sign * code[n][1]
-                s, node = operands.pop()
-                operands.append((emit(op, s, n), (op, node, n)))
+                operands[-1] = emit(op, operands[-1], sign * code[s][1])
             elif op == "neg":
-                operands.append((emit(op, s), (op, node)))
+                operands.append(emit(op, s))
             else:
-                a, left = operands.pop()
-                operands.append((emit(op, a, s), (op, left, node)))
+                operands[-1] = emit(op, operands[-1], s)
 
     i, operand = 0, True
     while True:
@@ -255,10 +225,10 @@ def parse_expression(text: str, program: Program | None = None):
             elif kind == "(":
                 pending.append(("(", pos))
             elif kind == "int":
-                operands.append((emit("num", value), ("num", value)))
+                operands.append(emit("num", value))
                 operand = False
             elif kind == "name" and value in ("x", "y"):
-                operands.append((emit("var", value), ("var", value)))
+                operands.append(emit("var", value))
                 operand = False
             elif kind == "name" and value in ("exp", "ln"):
                 if tokens[i][0] != "(":
@@ -289,26 +259,14 @@ def parse_expression(text: str, program: Program | None = None):
                 raise ExprSyntaxError("expected ')'", pos)
             op = pending.pop()[0]
             if op != "(":  # exp or ln
-                s, node = operands.pop()
-                operands.append((emit(op, s), (op, node)))
-    slot, node = operands.pop()
-    tree = _Tree(node)
-    tree.program, tree.root = program, slot
-    return tree
+                operands[-1] = emit(op, operands[-1])
+    return Expression(program, operands.pop())
 
 
-def used_variables(node) -> set[str]:
-    """The variables the tree reads, as its program records them."""
-    program, root = _program(node)
+def used_variables(expression: Expression) -> set[str]:
+    """The variables the expression reads, as its program records them."""
+    program, root = expression
     return set(_VARIABLES[program.masks[root]])
-
-
-def _program(node):
-    """(program, root) of a parsed tree, or of a hand-built tuple compiled
-    now."""
-    if type(node) is _Tree:
-        return node.program, node.root
-    return _compile(node)
 
 
 # -- operation tables ---------------------------------------------------------
@@ -344,11 +302,11 @@ def _array_ops() -> dict:
             "exp": elementwise(math.exp, 1), "ln": elementwise(math.log, 1)}
 
 
-def _fold(node, x, y, ops: dict, memo):
-    """The value of the tree under ``ops``; ``memo`` (a dict or None) holds
-    the values of slots of a parsed tree's program at this x, y."""
-    program, root = _program(node)
-    values = {} if memo is None or type(node) is not _Tree else memo
+def _fold(expression: Expression, x, y, ops: dict, memo):
+    """The value of the expression under ``ops``; ``memo`` (a dict or None)
+    holds the values of slots of its program at this x, y."""
+    program, root = expression
+    values = {} if memo is None else memo
     consts, steps = program.plan(root, ops["num"] is float)
     values.update(consts)
     for s, op, a, b in steps:
@@ -367,22 +325,24 @@ def _fold(node, x, y, ops: dict, memo):
     return values[root]
 
 
-def eval_jet(node, x: "Jet", y: "Jet", memo=None) -> "Jet":
-    """The jet of the tree; ``memo`` holds slots folded with this x, y."""
+def eval_jet(expression: Expression, x: "Jet", y: "Jet",
+             memo=None) -> "Jet":
+    """The jet of the expression; ``memo`` holds slots folded with this x,
+    y."""
     from .jets import Jet  # here, so that ``solve`` loads no jets
-    return _fold(node, x, y, {
+    return _fold(expression, x, y, {
         **_ARITHMETIC, "num": lambda q: Jet.constant(q, x.base, x.order),
         "div": operator.truediv, "pow": Jet.pow_int, "exp": Jet.exp,
         "ln": Jet.ln}, memo)
 
 
-def eval_float(node, x, y, memo=None):
+def eval_float(expression: Expression, x, y, memo=None):
     """The float value at (x, y).  When ``x`` or ``y`` is a 1-D float array,
-    the values at every point: an array, or a float if the tree reads
+    the values at every point: an array, or a float if the expression reads
     neither array; ``memo`` then acts as in ``eval_jet``."""
     np = sys.modules.get("numpy")
     if np is not None and (isinstance(x, np.ndarray)
                            or isinstance(y, np.ndarray)):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _fold(node, x, y, _array_ops(), memo)
-    return _fold(node, x, y, _FLOAT_OPS, None)
+            return _fold(expression, x, y, _array_ops(), memo)
+    return _fold(expression, x, y, _FLOAT_OPS, None)

@@ -464,7 +464,7 @@ HUGE_EXPONENT = "1e-9999999"  # Fraction alone spends about 9 s on it
      "has a numerator"),
     (["verify-liouville", "--f", "x+1", "--g", "y+1", "--base",
       f"1/{'7' * 4000},0", "--order", "8"], None,
-     "--base '1/777777777777777777777...77777777777' (4004 characters) "
+     "--base '1/777777777777777777777...77777777777' (4002 characters) "
      "has a numerator"),
 ], ids=["base-exponent", "base-exponent-100000", "base-denominator",
         "h-exponent", "boundary-exponent", "boundary-integer", "base-long"])

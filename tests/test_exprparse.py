@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zcurv.exprparse import (ExprSyntaxError, eval_float, eval_jet,
+from zcurv.exprparse import (ExprSyntaxError, Program, eval_float, eval_jet,
                              parse_expression, used_variables)
 from zcurv.jets import Jet
 
@@ -52,6 +52,26 @@ def test_used_variables():
     assert used_variables(parse_expression("x^2 + 1")) == {"x"}
     assert used_variables(parse_expression("x*y")) == {"x", "y"}
     assert used_variables(parse_expression("3/2")) == set()
+
+
+def test_a_plan_is_built_once_per_root_and_table():
+    program = Program()
+    expression = parse_expression("x*(2+3) + exp(1)", program)
+    constant = parse_expression("2+3", program).root  # the shared subtree
+    two, three = (parse_expression(t, program).root for t in "23")
+    folded = program.plan(expression.root, True)
+    jet = program.plan(expression.root, False)
+    assert program.plan(expression.root, True) is folded
+    assert program.plan(expression.root, False) is jet
+    # the float and array tables take the constant's float and visit none
+    # of its operands; the jet table folds it step by step
+    consts, steps = folded
+    assert consts[constant] == 5.0
+    assert {s for s, *_ in steps}.isdisjoint({constant, two, three})
+    consts, steps = jet
+    assert consts == {}
+    assert (constant, "add", two, three) in steps
+    assert {two, three} <= {s for s, *_ in steps}
 
 
 @pytest.mark.parametrize("text", [

@@ -1,25 +1,25 @@
 """Expression programs against the recursive fold they replaced.
 
 ``reference_fold`` is the tree walk that evaluated expressions before each
-tree was compiled into a program, kept here, with its own copies of the
-float, array and jet tables, as the reference.  Every fold of a program
-must equal it bit for bit and raise the same error with the same text.
+expression was parsed into a program, kept here, with its own copies of
+the float, array and jet tables, as the reference.  It folds the plain
+tuple tree: a hand-built one, or the tree of a parsed expression that
+``tree_of`` rebuilds from its slots.  Every fold of a program must equal it
+bit for bit and raise the same error with the same text.
 Programs hash-cons their slots in dicts keyed by tuples of strings and
 numbers, so CI runs this file under two hash seeds.
 """
 
-import copy
 import functools
 import math
 import operator
-import pickle
 import struct
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from test_parse_oracle import tree_of
 from test_properties import (PROPERTY, coordinates, fractions, outcome,
                              render, trees, trees_in)
 from zcurv.exprparse import (eval_float, eval_jet, parse_expression,
@@ -137,14 +137,15 @@ def jet_key(result):
     return result.base, result.order, result.rows
 
 
-def folds(node, x0, y0, xs):
-    """The keyed float, array and jet outcomes of ``node`` at one point."""
+def folds(expression, x0, y0, xs):
+    """The keyed float, array and jet outcomes of ``expression`` at one
+    point."""
     ys = xs[::-1].copy()
     jx, jy = (Jet.variable(v, (x0, y0), 2) for v in "xy")
-    return (float_key(outcome(lambda: eval_float(node, float(x0),
+    return (float_key(outcome(lambda: eval_float(expression, float(x0),
                                                  float(y0)))),
-            array_key(outcome(lambda: eval_float(node, xs, ys))),
-            jet_key(outcome(lambda: eval_jet(node, jx, jy))))
+            array_key(outcome(lambda: eval_float(expression, xs, ys))),
+            jet_key(outcome(lambda: eval_jet(expression, jx, jy))))
 
 
 def reference_folds(node, x0, y0, xs):
@@ -162,11 +163,13 @@ def reference_folds(node, x0, y0, xs):
 @PROPERTY
 @given(trees, fractions, fractions, coordinates)
 def test_compiled_folds_match_the_reference(node, x0, y0, xs):
-    assert folds(node, x0, y0, xs) == reference_folds(node, x0, y0,
-                                                      xs), render(node)
+    # the rendered text spells each fraction as a quotient of integers,
+    # which folds to the same float and the same exact jet
     parsed = parse_expression(render(node))
-    assert folds(parsed, x0, y0, xs) == reference_folds(parsed, x0, y0,
+    assert folds(parsed, x0, y0, xs) == reference_folds(node, x0, y0,
                                                         xs), render(node)
+    assert folds(parsed, x0, y0, xs) == reference_folds(tree_of(parsed), x0,
+                                                        y0, xs), render(node)
 
 
 @PROPERTY
@@ -180,7 +183,7 @@ def test_a_warm_program_folds_like_a_fresh_one(node, points, xs):
     for x0, y0 in points:
         result = folds(warm, x0, y0, xs)
         assert result == folds(parse_expression(text), x0, y0, xs), text
-        assert result == reference_folds(warm, x0, y0, xs), text
+        assert result == reference_folds(tree_of(warm), x0, y0, xs), text
 
 
 @pytest.mark.parametrize("text", [
@@ -190,55 +193,31 @@ def test_a_warm_program_folds_like_a_fresh_one(node, points, xs):
     "ln(0)*x+(1/0)*y", "(1/0)*y-ln(0)*x",
 ])
 def test_a_raising_constant_raises_on_every_call(text):
-    node = parse_expression(text)
+    expression = parse_expression(text)
+    node = tree_of(expression)
     xs = np.array([0.5, 1.0, 2.0])
     jx, jy = (Jet.variable(v, (1, 1), 2) for v in "xy")
     want = outcome(lambda: reference_float(node, 0.5, 0.5))
     assert isinstance(want, tuple), want
     for x in (0.5, 1.5, 0.5, -2.0):
-        assert outcome(lambda: eval_float(node, x, 0.5)) == want
-        assert outcome(lambda: eval_float(node, xs, xs)) == want
-        assert (outcome(lambda: eval_jet(node, jx, jy))
+        assert outcome(lambda: eval_float(expression, x, 0.5)) == want
+        assert outcome(lambda: eval_float(expression, xs, xs)) == want
+        assert (outcome(lambda: eval_jet(expression, jx, jy))
                 == outcome(lambda: reference_jet(node, jx, jy)))
 
 
 @PROPERTY
 @given(st.sampled_from(["x", "y", "xy"]).flatmap(trees_in))
 def test_recorded_variables_match_the_walk(node):
-    assert used_variables(node) == reference_variables(node)
     parsed = parse_expression(render(node))
-    assert used_variables(parsed) == reference_variables(parsed)
+    assert used_variables(parsed) == reference_variables(node)
+    assert used_variables(parsed) == reference_variables(tree_of(parsed))
     mask = parsed.program.masks[parsed.root]
     assert {v for bit, v in ((1, "x"), (2, "y")) if mask & bit} \
-        == reference_variables(parsed)
-
-
-def test_float_literals_that_compare_equal_keep_their_own_slots():
-    # -0.0 == 0.0 and 2.0 == 2, but each folds to its own value (jets take
-    # no float constant)
-    for a, b in ((-0.0, 0.0), (0.0, -0.0), (2.0, 2), (0.5, Fraction(1, 2))):
-        node = ("sub", ("mul", ("num", a), ("var", "x")),
-                ("mul", ("num", b), ("var", "x")))
-        xs = np.array([1.0, 2.0])
-        assert float_key(eval_float(node, 1.0, 1.0)) == float_key(
-            reference_float(node, 1.0, 1.0))
-        # reference_array's memo would share them: compare point by point
-        assert array_key(eval_float(node, xs, xs)) == array_key(
-            np.array([reference_float(node, v, v) for v in xs.tolist()]))
+        == reference_variables(node)
 
 
 # -- the parsed tree ----------------------------------------------------------
-
-
-def test_a_parsed_tree_is_its_tuple():
-    tree = parse_expression("2*x - ln(y)")
-    plain = ("sub", ("mul", ("num", 2), ("var", "x")), ("ln", ("var", "y")))
-    assert tree == plain and hash(tree) == hash(plain)
-    assert {plain: 1}[tree] == 1
-    for copied in (pickle.loads(pickle.dumps(tree)), copy.copy(tree),
-                   copy.deepcopy(tree)):
-        assert type(copied) is tuple and copied == plain
-        assert eval_float(copied, 2.0, 3.0) == eval_float(tree, 2.0, 3.0)
 
 
 def test_a_long_chain_has_one_slot_a_node_and_folds():
@@ -261,4 +240,5 @@ def test_deep_negations_and_parentheses_fold():
     assert eval_jet(nested, jx, jy) == jx + 10_000
     # an exponent under 100,001 signs is still an integer
     power = parse_expression("x^" + "-" * 100_001 + "2")
-    assert power[2] == -2 and eval_float(power, 2.0, 0.0) == 0.25
+    assert power.program.code[power.root] == ("pow", 0, -2)
+    assert eval_float(power, 2.0, 0.0) == 0.25

@@ -4,8 +4,9 @@
 tokenizer as the reference: it builds the plain tuple tree and raises
 ``ExprSyntaxError``.  On random rendered trees, texts joined from the
 grammar's productions without parentheses, random token strings and a
-corpus of malformed strings, ``parse_expression`` must return an equal
-tree or raise the same message at the same 1-based position.
+corpus of malformed strings, ``parse_expression`` must return an
+expression whose tree, rebuilt from its program's slots by ``tree_of``, is
+equal, or raise the same message at the same 1-based position.
 """
 
 import pytest
@@ -149,6 +150,23 @@ def _int_const(node):
 # -- comparing parses ---------------------------------------------------------
 
 
+def tree_of(expression):
+    """The plain tuple tree of a parsed expression, rebuilt from the slots of
+    its program; an operand's slot is always below its user's."""
+    program, root = expression
+    nodes = []
+    for op, a, b in program.code[:root + 1]:
+        if op in ("num", "var"):
+            nodes.append((op, a))
+        elif op == "pow":
+            nodes.append((op, nodes[a], b))
+        elif b is None:
+            nodes.append((op, nodes[a]))
+        else:
+            nodes.append((op, nodes[a], nodes[b]))
+    return nodes[root]
+
+
 def parsed(parse, text):
     """The tree of ``text`` as a plain tuple, or the message and 1-based
     position of its syntax error."""
@@ -160,7 +178,7 @@ def parsed(parse, text):
 
 def assert_parses_like_the_reference(text):
     want = parsed(lambda t: ReferenceParser(t).parse(), text)
-    assert parsed(parse_expression, text) == want, text
+    assert parsed(lambda t: tree_of(parse_expression(t)), text) == want, text
 
 
 # token pieces that the grammar joins in every order, valid or not
