@@ -166,10 +166,10 @@ def test_compiled_folds_match_the_reference(node, x0, y0, xs):
     # the rendered text spells each fraction as a quotient of integers,
     # which folds to the same float and the same exact jet
     parsed = parse_expression(render(node))
-    assert folds(parsed, x0, y0, xs) == reference_folds(node, x0, y0,
-                                                        xs), render(node)
-    assert folds(parsed, x0, y0, xs) == reference_folds(tree_of(parsed), x0,
-                                                        y0, xs), render(node)
+    result = folds(parsed, x0, y0, xs)
+    assert result == reference_folds(node, x0, y0, xs), render(node)
+    assert result == reference_folds(tree_of(parsed), x0, y0,
+                                     xs), render(node)
 
 
 @PROPERTY
