@@ -5,11 +5,13 @@ Exit codes: 0 success, 1 verification failure (or inadmissible matrix),
 faults to exit 3: any ``ValueError`` or ``ArithmeticError`` of a verb ends as
 one ``error: ...`` line.  An ``InputError`` (a ``ValueError``) only adds the
 file, expression or flag at fault.  Output is byte-deterministic for
-identical inputs.  The environment variable ZCURV_ORDER (integer >= 2)
-overrides the default jet order 8 where no --order flag is given; either
-way the order is at most MAX_ORDER.  A rational input (--base, --h, a
-boundary's x0..y1) has at most MAX_RATIONAL_BITS bits in its numerator and
-denominator, and an expression at most MAX_EXPRESSION_CHARS characters.
+identical inputs.  The environment variable ZCURV_ORDER overrides the
+default jet order 8 where no --order flag is given; either way the order
+is at least 2 (3 for verify-liouville, whose solution takes f' and g'
+before its residual takes F_xy) and at most MAX_ORDER.  ``_rational``
+alone reads a rational input (--base, --h, a boundary's x0..y1): a string
+or a number, with at most MAX_RATIONAL_BITS bits in its numerator and
+denominator.  An expression has at most MAX_EXPRESSION_CHARS characters.
 ``main`` builds the argparse parser on its first call and reuses it for
 every later call in the process.
 
@@ -51,8 +53,9 @@ class VerificationFailure(Exception):
     """Residual beyond tolerance: exit code 1."""
 
 
-def _jet_order(args) -> int:
-    """--order, else ZCURV_ORDER, else DEFAULT_ORDER; from 2 to MAX_ORDER."""
+def _jet_order(args, least: int = 2) -> int:
+    """--order, else ZCURV_ORDER, else DEFAULT_ORDER; from the verb's
+    ``least`` order to MAX_ORDER."""
     order = args.order
     if order is None:
         raw = os.environ.get("ZCURV_ORDER", str(DEFAULT_ORDER))
@@ -60,11 +63,11 @@ def _jet_order(args) -> int:
             order = int(raw)
         except ValueError:
             order = -1
-        if order < 2:
+        if order < least:
             raise InputError(
-                f"ZCURV_ORDER must be an integer >= 2, got {raw!r}")
-    if order < 2:
-        raise InputError("--order must be >= 2")
+                f"ZCURV_ORDER must be an integer >= {least}, got {raw!r}")
+    if order < least:
+        raise InputError(f"--order must be >= {least}")
     if order > MAX_ORDER:
         raise InputError(
             f"jet order {order} is past the limit of {MAX_ORDER}")
@@ -89,9 +92,12 @@ def _check_residuals(residuals, mags, tol: float) -> None:
 
 
 def _rational(value, what: str) -> Fraction:
-    """``Fraction(value)`` for the input ``what``.  InputError for a decimal
-    exponent or a numerator or denominator past MAX_RATIONAL_BITS, before
-    Fraction builds the power of ten; else Fraction's own errors."""
+    """``Fraction(value)`` for the input ``what``, a string or a number (not
+    a bool).  Any refusal is an InputError that names ``what``; a decimal
+    exponent past MAX_RATIONAL_BITS is refused before Fraction builds the
+    power of ten, and so is a numerator or denominator of more bits."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise InputError(f"{what} must be a rational, got {_clip(value)}")
     exponent = isinstance(value, str) and re.fullmatch(_DECIMAL_EXPONENT,
                                                        value)
     digits = exponent and exponent[1].replace("_", "").lstrip("0")
@@ -99,7 +105,11 @@ def _rational(value, what: str) -> Fraction:
                    or int(digits) > MAX_RATIONAL_BITS):
         raise InputError(f"{what} {_clip(value)} has a decimal exponent past "
                          f"the limit of {MAX_RATIONAL_BITS}")
-    q = Fraction(value)
+    try:
+        q = Fraction(value)
+    except (ValueError, ArithmeticError):
+        raise InputError(f"{what} must be a rational, got "
+                         f"{_clip(value)}") from None
     if max(q.numerator.bit_length(),
            q.denominator.bit_length()) > MAX_RATIONAL_BITS:
         raise InputError(f"{what} {_clip(value)} has a numerator or "
@@ -122,12 +132,7 @@ def _parse_base(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError(f"--base expects 'x0,y0', got {text!r}")
-    try:
-        return _rational(parts[0], "--base"), _rational(parts[1], "--base")
-    except InputError:
-        raise
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"--base expects rationals, got {text!r}") from None
+    return _rational(parts[0], "--base"), _rational(parts[1], "--base")
 
 
 def _read(path: str, parse):
@@ -232,7 +237,8 @@ def _cmd_admissible(args) -> int:
 def _cmd_verify_liouville(args) -> int:
     from .jets import Jet
     from .solutions import liouville_residual, liouville_solution
-    order, base = _jet_order(args), _parse_base(args.base)
+    # f' and g' cost the solution one order, the residual's F_xy two more
+    order, base = _jet_order(args, 3), _parse_base(args.base)
     x, y = (Jet.variable(v, base, order) for v in "xy")
     f, g = _build_jets([(args.f, {"x"}), (args.g, {"y"})], x, y)
     residual = liouville_residual(liouville_solution(f, g))
@@ -291,16 +297,10 @@ def _cmd_solve(args) -> int:
     doc = _read_json(args.boundary)
     try:
         ends = {key: doc[key] for key in ("x0", "x1", "y0", "y1")}
-        for key, value in ends.items():
-            if isinstance(value, bool):  # Fraction(True) would read it as 1
-                raise TypeError(f"{key} must be a rational, got "
-                                f"{json.dumps(value)}")
         x0, x1, y0, y1 = (_rational(value, f"{args.boundary}: {key}")
                           for key, value in ends.items())
         x_exprs, y_exprs = doc["x_edge"], doc["y_edge"]
-    except InputError:
-        raise
-    except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
+    except KeyError as exc:
         raise InputError(f"{args.boundary}: bad boundary document "
                          f"({exc})") from None
     n = matrix.rank
@@ -311,13 +311,7 @@ def _cmd_solve(args) -> int:
     x_program, y_program = Program(), Program()
     x_nodes = [_parse_checked(text, {"y"}, x_program) for text in x_exprs]
     y_nodes = [_parse_checked(text, {"x"}, y_program) for text in y_exprs]
-    try:
-        h = _rational(args.h, "--h")
-    except InputError:
-        raise
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"--h expects a rational step, got {args.h!r}") \
-            from None
+    h = _rational(args.h, "--h")
     if h <= 0:
         raise InputError(f"--h must be positive, got {args.h!r}")
     # the points solve_goursat samples: m steps from x0 and from y0

@@ -17,7 +17,9 @@ operation order of a scalar loop and with ``math.exp`` throughout.  The
 march and ``residual_grid`` each build the right-hand side ``_rhs_kernel``
 once.  ``write_csv`` formats a grid with one ``%`` a block of rows.
 ``square_steps`` refuses a grid of over MAX_GRID_VALUES values before
-anything is sampled or allocated.  Grids and their data are named tuples.
+anything is sampled or allocated; each boundary trace is then sampled once
+per grid point, and the corner check reuses the two samples at (x0, y0).
+Grids and their data are named tuples.
 """
 
 import math
@@ -69,11 +71,6 @@ class GoursatData(NamedTuple):
     y1: Fraction
     x_edge: Callable[[float], Sequence[float]]
     y_edge: Callable[[float], Sequence[float]]
-
-    def corner_gap(self) -> float:
-        a = self.x_edge(float(self.y0))
-        b = self.y_edge(float(self.x0))
-        return max(abs(u - v) for u, v in zip(a, b))
 
 
 CORNER_TOL = 1e-12
@@ -174,8 +171,10 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
                   schedule: str = "sequential") -> Grid:
     """March the characteristic scheme over the rectangle in ``data``.
 
-    Both ``schedule`` values run the same anti-diagonal march.  A
-    non-finite boundary value raises ValueError before it starts.  An exp
+    Both ``schedule`` values run the same anti-diagonal march.  Each edge
+    is called once per grid point, in order, and the two first rows, both
+    at the corner (x0, y0), must agree within CORNER_TOL.  A non-finite
+    boundary value raises ValueError before the march starts.  An exp
     overflow or a non-finite value raises GridOverflowError for the first
     such cell in anti-diagonal order (lowest i on the lowest diagonal)."""
     if not a.is_all_even():
@@ -191,7 +190,8 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
         if wrong := [len(r) for r in rows if len(r) != n]:
             raise ValueError(f"boundary trace {edge} gives {wrong[0]} "
                              f"values for a rank-{n} matrix")
-    gap = data.corner_gap()
+    # ys[0] is float(y0) and xs[0] is float(x0): both rows hold the corner
+    gap = max(abs(u - v) for u, v in zip(x_rows[0], y_rows[0]))
     if gap > CORNER_TOL:
         raise CornerMismatchError(
             f"boundary traces disagree at the corner by {gap:.3e}")

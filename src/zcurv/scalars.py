@@ -20,8 +20,7 @@ coincide with mathematical equality on everything this package produces:
 ``ln`` on single-term scalars with positive coefficient and no ln factors,
 whose coefficient ``_factor`` can factor exactly.  Both raise ``ValueError``
 otherwise.  Values that happen to be rational are always returned as plain
-``Fraction``; the module-level ``s*`` helpers accept either representation,
-which keeps the common all-rational paths on fast ``Fraction`` arithmetic.
+``Fraction``.
 
 This module owns the one table of units, tuples ``(r, ((p, c), ...),
 ((q, m), ...))`` numbered as this process first meets them (the trivial
@@ -217,13 +216,6 @@ class Scalar:
     def __init__(self, terms: dict):
         self._terms = {u: c for u, c in terms.items() if c}
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_rational(q) -> "Scalar":
-        q = Fraction(q)
-        return Scalar({0: q} if q else {})
-
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -371,9 +363,10 @@ class Scalar:
 
 
 def as_scalar(v) -> Scalar:
+    """``v`` as a Scalar; a rational ``v`` becomes a one-term Scalar."""
     if isinstance(v, Scalar):
         return v
-    return Scalar.from_rational(v)
+    return Scalar({0: Fraction(v)})
 
 
 def normalize(v):
@@ -383,27 +376,8 @@ def normalize(v):
     return v
 
 
-# Arithmetic helpers over Fraction | Scalar, which give a Fraction whenever
-# the value is rational.  Jets keep integer rows keyed by this module's unit
-# numbers instead, take unit products from _unit_product, and use only sexp,
-# sln and sinv, once per operation.
-
-def sadd(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return normalize(as_scalar(a) + as_scalar(b))
-
-
-def smul(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    if isinstance(a, Fraction) and isinstance(b, Scalar):
-        a, b = b, a
-    if isinstance(a, Scalar) and isinstance(b, Fraction):
-        # a rational factor scales each term and leaves the units as they are
-        return normalize(Scalar({u: c * b for u, c in a._terms.items()}))
-    return normalize(as_scalar(a) * as_scalar(b))
-
+# The series helpers of jets, over Fraction | Scalar: each gives a Fraction
+# whenever the value is rational.
 
 def sinv(a):
     if isinstance(a, Fraction):

@@ -122,9 +122,6 @@ class SuperField:
             return None
         return seen.pop()
 
-    def is_homogeneous(self) -> bool:
-        return self.parity() is not None
-
     def _check_compatible(self, other: "SuperField"):
         if self.gens != other.gens:
             raise ValueError("superfields have different generator lists")

@@ -413,12 +413,19 @@ def test_verify_lse_order_below_two_exit_3(tmp_path, capsys, order):
     assert "--order must be >= 2" in err
 
 
-def test_verify_liouville_order_two_exit_3(capsys):
-    # the solution has order 1, one too few for the mixed derivative
-    code, _, err = run(capsys, "verify-liouville", "--f", "x+1", "--g", "y+1",
-                       "--order", "2")
-    assert code == 3
-    assert err == "error: cannot differentiate an order-0 jet\n"
+def test_verify_liouville_order_two_exit_3(capsys, monkeypatch):
+    # at order 2 the solution would have order 1, one too few for the mixed
+    # derivative: refused before a jet is built, with the least order named
+    monkeypatch.setattr(Jet, "variable", None)
+    assert run(capsys, "verify-liouville", "--f", "x+1", "--g", "y+1",
+               "--order", "2") == (3, "", "error: --order must be >= 3\n")
+    monkeypatch.setenv("ZCURV_ORDER", "2")
+    assert run(capsys, "verify-liouville", "--f", "x+1", "--g", "y+1") == (
+        3, "", "error: ZCURV_ORDER must be an integer >= 3, got '2'\n")
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify-liouville", "--f", "x+1", "--g", "y+1",
+                       "--order", "3")
+    assert code == 0 and out.startswith("residual order: 0\n")
 
 
 def test_verify_lse_overflowing_residual_reports_inf(tmp_path, capsys):
@@ -496,10 +503,12 @@ def test_rational_limit_is_on_bits():
                   5e-324):
         with pytest.raises(cli.InputError, match="past the limit of 1024"):
             cli._rational(value, "x")
-    for value in ("1e", "e5", "1/0", "", "x"):  # Fraction's own errors
-        with pytest.raises((ValueError, ZeroDivisionError)) as err:
+    # Fraction's own refusals, and values that are not a string or number
+    for value in ("1e", "e5", "1/0", "", "x", float("inf"), float("nan"),
+                  True, None, [1]):
+        with pytest.raises(cli.InputError) as err:
             cli._rational(value, "x")
-        assert not isinstance(err.value, cli.InputError)
+        assert str(err.value) == f"x must be a rational, got {value!r}"
 
 
 @pytest.mark.parametrize("base,message", [
@@ -587,15 +596,29 @@ def test_input_failures_exit_3(tmp_path, monkeypatch, capsys, files, argv):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("key,value", [("x0", True), ("y1", False)])
+@pytest.mark.parametrize("key,value", [
+    ("x0", True), ("y1", False), ("x1", "abc"),
+    pytest.param("y0", [1], id="y0-list"), ("x0", "1/0")])
 def test_solve_rejects_boolean_domain_ends(tmp_path, monkeypatch, capsys, key,
                                            value):
+    # Fraction(True) would read it as 1; Fraction([1]) raises TypeError
     monkeypatch.chdir(tmp_path)
     files, argv = _solve({key: value})
     (tmp_path / "b.json").write_text(files["b.json"])
     assert run(capsys, *argv) == (
-        3, "", f"error: b.json: bad boundary document ({key} must be a "
-        f"rational, got {json.dumps(value)})\n")
+        3, "", f"error: b.json: {key} must be a rational, got {value!r}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify-liouville", "--f", "x+1", "--g", "y+1", "--base", "1/0,1"],
+     "--base must be a rational, got '1/0'"),
+    (_solve({}, h="abc")[1], "--h must be a rational, got 'abc'"),
+], ids=["base", "h"])
+def test_a_flag_that_is_not_a_rational_exits_3(tmp_path, monkeypatch, capsys,
+                                               argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.json").write_text(json.dumps(BOUNDARY))
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
 
 
 def test_solve_overflow_prints_one_error_line(tmp_path):
@@ -637,7 +660,7 @@ def test_oversize_grid_exits_3_before_sampling(tmp_path, h):
 def test_huge_integer_power_is_fast(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "verify-liouville", "--f", "x^1000000+1",
-                       "--g", "y+1", "--order", "2")
+                       "--g", "y+1", "--order", "3")
     assert time.perf_counter() - start < 0.5
     assert code == 3
     assert "vanishes" in err

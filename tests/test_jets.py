@@ -11,7 +11,7 @@ import pytest
 from conftest import DATA, GOLDEN, random_fraction, random_jet
 from zcurv import jets, scalars
 from zcurv.jets import Jet
-from zcurv.scalars import Scalar, sadd, sexp, sinv, sln, smul
+from zcurv.scalars import as_scalar, normalize, sexp, sinv, sln
 from zcurv.solutions import liouville_solution
 from zcurv.superfield import SuperField, standard_gens
 
@@ -168,8 +168,8 @@ def test_max_abs_saturates_beyond_float_range():
     huge = Fraction(10) ** 400
     assert Jet.constant(huge, order=2).max_abs_coeff() == float("inf")
     # in floats the two terms overflow to +inf and -inf, which sum to nan
-    s = sadd(smul(Fraction(10 ** 10), sexp(Fraction(700))),
-             smul(Fraction(-10 ** 10), sexp(Fraction(701))))
+    s = (Fraction(10 ** 10) * sexp(Fraction(700))
+         + Fraction(-10 ** 10) * sexp(Fraction(701)))
     assert Jet((0, 0), 2, {(1, 0): s}).max_abs_coeff() == float("inf")
 
 
@@ -197,12 +197,12 @@ def test_display_order():
 
 
 def test_rational_scalar_coefficients_are_stored_as_fractions():
-    two = Jet.constant(Scalar.from_rational(2), order=3)
+    two = Jet.constant(as_scalar(2), order=3)
     assert two == Jet.constant(2, order=3)
     assert isinstance(two.body, Fraction)
     assert hash(two) == hash(Jet.constant(2, order=3))
     assert len({two, Jet.constant(2, order=3)}) == 1
-    assert Jet((0, 0), 3, {(1, 1): Scalar.from_rational(0)}).is_zero()
+    assert Jet((0, 0), 3, {(1, 1): as_scalar(0)}).is_zero()
 
 
 def naive_product(a, b):
@@ -213,12 +213,12 @@ def naive_product(a, b):
         for (i2, j2), v2 in b.coeffs.items():
             if i1 + i2 + j1 + j2 <= a.order:
                 key = (i1 + i2, j1 + j2)
-                out[key] = sadd(out.get(key, Fraction(0)), smul(v1, v2))
+                out[key] = normalize(out.get(key, Fraction(0)) + v1 * v2)
     return {k: v for k, v in out.items() if v != 0}
 
 
 SYMBOLS = [sln(Fraction(2)), sexp(Fraction(1, 2)), sexp(Fraction(-1)),
-           sadd(Fraction(1), sln(Fraction(3)))]
+           Fraction(1) + sln(Fraction(3))]
 
 
 def _oracle_jet(rng, order, density, symbolic):
@@ -228,7 +228,7 @@ def _oracle_jet(rng, order, density, symbolic):
             if rng.random() < density:
                 v = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
                 if symbolic and rng.random() < 0.3:
-                    v = smul(v, rng.choice(SYMBOLS))
+                    v = v * rng.choice(SYMBOLS)
                 coeffs[(i, d - i)] = v
     return Jet((Fraction(1, 3), Fraction(-2)), order, coeffs)
 
@@ -341,19 +341,18 @@ def _series_jet(rng, order, shape, max_den, units=None):
                 coeffs[(i, d - i)] = Fraction(rng.randint(-60, 60),
                                               rng.randint(1, max_den))
                 if units:
-                    coeffs[(i, d - i)] = smul(coeffs[(i, d - i)],
-                                              rng.choice(units))
+                    coeffs[(i, d - i)] *= rng.choice(units)
     return Jet((Fraction(-1, 2), Fraction(2, 3)), order, coeffs)
 
 
 # Units for the parts of series inputs: exp, ln and root units; unit pairs
 # that fold to a rational (2^(1/2) * 2^(1/2) = 2, exp(1/2) * exp(-1/2) = 1);
 # and the rational unit next to a non-rational one, also in one coefficient.
-ROOT2 = sexp(smul(Fraction(1, 2), sln(Fraction(2))))
+ROOT2 = sexp(Fraction(1, 2) * sln(Fraction(2)))
 SERIES_UNITS = [
     [sexp(Fraction(1, 3)), sln(Fraction(2)), ROOT2],
     [ROOT2, sexp(Fraction(1, 2)), sexp(Fraction(-1, 2))],
-    [Fraction(1), sexp(Fraction(2, 5)), sadd(Fraction(1), sln(Fraction(3)))],
+    [Fraction(1), sexp(Fraction(2, 5)), Fraction(1) + sln(Fraction(3))],
 ]
 
 
@@ -435,7 +434,7 @@ def _unit_jet(rng, order):
             if rng.random() < 0.7:
                 v = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
                 if rng.random() < 0.6:
-                    v = smul(v, rng.choice(FOLDING))
+                    v = v * rng.choice(FOLDING)
                 coeffs[(i, d - i)] = v
     return Jet((Fraction(1, 3), Fraction(-2)), order, coeffs)
 
@@ -456,20 +455,20 @@ def test_unit_rows_match_coefficientwise_arithmetic(order):
         ca, cb = a.coeffs, b.coeffs
         keys = {*ca, *cb}
         q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
-        s = smul(q, rng.choice(FOLDING))
+        s = q * rng.choice(FOLDING)
+        # normalize: the coefficients of a jet are Fractions when rational
         cases = [
             (a * b, naive_product(a, b)),
-            (a + b, _nonzero({k: sadd(ca.get(k, _Q0), cb.get(k, _Q0))
+            (a + b, _nonzero({k: normalize(ca.get(k, _Q0) + cb.get(k, _Q0))
                               for k in keys})),
-            (a - b, _nonzero({k: sadd(ca.get(k, _Q0),
-                                      smul(Fraction(-1), cb.get(k, _Q0)))
+            (a - b, _nonzero({k: normalize(ca.get(k, _Q0) - cb.get(k, _Q0))
                               for k in keys})),
-            (-a, {k: smul(Fraction(-1), v) for k, v in ca.items()}),
-            (a * q, {k: smul(v, q) for k, v in ca.items()}),
-            (a * s, _nonzero({k: smul(v, s) for k, v in ca.items()})),
-            (a.deriv_x(), {(i - 1, j): smul(v, Fraction(i))
+            (-a, {k: normalize(-v) for k, v in ca.items()}),
+            (a * q, {k: normalize(v * q) for k, v in ca.items()}),
+            (a * s, _nonzero({k: normalize(v * s) for k, v in ca.items()})),
+            (a.deriv_x(), {(i - 1, j): normalize(v * i)
                            for (i, j), v in ca.items() if i}),
-            (a.deriv_y(), {(i, j - 1): smul(v, Fraction(j))
+            (a.deriv_y(), {(i, j - 1): normalize(v * j)
                            for (i, j), v in ca.items() if j}),
         ]
         for got, want in cases:
@@ -492,13 +491,14 @@ def _pairwise_ln(u):
     """The coefficients of ln u as ln(c) + sum_n (-1)^(n+1) s^n / n with
     c = u's body and s = u / c - 1, by coefficient-wise products."""
     c = u.body
-    s = Jet(u.base, u.order, {k: smul(v, sinv(c))
+    s = Jet(u.base, u.order, {k: v * sinv(c)
                               for k, v in u.coeffs.items() if k != (0, 0)})
     out = {(0, 0): sln(c)}
     power = s.coeffs
     for n in range(1, u.order + 1):
         for k, v in power.items():
-            out[k] = sadd(out.get(k, _Q0), smul(v, Fraction((-1) ** (n + 1), n)))
+            out[k] = normalize(out.get(k, _Q0)
+                               + v * Fraction((-1) ** (n + 1), n))
         power = naive_product(Jet(u.base, u.order, power), s)
     return _nonzero(out)
 
@@ -531,9 +531,8 @@ def test_unit_products_are_per_unit_pair(monkeypatch):
     s = (f + g).truncate(fp.order)
     lhs = _pairwise_ln(Jet(base, fp.order, naive_product(fp, gp)))
     rhs = _pairwise_ln(Jet(base, fp.order, naive_product(s, s)))
-    want = _nonzero({k: smul(sadd(lhs.get(k, _Q0),
-                                  smul(Fraction(-1), rhs.get(k, _Q0))),
-                             Fraction(1, 2))
+    want = _nonzero({k: normalize((lhs.get(k, _Q0) - rhs.get(k, _Q0))
+                                  * Fraction(1, 2))
                      for k in {*lhs, *rhs}})
     assert liouville_solution(f, g).coeffs == want
 
@@ -545,14 +544,14 @@ def test_unit_products_are_per_unit_pair(monkeypatch):
 FRESH_UNIT_ORDER_SCRIPT = """
 import contextlib, io, json, sys
 from fractions import Fraction
-from zcurv.scalars import sexp, sln, smul
+from zcurv.scalars import sexp, sln
 first = [sln(Fraction(7)), sexp(Fraction(1, 3)), sln(Fraction(2))]
 for k in range(16, -1, -1):
     for a in (2, 1, 0):
         for b in (2, 1, 0):
             v = sexp(Fraction(k, 6))
             for factor in [first[2]] * a + [first[0]] * b:
-                v = smul(v, factor)
+                v = v * factor
 from zcurv.cli import main
 from zcurv.jets import Jet
 out = []

@@ -119,6 +119,24 @@ def test_corner_mismatch_detected():
         solve_goursat(SL2, data, Fraction(1, 8))
 
 
+def test_each_edge_is_sampled_once_per_grid_point():
+    # the corner check reads the two samples at (x0, y0) that it already has
+    x0, y0, h = Fraction(1, 3), Fraction(-1, 7), Fraction(1, 8)
+    calls = {"x_edge": [], "y_edge": []}
+
+    def trace(edge):
+        def sample(t):
+            calls[edge].append(t)
+            return [0.0]
+        return sample
+
+    data = GoursatData(x0, x0 + 1, y0, y0 + 1, x_edge=trace("x_edge"),
+                       y_edge=trace("y_edge"))
+    solve_goursat(SL2, data, h)
+    assert calls == {"x_edge": [float(y0 + j * h) for j in range(9)],
+                     "y_edge": [float(x0 + i * h) for i in range(9)]}
+
+
 @pytest.mark.parametrize("x_edge,y_edge,message", [
     (lambda y: [1.0, 0.0], lambda x: [0.0], "y_edge gives 1 values"),
     (lambda y: [0.0, 0.0, 0.0], lambda x: [0.0, 0.0],
