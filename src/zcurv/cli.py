@@ -95,7 +95,8 @@ def _rational(value, what: str) -> Fraction:
     """``Fraction(value)`` for the input ``what``, a string or a number (not
     a bool).  Any refusal is an InputError that names ``what``; a decimal
     exponent past MAX_RATIONAL_BITS is refused before Fraction builds the
-    power of ten, and so is a numerator or denominator of more bits."""
+    power of ten, a run of digits past Python's int-string limit before
+    Fraction refuses it, and a numerator or denominator of more bits after."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise InputError(f"{what} must be a rational, got {_clip(value)}")
     exponent = isinstance(value, str) and re.fullmatch(_DECIMAL_EXPONENT,
@@ -105,6 +106,13 @@ def _rational(value, what: str) -> Fraction:
                    or int(digits) > MAX_RATIONAL_BITS):
         raise InputError(f"{what} {_clip(value)} has a decimal exponent past "
                          f"the limit of {MAX_RATIONAL_BITS}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if isinstance(value, str) and limit and len(value) > limit and any(
+            len(run) - run.count("_") > limit
+            for run in re.findall(r"[\d_]+", value)):
+        raise InputError(f"{what} {_clip(value)} has a run of more than "
+                         f"{limit} digits, past the limit of "
+                         f"{MAX_RATIONAL_BITS} bits")
     try:
         q = Fraction(value)
     except (ValueError, ArithmeticError):
@@ -120,7 +128,10 @@ def _rational(value, what: str) -> Fraction:
 
 def _clip(value) -> str:
     """``repr(value)``, with the middle of a long one left out and the
-    length of the value (of its repr, if it is not a string) given."""
+    length of the value (of its repr, if it is not a string) given.  A JSON
+    literal keeps its JSON spelling: true, false, null."""
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
     text = repr(value)
     if len(text) <= 48:
         return text

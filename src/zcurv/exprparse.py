@@ -197,6 +197,7 @@ def parse_expression(text: str, program: Program | None = None) -> Expression:
     emit, code, tokens = program.emit, program.code, _tokenize(text)
     operands = []  # slots
     pending = []   # (op, position of its token)
+    marks = []     # len(code) at each pending '^'
 
     def reduce(level: int):
         """Apply the pending operators that bind at least as tightly."""
@@ -209,7 +210,12 @@ def parse_expression(text: str, program: Program | None = None) -> Expression:
                     s, sign = code[s][1], -sign
                 if code[s][0] != "num":
                     raise ExprSyntaxError("exponent must be an integer", pos)
-                operands[-1] = emit(op, operands[-1], sign * code[s][1])
+                exponent, mark = sign * code[s][1], marks.pop()
+                # the slots the exponent added are read by no other slot
+                for key in code[mark:]:
+                    del program.slots[key]
+                del code[mark:], program.masks[mark:], program.floats[mark:]
+                operands[-1] = emit(op, operands[-1], exponent)
             elif op == "neg":
                 operands.append(emit(op, s))
             else:
@@ -241,6 +247,7 @@ def parse_expression(text: str, program: Program | None = None) -> Expression:
                 raise ExprSyntaxError("expected a value", pos)
         elif kind == "^":  # right after a primary
             pending.append(("pow", pos))
+            marks.append(len(code))
             operand = True
         else:  # the factor has ended
             reduce(3)

@@ -182,8 +182,6 @@ def _fold_unit(exp_rat: Fraction, exp_logs: dict[int, Fraction],
     logs = []
     for p in sorted(exp_logs):
         c = exp_logs[p]
-        if c == 0:
-            continue
         k = math.floor(c)
         if k:
             factor *= Fraction(p) ** k
@@ -217,9 +215,6 @@ class Scalar:
         self._terms = {u: c for u, c in terms.items() if c}
 
     # -- queries ------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_rational(self) -> bool:
         return not self._terms or self._terms.keys() == {0}

@@ -59,13 +59,6 @@ class SuperMatrix(namedtuple("SuperMatrix", "entries row_parities")):
             raise ValueError("matrix is not homogeneous")
         return seen.pop() if seen else 0
 
-    def is_homogeneous(self) -> bool:
-        try:
-            self.parity()
-            return True
-        except ValueError:
-            return False
-
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
 

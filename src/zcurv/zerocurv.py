@@ -13,12 +13,13 @@ For connections ``nabla_i = D_i + sum_g c_g * g`` the graded curvature is
 
 with the generator brackets taken from a relation table.  The classical
 table implements  [H_i, X_j^+-] = +-A_ji X_j^+-  and
-[X_i^+, X_j^-] = delta_ij H_i  (the A_ji orientation is pinned by requiring
-the derived second-order system to read  G_i_xy = sum_j A_ij exp(G_j));
-the rank-1 super table is computed from the osp(1|2) matrix fixtures,
-never written by hand.  ``[D1, D2]`` vanishes for the pairs (dx, dy) and
-(D+, D-); for (D+, D+) it is the operator 2*dx, which is exactly the
-obstruction to a flat non-reduced extension of the reduced connection.
+[X_i^+, X_j^-] = delta_ij H_i; tests/test_matrix_oracle.py pins the A_ji
+orientation against explicit matrices, under which the derived system reads
+G_i_xy = sum_j A_ij exp(G_j).  The rank-1 super table is computed from the
+osp(1|2) matrix fixtures, never written by hand.  ``[D1, D2]`` vanishes
+for the pairs (dx, dy) and (D+, D-); for (D+, D+) it is the operator 2*dx,
+which is exactly the obstruction to a flat non-reduced extension of the
+reduced connection.
 Fields, connections, curvatures and derived systems are named tuples.
 """
 
@@ -231,7 +232,7 @@ class DerivedSystem(NamedTuple):
 
 
 class DerivationError(RuntimeError):
-    """The computed curvature does not have the expected solvable shape."""
+    """A derived equation does not have the expected solvable shape."""
 
 
 def _split_equation(expr: Expr) -> Equation:
@@ -267,34 +268,11 @@ def derive_toda(A: CartanMatrix, form: str = "lsbis") -> DerivedSystem:
         raise ValueError("derive_toda requires an all-even Cartan matrix")
     n = A.rank
     suffix = [("" if n == 1 else str(i + 1)) for i in range(n)]
-    lo_a = [fn("a" + s) for s in suffix]
-    lo_b = [fn("b" + s) for s in suffix]
-    up_a = [fn("A" + s) for s in suffix]
-    up_b = [fn("B" + s) for s in suffix]
-    rel = ChevalleyRelations(A)
-    cx = {("H", i): lo_a[i] for i in range(n)}
-    cx.update({("X+", i): lo_b[i] for i in range(n)})
-    cy = {("H", i): up_a[i] for i in range(n)}
-    cy.update({("X-", i): up_b[i] for i in range(n)})
-    gens, operator = _curvature_parts(rel, "dx", cx, "dy", cy)
-    if operator:
-        raise DerivationError("unexpected operator part for the (dx, dy) pair")
-
-    # The elimination step needs exactly the Toda shape of the coefficients.
-    for i in range(n):
-        expected = up_a[i].deriv_x() - lo_a[i].deriv_y() + lo_b[i] * up_b[i]
-        if gens.get(("H", i)) != expected:
-            raise DerivationError(f"H_{i} coefficient lacks the Toda shape")
-    for j in range(n):
-        minus_row = [(i, -a) for i, a in enumerate(A.entries[j]) if a]
-        expected = Expr.sum([up_b[j].deriv_x()] + [
-            (lo_a[i] * up_b[j]) * a for i, a in minus_row])
-        if gens.get(("X-", j)) != expected:
-            raise DerivationError(f"X-_{j} coefficient lacks the Toda shape")
-        expected = Expr.sum([-(lo_b[j].deriv_y())] + [
-            (lo_b[j] * up_a[i]) * a for i, a in minus_row])
-        if gens.get(("X+", j)) != expected:
-            raise DerivationError(f"X+_{j} coefficient lacks the Toda shape")
+    cx = {("H", i): fn("a" + s) for i, s in enumerate(suffix)}
+    cx.update({("X+", i): fn("b" + s) for i, s in enumerate(suffix)})
+    cy = {("H", i): fn("A" + s) for i, s in enumerate(suffix)}
+    cy.update({("X-", i): fn("B" + s) for i, s in enumerate(suffix)})
+    gens, _ = _curvature_parts(ChevalleyRelations(A), "dx", cx, "dy", cy)
 
     order = ([("H", i) for i in range(n)] + [("X-", j) for j in range(n)]
              + [("X+", j) for j in range(n)])
@@ -346,18 +324,8 @@ def derive_super_liouville() -> DerivedSystem:
     returned second-order equation with sign +1.
     """
     rel, cplus, cminus = _super_pair()
-    (alpha, a), (beta, b) = cplus.values(), cminus.values()
-    gens, operator = _curvature_parts(rel, "D+", cplus, "D-", cminus)
-    if operator:
-        raise DerivationError("unexpected operator part for the (D+, D-) pair")
-    expected_h = beta.d_plus() + alpha.d_minus() + a * b
-    expected_dm = b.d_plus() - alpha * b
-    expected_dp = a.d_minus() + a * beta
-    if (gens.get(("H", 0)) != expected_h
-            or gens.get(("d-", 0)) != expected_dm
-            or gens.get(("d+", 0)) != expected_dp
-            or any(k not in (("H", 0), ("d-", 0), ("d+", 0)) for k in gens)):
-        raise DerivationError("reduced curvature lacks the expected shape")
+    a, b = cplus[("d+", 0)], cminus[("d-", 0)]
+    gens, _ = _curvature_parts(rel, "D+", cplus, "D-", cminus)
 
     first_order = tuple(_split_equation(gens[g])
                         for g in (("H", 0), ("d-", 0), ("d+", 0)))

@@ -473,8 +473,13 @@ HUGE_EXPONENT = "1e-9999999"  # Fraction alone spends about 9 s on it
       f"1/{'7' * 4000},0", "--order", "8"], None,
      "--base '1/777777777777777777777...77777777777' (4002 characters) "
      "has a numerator"),
+    (["verify-liouville", "--f", "x+1", "--g", "y+1", "--base",
+      f"1{'0' * 5000},0", "--order", "8"], None,
+     "--base '10000000000000000000000...00000000000' (5001 characters) "
+     "has a run of more than 4300 digits, past the limit of 1024 bits"),
 ], ids=["base-exponent", "base-exponent-100000", "base-denominator",
-        "h-exponent", "boundary-exponent", "boundary-integer", "base-long"])
+        "h-exponent", "boundary-exponent", "boundary-integer", "base-long",
+        "base-past-int-digits"])
 def test_rational_past_the_limit_exits_3_at_once(tmp_path, argv, boundary,
                                                  message):
     if boundary is not None:
@@ -495,20 +500,25 @@ def test_rational_past_the_limit_exits_3_at_once(tmp_path, argv, boundary,
 def test_rational_limit_is_on_bits():
     top = 2**cli.MAX_RATIONAL_BITS
     for text in (str(top - 1), f"-1/{top - 1}", "1e308", "1e-300",
-                 "1.5e-000300", " 7/3 ", "1_0e1_0", "2e0", "2e-0_0"):
+                 "1.5e-000300", " 7/3 ", "1_0e1_0", "2e0", "2e-0_0",
+                 "1." + "0" * 400):
         assert cli._rational(text, "x") == Fraction(text.strip())
     assert cli._rational(0.1, "x") == Fraction(0.1)
     for value in (str(top), f"1/{top}", "1e309", "1e1025", "0e1025",
                   f"1e-{'9' * 5000}", "1e-9_999_999", ".5E+00_1025", top,
-                  5e-324):
+                  5e-324, "1" + "0" * 5000, "1." + "0" * 5000,
+                  "1e" + "0" * 5000 + "5"):
         with pytest.raises(cli.InputError, match="past the limit of 1024"):
             cli._rational(value, "x")
-    # Fraction's own refusals, and values that are not a string or number
-    for value in ("1e", "e5", "1/0", "", "x", float("inf"), float("nan"),
-                  True, None, [1]):
+    # Fraction's own refusals, and values that are not a string or number;
+    # a JSON literal is echoed in JSON spelling
+    for value, echo in (("1e", "'1e'"), ("e5", "'e5'"), ("1/0", "'1/0'"),
+                        ("", "''"), ("x", "'x'"), (float("inf"), "inf"),
+                        (float("nan"), "nan"), (True, "true"),
+                        (False, "false"), (None, "null"), ([1], "[1]")):
         with pytest.raises(cli.InputError) as err:
             cli._rational(value, "x")
-        assert str(err.value) == f"x must be a rational, got {value!r}"
+        assert str(err.value) == f"x must be a rational, got {echo}"
 
 
 @pytest.mark.parametrize("base,message", [
@@ -596,17 +606,19 @@ def test_input_failures_exit_3(tmp_path, monkeypatch, capsys, files, argv):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("key,value", [
-    ("x0", True), ("y1", False), ("x1", "abc"),
-    pytest.param("y0", [1], id="y0-list"), ("x0", "1/0")])
+@pytest.mark.parametrize("key,value,echo", [
+    ("x0", True, "true"), ("y1", False, "false"), ("x1", None, "null"),
+    ("x1", "abc", "'abc'"), ("y0", [1], "[1]"), ("x0", "1/0", "'1/0'")],
+    ids=["x0-True", "y1-False", "x1-None", "x1-abc", "y0-list", "x0-1/0"])
 def test_solve_rejects_boolean_domain_ends(tmp_path, monkeypatch, capsys, key,
-                                           value):
-    # Fraction(True) would read it as 1; Fraction([1]) raises TypeError
+                                           value, echo):
+    # Fraction(True) would read it as 1; Fraction([1]) raises TypeError;
+    # a JSON literal is echoed as the file spells it
     monkeypatch.chdir(tmp_path)
     files, argv = _solve({key: value})
     (tmp_path / "b.json").write_text(files["b.json"])
     assert run(capsys, *argv) == (
-        3, "", f"error: b.json: {key} must be a rational, got {value!r}\n")
+        3, "", f"error: b.json: {key} must be a rational, got {echo}\n")
 
 
 @pytest.mark.parametrize("argv,message", [

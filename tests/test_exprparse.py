@@ -74,6 +74,18 @@ def test_a_plan_is_built_once_per_root_and_table():
     assert {two, three} <= {s for s, *_ in steps}
 
 
+def test_an_exponent_leaves_no_slots_behind():
+    # the exponent's signs and number fold into the pow's integer
+    program = parse_expression("x^" + "-" * 100001 + "2").program
+    assert program.code == [("var", "x", None), ("pow", 0, -2)]
+    assert len(program.masks) == len(program.floats) == len(program.slots) == 2
+    # a slot the exponent shares with an earlier factor is kept
+    program = parse_expression("2*x^2").program
+    assert program.code == [("num", 2, None), ("var", "x", None),
+                            ("pow", 1, 2), ("mul", 0, 2)]
+    assert program.slots == {key: s for s, key in enumerate(program.code)}
+
+
 @pytest.mark.parametrize("text", [
     "x +", "(x", "x)", "2 **, x", "foo(x)", "x^y", "x^(1/2)", "@", "exp x",
     "x+²", "٣", pytest.param("1" * 5000, id="5000-digit-integer"),

@@ -47,6 +47,15 @@ def test_pow_int_large_exponent_by_squaring():
     assert x(2).pow_int(n).is_zero()
 
 
+def test_division_by_an_exact_scalar():
+    j = x(6, (1, 1)).exp() + y(6, (1, 1))
+    for c in (Fraction(3, 7), sexp(Fraction(1)), 2):
+        assert (j / c) * c == j
+    with pytest.raises(ZeroDivisionError) as err:
+        j / 0
+    assert str(err.value) == "scalar inverse of 0"
+
+
 def test_incompatible_operands():
     with pytest.raises(ValueError):
         x(4) + x(5)

@@ -60,6 +60,20 @@ def test_ln_rejects_nonpositive_and_multi_term():
         sln(Fraction(1) + sln(Fraction(2)))
 
 
+def test_ln_rejects_ln_factors():
+    ln2 = as_scalar(sln(Fraction(2)))
+    with pytest.raises(ValueError) as err:
+        ln2.ln()
+    assert str(err.value) == "ln not defined on scalar with ln factors: ln(2)"
+
+
+def test_as_fraction_rejects_an_irrational_scalar():
+    e = as_scalar(sexp(Fraction(1)))
+    with pytest.raises(ValueError) as err:
+        e.as_fraction()
+    assert str(err.value) == "scalar exp(1) is not rational"
+
+
 def test_exp_rejects_nonlinear_log_terms():
     ln2 = as_scalar(sln(Fraction(2)))
     with pytest.raises(ValueError):

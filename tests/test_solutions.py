@@ -121,6 +121,16 @@ def test_lse_residual_rank_one_normalisations():
         SolutionVector((f_jet,), sl2), "lsbis"))
 
 
+def test_lse_residual_refusals():
+    f_jet = jet_x(4, (1, 1))
+    with pytest.raises(ValueError) as err:
+        lse_residual(SolutionVector((f_jet,), standard_cartan("sl2")), "G")
+    assert str(err.value) == "unknown form 'G'"
+    with pytest.raises(ValueError) as err:
+        lse_residual(SolutionVector((f_jet,), standard_cartan("osp12")), "ls")
+    assert str(err.value) == "classical residuals require an all-even matrix"
+
+
 def test_solution_vector_checks_rank_is_immutable_and_equal_by_fields():
     sl3 = standard_cartan("sl3")
     comps = (jet_x(4), jet_x(4) * 2)

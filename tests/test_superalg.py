@@ -181,7 +181,8 @@ def test_homogeneity_and_parities():
     assert basis["d+"].parity() == 1
     assert basis["d-"].parity() == 1
     mixed = basis["H"] + basis["d+"]
-    assert not mixed.is_homogeneous()
+    with pytest.raises(ValueError, match="not homogeneous"):
+        mixed.parity()
     with pytest.raises(ValueError):
         supercommutator(mixed, basis["H"])
 

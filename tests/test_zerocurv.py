@@ -11,7 +11,7 @@ from zcurv.symexpr import Atom, Expr, fn
 from zcurv.zerocurv import (SUPER_LIOUVILLE_SIGN, ChevalleyRelations,
                             Connection, LieValuedField, Osp12Relations,
                             OutOfSpanError, _curvature_parts,
-                            _split_equation, curvature,
+                            _split_equation, _super_pair, curvature,
                             derive_super_liouville, derive_toda,
                             nonreduced_obstruction)
 
@@ -285,6 +285,26 @@ def test_concrete_super_curvature_matches_derived_signs(rng):
             beta.d_plus() + alpha.d_minus() + t4(a * b)
         assert r.coefficient(("d-", 0)) == b.d_plus() - t4(alpha * b)
         assert r.coefficient(("d+", 0)) == a.d_minus() + t4(a * beta)
+        assert set(r.generators) == {("H", 0), ("d-", 0), ("d+", 0)}
+
+
+def test_derived_curvatures_have_only_their_solvable_components():
+    """The symbolic curvatures that derive_toda and derive_super_liouville
+    split into equations have no component and no operator part besides
+    the ones they read."""
+    rel, cplus, cminus = _super_pair()
+    gens, operator = _curvature_parts(rel, "D+", cplus, "D-", cminus)
+    assert set(gens) == {("H", 0), ("d-", 0), ("d+", 0)} and operator == {}
+    for name in ("sl2", "sl3", "sl4"):
+        A = standard_cartan(name)
+        rel, n = ChevalleyRelations(A), A.rank
+        cx = {("H", i): fn(f"a{i}") for i in range(n)}
+        cx.update({("X+", i): fn(f"b{i}") for i in range(n)})
+        cy = {("H", i): fn(f"A{i}") for i in range(n)}
+        cy.update({("X-", i): fn(f"B{i}") for i in range(n)})
+        gens, operator = _curvature_parts(rel, "dx", cx, "dy", cy)
+        assert set(gens) == {(k, i) for k in ("H", "X+", "X-")
+                             for i in range(n)} and operator == {}
 
 
 class _EmptyBrackets:
