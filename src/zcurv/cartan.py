@@ -27,6 +27,15 @@ raises; whitespace is space, tab, CR and LF, and only LF starts a line::
     integer   = '-'? [0-9]+                  -- ASCII digits only
     string    = '"' (char other than '"' and '\\', or \\" \\\\ \\/)* '"'
 
+A matrix row of bare integers is read with one regex match and one split;
+any other row (a quoted entry, a float, a non-ASCII digit, a digit run
+past Python's int-string limit, a malformed row) goes through the
+entry-by-entry reader, so every error keeps its message and position.  An
+integral entry is kept as an ``int`` and any other as a ``Fraction``, the
+coefficient convention of ``symexpr``.  An error that echoes a quoted
+entry, a key or a parity leaves out the middle of a long one and gives
+its length.
+
 The renderer emits a canonical form (fixed key order, no whitespace,
 ``\\`` and ``"`` escaped in the name), and
 ``parse_cartan(render_cartan(A)) == A`` for every valid ``A``.
@@ -57,10 +66,18 @@ class CartanFormatError(ValueError):
         self.col = col
 
 
+def _entry(v) -> int | Fraction:
+    """A matrix entry: an int when it is integral, else a Fraction."""
+    if type(v) is int:
+        return v
+    q = Fraction(v)
+    return q.numerator if q.denominator == 1 else q
+
+
 class CartanMatrix(namedtuple("CartanMatrix", "entries parities name")):
     __slots__ = ()
 
-    def __new__(cls, entries: tuple[tuple[Fraction, ...], ...],
+    def __new__(cls, entries: tuple[tuple[int | Fraction, ...], ...],
                 parities: tuple[str, ...], name: str | None = None):
         n = len(entries)
         if n < 1:
@@ -76,7 +93,7 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries parities name")):
 
     @staticmethod
     def from_rows(rows, parities=None, name=None) -> "CartanMatrix":
-        entries = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        entries = tuple(tuple(map(_entry, row)) for row in rows)
         if parities is None:
             parities = (EVEN,) * len(entries)
         return CartanMatrix(entries, tuple(parities), name)
@@ -86,7 +103,7 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries parities name")):
         return len(self.entries)
 
     @property
-    def diagonal(self) -> tuple[Fraction, ...]:
+    def diagonal(self) -> tuple[int | Fraction, ...]:
         return tuple(self.entries[i][i] for i in range(self.rank))
 
     def is_all_even(self) -> bool:
@@ -106,8 +123,7 @@ class AdmissibilityReport(NamedTuple):
         return not self.offending_indices
 
 
-_ALLOWED_DIAGONAL = {"lse1": (Fraction(0), Fraction(1)),
-                     "lse2": (Fraction(2), Fraction(1))}
+_ALLOWED_DIAGONAL = {"lse1": (0, 1), "lse2": (2, 1)}
 
 
 def check_admissible(a: CartanMatrix, scheme: str) -> AdmissibilityReport:
@@ -236,10 +252,21 @@ def invert_rational(rows) -> tuple[tuple[Fraction, ...], ...]:
 
 
 _WS = re.compile(r"[ \t\r\n]*")
+_INT_ROW = re.compile(
+    r"\[[ \t\r\n]*(-?[0-9]+(?:[ \t\r\n]*,[ \t\r\n]*-?[0-9]+)*)[ \t\r\n]*\]")
 _INT = re.compile(r"-?[0-9]*")
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(?:/-?[0-9]+)?")
 _STRING_BODY = re.compile(r'[^"\\]*(?:\\["\\/][^"\\]*)*')
 _ESCAPE = re.compile(r"\\(.)")
+
+
+def _clip(text: str) -> str:
+    """``repr(text)``, with the middle of a long one left out and the
+    length of the text given."""
+    shown = repr(text)
+    if len(shown) <= 48:
+        return shown
+    return f"{shown[:24]}...{shown[-12:]} ({len(text)} characters)"
 
 
 class _Reader:
@@ -284,17 +311,22 @@ class _Reader:
         self.error(f"unsupported escape \\{esc}" if esc
                    else "unterminated escape")
 
-    def read_rational(self) -> Fraction:
+    def read_rational(self) -> int | Fraction:
         self.skip_ws()
         start = self.pos
         if self.peek() == '"':
             raw = self.read_string()
-            try:
-                if _RATIONAL_STRING.fullmatch(raw):
-                    return Fraction(*map(int, raw.split("/")))
-            except (ValueError, ZeroDivisionError):
-                pass
-            self.error(f"non-rational entry {raw!r}", start)
+            if _RATIONAL_STRING.fullmatch(raw):
+                parts = raw.split("/")
+                try:
+                    return _entry(Fraction(*map(int, parts)))
+                except ZeroDivisionError:
+                    pass
+                except ValueError:  # past sys.get_int_max_str_digits()
+                    digits = max(len(p.lstrip("-")) for p in parts)
+                    self.error(f"integer of {digits} digits is too long",
+                               start)
+            self.error(f"non-rational entry {_clip(raw)}", start)
         digits = _INT.match(self.text, start).group()
         if not digits:
             got = self.peek() or "end of input"
@@ -306,9 +338,26 @@ class _Reader:
             self.error("non-rational entry: floats are not allowed; "
                        'write "p/q"', start)
         try:
-            return Fraction(int(digits))
+            return int(digits)
         except ValueError:  # past sys.get_int_max_str_digits()
-            self.error(f"integer of {len(digits)} digits is too long", start)
+            self.error(f"integer of {len(digits.lstrip('-'))} digits is too "
+                       "long", start)
+
+    def read_row(self) -> tuple[int, list]:
+        """The offset the row starts at, and its entries: a row of bare
+        integers in one match, any other row entry by entry."""
+        mark = self.pos
+        self.skip_ws()
+        row = _INT_ROW.match(self.text, self.pos)
+        if row:
+            try:
+                entries = list(map(int, row[1].split(",")))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                pass
+            else:
+                self.pos = row.end()
+                return mark, entries
+        return mark, self.read_array(self.read_rational)
 
     def read_array(self, read_item):
         self.expect("[")
@@ -332,14 +381,13 @@ def parse_cartan(text: str) -> CartanMatrix:
         key_mark = r.pos
         key = r.read_string()
         if key in seen:
-            r.error(f"duplicate key {key!r}", key_mark)
+            r.error(f"duplicate key {_clip(key)}", key_mark)
         seen.add(key)
         r.expect(":")
         if key == "matrix":
             r.skip_ws()
             matrix_mark = r.pos
-            matrix = r.read_array(
-                lambda: (r.pos, r.read_array(r.read_rational)))
+            matrix = r.read_array(r.read_row)
         elif key == "parities":
             r.skip_ws()
             parity_mark = r.pos
@@ -348,14 +396,15 @@ def parse_cartan(text: str) -> CartanMatrix:
                 m = r.pos
                 raw = r.read_string()
                 if raw not in (EVEN, ODD):
-                    r.error(f"parity must be 'even' or 'odd', got {raw!r}", m)
+                    r.error("parity must be 'even' or 'odd', got "
+                            f"{_clip(raw)}", m)
                 return raw
 
             parities = r.read_array(read_parity)
         elif key == "name":
             name = r.read_string()
         else:
-            r.error(f"unknown key {key!r}", key_mark)
+            r.error(f"unknown key {_clip(key)}", key_mark)
         if not r.accept(","):
             break
     r.expect("}")
@@ -381,7 +430,7 @@ def parse_cartan(text: str) -> CartanMatrix:
     return CartanMatrix(rows, pars, name)
 
 
-def _render_rational(q: Fraction) -> str:
+def _render_rational(q: int | Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f'"{q}"'
 
 

@@ -54,7 +54,11 @@ class SuperField:
 
     def __init__(self, gens, base, order: int, comps: dict | None = None):
         self.gens = tuple(gens)
-        self.base = (Fraction(base[0]), Fraction(base[1]))
+        x0, y0 = base
+        # a tuple of Fractions, such as a jet's base, is kept as it is, so
+        # that comparing it with its jets' base is an identity test
+        self.base = tuple(base) if type(x0) is type(y0) is Fraction \
+            else (Fraction(x0), Fraction(y0))
         if order < 0:
             raise ValueError("jet order must be >= 0")
         self.order = order

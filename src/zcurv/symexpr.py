@@ -70,7 +70,7 @@ class Atom(NamedTuple):
 class ExpAtom(NamedTuple):
     """exp of a rational-linear combination of names; parity even."""
 
-    args: tuple[tuple[Fraction, str], ...]
+    args: tuple[tuple[int | Fraction, str], ...]
 
     @property
     def sort_key(self) -> tuple:
@@ -373,10 +373,12 @@ def fn(name: str, parity: int = 0) -> Expr:
 
 def exp_linear(pairs) -> Expr:
     """exp(sum coeff*name) as an opaque atom: repeated names are merged,
-    zero sums dropped and the rest sorted by name; exp(0) is 1."""
-    coeffs: dict[str, Fraction] = {}
+    zero sums dropped, integral ones made int and the rest sorted by name;
+    exp(0) is 1."""
+    coeffs: dict[str, int | Fraction] = {}
     for c, n in pairs:
         if c:
-            coeffs[n] = coeffs.get(n, 0) + Fraction(c)
-    args = tuple((c, n) for n, c in sorted(coeffs.items()) if c)
+            coeffs[n] = coeffs.get(n, 0) + (c if type(c) is int
+                                            else Fraction(c))
+    args = tuple((_coeff(c), n) for n, c in sorted(coeffs.items()) if c)
     return Expr.atom(ExpAtom(args)) if args else Expr.rational(1)

@@ -48,10 +48,7 @@ class ChevalleyRelations:
     """Level -1..1 relations of the generators attached to a Cartan matrix."""
 
     def __init__(self, cartan: CartanMatrix):
-        # integral entries as int, so that brackets build no Fraction
-        self._entries = tuple(
-            tuple(v.numerator if v.denominator == 1 else v for v in row)
-            for row in cartan.entries)
+        self._entries = cartan.entries
 
     def parity(self, g: GenKey) -> int:
         return 0
@@ -155,12 +152,19 @@ def _lower(coeff):
     return coeff
 
 
+def _total(values):
+    """The sum of one component's contributions, taken once."""
+    if isinstance(values[0], Expr):
+        return Expr.sum(values)
+    return sum(values[1:], values[0])
+
+
 def _curvature_parts(relations, dir1, coeffs1, dir2, coeffs2):
     p1, p2 = _DIR_PARITY[dir1], _DIR_PARITY[dir2]
-    out: dict = {}
+    parts: dict = {}  # generator -> its contributions, summed at the end
 
     def acc(g, val):
-        out[g] = out[g] + val if g in out else val
+        parts.setdefault(g, []).append(val)
 
     for g, c in coeffs2.items():
         acc(g, _apply_dir(c, dir1))
@@ -186,7 +190,8 @@ def _curvature_parts(relations, dir1, coeffs1, dir2, coeffs2):
         operator["dx"] = Fraction(2)
     elif dir1 == dir2 == "D-":
         operator["dy"] = Fraction(2)
-    return {g: v for g, v in out.items() if not v.is_zero()}, operator
+    totals = ((g, _total(values)) for g, values in parts.items())
+    return {g: v for g, v in totals if not v.is_zero()}, operator
 
 
 def curvature(c1: Connection, c2: Connection) -> CurvatureResult:

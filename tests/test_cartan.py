@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -158,11 +159,62 @@ def test_error_message_and_position(doc, message, line, col):
     pytest.param('{"matrix":[[' + "1" * 5000 + "]]}",
                  "integer of 5000 digits is too long", 1, 13,
                  id="5000-digit-integer"),
+    # the sign is not a digit
+    pytest.param('{"matrix":[[-' + "1" * 5000 + "]]}",
+                 "integer of 5000 digits is too long", 1, 13,
+                 id="minus-5000-digit-integer"),
+    # a quoted integer past the int-string limit, as numerator or denominator
+    pytest.param('{"matrix":[["1' + "0" * 5000 + '"]]}',
+                 "integer of 5001 digits is too long", 1, 13,
+                 id="quoted-5001-digit-integer"),
+    pytest.param('{"matrix":[[2],["-1/' + "7" * 5000 + '"]]}',
+                 "integer of 5000 digits is too long", 1, 17,
+                 id="quoted-5000-digit-denominator"),
+    # the fault in a later entry of a row: the row is read entry by entry
+    ('{"matrix":[[2, -1, 2.5]]}',
+     'non-rational entry: floats are not allowed; write "p/q"', 1, 20),
+    ('{"matrix":[[2, -1, ²]]}', "expected a rational entry, found '²'", 1, 20),
+    ('{"matrix":[[2,\f-1]]}', "expected a rational entry, found '\\x0c'",
+     1, 15),
+    ('{"matrix":[[1,]]}', "expected a rational entry, found ']'", 1, 15),
+    ('{"matrix":[[1 2]]}', "expected ']', found '2'", 1, 15),
+    ('{"matrix":[[2, 3], [1,\n 3 4]]}', "expected ']', found '4'", 2, 4),
+    ('{"matrix":[[2], [1,\n 3, 4.0]]}',
+     'non-rational entry: floats are not allowed; write "p/q"', 2, 5),
+    pytest.param('{"matrix":[[2, ' + "7" * 5000 + "]]}",
+                 "integer of 5000 digits is too long", 1, 16,
+                 id="later-5000-digit-integer"),
 ])
 def test_integers_are_ascii_and_end_cleanly(doc, message, line, col):
     with pytest.raises(CartanFormatError) as err:
         parse_cartan(doc)
     assert str(err.value) == f"{message} (line {line}, column {col})"
+
+
+# An error echoes a quoted entry, a key or a parity with the middle of a
+# long one left out and its length given.
+@pytest.mark.parametrize("doc,message,col", [
+    ('{"matrix":[["' + "x" * 5000 + '"]]}',
+     "non-rational entry 'xxxxxxxxxxxxxxxxxxxxxxx...xxxxxxxxxxx' "
+     "(5000 characters)", 13),
+    ('{"' + "k" * 5000 + '":1}',
+     "unknown key 'kkkkkkkkkkkkkkkkkkkkkkk...kkkkkkkkkkk' (5000 characters)",
+     2),
+    ('{"matrix":[[2]],"parities":["' + "p" * 5000 + '"]}',
+     "parity must be 'even' or 'odd', got 'ppppppppppppppppppppppp..."
+     "ppppppppppp' (5000 characters)", 29),
+    # a repr of up to 48 characters is echoed whole
+    ('{"matrix":[["' + "ab" * 23 + '"]]}',
+     "non-rational entry '" + "ab" * 23 + "'", 13),
+    ('{"matrix":[["' + "ab" * 23 + 'a"]]}',
+     "non-rational entry 'abababababababababababa...abababababa' "
+     "(47 characters)", 13),
+], ids=["entry", "key", "parity", "48-character-repr", "49-character-repr"])
+def test_errors_clip_the_values_they_echo(doc, message, col):
+    with pytest.raises(CartanFormatError) as err:
+        parse_cartan(doc)
+    assert str(err.value) == f"{message} (line 1, column {col})"
+    assert len(str(err.value)) < 200
 
 
 _VALID = ['{"matrix":[[2,-1],[-1,2]],"parities":["even","odd"],"name":"a"}',
@@ -191,6 +243,54 @@ def test_parse_cartan_raises_only_format_errors(text):
         parse_cartan(text)
     except CartanFormatError:
         pass
+
+
+_SPACE = st.text(" \t\r\n", max_size=3)
+
+
+@st.composite
+def _valid_documents(draw):
+    """Valid documents of rank 1-4 with whitespace between the tokens; a
+    row is bare integers (one match) or mixes them with quoted entries."""
+    n = draw(st.integers(1, 4))
+
+    def entry(plain):
+        if plain or draw(st.booleans()):
+            return str(draw(st.integers(-10 ** 12, 10 ** 12)))
+        p = draw(st.integers(-50, 50))
+        q = draw(st.one_of(st.none(), st.integers(1, 12)))
+        return f'"{p}"' if q is None else f'"{p}/{q}"'
+
+    def padded(text):
+        return draw(_SPACE) + text + draw(_SPACE)
+
+    rows = []
+    for _ in range(n):
+        plain = draw(st.booleans())
+        rows.append(padded(
+            "[" + ",".join(padded(entry(plain)) for _ in range(n)) + "]"))
+    return padded("{" + padded('"matrix"') + ":"
+                  + padded("[" + ",".join(rows) + "]") + "}")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_valid_documents())
+@example('{"matrix":[[2,-1],[-1,2]]}')
+@example('{"matrix":[["4/2", "-1/3"], [-1,"6"]]}')
+def test_valid_documents_parse_like_json(doc):
+    entries = parse_cartan(doc).entries
+    assert entries == tuple(tuple(Fraction(v) for v in row)
+                            for row in json.loads(doc)["matrix"])
+    for v in itertools.chain.from_iterable(entries):
+        assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+def test_integral_entries_are_int():
+    m = CartanMatrix.from_rows([[Fraction(4, 2), "-1/3"], [-1, "6/3"]])
+    assert [[type(v) for v in row] for row in m.entries] \
+        == [[int, Fraction], [int, int]]
+    assert m.entries == ((2, Fraction(-1, 3)), (-1, 2))
+    assert type(standard_cartan("sl3").entries[0][1]) is int
 
 
 def test_render_parse_round_trip():

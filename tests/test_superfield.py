@@ -166,3 +166,18 @@ def test_negative_orders_are_rejected():
         SuperField.zero(GENS, order=3).truncate(-1)
     with pytest.raises(ValueError, match="jet order must be >= 0"):
         SuperField.zero(GENS, order=0).d_plus()
+
+
+def test_fields_share_the_base_pair_of_their_jets():
+    j = Jet.variable("x", (Fraction(1, 2), 3), 5)
+    f = SuperField.from_jet(j, GENS)
+    assert f.base is j.base
+    xi = SuperField(GENS, j.base, 5, {0b1: Jet.constant(1, j.base, 5)})
+    assert xi.base is j.base
+    for g in (f + xi, f * xi, xi * 2, f.d_plus(), f.d_minus(), -f,
+              f.truncate(3)):
+        assert g.base is j.base
+    # any other base is made a pair of Fractions
+    g = SuperField(GENS, [1, "1/2"], 5)
+    assert g.base == (1, Fraction(1, 2))
+    assert all(type(v) is Fraction for v in g.base)

@@ -103,6 +103,16 @@ def test_exp_linear_merges_repeated_names():
     assert exp_linear([]).render() == "1"
 
 
+def test_exp_linear_keeps_integral_coefficients_int():
+    a, b = exp_linear([(Fraction(2), "F")]), exp_linear([(2, "F")])
+    assert a == b and hash(a) == hash(b) and a.render() == b.render()
+    ((atom,),) = a.terms
+    assert atom.args == ((2, "F"),) and type(atom.args[0][0]) is int
+    ((atom,),) = exp_linear([(Fraction(1, 2), "F"), (Fraction(3, 2), "F"),
+                             (Fraction(1, 3), "G")]).terms
+    assert [type(c) for c, _ in atom.args] == [int, Fraction]
+
+
 def test_rational_constants():
     one = Expr.rational(1)
     assert (one * Fraction(3, 2)).render() == "3/2"
