@@ -142,7 +142,7 @@ def _clip(value) -> str:
 def _parse_base(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise InputError(f"--base expects 'x0,y0', got {text!r}")
+        raise InputError(f"--base expects 'x0,y0', got {_clip(text)}")
     return _rational(parts[0], "--base"), _rational(parts[1], "--base")
 
 
@@ -324,7 +324,7 @@ def _cmd_solve(args) -> int:
     y_nodes = [_parse_checked(text, {"x"}, y_program) for text in y_exprs]
     h = _rational(args.h, "--h")
     if h <= 0:
-        raise InputError(f"--h must be positive, got {args.h!r}")
+        raise InputError(f"--h must be positive, got {_clip(args.h)}")
     # the points solve_goursat samples: m steps from x0 and from y0
     m = square_steps(x0, x1, y0, y1, h, n)
     xs, ys = (np.array(grid_points(lo, h, m)) for lo in (x0, y0))

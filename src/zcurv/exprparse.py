@@ -242,7 +242,7 @@ def parse_expression(text: str, program: Program | None = None) -> Expression:
                 pending.append((value, pos))
                 i += 1
             elif kind == "name":
-                raise ExprSyntaxError(f"unknown name {value!r}", pos)
+                raise ExprSyntaxError("unknown name", pos)
             elif kind != "+":
                 raise ExprSyntaxError("expected a value", pos)
         elif kind == "^":  # right after a primary

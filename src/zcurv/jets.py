@@ -50,6 +50,8 @@ Derivatives lower the order by one: the top-degree coefficients of a
 derivative would need information beyond the input's truncation order.
 Binary operations deliberately require equal base points and orders;
 ``truncate`` makes mixed-order expressions explicit at the call site.
+A base point is the pair of ``Fraction``s of ``base_pair``, which keeps a
+jet's own pair, so jets (and superfields) built from a jet share its base.
 """
 
 import math
@@ -148,12 +150,19 @@ def degree_series(jet, first, kind):
     return _ring_result(jet.base, jet.order, out)
 
 
+def base_pair(base) -> tuple[Fraction, Fraction]:
+    """A tuple of two Fractions as it is, anything else converted to one."""
+    x0, y0 = base
+    if type(base) is tuple and type(x0) is type(y0) is Fraction:
+        return base
+    return Fraction(x0), Fraction(y0)
+
+
 class Jet:
     __slots__ = ("base", "order", "rows")
 
     def __init__(self, base, order: int, coeffs: dict | None = None):
-        x0, y0 = base
-        self.base = (Fraction(x0), Fraction(y0))
+        self.base = base_pair(base)
         if order < 0:
             raise ValueError("jet order must be >= 0")
         self.order = order
@@ -174,13 +183,10 @@ class Jet:
     @staticmethod
     def variable(which: str, base=(0, 0), order: int = 8) -> "Jet":
         """The coordinate function x or y as a jet at the base point."""
-        if which == "x":
-            mono, b = (1, 0), Fraction(base[0])
-        elif which == "y":
-            mono, b = (0, 1), Fraction(base[1])
-        else:
+        if which not in ("x", "y"):
             raise ValueError("variable must be 'x' or 'y'")
-        return Jet(base, order, {(0, 0): b, mono: 1})
+        base, k = base_pair(base), "xy".index(which)
+        return Jet(base, order, {(0, 0): base[k], (1 - k, k): 1})
 
     @staticmethod
     def zero(base=(0, 0), order: int = 8) -> "Jet":

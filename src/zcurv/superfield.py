@@ -24,7 +24,7 @@ are exact finite sums; exp, ln and inverse of F0 are jet series.
 
 from fractions import Fraction
 
-from .jets import Jet
+from .jets import Jet, base_pair
 
 XI = "xi"
 ETA = "eta"
@@ -54,11 +54,7 @@ class SuperField:
 
     def __init__(self, gens, base, order: int, comps: dict | None = None):
         self.gens = tuple(gens)
-        x0, y0 = base
-        # a tuple of Fractions, such as a jet's base, is kept as it is, so
-        # that comparing it with its jets' base is an identity test
-        self.base = tuple(base) if type(x0) is type(y0) is Fraction \
-            else (Fraction(x0), Fraction(y0))
+        self.base = base_pair(base)
         if order < 0:
             raise ValueError("jet order must be >= 0")
         self.order = order
@@ -150,8 +146,6 @@ class SuperField:
                           {m: -j for m, j in self.comps.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, SuperField):
-            other = SuperField.constant(other, self.gens, self.base, self.order)
         return self + (-other)
 
     def __mul__(self, other):
@@ -170,9 +164,7 @@ class SuperField:
                 comps[key] = comps[key] + term if key in comps else term
         return SuperField(self.gens, self.base, self.order, comps)
 
-    def __rmul__(self, other):
-        # scalars are even: left and right multiplication agree
-        return self * other
+    __rmul__ = __mul__  # scalars are even: left and right products agree
 
     # -- derivations --------------------------------------------------------
 

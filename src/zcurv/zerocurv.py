@@ -20,6 +20,9 @@ osp(1|2) matrix fixtures, never written by hand.  ``[D1, D2]`` vanishes
 for the pairs (dx, dy) and (D+, D-); for (D+, D+) it is the operator 2*dx,
 which is exactly the obstruction to a flat non-reduced extension of the
 reduced connection.
+``curvature`` counts two relation engines as one when they are of one class
+and hold equal data.  A ``Connection`` reads each generator's parity from
+its engine, which refuses a name it lacks; an even direction has no odd one.
 Fields, connections, curvatures and derived systems are named tuples.
 """
 
@@ -51,6 +54,8 @@ class ChevalleyRelations:
         self._entries = cartan.entries
 
     def parity(self, g: GenKey) -> int:
+        if g[0] not in ("H", "X+", "X-") or not 0 <= g[1] < len(self._entries):
+            raise ValueError(f"unknown generator {g}")
         return 0
 
     def bracket(self, g1: GenKey, g2: GenKey):
@@ -109,17 +114,16 @@ class Connection(namedtuple("Connection", "direction value")):
     def __new__(cls, direction: str, value: LieValuedField):
         if direction not in _DIR_PARITY:
             raise ValueError(f"unknown direction {direction!r}")
-        rel = value.relations
-        super_gens = {"d+", "d-"}
         dp = _DIR_PARITY[direction]
         for g, c in value.nonzero().items():
-            if dp == 0 and g[0] in super_gens:
+            pg = value.relations.parity(g)
+            if pg and not dp:
                 raise ValueError(
                     f"direction {direction} cannot carry generator {g[0]}")
             cp = c.parity()
             if cp is None:
                 raise ValueError(f"coefficient of {g} is not homogeneous")
-            if (cp + rel.parity(g)) % 2 != dp:
+            if (cp + pg) % 2 != dp:
                 raise ValueError(
                     f"coefficient parity {cp} of {g} does not match "
                     f"direction {direction}")
@@ -191,22 +195,20 @@ def _curvature_parts(relations, dir1, coeffs1, dir2, coeffs2):
     elif dir1 == dir2 == "D-":
         operator["dy"] = Fraction(2)
     totals = ((g, _total(values)) for g, values in parts.items())
-    return {g: v for g, v in totals if not v.is_zero()}, operator
+    return CurvatureResult({g: v for g, v in totals if not v.is_zero()},
+                           operator)
 
 
 def curvature(c1: Connection, c2: Connection) -> CurvatureResult:
     """Graded curvature of two connections over the same relation engine."""
-    if c1.value.relations is not c2.value.relations and \
-            type(c1.value.relations) is not type(c2.value.relations):
+    r1, r2 = c1.value.relations, c2.value.relations
+    if type(r1) is not type(r2) or vars(r1) != vars(r2):
         raise ValueError("connections use different relation engines")
-    even = {"dx", "dy"}
-    if (c1.direction in even) != (c2.direction in even):
+    if _DIR_PARITY[c1.direction] != _DIR_PARITY[c2.direction]:
         raise ValueError(
             f"cannot mix directions {c1.direction} and {c2.direction}")
-    gens, operator = _curvature_parts(
-        c1.value.relations, c1.direction, c1.value.nonzero(),
-        c2.direction, c2.value.nonzero())
-    return CurvatureResult(gens, operator)
+    return _curvature_parts(r1, c1.direction, c1.value.nonzero(),
+                            c2.direction, c2.value.nonzero())
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +287,13 @@ def derive_toda(A: CartanMatrix, form: str = "lsbis") -> DerivedSystem:
 
     gname = ["G" + s for s in suffix]
     fname = ["F" + s for s in suffix]
+    defs = tuple(f"{g} = ln(b{s}*B{s})" for g, s in zip(gname, suffix))
     if form == "lsbis":
         final = tuple(
             Equation(Expr.atom(Atom(gname[i], dx=1, dy=1)),
                      Expr.sum(exp_linear([(1, gname[j])]) * A.entries[i][j]
                               for j in range(n) if A.entries[i][j]))
             for i in range(n))
-        defs = tuple(f"{gname[i]} = ln(b{suffix[i]}*B{suffix[i]})"
-                     for i in range(n))
     else:
         if not determinant(A.entries):
             raise ValueError("matrix is singular")
@@ -301,8 +302,7 @@ def derive_toda(A: CartanMatrix, form: str = "lsbis") -> DerivedSystem:
                      exp_linear([(A.entries[i][j], fname[j])
                                  for j in range(n)]))
             for i in range(n))
-        defs = tuple(f"{gname[i]} = ln(b{suffix[i]}*B{suffix[i]})"
-                     for i in range(n)) + ("F = inverse(A)*G",)
+        defs += ("F = inverse(A)*G",)
     notes = (
         "index convention: [H_i, X_j+] = A_ji*X_j+ and [X_i+, X_j-] = "
         "delta_ij*H_i; pinned by the eliminated G-form system",

@@ -472,3 +472,14 @@ def test_affine_matrix_accepted():
     affine = CartanMatrix.from_rows([[2, -2], [-2, 2]])
     assert check_admissible(affine, "lse2").admissible
     assert parse_cartan(render_cartan(affine)) == affine
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: check_admissible(standard_cartan("sl2"), "lse3"),
+     "unknown scheme 'lse3'; expected lse1 or lse2"),
+    (lambda: standard_cartan("slx"), "unknown standard cartan matrix 'slx'"),
+], ids=["unknown-scheme", "sl-without-a-rank"])
+def test_cartan_refusals(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -947,3 +947,60 @@ def test_in_process_calls_match_a_fresh_process(monkeypatch, capsys):
                               env=env, capture_output=True, text=True,
                               timeout=60)
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+@pytest.mark.parametrize("files,argv,env,code,line", [
+    ({}, ["verify-liouville", "--f", "x+1", "--g", "y+1"], "abc", 3,
+     "error: ZCURV_ORDER must be an integer >= 3, got 'abc'"),
+    (_verify_lse({"components": ["-ln(x+y)"]})[0],
+     _verify_lse({})[1] + ["--tol", "1e-9"], None, 1,
+     "verification failed: residual 0.75 exceeds 1e-09"),
+    ({}, ["verify-liouville", "--f", "x+1", "--g", "y+1", "--base", "1"], None,
+     3, "error: --base expects 'x0,y0', got '1'"),
+    ({"b.json": json.dumps({k: v for k, v in BOUNDARY.items() if k != "y1"})},
+     _solve({})[1], None, 3,
+     "error: b.json: bad boundary document ('y1')"),
+], ids=["order-env-not-an-integer", "tol-exceeded", "base-without-comma",
+        "boundary-without-y1"])
+def test_each_failure_path_prints_its_line(tmp_path, monkeypatch, capsys,
+                                           files, argv, env, code, line):
+    monkeypatch.chdir(tmp_path)
+    if env is not None:
+        monkeypatch.setenv("ZCURV_ORDER", env)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    got, _, err = run(capsys, *argv)
+    assert (got, err) == (code, line + "\n")
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["verify-liouville", "--f", "x+1", "--g", "y+1", "--base", "1" * 3000],
+     "--base expects 'x0,y0', got '111"),
+    (_solve({}, h="-1." + "0" * 3000)[1], "--h must be positive, got '-1.000"),
+    (["verify-liouville", "--f", "a" * 5000, "--g", "y+1"],
+     "unknown name (at position 1)"),
+], ids=["base", "h", "unknown-name"])
+def test_long_values_are_echoed_clipped(tmp_path, monkeypatch, capsys, argv,
+                                        fragment):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.json").write_text(json.dumps(BOUNDARY))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert fragment in err and "characters)" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["verify-liouville", "--f", "x+1", "--g", "y+1", "--base", "1" * 46],
+     f"error: --base expects 'x0,y0', got '{'1' * 46}'"),
+    (_solve({}, h="-" + "1" * 45)[1],
+     f"error: --h must be positive, got '-{'1' * 45}'"),
+    (["verify-liouville", "--f", "x+z", "--g", "y+1"],
+     "error: bad expression 'x+z': unknown name (at position 3)"),
+], ids=["base", "h", "unknown-name"])
+def test_short_values_are_echoed_whole(tmp_path, monkeypatch, capsys, argv,
+                                       line):
+    # a repr of 48 characters is the longest that _clip leaves whole
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.json").write_text(json.dumps(BOUNDARY))
+    assert run(capsys, *argv) == (3, "", line + "\n")

@@ -596,3 +596,32 @@ def test_unit_order_never_reaches_output(tmp_path):
          * (Jet.variable("y", base, 4).exp() * sexp(Fraction(1, 3))
             + sln(Fraction(2))))
     assert rendered == [str(p * p), repr((p * p).evaluate(0.6, 0.4))]
+
+
+def test_jets_built_from_a_jet_share_its_base_pair():
+    j = Jet.variable("x", (Fraction(1, 2), 3), 5)
+    assert Jet.constant(1, j.base, 5).base is j.base
+    assert Jet.zero(j.base, 5).base is j.base
+    assert jets.base_pair(j.base) is j.base
+    # any other base is made a tuple of two Fractions
+    for base in ((1, "1/2"), [Fraction(1), Fraction(1, 2)], (1.0, 0.5)):
+        pair = jets.base_pair(base)
+        assert type(pair) is tuple and pair == (1, Fraction(1, 2))
+        assert all(type(v) is Fraction for v in pair)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: Jet((0, 0), 2, {(0, 0): 0.5}), TypeError,
+     "not an exact coefficient: 0.5"),
+    (lambda: Jet((0, 0), -1), ValueError, "jet order must be >= 0"),
+    (lambda: Jet((0, 0), 1, {(1, 1): 1}), ValueError,
+     "bidegree (1, 1) exceeds order 1"),
+    (lambda: Jet.variable("z"), ValueError, "variable must be 'x' or 'y'"),
+    (lambda: x(3).compose(x(3), y(3) + 1), ValueError,
+     "inner jet body 1 != expansion point 0"),
+], ids=["float-coefficient", "negative-order", "bidegree-past-order",
+        "bad-variable", "compose-y-off-base"])
+def test_jet_refusals(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

@@ -130,7 +130,7 @@ class ReferenceParser:
                 arg = self.expr()
                 self.expect(")")
                 return (value, arg)
-            raise ExprSyntaxError(f"unknown name {value!r}", pos)
+            raise ExprSyntaxError("unknown name", pos)
         if kind == "(":
             node = self.expr()
             self.expect(")")

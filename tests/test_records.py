@@ -116,6 +116,12 @@ CHECKS = [
     (lambda: Connection("dx", LieValuedField(
         ChevalleyRelations(SL2), {("H", 0): fn("a", 1)})),
      "coefficient parity 1 of ('H', 0) does not match direction dx"),
+    (lambda: Connection("dx", LieValuedField(
+        ChevalleyRelations(SL2), {("d+", 0): fn("a")})),
+     "unknown generator ('d+', 0)"),
+    (lambda: Connection("dx", LieValuedField(
+        ChevalleyRelations(SL2), {("X+", 1): fn("a")})),
+     "unknown generator ('X+', 1)"),
     (lambda: SolutionVector((), SL2), "component count must equal the rank"),
 ]
 

@@ -425,3 +425,21 @@ def test_residuals_keep_their_order_errors():
                      "lsbis")
     with pytest.raises(ValueError):
         super_liouville_residual(SuperField.coordinate("x", GENS, order=1))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: liouville_solution(jet_x(), jet_x()), "g must depend only on y"),
+    (lambda: liouville_solution(jet_x(), jet_y() * jet_y() + 1),
+     "g'(y0) vanishes"),
+    (lambda: conformal_transform(jet_x(), jet_y(), jet_y()),
+     "phi must depend only on x"),
+    (lambda: conformal_transform(jet_x(), jet_x(), jet_x()),
+     "psi must depend only on y"),
+    (lambda: conformal_transform(jet_x(), jet_x() * jet_x(), jet_y()),
+     "phi' or psi' vanishes at the base point"),
+], ids=["g-depends-on-x", "g-prime-vanishes", "phi-depends-on-y",
+        "psi-depends-on-x", "phi-prime-vanishes"])
+def test_solution_refusals(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -181,3 +181,36 @@ def test_fields_share_the_base_pair_of_their_jets():
     g = SuperField(GENS, [1, "1/2"], 5)
     assert g.base == (1, Fraction(1, 2))
     assert all(type(v) is Fraction for v in g.base)
+
+
+def test_an_absent_component_shares_the_base_pair():
+    j = Jet.variable("x", (Fraction(1, 2), 3), 5)
+    assert SuperField.from_jet(j, ("xi", "eta")).component(3).base is j.base
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: SuperField(GENS, (0, 0), 3, {1 << len(GENS): Jet.constant(1)}),
+     "component mask 0b10000 out of range"),
+    (lambda: SuperField(GENS, (0, 0), 3, {0: Jet.constant(1, (1, 0), 3)}),
+     "component jet has wrong base or order"),
+    (lambda: SuperField(GENS, (0, 0), 3, {0: Jet.constant(1, (0, 0), 4)}),
+     "component jet has wrong base or order"),
+    (lambda: SuperField.coordinate("zeta", GENS), "unknown coordinate 'zeta'"),
+    (lambda: coord("x", 5) * coord("x", 4),
+     "incompatible base points or orders"),
+], ids=["mask-out-of-range", "component-base", "component-order",
+        "unknown-coordinate", "incompatible-orders"])
+def test_superfield_refusals(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_scalars_add_and_multiply_on_the_body():
+    field = coord("x") + coord("xi")
+    assert field + 1 == field + SuperField.constant(1, GENS, order=5)
+    assert 1 + field == field + 1
+    assert (field - 1) + 1 == field
+    assert (field - 1).component(0) == coord("x").component(0) - 1
+    assert 2 * field == field + field
+    assert (2 * field).component(0b1) == Jet.constant(2, order=5)

@@ -9,8 +9,8 @@ from zcurv.jets import Jet
 from zcurv.superfield import SuperField, standard_gens
 from zcurv.symexpr import Atom, Expr, fn
 from zcurv.zerocurv import (SUPER_LIOUVILLE_SIGN, ChevalleyRelations,
-                            Connection, LieValuedField, Osp12Relations,
-                            OutOfSpanError, _curvature_parts,
+                            Connection, CurvatureResult, LieValuedField,
+                            Osp12Relations, OutOfSpanError, _curvature_parts,
                             _split_equation, _super_pair, curvature,
                             derive_super_liouville, derive_toda,
                             nonreduced_obstruction)
@@ -169,8 +169,69 @@ def test_direction_mixing_rejected(rng):
     rel = Osp12Relations()
     cp = Connection("D+", LieValuedField(
         rel, {("d+", 0): even_field(random_jet(rng, order=4))}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="connections use different relation engines"):
         curvature(cx, cp)
+
+
+def test_direction_mixing_rejected_on_one_engine(rng):
+    rel = Osp12Relations()
+    u = even_field(random_jet(rng, order=4))
+    v = u * SuperField.coordinate("th1", GENS, (0, 0), 4)
+    cx = Connection("dx", LieValuedField(rel, {("H", 0): u}))
+    cp = Connection("D+", LieValuedField(rel, {("H", 0): v}))
+    with pytest.raises(ValueError, match="cannot mix directions dx and D+"):
+        curvature(cx, cp)
+
+
+def _rank_two_pair(cartan, rng):
+    """d_x + a H_1 + b X+_1 and d_y + A H_1 + B X-_1 over one engine."""
+    rel = ChevalleyRelations(cartan)
+    a, b, A, B = (even_field(random_jet(rng, order=4)) for _ in range(4))
+    cx = Connection("dx", LieValuedField(rel, {("H", 0): a, ("X+", 0): b}))
+    cy = Connection("dy", LieValuedField(rel, {("H", 0): A, ("X-", 0): B}))
+    return cx, cy
+
+
+def test_engines_of_different_matrices_are_refused(rng):
+    cx, cy = _rank_two_pair(standard_cartan("sl3"), rng)
+    other = CartanMatrix.from_rows([[2, -2], [-1, 2]])
+    ox, oy = _rank_two_pair(other, rng)
+    for c1, c2 in ((cx, oy), (oy, cx), (ox, cy), (cy, ox)):
+        with pytest.raises(ValueError,
+                           match="connections use different relation engines"):
+            curvature(c1, c2)
+
+
+def test_engines_of_equal_data_are_accepted(rng):
+    cx, cy = _rank_two_pair(standard_cartan("sl3"), rng)
+    twin = ChevalleyRelations(CartanMatrix.from_rows([[2, -1], [-1, 2]]))
+    assert twin is not cy.value.relations
+    ty = Connection("dy", LieValuedField(twin, cy.value.coefficients))
+    assert curvature(cx, ty) == curvature(cx, cy)
+    assert curvature(ty, cx) == curvature(cy, cx)
+    u = even_field(random_jet(rng, order=4))
+    rel = Osp12Relations()
+    ox = Connection("dx", LieValuedField(rel, {("H", 0): u}))
+    oy = Connection("dy", LieValuedField(rel, {("X+", 0): u}))
+    oy_twin = Connection("dy", LieValuedField(Osp12Relations(),
+                                              {("X+", 0): u}))
+    assert curvature(ox, oy_twin) == curvature(ox, oy)
+    assert curvature(ox, oy).coefficient(("X+", 0)) is not None
+
+
+def test_curvature_parts_is_the_curvature_result(rng):
+    cx, cy = _rank_two_pair(standard_cartan("sl3"), rng)
+    parts = _curvature_parts(cx.value.relations, "dx", cx.value.nonzero(),
+                             "dy", cy.value.nonzero())
+    assert type(parts) is CurvatureResult
+    assert curvature(cx, cy) == parts
+    # the D+ pair of the curvature benchmark: an odd H and an even d+
+    odd = SuperField.coordinate("th1", GENS, (0, 0), 4)
+    value = LieValuedField(Osp12Relations(), {
+        ("H", 0): odd, ("d+", 0): even_field(random_jet(rng, order=4))})
+    conn = Connection("D+", value)
+    assert curvature(conn, conn).operator == {"dx": Fraction(2)}
 
 
 def test_derive_toda_rank_one_renders_displayed_system():
