@@ -329,15 +329,17 @@ class Jet:
               den) for u, (nums, den) in self.rows.items()]))
 
     def exp(self) -> "Jet":
-        """exp as a truncated series; the body goes through the scalar ring."""
-        return degree_series(self, 1, "exp") * sexp(self.body)
+        """exp as a truncated series; the scalar ring takes the body first."""
+        eb = sexp(self.body)
+        return degree_series(self, 1, "exp") * eb
 
     def ln(self) -> "Jet":
         """ln as a truncated series; requires a positive-loggable body."""
         c = self.body
         if not c:
             raise ValueError("ln of a jet with zero body")
-        return degree_series(self * sinv(c), sln(c), "ln")
+        ic, lc = sinv(c), sln(c)  # refuse the body before scaling the jet
+        return degree_series(self * ic, lc, "ln")
 
     def compose(self, fx: "Jet", gy: "Jet") -> "Jet":
         """Substitute x -> fx, y -> gy.

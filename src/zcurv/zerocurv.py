@@ -21,8 +21,9 @@ for the pairs (dx, dy) and (D+, D-); for (D+, D+) it is the operator 2*dx,
 which is exactly the obstruction to a flat non-reduced extension of the
 reduced connection.
 ``curvature`` counts two relation engines as one when they are of one class
-and hold equal data.  A ``Connection`` reads each generator's parity from
-its engine, which refuses a name it lacks; an even direction has no odd one.
+and hold equal data; both engines refuse a generator they lack.  One grading
+rule fixes the bracket signs: a coefficient's parity is its direction's plus
+its generator's.  ``Connection`` checks it and ``_curvature_parts`` reads it.
 Fields, connections, curvatures and derived systems are named tuples.
 """
 
@@ -41,6 +42,7 @@ GenKey = tuple[str, int]
 _DIR_PARITY = {"dx": 0, "dy": 0, "D+": 1, "D-": 1}
 _DIR_METHOD = {"dx": "deriv_x", "dy": "deriv_y", "D+": "d_plus", "D-": "d_minus"}
 _LEVEL = {"X+": 1, "X-": -1}
+_SQUARE = {"D+": "dx", "D-": "dy"}  # (D+)^2 = dx, (D-)^2 = dy
 
 
 class OutOfSpanError(ValueError):
@@ -86,6 +88,8 @@ class Osp12Relations:
         self._table = fixture_table("osp12")
 
     def parity(self, g: GenKey) -> int:
+        if g[0] not in self._table.parities or g[1] != 0:
+            raise ValueError(f"unknown generator {g}")
         return self._table.parity(g[0])
 
     def bracket(self, g1: GenKey, g2: GenKey):
@@ -175,25 +179,19 @@ def _curvature_parts(relations, dir1, coeffs1, dir2, coeffs2):
     for g, c in coeffs1.items():
         d = _apply_dir(c, dir2)
         acc(g, d if p1 * p2 else -d)
-    operands2 = [(g, c, c.parity()) for g, c in coeffs2.items() if coeffs1]
-    if any(pc2 is None for _, _, pc2 in operands2):
-        raise ValueError("bracket operand is not homogeneous")
     for g1, c1 in coeffs1.items():
         pg1 = relations.parity(g1)
-        for g2, c2, pc2 in operands2:
+        for g2, c2 in coeffs2.items():
             terms = relations.bracket(g1, g2)
             if not terms:
                 continue
-            s = -1 if pg1 and pc2 else 1
+            s = -1 if pg1 and p2 ^ relations.parity(g2) else 1
             prod = _lower(c1 * c2)
             for coef, g3 in terms:
                 acc(g3, prod * (coef * s))
 
-    operator: dict[str, Fraction] = {}
-    if dir1 == dir2 == "D+":
-        operator["dx"] = Fraction(2)
-    elif dir1 == dir2 == "D-":
-        operator["dy"] = Fraction(2)
+    operator = ({_SQUARE[dir1]: Fraction(2)}
+                if dir1 == dir2 and dir1 in _SQUARE else {})
     totals = ((g, _total(values)) for g, values in parts.items())
     return CurvatureResult({g: v for g, v in totals if not v.is_zero()},
                            operator)

@@ -115,6 +115,27 @@ def test_ln_requires_positive_body():
         x(4).ln()
 
 
+def test_ln_refuses_the_body_before_scaling_the_jet(monkeypatch):
+    def scaled(self, value):
+        raise AssertionError("ln scaled the jet before refusing its body")
+
+    monkeypatch.setattr(Jet, "_scaled", scaled)
+    with pytest.raises(ValueError,
+                       match="ln requires a positive scalar, got -1"):
+        (Jet.constant(-1) + x()).ln()
+
+
+def test_exp_refuses_the_body_before_any_series(monkeypatch):
+    def series(jet, first, kind):
+        raise AssertionError("exp ran a series before refusing its body")
+
+    u = Jet.constant(1).exp() + x()
+    monkeypatch.setattr(jets, "degree_series", series)
+    with pytest.raises(ValueError,
+                       match=r"exp not defined on scalar term exp\(1\)"):
+        u.exp()
+
+
 def test_compose_identity_and_shift():
     f = (x(6) + y(6) + 2).ln()
     assert f.compose(x(6), y(6)) == f

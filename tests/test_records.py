@@ -122,6 +122,10 @@ CHECKS = [
     (lambda: Connection("dx", LieValuedField(
         ChevalleyRelations(SL2), {("X+", 1): fn("a")})),
      "unknown generator ('X+', 1)"),
+    (lambda: Connection("dx", LieValuedField(OSP, {("H", 3): fn("a")})),
+     "unknown generator ('H', 3)"),
+    (lambda: Connection("dx", LieValuedField(OSP, {("Z", 0): fn("a")})),
+     "unknown generator ('Z', 0)"),
     (lambda: SolutionVector((), SL2), "component count must equal the rank"),
 ]
 

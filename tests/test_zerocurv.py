@@ -403,9 +403,9 @@ def test_empty_brackets_form_no_coefficient_products():
 def test_empty_brackets_still_check_homogeneity():
     rel = _EmptyBrackets()
     mixed = _NoProducts((fn("a") + fn("alpha", 1)).terms)
-    with pytest.raises(ValueError, match="bracket operand is not homogeneous"):
-        _curvature_parts(rel, "dx", {("H", 0): fn("u")},
-                         "dy", {("X-", 0): mixed})
+    with pytest.raises(ValueError,
+                       match=r"coefficient of \('X-', 0\) is not homogeneous"):
+        Connection("dy", LieValuedField(rel, {("X-", 0): mixed}))
 
 
 class _CountsParity(Expr):
@@ -421,11 +421,14 @@ class _CountsParity(Expr):
 
 
 def test_each_bracket_operand_parity_computed_once():
+    """Connection checks each coefficient's parity once; the curvature's
+    bracket signs read the grading and compute none."""
     rel = ChevalleyRelations(standard_cartan("sl2"))
     cx = {("H", 0): fn("a"), ("X+", 0): fn("b")}
     cy = {("H", 0): _CountsParity(fn("A").terms),
           ("X-", 0): _CountsParity(fn("B").terms)}
-    _curvature_parts(rel, "dx", cx, "dy", cy)
+    curvature(Connection("dx", LieValuedField(rel, cx)),
+              Connection("dy", LieValuedField(rel, cy)))
     assert [c.parity_calls for c in cy.values()] == [1, 1]
 
 
