@@ -22,8 +22,13 @@ parsed into one program share their common subtrees.
 One loop folds an expression's slots in the postorder of its tree, each
 distinct subtree once, under an operation table:
 
-* jets (``Jet.constant``, ``operator.truediv``, ``Jet.pow_int``,
-  ``Jet.exp``, ``Jet.ln``) give exact jets at a base point;
+* jets give exact jets at a base point.  A constant slot folds to an
+  exact scalar, a ``Fraction`` or a ``Scalar`` passed through
+  ``normalize``, with ``sinv``, ``sexp`` and ``sln``, and powers by square
+  and multiply (``Fraction ** n`` for a rational).  A scalar becomes a jet
+  only where it meets one, in the jet's ``+``, ``*``, ``/`` and their
+  reflections, or at the root.  A scalar is refused with the text that its
+  constant jet's ``inverse``, ``ln`` or ``exp`` would raise;
 * floats (``float``, ``operator.truediv``, ``operator.pow``, ``math.exp``,
   ``math.log``) give a float at one point;
 * arrays give the float fold at every point of a 1-D float array at once.
@@ -37,18 +42,19 @@ distinct subtree once, under an operation table:
   fold.  This table is built on the first array call, so importing this
   module does not load numpy; an array argument means numpy is loaded.
 
-neg, add, sub and mul are Python's operators in every table.  The float and
-array tables take a constant slot's float and fold none of its operands;
-a constant whose float raises is folded again, so it raises the same error
-at the same point on every call.  A jet or array call may pass a memo, a
-dict of slot values that the expressions of one program share at one x and
-y; the float fold at one point ignores it.
+neg, add, sub and mul are Python's operators in the float and array
+tables.  Those tables take a constant slot's float and fold none of its
+operands; a constant whose float raises is folded again, so it raises the
+same error at the same point on every call.  A jet or array call may pass
+a memo, a dict of slot values that the expressions of one program share at
+one x and y; the float fold at one point ignores it.
 """
 
 import functools
 import math
 import operator
 import sys
+from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -332,15 +338,56 @@ def _fold(expression: Expression, x, y, ops: dict, memo):
     return values[root]
 
 
+def _jet_ops() -> dict:
+    """The jet table, built on each jet call, so that ``solve`` loads no
+    jets.  Its values are jets and exact scalars: a constant slot
+    folds to a ``Fraction`` or a normalised ``Scalar``, and a scalar meets a
+    jet in the jet's own operators.  Each scalar refusal is the one the
+    constant jet of the scalar would raise."""
+    from .jets import Jet, body_inverse, body_ln
+    from .scalars import normalize, sexp
+
+    def exact(op):
+        return lambda *args: normalize(op(*args))
+
+    def div(a, b):
+        return a / b if isinstance(b, Jet) else normalize(a * body_inverse(b))
+
+    def pow_(a, n):
+        if isinstance(a, Jet):
+            return a.pow_int(n)
+        if n < 0:
+            a, n = body_inverse(a), -n
+        if isinstance(a, Fraction):
+            return a ** n
+        out = Fraction(1)
+        while n:  # square and multiply
+            if n & 1:
+                out = out * a
+            n >>= 1
+            if n:
+                a = a * a
+        return normalize(out)
+
+    def exp(a):
+        return a.exp() if isinstance(a, Jet) else sexp(a)
+
+    def ln(a):
+        return a.ln() if isinstance(a, Jet) else body_ln(a)[1]
+
+    return {**{op: exact(f) for op, f in _ARITHMETIC.items()},
+            "num": Fraction, "div": div, "pow": pow_, "exp": exp, "ln": ln}
+
+
 def eval_jet(expression: Expression, x: "Jet", y: "Jet",
              memo=None) -> "Jet":
     """The jet of the expression; ``memo`` holds slots folded with this x,
-    y."""
-    from .jets import Jet  # here, so that ``solve`` loads no jets
-    return _fold(expression, x, y, {
-        **_ARITHMETIC, "num": lambda q: Jet.constant(q, x.base, x.order),
-        "div": operator.truediv, "pow": Jet.pow_int, "exp": Jet.exp,
-        "ln": Jet.ln}, memo)
+    y.  A constant root becomes a constant jet."""
+    from .jets import Jet
+    value = _fold(expression, x, y, _jet_ops(), memo)
+    if isinstance(value, Jet):
+        return value
+    return Jet.constant(value, x.base, x.order)
 
 
 def eval_float(expression: Expression, x, y, memo=None):

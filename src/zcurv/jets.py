@@ -43,8 +43,13 @@ The recurrence reads the parts off the jet's own integer rows, whatever
 their units: each unit's row splits by total degree, each degree keeps one
 row per unit over its own gcd, a pair of units lands on their cached unit
 product, and a unit's sum over k is formed over the lcm of its terms'
-denominators and then divided by one gcd.  Superfields reach it through
-the exp, ln and inverse of their body jet (see ``superfield``).
+denominators and then divided by one gcd.  exp runs it on the jet and
+scales the result by exp of the body; ln and inverse run it on the jet
+over its body c, and inverse scales the result by 1 / c.  These scalars
+are single terms, which ``degree_series`` applies to the rows it splits
+and to the rows it assembles, so no series makes a whole-jet product.
+Superfields reach it through the exp, ln and inverse of their body jet
+(see ``superfield``).
 
 Derivatives lower the order by one: the top-degree coefficients of a
 derivative would need information beyond the input's truncation order.
@@ -60,6 +65,8 @@ from itertools import compress
 
 from .scalars import Scalar, _unit_product, normalize, sexp, sinv, sln
 
+_LONG_BITS = 4096  # see _gcd
+
 
 def _unit_terms(v):
     """The (unit number, nonzero Fraction) terms of an exact scalar."""
@@ -70,37 +77,46 @@ def _unit_terms(v):
     raise TypeError(f"not an exact coefficient: {v!r}")
 
 
-def degree_series(jet, first, kind):
-    """first + sum_{d>=1} out_d for the series ``kind`` of s = sum_d P_d.
+def degree_series(jet, first, kind, scale_in=1, scale_out=1):
+    """first + sum_{d>=1} out_d for the series ``kind`` of s = sum_d P_d,
+    with P_d the degree-d part of ``jet`` times ``scale_in`` and the
+    finished series times ``scale_out``.
 
-    P_d is the degree-d part of ``jet`` (P_0 is not read), and ``first``
-    is an exact scalar.  ``kind`` is "exp" (out_d = E_d, first = 1),
+    P_0 is not read, ``first`` is an exact scalar and the two scales are
+    single-term exact scalars.  ``kind`` is "exp" (out_d = E_d, first = 1),
     "inverse" (out_d = W_d of 1 / (1 + s), first = 1) or "ln" (out_d =
     T_d / d of ln(1 + s), first its constant); the recurrences are in the
     module docstring.
 
     A degree X_d is a list of integer rows (unit, [(i, n)], den), one per
     unit, with i the x-degree.  P_d's rows are read off the jet's: each
-    unit's row is split by total degree i + j, and each degree's row is
-    divided by its own gcd.  A term w * P_k * X_{d-k} adds the product of
-    the rows of units u and v to unit t, where u * v = (m / q) * t, with
-    weight w * m and the denominators' product times q; the trivial unit 0
-    is the identity.  Each unit's sum is formed over the lcm L of its
-    terms' denominators, each weight scaled by L over its own denominator,
-    and divided by one gcd.  For ln, T_0 = 0 and the d P_d term is added on
-    its own.  The degrees hold disjoint bidegrees, so each unit's finished
-    degrees and ``first``'s terms make one row over the lcm of their
-    denominators.
+    unit's row is split by total degree i + j, scaled, and each degree's
+    row is divided by its own gcd.  A term w * P_k * X_{d-k} adds the
+    product of the rows of units u and v to unit t, where u * v = (m / q) *
+    t, with weight w * m and the denominators' product times q; the
+    trivial unit 0 is the identity.  Each unit's sum is formed over the lcm
+    L of its terms' denominators, each weight scaled by L over its own
+    denominator, and divided by one gcd.  For ln, T_0 = 0 and the d P_d term
+    is added on its own.  The degrees hold disjoint bidegrees, so each
+    unit's finished degrees and ``first``'s terms make one row over the lcm
+    of their denominators, which ``scale_out`` then scales.  A single-term
+    scale maps each unit to one unit and distinct units to distinct ones,
+    so neither scale merges rows.
     """
     size = jet.order + 1
     rows = [[] for _ in range(size)]
+    su, sn, sd = _single_term(scale_in)
     for u, (nums, den) in jet.rows.items():
+        w, den = sn, den * sd
+        if su:
+            u, m, q = _unit_product(u, su)
+            w, den = w * m, den * q
         split: dict = {}
         for (i, j), n in nums.items():
             if i + j:
-                split.setdefault(i + j, []).append((i, n))
+                split.setdefault(i + j, []).append((i, n * w))
         for d, row in split.items():
-            g = math.gcd(den, *[n for _, n in row])
+            g = _gcd(den, [n for _, n in row])
             rows[d].append((u, [(i, n // g) for i, n in row], den // g))
     live = [k for k in range(1, size) if rows[k]]
     ln = kind == "ln"
@@ -135,19 +151,52 @@ def degree_series(jet, first, kind):
                     for j, b in prev:
                         acc[i + j] += aw * b
             den = d * lcm if kind == "exp" else lcm
-            g = math.gcd(den, *acc)
+            g = _gcd(den, acc)
             row = [(i, n // g) for i, n in enumerate(acc) if n]
             if row:
                 level.append((t, row, den // g))
                 done.setdefault(t, []).append(
                     (d, row, den // g * (d if ln else 1)))
         seq.append(level)
+    su, sn, sd = _single_term(scale_out)
     out = {}
     for t, entries in done.items():
         lcm = math.lcm(*[den for _, _, den in entries])
-        out[t] = _row({(i, d - i): n * (lcm // den)
-                       for d, row, den in entries for i, n in row}, lcm)
+        w, den = sn, lcm * sd
+        if su:
+            t, m, q = _unit_product(t, su)
+            w, den = w * m, den * q
+        nums = {}
+        for d, row, e in entries:
+            f = lcm // e * w
+            for i, n in row:
+                nums[i, d - i] = n * f
+        out[t] = _row(nums, den)
     return _ring_result(jet.base, jet.order, out)
+
+
+def _single_term(value) -> tuple[int, int, int]:
+    """(unit, numerator, denominator) of a single-term exact scalar."""
+    if isinstance(value, Scalar):
+        ((u, c),) = value._terms.items()
+        return u, c.numerator, c.denominator
+    return 0, value.numerator, value.denominator
+
+
+def body_inverse(c):
+    """1 / c for the body c of a jet, refused as ``Jet.inverse`` refuses
+    it."""
+    if not c:
+        raise ValueError("jet has zero body, cannot invert")
+    return sinv(c)
+
+
+def body_ln(c):
+    """(1 / c, ln c) for the body c of a jet, refused as ``Jet.ln`` refuses
+    it: a zero body first, then by ``sinv``, then by ``sln``."""
+    if not c:
+        raise ValueError("ln of a jet with zero body")
+    return sinv(c), sln(c)
 
 
 def base_pair(base) -> tuple[Fraction, Fraction]:
@@ -286,13 +335,16 @@ class Jet:
             return self * other.inverse()
         return self * sinv(normalize(Scalar(dict(_unit_terms(other)))))
 
+    def __rtruediv__(self, other):
+        """An exact scalar over this jet."""
+        return self.inverse() * other
+
     def inverse(self) -> "Jet":
-        """Multiplicative inverse; the body must be an invertible scalar."""
-        c = self.body
-        if not c:
-            raise ValueError("jet has zero body, cannot invert")
-        ic = sinv(c)  # the recurrence inverts 1 + s, so it runs on self / c
-        return degree_series(self * ic, 1, "inverse") * ic
+        """Multiplicative inverse; the body must be an invertible scalar.
+        The recurrence inverts 1 + s, so it runs on self / c and scales the
+        result by 1 / c."""
+        ic = body_inverse(self.body)
+        return degree_series(self, 1, "inverse", ic, ic)
 
     def pow_int(self, n: int) -> "Jet":
         if n < 0:
@@ -330,16 +382,13 @@ class Jet:
 
     def exp(self) -> "Jet":
         """exp as a truncated series; the scalar ring takes the body first."""
-        eb = sexp(self.body)
-        return degree_series(self, 1, "exp") * eb
+        return degree_series(self, 1, "exp", 1, sexp(self.body))
 
     def ln(self) -> "Jet":
-        """ln as a truncated series; requires a positive-loggable body."""
-        c = self.body
-        if not c:
-            raise ValueError("ln of a jet with zero body")
-        ic, lc = sinv(c), sln(c)  # refuse the body before scaling the jet
-        return degree_series(self * ic, lc, "ln")
+        """ln as a truncated series; requires a positive-loggable body c,
+        and runs the recurrence on self / c."""
+        ic, lc = body_ln(self.body)
+        return degree_series(self, lc, "ln", ic)
 
     def compose(self, fx: "Jet", gy: "Jet") -> "Jet":
         """Substitute x -> fx, y -> gy.
@@ -383,7 +432,12 @@ class Jet:
                          for (i, j), v in sorted(self.coeffs.items()))
 
     def max_abs_coeff(self) -> float:
-        """Largest |coefficient| as a float; inf past the float range."""
+        """Largest |coefficient| as a float; inf past the float range.  A
+        rational jet has one row over one denominator, and rounding is
+        monotone, so its largest numerator gives the largest float."""
+        if self.rows.keys() == {0}:
+            nums, den = self.rows[0]
+            return _magnitude(Fraction(max(map(abs, nums.values())), den))
         return max(map(_magnitude, self.coeffs.values()), default=0.0)
 
     def __eq__(self, other):
@@ -479,10 +533,19 @@ def _collect(terms) -> dict:
 
 def _row(nums, den):
     """The row nums / den (nonzero numerators) divided by their gcd."""
-    g = math.gcd(den, *nums.values())
+    g = _gcd(den, nums.values())
     if g == 1:
         return nums, den
     return {k: n // g for k, n in nums.items()}, den // g
+
+
+def _gcd(den: int, nums) -> int:
+    """gcd(den, *nums).  The gcd of two long ints takes time quadratic in
+    their length, and that of a long and a short one about one division, so
+    past _LONG_BITS the shortest of ``nums`` comes first."""
+    if den.bit_length() > _LONG_BITS:
+        return math.gcd(min(map(abs, nums)), den, *nums)
+    return math.gcd(den, *nums)
 
 
 def _convolve(left, right, order) -> dict:

@@ -65,9 +65,8 @@ def _factor(n: int) -> dict[int, int]:
     for d in _TRIAL_DIVISORS:
         if d * d > rest:
             break
-        while rest % d == 0:
-            out[d] = out.get(d, 0) + 1
-            rest //= d
+        if rest % d == 0:
+            rest, out[d] = _strip(rest, d)
     if rest < d * d:  # no prime factor below d: rest is 1 or a prime
         if rest > 1:
             out[rest] = 1
@@ -93,6 +92,24 @@ def _factor(n: int) -> dict[int, int]:
         else:  # proven prime
             out[m] = out.get(m, 0) + 1
     return out
+
+
+def _strip(n: int, d: int) -> tuple[int, int]:
+    """(n / d^e, e) for the largest e with d^e dividing n, d > 1.  n is
+    divided by d, d^2, d^4, ... while each divides what is left, which
+    takes out d^(2^k - 1) and leaves less than 2^k factors d; the same
+    powers, from the largest down, take out those.  So the exponent costs
+    O(log e) divisions, not e."""
+    powers, e = [], 0
+    while not (qr := divmod(n, d))[1]:
+        n, e = qr[0], 2 * e + 1
+        powers.append(d)
+        d *= d
+    for k in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[k])
+        if not r:
+            n, e = q, e + (1 << k)
+    return n, e
 
 
 def _short(n: int) -> str:
@@ -229,6 +246,8 @@ class Scalar:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented  # a jet takes a scalar in its own + and *
         other = as_scalar(other)
         terms = dict(self._terms)
         for u, c in other._terms.items():
@@ -241,12 +260,14 @@ class Scalar:
         return Scalar({u: -c for u, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-as_scalar(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return as_scalar(other) + (-self)
+        return (-self) + other
 
     def __mul__(self, other):
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
         other = as_scalar(other)
         terms: dict = {}
         for u, c1 in self._terms.items():

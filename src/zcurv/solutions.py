@@ -18,7 +18,8 @@ square A, invertible or not.
 from collections import namedtuple
 from fractions import Fraction
 
-from .jets import Jet
+from .jets import Jet, body_ln, degree_series
+from .scalars import normalize, sinv
 
 # D+(D-(F)) = sign * exp(F): zerocurv derives the sign, and re-exports it
 SUPER_LIOUVILLE_SIGN = 1
@@ -38,12 +39,14 @@ class SolutionVector(namedtuple("SolutionVector", "components cartan")):
 
 def liouville_solution(f: Jet, g: Jet) -> Jet:
     """General Liouville solution  F = (1/2) ln(f'(x) g'(y) / (f+g)^2),
-    computed as (1/2) ln(f'g') - (1/2) ln((f+g)^2).
+    computed as (1/2) ln(f'g') - ln|f+g|.
 
     ``f`` must depend on x only and ``g`` on y only, with nonvanishing
     derivative bodies, nonvanishing f+g body, and positive f'g' body (the
-    exact ln works on the real branch; (f+g)^2 has a positive body whatever
-    the sign of f+g).  The result has order one less than the inputs.
+    exact ln works on the real branch).  With c = f(x0) + g(y0), ln|f+g| is
+    (1/2) ln(c^2) + ln(1 + (f+g-c)/c): one series on the sparse f+g, whatever
+    the sign of c.  c^2 is refused first, as ln((f+g)^2) refuses it.  The
+    result has order one less than the inputs.
     """
     f._check_compatible(g)
     if not f.depends_only_on("x"):
@@ -57,10 +60,13 @@ def liouville_solution(f: Jet, g: Jet) -> Jet:
     if gp.body == 0:
         raise ValueError("g'(y0) vanishes")
     s = (f + g).truncate(fp.order)
-    if s.body == 0:
+    c = s.body
+    if c == 0:
         raise ValueError("f(x0) + g(y0) vanishes")
-    log_s2 = (s * s).ln()  # first, so its errors precede those of ln(f'g')
-    return ((fp * gp).ln() - log_s2) * Fraction(1, 2)
+    _, log_c2 = body_ln(normalize(c * c))  # refuse c^2 before f'g'
+    half = Fraction(1, 2)
+    log_s = degree_series(s, normalize(log_c2 * half), "ln", sinv(c))
+    return (fp * gp).ln() * half - log_s
 
 
 def _matvec(matrix, vectors, like) -> list[Jet]:

@@ -678,6 +678,45 @@ def test_huge_integer_power_is_fast(capsys):
     assert "vanishes" in err
 
 
+# Constant subexpressions fold to exact scalars; each refusal keeps the line
+# that folding them as constant jets printed.
+@pytest.mark.parametrize("f,message", [
+    ("x+1/0", "jet has zero body, cannot invert"),
+    ("x+1/(ln(2)-ln(2))", "jet has zero body, cannot invert"),
+    ("x+0^-1", "jet has zero body, cannot invert"),
+    ("x+ln(0)", "ln of a jet with zero body"),
+    ("x+ln(-1)", "ln requires a positive scalar, got -1"),
+    ("x+exp(ln(2)*ln(3))", "exp not defined on scalar term ln(2)*ln(3)"),
+    ("x+ln(1+ln(2))", "cannot invert multi-term scalar 1 + ln(2)"),
+    ("x+(1+ln(2))^-2", "cannot invert multi-term scalar 1 + ln(2)"),
+    ("x+ln(ln(2))", "cannot invert scalar with ln factors: ln(2)"),
+])
+def test_a_constant_subexpression_refuses_with_its_jet_line(capsys, f,
+                                                             message):
+    code, out, err = run(capsys, "verify-liouville", "--f", f, "--g", "y")
+    assert (code, out) == (3, "")
+    assert err == f"error: cannot evaluate {f!r} as a jet: {message}\n"
+
+
+def test_a_huge_power_of_two_in_f_verifies_in_seconds(capsys):
+    # f + g = 2^300000 + x + y at the origin: ln((f+g)^2) factors
+    # 2^600000, which took 101 s one division at a time; what is left is
+    # long-integer gcd and division on 900,000-bit denominators
+    start = time.perf_counter()
+    got = run(capsys, "verify-liouville", "--f", "x+2^300000", "--g", "y",
+              "--order", "4")
+    assert time.perf_counter() - start < 10
+    assert got == (0, "residual order: 1\nmax residual coefficient "
+                   "magnitude: 0.0\n", "")
+
+
+def test_a_negative_sum_verifies(capsys):
+    # f(x0) + g(y0) = -2: ln|f+g| runs on f+g, whatever its sign
+    assert run(capsys, "verify-liouville", "--f=-x-2", "--g=-y", "--order",
+               "6") == (0, "residual order: 3\nmax residual coefficient "
+                        "magnitude: 0.0\n", "")
+
+
 @pytest.mark.parametrize("base,code", [
     ("1e20,0", 0), ("1e40,0", 3),
     ("300000000580000000017,0", 0)])

@@ -14,14 +14,15 @@ import functools
 import math
 import operator
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from test_parse_oracle import tree_of
-from test_properties import (PROPERTY, coordinates, fractions, outcome,
-                             render, trees, trees_in)
+from test_properties import (PROPERTY, _extend, coordinates, fractions,
+                             outcome, render, trees, trees_in)
 from zcurv.exprparse import (eval_float, eval_jet, parse_expression,
                              used_variables)
 from zcurv.jets import Jet
@@ -172,6 +173,42 @@ def test_compiled_folds_match_the_reference(node, x0, y0, xs):
                                      xs), render(node)
 
 
+def _cancelling(node):
+    """Zeros made from node: node - node, 0 * node and 0 / node, and zeros
+    that are no syntactic difference, ln of node squared less twice its ln
+    and exp(ln(node)) less node."""
+    zero = ("num", Fraction(0))
+    return st.sampled_from([
+        ("sub", node, node), ("mul", zero, node), ("div", zero, node),
+        ("sub", ("ln", ("pow", node, 2)), ("mul", ("num", Fraction(2)),
+                                          ("ln", node))),
+        ("sub", ("exp", ("ln", node)), node)])
+
+
+def _extend_constants(children):
+    return st.one_of(_extend(children), children.flatmap(_cancelling))
+
+
+# Constant subtrees: ln, exp, powers and quotients of constants, and
+# differences that cancel to zero, so that divisions by, ln of and negative
+# powers of an exact zero reach the fold.
+constants = st.recursive(st.tuples(st.just("num"), fractions),
+                         _extend_constants, max_leaves=4)
+constant_trees = st.recursive(
+    st.one_of(constants, st.tuples(st.just("var"), st.sampled_from("xy"))),
+    _extend, max_leaves=4)
+
+
+@PROPERTY
+@given(constant_trees, fractions, fractions, coordinates)
+def test_constant_subtrees_fold_like_constant_jets(node, x0, y0, xs):
+    # the jet fold takes a constant subtree's exact scalar; the reference
+    # builds it as a constant jet, so the jets and refusals must agree
+    parsed = parse_expression(render(node))
+    assert folds(parsed, x0, y0, xs) == reference_folds(node, x0, y0,
+                                                        xs), render(node)
+
+
 @PROPERTY
 @given(trees, st.lists(st.tuples(fractions, fractions), min_size=2,
                        max_size=5), coordinates)
@@ -191,6 +228,8 @@ def test_a_warm_program_folds_like_a_fresh_one(node, points, xs):
     "x+ln(1-1)*y", "y-(10^200)^2", "x*(ln(0)+1)",
     # two raising operands: the left one raises first
     "ln(0)*x+(1/0)*y", "(1/0)*y-ln(0)*x",
+    # an exact zero made of a unit: refused as zero, not as a scalar
+    "x+1/(0/exp(1))", "x+1/(0*exp(1))", "ln(0*exp(1))+y", "x+(0/exp(1))^-1",
 ])
 def test_a_raising_constant_raises_on_every_call(text):
     expression = parse_expression(text)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, GOLDEN, random_fraction, random_jet
+from conftest import (DATA, GOLDEN, random_fraction, random_jet,
+                      random_superfield)
 from zcurv import jets, scalars
 from zcurv.jets import Jet
 from zcurv.scalars import as_scalar, normalize, sexp, sinv, sln
@@ -134,6 +135,26 @@ def test_exp_refuses_the_body_before_any_series(monkeypatch):
     with pytest.raises(ValueError,
                        match=r"exp not defined on scalar term exp\(1\)"):
         u.exp()
+
+
+def test_max_abs_of_a_rational_jet_reads_its_one_row():
+    # one row over one denominator: the largest numerator rounds to the
+    # largest float, and past the float range to inf, as per coefficient
+    rng = random.Random(33)
+    jets_ = [Jet.zero(order=3), Jet.constant(Fraction(-7, 3), order=0)]
+    for _ in range(60):
+        u = random_jet(rng, (Fraction(1, 3), 2), order=5, terms=6)
+        jets_ += [u, u * Fraction(rng.randint(1, 10 ** 20),
+                                  rng.randint(1, 10 ** 20))]
+    huge = Fraction(-10 ** 401 - 7, 9)
+    jets_ += [Jet((0, 0), 3, {(0, 0): huge, (1, 2): Fraction(1, 3)}),
+              Jet((0, 0), 3, {(2, 0): Fraction(10 ** 308, 3), (0, 1): 1})]
+    for u in jets_:
+        assert u.rows.keys() <= {0}
+        want = max(map(jets._magnitude, u.coeffs.values()), default=0.0)
+        assert u.max_abs_coeff() == want
+    assert jets_[-2].max_abs_coeff() == float("inf")
+    assert jets_[-1].max_abs_coeff() == float(Fraction(10 ** 308, 3))
 
 
 def test_compose_identity_and_shift():
@@ -448,6 +469,79 @@ def test_series_build_a_fixed_number_of_jets(monkeypatch):
         built.clear()
         series()
         assert len(built) <= 3, series.__name__
+
+
+# exp, ln and inverse scale inside degree_series.  Each equals the
+# composition it replaced, which scaled whole jets around the series.
+
+def _composed_exp(u):
+    return jets.degree_series(u, 1, "exp") * sexp(u.body)
+
+
+def _composed_ln(u):
+    ic = sinv(u.body)
+    return jets.degree_series(u * ic, sln(u.body), "ln")
+
+
+def _composed_inverse(u):
+    ic = sinv(u.body)
+    return jets.degree_series(u * ic, 1, "inverse") * ic
+
+
+# Bodies whose exp is a unit (a rational plus logarithms), and single-term
+# bodies for ln and inverse: a rational, exp and root units and a product.
+EXP_BODIES = [Fraction(3, 2), Fraction(1, 2) + sln(Fraction(2)),
+              sln(Fraction(5)) * Fraction(1, 3),
+              Fraction(-2) + sln(Fraction(3)) * Fraction(1, 2)]
+UNIT_BODIES = [Fraction(3, 2), sexp(Fraction(1, 3)) * 2, ROOT2,
+               ROOT2 * sexp(Fraction(-1, 2)) * Fraction(5, 7)]
+
+
+def _with_bodies(bodies, seed):
+    """Dense series inputs over each of SERIES_UNITS, with each body."""
+    rng = random.Random(seed)
+    out = []
+    for order in (1, 4, 7):
+        for units in SERIES_UNITS:
+            for body in bodies:
+                u = _series_jet(rng, order, "dense", 12, units)
+                out.append(u - u.body + body)
+    return out
+
+
+def test_series_equal_their_whole_jet_compositions(monkeypatch):
+    cases = [(u, u.exp, _composed_exp(u))
+             for u in _with_bodies(EXP_BODIES, 330)]
+    for u in _with_bodies(UNIT_BODIES, 331):
+        cases += [(u, u.ln, _composed_ln(u)),
+                  (u, u.inverse, _composed_inverse(u)),
+                  (u, (-u).inverse, _composed_inverse(-u))]
+
+    def scaled(self, value):
+        raise AssertionError("a series scaled a whole jet")
+
+    monkeypatch.setattr(Jet, "_scaled", scaled)
+    for u, series, want in cases:
+        got = series()
+        assert got == want, (series.__name__, str(u))
+        assert str(got) == str(want)
+
+
+def test_superfield_series_equal_their_whole_jet_compositions(monkeypatch):
+    rng = random.Random(332)
+    gens, base = standard_gens(2), (Fraction(1, 2), Fraction(-1, 3))
+
+    def field(body):
+        f = random_superfield(rng, gens, base, order=4, parity=0)
+        return f + (body - f.component(0).body)
+
+    exps = [field(body) for body in EXP_BODIES]
+    lns = [field(body) for body in UNIT_BODIES]
+    got = [f.exp() for f in exps], [f.ln() for f in lns]
+    monkeypatch.setattr(Jet, "exp", _composed_exp)
+    monkeypatch.setattr(Jet, "ln", _composed_ln)
+    monkeypatch.setattr(Jet, "inverse", _composed_inverse)
+    assert got == ([f.exp() for f in exps], [f.ln() for f in lns])
 
 
 # Unit rows against coefficient-wise Fraction | Scalar arithmetic.  Besides

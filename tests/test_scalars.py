@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,35 @@ def test_factor_splits_squares_before_the_cofactor_limit():
     assert str(err.value) == (
         f"cannot factor {_short(n)} exactly: its factor {_short(n)} has "
         f"{n.bit_length()} bits, past the limit of {MAX_COFACTOR_BITS}")
+
+
+def _factor_one_at_a_time(n: int) -> dict[int, int]:
+    """The trial division _factor used before it stripped whole powers: one
+    division per factor.  For the smooth numbers below it is complete."""
+    out, rest = {}, n
+    for d in scalars._TRIAL_DIVISORS:
+        while rest % d == 0:
+            out[d] = out.get(d, 0) + 1
+            rest //= d
+    assert rest == 1
+    return out
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13, 997]),
+                          st.integers(0, 300)), max_size=5))
+def test_factor_strips_powers_like_one_division_at_a_time(powers):
+    n = math.prod(p**e for p, e in powers)
+    assert _factor(n) == _factor_one_at_a_time(n)
+
+
+def test_a_prime_power_factors_in_few_divisions():
+    # one division per factor took 0.1 s at 2^20000 and 0.4 s at 2^40000,
+    # quadratic in the exponent; 2^600000 would take minutes
+    start = time.perf_counter()
+    assert _factor(2**600000 * 3**1000) == {2: 600000, 3: 1000}
+    assert _factor(997**50001) == {997: 50001}
+    assert time.perf_counter() - start < 3
 
 
 def test_short_form_matches_str():

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_fraction, random_jet, random_poly_x, random_poly_y
 from zcurv.cartan import CartanMatrix, standard_cartan
 from zcurv.jets import Jet
-from zcurv.scalars import sln
+from zcurv.scalars import sexp, sln
 from zcurv.solutions import (SolutionVector, conformal_transform,
                              liouville_residual, liouville_solution,
                              lse_residual, super_liouville_residual,
@@ -96,6 +96,60 @@ def test_liouville_solution_matches_the_ratio_form(rng):
         solution = liouville_solution(f, g)
         assert solution == _oracle_liouville_solution(f, g)
         assert str(solution) == str(_oracle_liouville_solution(f, g))
+
+
+def _squared_sum_solution(f, g):
+    """The form liouville_solution replaced, (1/2) (ln(f'g') - ln((f+g)^2)),
+    ln((f+g)^2) first: its refusals are the ones to keep."""
+    fp, gp = f.deriv_x(), g.deriv_y()
+    s = (f + g).truncate(fp.order)
+    log_s2 = (s * s).ln()
+    return ((fp * gp).ln() - log_s2) * Fraction(1, 2)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_ln_of_a_negative_or_unit_sum_matches_the_ratio_form():
+    cases = []
+    for base in ((0, 0), (Fraction(1, 3), Fraction(1, 3)),
+                 (Fraction(-1, 2), Fraction(2))):
+        x, y = jet_x(9, base), jet_y(9, base)
+        y0 = y - base[1]  # g(y0) = 0, so f + g has f's body
+        cases += [(-x - 2, -y),  # f(x0) + g(y0) < 0
+                  (-x * x * Fraction(1, 2) - x * 2 - 3,
+                   1 - y * Fraction(1, 2)),
+                  ((x * 4).exp(), y0),  # the body exp(4 x0), a unit
+                  (-(x * 4).exp(), -y0),  # minus that unit
+                  ((x * 2).exp() * 3, y0 * sexp(Fraction(1, 3)))]
+    for f, g in cases:
+        assert (f + g).body != 0
+        solution = liouville_solution(f, g)
+        assert solution == _oracle_liouville_solution(f, g)
+        assert solution == _squared_sum_solution(f, g)
+        assert str(solution) == str(_oracle_liouville_solution(f, g))
+
+
+def test_the_squared_sum_is_refused_first():
+    half_third = (Fraction(1, 2), Fraction(1, 3))
+    x, y = jet_x(6, half_third), jet_y(6, half_third)
+    x0, y0 = jet_x(6), jet_y(6)
+    cases = [
+        (x.exp(), y),  # c = exp(1/2) + 1/3: c^2 has three terms
+        (-x.exp(), y),  # the same, and f'g' < 0 too
+        (x0 + sln(Fraction(2)), y0),  # c = ln(2): c^2 has an ln factor
+        (x0 + 10 ** 40 + 2, y0),  # c^2 past what _factor decides
+        (x0 + 10 ** 40 + 2, -y0),  # the same, and f'g' < 0 too
+        (-x0 + 1, y0 + 1),  # c^2 = 4 is fine, f'g' < 0 is not
+    ]
+    for f, g in cases:
+        refusal = _outcome(lambda: liouville_solution(f, g))
+        assert isinstance(refusal, str)
+        assert refusal == _outcome(lambda: _squared_sum_solution(f, g))
 
 
 def test_liouville_residual_of_zero():
