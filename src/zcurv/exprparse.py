@@ -338,12 +338,13 @@ def _fold(expression: Expression, x, y, ops: dict, memo):
     return values[root]
 
 
+@functools.cache
 def _jet_ops() -> dict:
-    """The jet table, built on each jet call, so that ``solve`` loads no
-    jets.  Its values are jets and exact scalars: a constant slot
-    folds to a ``Fraction`` or a normalised ``Scalar``, and a scalar meets a
-    jet in the jet's own operators.  Each scalar refusal is the one the
-    constant jet of the scalar would raise."""
+    """The jet table, built on first use, so that ``solve`` loads no jets.
+    Its values are jets and exact scalars: a constant slot folds to a
+    ``Fraction`` or a normalised ``Scalar``, and a scalar meets a jet in the
+    jet's own operators.  Each scalar refusal is the one the constant jet of
+    the scalar would raise."""
     from .jets import Jet, body_inverse, body_ln
     from .scalars import normalize, sexp
 

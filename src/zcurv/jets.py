@@ -65,8 +65,6 @@ from itertools import compress
 
 from .scalars import Scalar, _unit_product, normalize, sexp, sinv, sln
 
-_LONG_BITS = 4096  # see _gcd
-
 
 def _unit_terms(v):
     """The (unit number, nonzero Fraction) terms of an exact scalar."""
@@ -116,7 +114,7 @@ def degree_series(jet, first, kind, scale_in=1, scale_out=1):
             if i + j:
                 split.setdefault(i + j, []).append((i, n * w))
         for d, row in split.items():
-            g = _gcd(den, [n for _, n in row])
+            g = math.gcd(den, *[n for _, n in row])
             rows[d].append((u, [(i, n // g) for i, n in row], den // g))
     live = [k for k in range(1, size) if rows[k]]
     ln = kind == "ln"
@@ -151,7 +149,7 @@ def degree_series(jet, first, kind, scale_in=1, scale_out=1):
                     for j, b in prev:
                         acc[i + j] += aw * b
             den = d * lcm if kind == "exp" else lcm
-            g = _gcd(den, acc)
+            g = math.gcd(den, *acc)
             row = [(i, n // g) for i, n in enumerate(acc) if n]
             if row:
                 level.append((t, row, den // g))
@@ -533,19 +531,10 @@ def _collect(terms) -> dict:
 
 def _row(nums, den):
     """The row nums / den (nonzero numerators) divided by their gcd."""
-    g = _gcd(den, nums.values())
+    g = math.gcd(den, *nums.values())
     if g == 1:
         return nums, den
     return {k: n // g for k, n in nums.items()}, den // g
-
-
-def _gcd(den: int, nums) -> int:
-    """gcd(den, *nums).  The gcd of two long ints takes time quadratic in
-    their length, and that of a long and a short one about one division, so
-    past _LONG_BITS the shortest of ``nums`` comes first."""
-    if den.bit_length() > _LONG_BITS:
-        return math.gcd(min(map(abs, nums)), den, *nums)
-    return math.gcd(den, *nums)
 
 
 def _convolve(left, right, order) -> dict:

@@ -18,8 +18,7 @@ square A, invertible or not.
 from collections import namedtuple
 from fractions import Fraction
 
-from .jets import Jet, body_ln, degree_series
-from .scalars import normalize, sinv
+from .jets import Jet, _single_term, body_ln
 
 # D+(D-(F)) = sign * exp(F): zerocurv derives the sign, and re-exports it
 SUPER_LIOUVILLE_SIGN = 1
@@ -43,9 +42,9 @@ def liouville_solution(f: Jet, g: Jet) -> Jet:
 
     ``f`` must depend on x only and ``g`` on y only, with nonvanishing
     derivative bodies, nonvanishing f+g body, and positive f'g' body (the
-    exact ln works on the real branch).  With c = f(x0) + g(y0), ln|f+g| is
-    (1/2) ln(c^2) + ln(1 + (f+g-c)/c): one series on the sparse f+g, whatever
-    the sign of c.  c^2 is refused first, as ln((f+g)^2) refuses it.  The
+    exact ln works on the real branch).  ln|f+g| is the ln of f+g or of
+    -(f+g), by the sign of the exact body c = f(x0) + g(y0): one series on
+    the sparse f+g.  c^2 is refused first, as ln((f+g)^2) refuses it.  The
     result has order one less than the inputs.
     """
     f._check_compatible(g)
@@ -63,10 +62,9 @@ def liouville_solution(f: Jet, g: Jet) -> Jet:
     c = s.body
     if c == 0:
         raise ValueError("f(x0) + g(y0) vanishes")
-    _, log_c2 = body_ln(normalize(c * c))  # refuse c^2 before f'g'
-    half = Fraction(1, 2)
-    log_s = degree_series(s, normalize(log_c2 * half), "ln", sinv(c))
-    return (fp * gp).ln() * half - log_s
+    body_ln(c * c)  # refuse c^2 before f'g'
+    _, sign, _ = _single_term(c)
+    return (fp * gp).ln() * Fraction(1, 2) - (s if sign > 0 else -s).ln()
 
 
 def _matvec(matrix, vectors, like) -> list[Jet]:

@@ -700,8 +700,9 @@ def test_a_constant_subexpression_refuses_with_its_jet_line(capsys, f,
 
 def test_a_huge_power_of_two_in_f_verifies_in_seconds(capsys):
     # f + g = 2^300000 + x + y at the origin: ln((f+g)^2) factors
-    # 2^600000, which took 101 s one division at a time; what is left is
-    # long-integer gcd and division on 900,000-bit denominators
+    # 2^600000, which took 101 s one division at a time.  The bound guards
+    # that; what is left is long-integer gcd and division on 900,000-bit
+    # denominators, and it takes longer than the 2 s once aimed for
     start = time.perf_counter()
     got = run(capsys, "verify-liouville", "--f", "x+2^300000", "--g", "y",
               "--order", "4")
