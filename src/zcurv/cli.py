@@ -13,7 +13,9 @@ alone reads a rational input (--base, --h, a boundary's x0..y1): a string
 or a number, with at most MAX_RATIONAL_BITS bits in its numerator and
 denominator.  An expression has at most MAX_EXPRESSION_CHARS characters.
 ``main`` builds the argparse parser on its first call and reuses it for
-every later call in the process.
+every later call in the process.  A value that begins with '-' may follow
+its option after a space (``--f -x-2``): ``main`` passes it to argparse as
+``--f=-x-2``, unless it is itself an option string.
 
 Importing this module loads no other zcurv module: each verb imports what
 it uses when it runs.  ``verify-liouville`` loads ``exprparse``, ``jets``,
@@ -412,9 +414,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _option_strings() -> tuple[frozenset, frozenset]:
+    """The option strings of the parser and of each verb, and those among
+    them that take a value."""
+    root = build_parser()
+    parsers = [root, *(sub for act in root._actions
+                       if isinstance(act, argparse._SubParsersAction)
+                       for sub in act.choices.values())]
+    actions = {s: act for p in parsers
+               for s, act in p._option_string_actions.items()}
+    return (frozenset(actions),
+            frozenset(s for s, act in actions.items() if act.nargs != 0))
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """``argv`` with a value that begins with '-' written as --opt=value
+    after the option that takes it, since argparse reads it as an option
+    (``--f -x-2``, ``--base -1/2,1/3``).  A value that is itself an option
+    string or '--' is left for argparse to refuse."""
+    options, takes_value = _option_strings()
+    out = []
+    for arg in argv:
+        if (out and out[-1] in takes_value and arg.startswith("-")
+                and arg not in options and arg != "--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_dash_values(argv))
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:  # InputError included

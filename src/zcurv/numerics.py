@@ -13,13 +13,21 @@ reported on the grid, not iterated to tolerance.
 
 Cell (i, j) depends on (i-1, j), (i, j-1) and (i-1, j-1) only, so the
 solver marches whole anti-diagonals as numpy slices, in the per-cell
-operation order of a scalar loop and with ``math.exp`` throughout.  The
-march and ``residual_grid`` each build the right-hand side ``_rhs_kernel``
-once.  ``write_csv`` formats a grid with one ``%`` a block of rows.
-``square_steps`` refuses a grid of over MAX_GRID_VALUES values before
-anything is sampled or allocated; each boundary trace is then sampled once
-per grid point, and the corner check reuses the two samples at (x0, y0).
-Grids and their data are named tuples.
+operation order of a scalar loop and with ``math.exp`` throughout.  It
+marches a component-major (n, M+1, M+1) array, so a diagonal and its three
+corners are (n, cells) blocks and every elementwise op runs along the
+diagonal, and it returns the transposed view of that array as the grid,
+not a copy.  The march and ``residual_grid`` each build the right-hand side
+``_rhs_kernel`` once; it adds the products of the live columns with one
+reduce.  The march checks finiteness once per batch of 16 diagonals: a
+finite largest |final - first| proves every final value of the batch
+finite, and only when it is not, or when an exp overflows, are the batch's
+diagonals redone in order to name the first failing cell.  ``write_csv``
+formats a grid with one ``%`` a block of rows.  ``square_steps`` refuses a
+grid of over MAX_GRID_VALUES values before anything is sampled or
+allocated; each boundary trace is then sampled once per grid point, and the
+corner check reuses the two samples at (x0, y0).  Grids and their data are
+named tuples.
 """
 
 import math
@@ -33,7 +41,10 @@ from .cartan import CartanMatrix
 
 
 class Grid(namedtuple("Grid", "x0 x1 y0 y1 h values sweep_residual")):
-    """``values`` is (M+1, M+1, n), [i, j] at (x0 + i h, y0 + j h)."""
+    """``values`` is (M+1, M+1, n), [i, j] at (x0 + i h, y0 + j h); the march
+    returns the transposed view of its component-major (n, M+1, M+1) array.
+    ``x_at`` and ``y_at`` take float(x0 + i h) and float(y0 + j h) by the
+    rule of ``_lattice``."""
 
     __slots__ = ()
 
@@ -56,10 +67,12 @@ class Grid(namedtuple("Grid", "x0 x1 y0 y1 h values sweep_residual")):
         return self.values.shape[2]
 
     def x_at(self, i: int) -> float:
-        return float(self.x0 + i * self.h)
+        n0, dn, d = _lattice(self.x0, self.h)
+        return (n0 + i * dn) / d
 
     def y_at(self, j: int) -> float:
-        return float(self.y0 + j * self.h)
+        n0, dn, d = _lattice(self.y0, self.h)
+        return (n0 + j * dn) / d
 
 
 class GoursatData(NamedTuple):
@@ -111,57 +124,92 @@ def square_steps(x0, x1, y0, y1, h, rank: int = 1) -> int:
     return m
 
 
+def _lattice(lo: Fraction, h: Fraction) -> tuple[int, int, int]:
+    """(n0, dn, d) with lo = n0 / d and h = dn / d.  float(lo + i*h) is the
+    one correctly rounded int true division (n0 + i*dn) / d, as
+    ``Fraction.__float__`` is, so it is the same float, and it overflows
+    with the same OverflowError."""
+    (n0, d0), (dn, d1) = lo.as_integer_ratio(), h.as_integer_ratio()
+    d = math.lcm(d0, d1)
+    return n0 * (d // d0), dn * (d // d1), d
+
+
 def grid_points(lo, h, m: int) -> list[float]:
-    """float(lo + i*h) for i = 0..m.  Each point is one correctly rounded
-    int true division (n0 + i*dn) / d, as ``Fraction.__float__`` is, so it is
-    the same float, and it overflows with the same OverflowError."""
-    lo, h = Fraction(lo), Fraction(h)
-    d = math.lcm(lo.denominator, h.denominator)
-    n0 = lo.numerator * (d // lo.denominator)
-    dn = h.numerator * (d // h.denominator)
+    """float(lo + i*h) for i = 0..m, by the rule of ``_lattice``."""
+    n0, dn, d = _lattice(Fraction(lo), Fraction(h))
     return [(n0 + i * dn) / d for i in range(m + 1)]
 
 
 def _rhs_kernel(a: CartanMatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """rhs(g) = sum_l A_kl exp(g_l) for a block of cells, one cell per row of
-    ``g`` (0.0 when no entry is nonzero), bitwise equal to a scalar loop that
-    sums from 0.0 over ascending l and skips zero entries.  math.exp (np.exp
-    differs from it in the last bit on a few percent of arguments) maps one
-    flat list of the live columns, those some entry uses.  A zero entry in a
-    live column adds +-0.0, which leaves a sum started at +0.0 unchanged
-    while the exps are finite; when one is not, the scalar loop's final
-    value for that cell is not finite either."""
+    """rhs(g) = sum_l A_kl exp(g_l) for an (n, cells) block ``g``, component
+    by component (0.0 when no entry is nonzero), bitwise equal to a scalar
+    loop that sums from 0.0 over ascending l and skips zero entries.
+    math.exp (np.exp differs from it in the last bit on a few percent of
+    arguments) maps the flat list of the live rows, those some entry uses,
+    and one reduce from +0.0 over them adds their (n, cells) products in
+    order.  A zero entry in a live column adds +-0.0, which leaves a sum
+    started at +0.0 unchanged while the exps are finite; when one is not,
+    the scalar loop's final value for that cell is not finite either."""
     af = np.array(a.entries, dtype=float)
     live = np.flatnonzero(af.any(axis=0))
-    cols = live if len(live) < len(af) else slice(None)
-    at = af[:, live].T[:, None, :]  # [l, 0, k] = A_k,live[l]
+    rows = live if len(live) < len(af) else slice(None)
+    at = af[:, live].T[:, :, None]  # [l, k, 0] = A_k,live[l]
 
     def rhs(g: np.ndarray) -> np.ndarray:
-        src = g[:, cols].T.ravel().tolist()  # live column by live column
+        cells = g.shape[1]  # a zero matrix leaves no live row to count
+        src = g[rows].ravel().tolist()  # live row by live row
         e = np.fromiter(map(math.exp, src), float, len(src))
-        # one (cells, n) block of products per live column, added in order
-        return sum(e.reshape(len(live), len(g), 1) * at, 0.0)
+        return np.add.reduce(e.reshape(len(live), 1, cells) * at, axis=0,
+                             initial=0.0)
 
     return rhs
 
 
-def _update(rhs, h2, va, vb, vc):
+def _diagonal(flat: np.ndarray, m: int, d: int):
+    """The lowest i of anti-diagonal ``d``, the columns of its cells in the
+    component-major ``flat`` and the (n, cells) blocks of their (i-1, j),
+    (i, j-1) and (i-1, j-1) corners: cell (i, d - i) is column i*m + d, so
+    a diagonal and each of its corners are slices of step m."""
+    lo, hi = max(1, d - m), min(m, d - 1)
+    start, stop = lo * m + d, hi * m + d + 1
+    return lo, slice(start, stop, m), [flat[:, start - k:stop - k:m]
+                                       for k in (m + 1, 1, m + 2)]
+
+
+def _corrector(rhs, h2, va, vb, vc):
     """(first, final) corrector values of cells whose (i-1, j), (i, j-1) and
-    (i-1, j-1) corners are the rows of ``va``, ``vb``, ``vc``; None when an
-    exp overflows or a final value is not finite."""
+    (i-1, j-1) corners are the columns of ``va``, ``vb``, ``vc``; math.exp
+    raises OverflowError past the float range."""
     ab = va + vb
     pred, abc = ab - vc, ab + vc
+    first = pred + h2 * rhs((abc + pred) * 0.25)
+    return first, pred + h2 * rhs((abc + first) * 0.25)
+
+
+def _fails(rhs, h2, corners) -> bool:
+    """Whether an exp overflows or a final value is not finite."""
     try:
-        first = pred + h2 * rhs((abc + pred) * 0.25)
-        final = pred + h2 * rhs((abc + first) * 0.25)
+        _, final = _corrector(rhs, h2, *corners)
     except OverflowError:
-        return None
-    return (first, final) if np.isfinite(final).all() else None
+        return True
+    return not np.isfinite(final).all()
+
+
+def _check_diagonals(rhs, h2, flat, m: int, diagonals) -> None:
+    """Raise GridOverflowError for the first cell of ``diagonals``, taken
+    in order, that fails; every earlier diagonal holds its final values, so
+    each cell reads what the march read."""
+    for d in diagonals:
+        lo, _, corners = _diagonal(flat, m, d)
+        if _fails(rhs, h2, corners):
+            i = next(i for i in range(lo, d) if _fails(
+                rhs, h2, [c[:, i - lo:i - lo + 1] for c in corners]))
+            raise GridOverflowError(i, d - i)
 
 
 def _check_finite(edge: str, var: str, coords, edge_values) -> None:
     """Reject the first point of an edge with a non-finite trace value."""
-    bad = ~np.isfinite(edge_values).all(axis=1)
+    bad = ~np.isfinite(edge_values).all(axis=0)
     if bad.any():
         raise ValueError(f"boundary trace {edge} is not finite at "
                          f"{var} = {coords[int(bad.argmax())]!r}")
@@ -195,47 +243,51 @@ def solve_goursat(a: CartanMatrix, data: GoursatData, h,
     if gap > CORNER_TOL:
         raise CornerMismatchError(
             f"boundary traces disagree at the corner by {gap:.3e}")
-    values = np.empty((m + 1, m + 1, n), dtype=np.float64)
-    values[:, 0] = y_rows
-    _check_finite("y_edge", "x", xs, values[:, 0])
-    values[0, :] = x_rows
-    _check_finite("x_edge", "y", ys, values[0, :])
+    # component-major: [k, i, j] is component k at (x0 + i h, y0 + j h)
+    work = np.empty((n, m + 1, m + 1), dtype=np.float64)
+    work[:, :, 0] = np.array(y_rows, dtype=np.float64).T
+    _check_finite("y_edge", "x", xs, work[:, :, 0])
+    work[:, 0, :] = np.array(x_rows, dtype=np.float64).T
+    _check_finite("x_edge", "y", ys, work[:, 0, :])
     rhs = _rhs_kernel(a)
     h2 = float(h) * float(h)
-    # cell (i, d - i) is row i*m + d of the flat view, so a diagonal and
-    # its three known corners are slices of step m
-    flat, sweep, steps = values.reshape(-1, n), 0.0, []
+    flat, sweep, steps = work.reshape(n, -1), 0.0, []
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(2, 2 * m + 1):
-            lo, hi = max(1, d - m), min(m, d - 1)
-            start, stop = lo * m + d, hi * m + d + 1
-            corners = [flat[start - k:stop - k:m] for k in (m + 1, 1, m + 2)]
-            step = _update(rhs, h2, *corners)
-            if step is None:
-                i = next(i for i in range(lo, hi + 1) if _update(
-                    rhs, h2, *(c[i - lo:i - lo + 1] for c in corners)) is None)
-                raise GridOverflowError(i, d - i)
-            flat[start:stop:m] = step[1]
-            steps.append(step[1] - step[0])
+            _, cells, corners = _diagonal(flat, m, d)
+            try:
+                first, final = _corrector(rhs, h2, *corners)
+            except OverflowError:  # in this diagonal or a pending one
+                _check_diagonals(rhs, h2, flat, m,
+                                 range(d - len(steps), d + 1))
+                raise  # not reached: diagonal d overflows again
+            flat[:, cells] = final
+            steps.append(final - first)
             if len(steps) == 16 or d == 2 * m:  # one reduce per 16 diagonals
-                diff, steps = np.abs(np.concatenate(steps)), []
+                diff = np.abs(np.concatenate(steps, axis=1))
                 top = diff.max()
+                if not math.isfinite(top):
+                    # a finite maximum proves every final value finite;
+                    # an infinite or NaN one may come from a first value
+                    _check_diagonals(rhs, h2, flat, m,
+                                     range(d - len(steps) + 1, d + 1))
                 if math.isnan(top):  # as in max(), drop cells whose first
                     # component differs by NaN, and skip later NaNs
-                    top = np.nanmax(diff[~np.isnan(diff[:, 0])], initial=0.0)
-                sweep = max(sweep, top)
+                    top = np.nanmax(diff[:, ~np.isnan(diff[0])], initial=0.0)
+                sweep, steps = max(sweep, top), []
     return Grid(Fraction(data.x0), Fraction(data.x1), Fraction(data.y0),
-                Fraction(data.y1), h, values, float(sweep))
+                Fraction(data.y1), h, work.transpose(1, 2, 0), float(sweep))
 
 
 def residual_grid(a: CartanMatrix, grid: Grid) -> float:
     """Max over interior cells of |central mixed derivative - RHS|."""
-    v = grid.values
+    w = grid.values.transpose(2, 0, 1)  # component-major, as marched
     hh = 4.0 * float(grid.h) * float(grid.h)
     with np.errstate(over="ignore", invalid="ignore"):
-        mixed = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / hh
-        rhs = _rhs_kernel(a)(v[1:-1, 1:-1].reshape(-1, grid.rank))
-        gap = np.abs(mixed.reshape(-1, grid.rank) - rhs)
+        mixed = (w[:, 2:, 2:] - w[:, 2:, :-2] - w[:, :-2, 2:]
+                 + w[:, :-2, :-2]) / hh
+        rhs = _rhs_kernel(a)(w[:, 1:-1, 1:-1].reshape(grid.rank, -1))
+        gap = np.abs(mixed.reshape(grid.rank, -1) - rhs)
     return float(np.fmax.reduce(gap, axis=None, initial=0.0))
 
 

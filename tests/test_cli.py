@@ -718,6 +718,46 @@ def test_a_negative_sum_verifies(capsys):
                         "magnitude: 0.0\n", "")
 
 
+@pytest.mark.parametrize("spaced,joined", [
+    (["--f", "-x-2", "--g", "-y", "--order", "6"],
+     ["--f=-x-2", "--g=-y", "--order", "6"]),
+    (["--f", "x+1", "--g", "y+1", "--base", "-1/2,1/3"],
+     ["--f", "x+1", "--g", "y+1", "--base=-1/2,1/3"]),
+    (["--base", "-1/2,-1/3", "--f", "-x", "--g", "-y-1"],
+     ["--base=-1/2,-1/3", "--f=-x", "--g=-y-1"]),
+], ids=["f-g", "base", "all-three"])
+def test_a_value_that_begins_with_a_dash_may_follow_a_space(capsys, spaced,
+                                                            joined):
+    got = run(capsys, "verify-liouville", *spaced)
+    assert got == run(capsys, "verify-liouville", *joined)
+    assert got[0] == 0 and "magnitude: 0.0\n" in got[1]
+
+
+def test_a_negative_step_after_a_space_is_refused_as_a_step(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.json").write_text(json.dumps(BOUNDARY))
+    argv = ["solve", "--cartan", SL2, "--boundary", "b.json", "--h", "-1/4",
+            "--out", "grid.csv"]
+    assert run(capsys, *argv) == (
+        3, "", "error: --h must be positive, got '-1/4'\n")
+    assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--f", "--g", "y"],            # an option string is not a value
+    ["--g", "y", "--f", "-h"],      # nor is -h
+    ["--g", "y", "--f", "--help"],
+    ["--g", "y", "--f"],            # a trailing option has no value
+    ["--g", "y", "--f", "--", "-x"],
+], ids=["f-then-g", "f-then-h", "f-then-help", "trailing-f", "double-dash"])
+def test_an_option_with_no_value_still_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(["verify-liouville", *argv])
+    assert err.value.code == 2
+    assert "argument --f: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("base,code", [
     ("1e20,0", 0), ("1e40,0", 3),
     ("300000000580000000017,0", 0)])

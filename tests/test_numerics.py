@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zcurv.cartan import CartanMatrix, standard_cartan
 from zcurv.numerics import (MAX_GRID_VALUES, CornerMismatchError,
@@ -275,6 +276,26 @@ def test_grid_points_overflow_like_fraction(lo, h, m):
     with pytest.raises(OverflowError) as helper:
         grid_points(lo, h, m)
     assert str(helper.value) == str(direct.value)
+    grid = Grid(lo, lo + m * h, lo, lo + m * h, h, np.zeros((m + 1, m + 1, 1)))
+    for at in (grid.x_at, grid.y_at):
+        with pytest.raises(OverflowError) as helper:
+            at(m)
+        assert str(helper.value) == str(direct.value)
+
+
+SIGNED_FRACTIONS = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                             st.integers(1, 10 ** 12))
+STEPS = st.builds(Fraction, st.integers(1, 10 ** 9), st.integers(1, 10 ** 12))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(x0=SIGNED_FRACTIONS, y0=SIGNED_FRACTIONS, h=STEPS,
+       m=st.integers(1, 12))
+def test_grid_coordinates_are_the_fraction_floats(x0, y0, h, m):
+    grid = Grid(x0, x0 + m * h, y0, y0 + m * h, h, np.zeros((m + 1, m + 1, 1)))
+    for i in range(-1, m + 2):
+        assert repr(grid.x_at(i)) == repr(float(x0 + i * h))
+        assert repr(grid.y_at(i)) == repr(float(y0 + i * h))
 
 
 def test_grid_validation():
@@ -500,6 +521,69 @@ def test_overflow_names_first_cell_in_antidiagonal_order(schedule):
         reference_solve(SL2, staggered_overflow_data(), Fraction(1, 8),
                         schedule="wavefront")
     assert ref.value.cell == (2, 1)
+
+
+def spiked_data(m, spikes):
+    """Rank-1 traces on [0, 1] with h = 1/m, at -720 except at the grid
+    points in ``spikes``: ("x", j) is y = j/m on the x = 0 edge and
+    ("y", i) is x = i/m on the y = 0 edge.  With A = [[BIG]], BIG *
+    exp(-720) is about 2e-5, so the grid stays near -720 until a spike."""
+    def trace(edge):
+        return lambda t: [spikes.get((edge, round(t * m)), -720.0)]
+    return GoursatData(Fraction(0), Fraction(1), Fraction(0), Fraction(1),
+                       x_edge=trace("x"), y_edge=trace("y"))
+
+
+# A spike of 800 at ("x", j) gives cell (1, j) a midpoint of 40: exp(40) is
+# finite, BIG * exp(40) is not, so the cell's final value is inf on
+# diagonal j + 1 and no exp raises.  A spike of 2200 at ("y", i) gives cell
+# (i, 1) a midpoint of 740, whose math.exp raises OverflowError on diagonal
+# i + 1.  The march checks finiteness once per 16 diagonals, 2..17, 18..33,
+# ..., so these put the first failure inside a batch, on its last diagonal
+# and on the first diagonal of the next one.
+@pytest.mark.parametrize("spikes,cell", [
+    # non-finite on diagonal 5, exp overflow on diagonal 6 of the same batch
+    ({("x", 4): 800.0, ("y", 5): 2200.0}, (1, 4)),
+    ({("y", 4): 2200.0, ("x", 5): 800.0}, (4, 1)),
+    # the same pair on the last two diagonals of the first batch
+    ({("x", 15): 800.0, ("y", 16): 2200.0}, (1, 15)),
+    # non-finite on the last diagonal of a batch, overflow just past it
+    ({("x", 16): 800.0, ("y", 17): 2200.0}, (1, 16)),
+    # one failure on diagonal 17, 18, 33 or 34, of each kind
+    ({("x", 16): 800.0}, (1, 16)), ({("y", 16): 2200.0}, (16, 1)),
+    ({("x", 17): 800.0}, (1, 17)), ({("y", 17): 2200.0}, (17, 1)),
+    ({("x", 32): 800.0}, (1, 32)), ({("y", 32): 2200.0}, (32, 1)),
+    ({("x", 33): 800.0}, (1, 33)), ({("y", 33): 2200.0}, (33, 1)),
+], ids=["inf-5-exp-6", "exp-5-inf-6", "inf-16-exp-17", "inf-17-exp-18",
+        "inf-17", "exp-17", "inf-18", "exp-18", "inf-33", "exp-33", "inf-34",
+        "exp-34"])
+@pytest.mark.parametrize("schedule", ["sequential", "wavefront"])
+def test_batched_finiteness_names_the_reference_cell(spikes, cell, schedule):
+    a = CartanMatrix.from_rows([[BIG]])
+    data = spiked_data(40, spikes)
+    with pytest.raises(GridOverflowError) as ref:
+        reference_solve(a, data, Fraction(1, 40), schedule="wavefront")
+    assert ref.value.cell == cell
+    with pytest.raises(GridOverflowError) as err:
+        solve_goursat(a, data, Fraction(1, 40), schedule=schedule)
+    assert err.value.cell == cell
+    assert str(err.value) == f"exp overflow while updating grid cell {cell}"
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl4", "sl5"])  # ranks 1, 3 and 4
+def test_results_do_not_depend_on_the_grid_layout(tmp_path, name):
+    a = ORACLE_MATRICES[name]
+    grid = solve_goursat(a, smooth_data(a.rank, Fraction(-1, 2),
+                                        Fraction(3, 4), Fraction(1, 2)),
+                         Fraction(1, 14))
+    dense = grid._replace(values=np.ascontiguousarray(grid.values))
+    assert np.array_equal(dense.values, grid.values)
+    assert a.rank == 1 or not grid.values.flags.c_contiguous  # the view
+    assert residual_grid(a, dense) == residual_grid(a, grid)
+    write_csv(grid, tmp_path / "march.csv")
+    write_csv(dense, tmp_path / "dense.csv")
+    assert ((tmp_path / "march.csv").read_bytes()
+            == (tmp_path / "dense.csv").read_bytes())
 
 
 def test_unknown_schedule_rejected():
