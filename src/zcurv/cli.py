@@ -415,29 +415,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _option_strings() -> tuple[frozenset, frozenset]:
-    """The option strings of the parser and of each verb, and those among
-    them that take a value."""
+def _verb_options() -> dict:
+    """Each verb's option strings, each mapped to whether it takes a
+    value."""
     root = build_parser()
-    parsers = [root, *(sub for act in root._actions
-                       if isinstance(act, argparse._SubParsersAction)
-                       for sub in act.choices.values())]
-    actions = {s: act for p in parsers
-               for s, act in p._option_string_actions.items()}
-    return (frozenset(actions),
-            frozenset(s for s, act in actions.items() if act.nargs != 0))
+    (verbs,) = (act.choices for act in root._actions
+                if isinstance(act, argparse._SubParsersAction))
+    return {verb: {s: act.nargs != 0
+                   for s, act in sub._option_string_actions.items()}
+            for verb, sub in verbs.items()}
+
+
+def _matches(arg: str, options: dict) -> list[str]:
+    """The options that argparse reads ``arg`` as: itself, or every long
+    option it abbreviates (more than one is ambiguous)."""
+    if arg in options:
+        return [arg]
+    return [s for s in options if s.startswith(arg)] \
+        if arg.startswith("--") else []
 
 
 def _attach_dash_values(argv: list[str]) -> list[str]:
     """``argv`` with a value that begins with '-' written as --opt=value
     after the option that takes it, since argparse reads it as an option
-    (``--f -x-2``, ``--base -1/2,1/3``).  A value that is itself an option
-    string or '--' is left for argparse to refuse."""
-    options, takes_value = _option_strings()
+    (``--f -x-2``, ``--base -1/2,1/3``).  The option may be abbreviated as
+    argparse allows (``--ba`` for ``--base``), resolved against the
+    options of the verb in argv.  A value that is itself one of the verb's
+    options, or an abbreviation of one, or '--' is left for argparse to
+    refuse, as is an option that abbreviates more than one."""
+    verbs = _verb_options()
+    options: dict = {}
     out = []
     for arg in argv:
-        if (out and out[-1] in takes_value and arg.startswith("-")
-                and arg not in options and arg != "--"):
+        if not options and arg in verbs:
+            options = verbs[arg]
+            out.append(arg)
+            continue
+        prev = _matches(out[-1], options) if out else []
+        if (len(prev) == 1 and options[prev[0]] and arg.startswith("-")
+                and arg != "--" and not _matches(arg, options)):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -18,7 +18,10 @@ Atoms are named tuples, so equality and hashing come from their fields.
 print order of monomials; it also picks the leading term that a derived
 equation makes positive.  Each Atom's sort key, parity and print key are
 computed once, into the module table ``_ATOM_KEYS``, which every product,
-derivative, parity and print order reads.
+derivative, parity and print order reads.  Beside it, ``_ATOM_DERIVS``
+holds each Atom's derivative under dx, dy, D+ and D- (a sign and an atom),
+worked out the first time it is asked for; an ``exp(...)`` atom is refused
+there and never kept.
 
 Odd atoms anticommute and square to zero; even atoms commute with
 everything.  D+ and D- act as odd derivations, dx and dy as even ones.
@@ -28,8 +31,10 @@ Every multi-term result (sums, products, derivatives, substitutions) is
 accumulated into one dict by ``_collect``: repeated monomials are added,
 and zero coefficients dropped and integral ones made ``int`` once, at the
 end.  The common cheap cases skip it: a product by 1 or -1 is the
-expression or its negation, and a product of two single terms is one
-monomial merge, which for two single atoms is one key comparison.
+expression or its negation, a product of two single terms is one
+monomial merge, which for two single atoms is one key comparison, and a
+derivative of an expression whose monomials are single atoms maps each
+atom straight to its derived atom, with no merge.
 """
 
 from fractions import Fraction
@@ -97,6 +102,20 @@ def _keys(a) -> tuple:
         if isinstance(a, Atom):
             _ATOM_KEYS[a] = keys
     return keys
+
+
+# op -> {Atom -> (sign, derived atom)}, each worked out the first time the
+# atom is differentiated under op.  An ExpAtom is refused, never kept.
+_ATOM_DERIVS: dict = {op: {} for op in ("dx", "dy", "dp", "dm")}
+
+
+def _derived(a, table: dict, op: str) -> tuple:
+    out = table.get(a)
+    if out is None:
+        if isinstance(a, ExpAtom):
+            raise ValueError("cannot differentiate an exp(...) atom")
+        out = table[a] = _derive_atom(a, op)
+    return out
 
 
 def _mul_monomials(m1: tuple, m2: tuple) -> tuple:
@@ -226,16 +245,24 @@ class Expr:
     # -- derivations --------------------------------------------------------
 
     def _derive(self, op: str) -> "Expr":
+        table = _ATOM_DERIVS.get(op)
+        if table is None:
+            raise ValueError(f"unknown derivation {op!r}")
+        if all(len(mono) == 1 for mono in self.terms):
+            # each monomial one atom: the derived atoms are distinct and
+            # canonical, so there is nothing to merge or collect
+            out = {}
+            for (a,), c in self.terms.items():
+                sign, new_atom = _derived(a, table, op)
+                out[(new_atom,)] = c * sign
+            return Expr._of(out)
         op_parity = 1 if op in ("dp", "dm") else 0
 
         def pairs():
             for mono, c in self.terms.items():
                 odd_before = 0
                 for i, a in enumerate(mono):
-                    if isinstance(a, ExpAtom):
-                        raise ValueError(
-                            "cannot differentiate an exp(...) atom")
-                    sign, new_atom = _derive_atom(a, op)
+                    sign, new_atom = _derived(a, table, op)
                     if op_parity and odd_before % 2:
                         sign = -sign
                     odd_before += _keys(a)[1]
@@ -309,17 +336,15 @@ def _derive_atom(a: Atom, op: str) -> tuple[int, Atom]:
         if a.dp:  # D+ D+ = dx
             return 1, Atom(a.name, a.dx + 1, a.dy, 0, a.dm, a.base_parity)
         return 1, Atom(a.name, a.dx, a.dy, 1, a.dm, a.base_parity)
-    if op == "dm":
-        sign = -1 if a.dp else 1  # D- passes D+ in the normal order
-        if a.dm:  # D- D- = dy
-            return sign, Atom(a.name, a.dx, a.dy + 1, a.dp, 0, a.base_parity)
-        return sign, Atom(a.name, a.dx, a.dy, a.dp, 1, a.base_parity)
-    raise ValueError(f"unknown derivation {op!r}")
+    sign = -1 if a.dp else 1  # dm: D- passes D+ in the normal order
+    if a.dm:  # D- D- = dy
+        return sign, Atom(a.name, a.dx, a.dy + 1, a.dp, 0, a.base_parity)
+    return sign, Atom(a.name, a.dx, a.dy, a.dp, 1, a.base_parity)
 
 
 def _term_key(mono: tuple) -> tuple:
     """The print order of monomials: shorter first, then atom by atom."""
-    return (len(mono), tuple(_keys(a)[2] for a in mono))
+    return (len(mono), tuple([_keys(a)[2] for a in mono]))
 
 
 def _term_atom_key(a):

@@ -24,6 +24,11 @@ reduced connection.
 and hold equal data; both engines refuse a generator they lack.  One grading
 rule fixes the bracket signs: a coefficient's parity is its direction's plus
 its generator's.  ``Connection`` checks it and ``_curvature_parts`` reads it.
+``_curvature_parts`` records each contribution as a (weight, value) pair,
+the weight +-1 for a derivative term and the bracket coefficient times the
+grading sign for a bracket term, and sums each component once, applying the
+weights inside that sum: one ``_collect`` for expressions, and for
+superfields a weight of 1 or -1 is the value or its negation.
 Fields, connections, curvatures and derived systems are named tuples.
 """
 
@@ -35,7 +40,7 @@ from .cartan import CartanMatrix, determinant
 from .solutions import SUPER_LIOUVILLE_SIGN
 from .superalg import fixture_table
 from .superfield import SuperField
-from .symexpr import Atom, Expr, _term_key, exp_linear, fn
+from .symexpr import Atom, Expr, _collect, _term_key, exp_linear, fn
 
 GenKey = tuple[str, int]
 
@@ -160,25 +165,28 @@ def _lower(coeff):
     return coeff
 
 
-def _total(values):
-    """The sum of one component's contributions, taken once."""
-    if isinstance(values[0], Expr):
-        return Expr.sum(values)
+def _total(pairs):
+    """The sum of one component's (weight, value) contributions, taken
+    once: a weight of 1 or -1 is the value or its negation."""
+    if isinstance(pairs[0][1], Expr):
+        return _collect((m, c * w) for w, v in pairs
+                        for m, c in v.terms.items())
+    values = [v if w == 1 else -v if w == -1 else v * w for w, v in pairs]
     return sum(values[1:], values[0])
 
 
 def _curvature_parts(relations, dir1, coeffs1, dir2, coeffs2):
     p1, p2 = _DIR_PARITY[dir1], _DIR_PARITY[dir2]
-    parts: dict = {}  # generator -> its contributions, summed at the end
+    parts: dict = {}  # generator -> its (weight, value) contributions
 
-    def acc(g, val):
-        parts.setdefault(g, []).append(val)
+    def acc(g, weight, val):
+        parts.setdefault(g, []).append((weight, val))
 
     for g, c in coeffs2.items():
-        acc(g, _apply_dir(c, dir1))
+        acc(g, 1, _apply_dir(c, dir1))
+    sign = 1 if p1 * p2 else -1
     for g, c in coeffs1.items():
-        d = _apply_dir(c, dir2)
-        acc(g, d if p1 * p2 else -d)
+        acc(g, sign, _apply_dir(c, dir2))
     for g1, c1 in coeffs1.items():
         pg1 = relations.parity(g1)
         for g2, c2 in coeffs2.items():
@@ -188,11 +196,11 @@ def _curvature_parts(relations, dir1, coeffs1, dir2, coeffs2):
             s = -1 if pg1 and p2 ^ relations.parity(g2) else 1
             prod = _lower(c1 * c2)
             for coef, g3 in terms:
-                acc(g3, prod * (coef * s))
+                acc(g3, coef * s, prod)
 
     operator = ({_SQUARE[dir1]: Fraction(2)}
                 if dir1 == dir2 and dir1 in _SQUARE else {})
-    totals = ((g, _total(values)) for g, values in parts.items())
+    totals = ((g, _total(pairs)) for g, pairs in parts.items())
     return CurvatureResult({g: v for g, v in totals if not v.is_zero()},
                            operator)
 
@@ -245,12 +253,13 @@ def _split_equation(expr: Expr) -> Equation:
     first printed left term to a positive coefficient."""
     lhs, rhs = {}, {}
     for mono, c in expr.terms.items():
-        if any(isinstance(a, Atom) and (a.dx or a.dy or a.dp or a.dm)
-               for a in mono):
-            lhs[mono] = c
+        for a in mono:
+            if type(a) is Atom and (a.dx or a.dy or a.dp or a.dm):
+                lhs[mono] = c
+                break
         else:
             rhs[mono] = -c
-    lhs, rhs = Expr(lhs), Expr(rhs)
+    lhs, rhs = Expr._of(lhs), Expr._of(rhs)
     if lhs.is_zero():
         raise DerivationError("equation has no derivative term")
     first = min(lhs.terms, key=_term_key)
@@ -287,9 +296,10 @@ def derive_toda(A: CartanMatrix, form: str = "lsbis") -> DerivedSystem:
     fname = ["F" + s for s in suffix]
     defs = tuple(f"{g} = ln(b{s}*B{s})" for g, s in zip(gname, suffix))
     if form == "lsbis":
+        exps = [exp_linear([(1, g)]) for g in gname]
         final = tuple(
             Equation(Expr.atom(Atom(gname[i], dx=1, dy=1)),
-                     Expr.sum(exp_linear([(1, gname[j])]) * A.entries[i][j]
+                     Expr.sum(exps[j] * A.entries[i][j]
                               for j in range(n) if A.entries[i][j]))
             for i in range(n))
     else:

@@ -744,13 +744,53 @@ def test_a_negative_step_after_a_space_is_refused_as_a_step(
     assert not (tmp_path / "grid.csv").exists()
 
 
+@pytest.mark.parametrize("verb,abbreviated,full,code", [
+    ("verify-liouville", ["--f", "x+1", "--g", "y+1", "--ba", "-1/2,1/3"],
+     ["--f", "x+1", "--g", "y+1", "--base", "-1/2,1/3"], 0),
+    ("verify-lse", ["--c", SL2, "--s", "sol.json", "--fo", "lsbis", "--o",
+                    "-3"],
+     ["--cartan", SL2, "--solution", "sol.json", "--form", "lsbis",
+      "--order", "-3"], 3),
+    ("solve", ["--c", SL2, "--b", "b.json", "--h", "1/4", "--o", "-g.csv"],
+     ["--cartan", SL2, "--boundary", "b.json", "--h", "1/4", "--out",
+      "-g.csv"], 0),
+], ids=["base", "lse-order", "solve-out"])
+def test_an_abbreviated_option_takes_a_dash_value(
+        tmp_path, monkeypatch, capsys, verb, abbreviated, full, code):
+    # --o is --order in verify-* and --out in solve, as argparse reads it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sol.json").write_text('{"components": ["-2*ln(x+y)"]}')
+    (tmp_path / "b.json").write_text(json.dumps(BOUNDARY))
+    got = run(capsys, verb, *abbreviated)
+    grid = (tmp_path / "-g.csv").read_text() if verb == "solve" else None
+    assert got[0] == code
+    assert got == run(capsys, verb, *full)
+    if grid is not None:
+        assert (tmp_path / "-g.csv").read_text() == grid
+
+
+def test_an_unknown_or_ambiguous_prefix_is_left_to_argparse(
+        capsys, monkeypatch):
+    with pytest.raises(SystemExit) as err:
+        main(["verify-liouville", "--f", "x+1", "--g", "y+1", "--q", "-1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --q -1" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_verb_options", lambda: {
+        "v": {"-h": False, "--base": True, "--bar": True}})
+    argv = ["v", "--ba", "-1", "--bar", "-2", "--ba=-3"]
+    assert cli._attach_dash_values(argv) == ["v", "--ba", "-1", "--bar=-2",
+                                             "--ba=-3"]
+
+
 @pytest.mark.parametrize("argv", [
     ["--f", "--g", "y"],            # an option string is not a value
     ["--g", "y", "--f", "-h"],      # nor is -h
     ["--g", "y", "--f", "--help"],
     ["--g", "y", "--f"],            # a trailing option has no value
     ["--g", "y", "--f", "--", "-x"],
-], ids=["f-then-g", "f-then-h", "f-then-help", "trailing-f", "double-dash"])
+    ["--g", "y", "--f", "--ord", "4"],  # nor an abbreviated option
+], ids=["f-then-g", "f-then-h", "f-then-help", "trailing-f", "double-dash",
+        "f-then-ord"])
 def test_an_option_with_no_value_still_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as err:
         main(["verify-liouville", *argv])

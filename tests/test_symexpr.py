@@ -126,8 +126,20 @@ def test_a_float_factor_is_a_type_error(product):
 
 
 def test_exp_atoms_cannot_be_differentiated():
-    with pytest.raises(ValueError):
-        exp_linear([(1, "G")]).deriv_x()
+    g = exp_linear([(1, "G")])
+    for op in ("dx", "dy", "dp", "dm"):
+        for e in (g, g * 3, g * fn("a"), g + fn("a")):
+            with pytest.raises(ValueError, match=r"cannot differentiate an "
+                               r"exp\(\.\.\.\) atom"):
+                e._derive(op)
+    assert not any(isinstance(a, ExpAtom)
+                   for table in symexpr._ATOM_DERIVS.values() for a in table)
+
+
+def test_an_unknown_derivation_is_refused():
+    for e in (Expr(), fn("a")):
+        with pytest.raises(ValueError, match="unknown derivation 'dz'"):
+            e._derive("dz")
 
 
 def test_atom_render_with_mixed_word():
@@ -292,3 +304,65 @@ def test_one_derivation_computes_each_sort_key_once(monkeypatch):
     assert max(calls.values()) == 1
     assert set(calls) == set(symexpr._ATOM_KEYS)
     assert len(calls) == 16 * 9  # a, b, A, B, their dx or dy, and F_xy
+
+
+def _reference_derivative(a: Atom, op: str) -> tuple[int, Atom]:
+    """op applied to the word dx^i dy^j (D+)^e+ (D-)^e- of a, normal
+    ordered by rewriting: dx and dy commute with everything,
+    D- D+ = -D+ D-, (D+)^2 = dx and (D-)^2 = dy."""
+    odd = [op] if op in ("dp", "dm") else []
+    odd += ["dp"] * a.dp + ["dm"] * a.dm
+    even = Counter({"dx": a.dx, "dy": a.dy})
+    if op in ("dx", "dy"):
+        even[op] += 1
+    sign = 1
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(odd) - 1):
+            pair = odd[k:k + 2]
+            if pair == ["dm", "dp"]:
+                odd[k:k + 2], sign, changed = ["dp", "dm"], -sign, True
+            elif pair[0] == pair[1]:
+                even["dx" if pair[0] == "dp" else "dy"] += 1
+                del odd[k:k + 2]
+                changed = True
+            if changed:
+                break
+    return sign, Atom(a.name, even["dx"], even["dy"], odd.count("dp"),
+                      odd.count("dm"), a.base_parity)
+
+
+_words = st.builds(Atom, st.sampled_from(["a", "B", "alpha"]),
+                   st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
+                   st.integers(0, 1), st.integers(0, 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.lists(_words, min_size=1, max_size=3), st.sampled_from(
+    ["dx", "dy", "dp", "dm"]))
+def test_each_cached_atom_derivative_is_the_rewritten_word(atoms, op):
+    # one-atom monomials take their derived atom straight from the table;
+    # longer ones read it there too, then merge
+    e = Expr.sum([Expr.atom(a) for a in atoms])
+    product = Expr.rational(1)
+    for a in atoms:
+        product = product * Expr.atom(a)
+    want = Expr.sum([Expr.atom(b) * s for s, b in
+                     (_reference_derivative(a, op) for a in atoms)])
+    assert e._derive(op) == want
+    product._derive(op)  # fills the table through the merging path
+    for table_op, table in symexpr._ATOM_DERIVS.items():
+        for a, derived in table.items():
+            assert derived == _reference_derivative(a, table_op) \
+                == symexpr._derive_atom(a, table_op)
+
+
+def test_a_derivative_of_one_atom_merges_no_monomials(monkeypatch):
+    def merge(m1, m2):
+        raise AssertionError("a one-atom derivative merged monomials")
+
+    monkeypatch.setattr(symexpr, "_mul_monomials", merge)
+    e = fn("a") * 3 + fn("alpha", 1).d_plus() - fn("B").deriv_y()
+    assert e.d_minus().render() == "-D+(D-(alpha)) + 3*D-(a) - D-(B)_y"
+    assert fn("b").d_plus().d_minus().d_minus() == fn("b").deriv_y().d_plus()

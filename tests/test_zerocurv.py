@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_jet, random_superfield
+from zcurv import symexpr, zerocurv
 from zcurv.cartan import CartanMatrix, standard_cartan
 from zcurv.jets import Jet
 from zcurv.superfield import SuperField, standard_gens
@@ -509,3 +511,111 @@ def test_chevalley_bracket_matches_the_relations_table():
                     seen.add((A[i][j] == 0, A[j][i] == 0, got))
     assert {"rational", (False, False, "out of span"), (True, False, ()),
             (False, True, ()), (True, True, ())} <= seen
+
+
+def _summed_parts(relations, dir1, coeffs1, dir2, coeffs2):
+    """The curvature with each contribution built as its own value, scaled
+    by its bracket coefficient and sign, and added one at a time."""
+    p1, p2 = (zerocurv._DIR_PARITY[d] for d in (dir1, dir2))
+    method = zerocurv._DIR_METHOD
+    parts: dict = {}
+    for g, c in coeffs2.items():
+        parts.setdefault(g, []).append(getattr(c, method[dir1])())
+    for g, c in coeffs1.items():
+        d = getattr(c, method[dir2])()
+        parts.setdefault(g, []).append(d if p1 * p2 else -d)
+    for g1, c1 in coeffs1.items():
+        for g2, c2 in coeffs2.items():
+            s = -1 if relations.parity(g1) and (
+                p2 + relations.parity(g2)) % 2 else 1
+            for coef, g3 in relations.bracket(g1, g2):
+                parts.setdefault(g3, []).append(
+                    zerocurv._lower(c1 * c2) * (coef * s))
+    totals = {g: sum(vals[1:], vals[0]) for g, vals in parts.items()}
+    return {g: v for g, v in totals.items() if not v.is_zero()}
+
+
+def _random_gcm(rng, n):
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                rows[i][j], rows[j][i] = (
+                    rng.choice([-1, -1, -2, -3, Fraction(-1, 2)])
+                    for _ in range(2))
+    return CartanMatrix.from_rows(rows)
+
+
+def test_weighted_parts_equal_per_contribution_sums():
+    rng = random.Random(3535)
+    for trial in range(30):
+        A = _random_gcm(rng, 1 + trial % 6)
+        rel, n = ChevalleyRelations(A), A.rank
+        cx = {("H", i): fn(f"a{i}") for i in range(n)}
+        cx.update({("X+", i): fn(f"b{i}") for i in range(n)})
+        cy = {("H", i): fn(f"A{i}") for i in range(n)}
+        cy.update({("X-", i): fn(f"B{i}") for i in range(n)})
+        if trial % 2:  # coefficients of more than one term
+            cx[("H", 0)] = cx[("H", 0)] * 3 + fn("u") * fn("v")
+            cy[("X-", n - 1)] = cy[("X-", n - 1)] - fn("u") * Fraction(1, 2)
+        gens, _ = _curvature_parts(rel, "dx", cx, "dy", cy)
+        want = _summed_parts(rel, "dx", cx, "dy", cy)
+        assert gens == want
+        assert [v.render() for v in gens.values()] == \
+            [v.render() for v in want.values()]
+    rel, cplus, cminus = _super_pair()
+    for d1, c1, d2, c2 in (("D+", cplus, "D-", cminus),
+                           ("D-", cminus, "D+", cplus),
+                           ("D+", cplus, "D+", cplus),
+                           ("D-", cminus, "D-", cminus)):
+        gens, _ = _curvature_parts(rel, d1, c1, d2, c2)
+        assert gens and gens == _summed_parts(rel, d1, c1, d2, c2)
+
+
+def test_superfield_curvature_scales_by_no_unit(rng, monkeypatch):
+    """A contribution of weight 1 or -1 is its value or its negation, never
+    a product by the weight; the other weights scale once each."""
+    scaled = Counter()
+    plain = Jet._scaled
+
+    def counted(self, value):
+        scaled[value] += 1
+        return plain(self, value)
+
+    rel = ChevalleyRelations(CartanMatrix.from_rows([[2, -1], [-3, 2]]))
+    field = lambda: even_field(random_jet(rng, order=4, max_deg=1) + 1)
+    cx = {(k, i): field() for k in ("H", "X+") for i in (0, 1)}
+    cy = {(k, i): field() for k in ("H", "X-") for i in (0, 1)}
+    monkeypatch.setattr(Jet, "_scaled", counted)
+    got = curvature(Connection("dx", LieValuedField(rel, cx)),
+                    Connection("dy", LieValuedField(rel, cy)))
+    # weights -A_ji of [H_i, X-_j] and -A_ij of [X+_i, H_j], each once per
+    # jet component; 1 and -1 are never scaled by
+    assert set(scaled) == {-2, 3}
+    monkeypatch.undo()
+    assert got.generators == _summed_parts(rel, "dx", cx, "dy", cy)
+
+
+def test_derive_toda_sl17_builds_each_component_once(monkeypatch):
+    """Exact call counts for derive_toda(sl17, "lsbis"): one coefficient
+    product per nonzero bracket and one per nonzero A_ij, one collect per
+    curvature component and lsbis sum and per scaled exp, and monomial
+    merges only for the 108 bracket products."""
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    A = standard_cartan("sl17")
+    derive_toda(A, "lsbis")  # the atom tables are filled once per process
+    monkeypatch.setattr(Expr, "__mul__", counted("mul", Expr.__mul__))
+    collect = counted("collect", symexpr._collect)
+    for module in (symexpr, zerocurv):
+        monkeypatch.setattr(module, "_collect", collect)
+    monkeypatch.setattr(symexpr, "_mul_monomials",
+                        counted("merge", symexpr._mul_monomials))
+    derive_toda(A, "lsbis")
+    assert calls == {"mul": 154, "collect": 80, "merge": 108}
