@@ -14,8 +14,10 @@ or a number, with at most MAX_RATIONAL_BITS bits in its numerator and
 denominator.  An expression has at most MAX_EXPRESSION_CHARS characters.
 ``main`` builds the argparse parser on its first call and reuses it for
 every later call in the process.  A value that begins with '-' may follow
-its option after a space (``--f -x-2``): ``main`` passes it to argparse as
-``--f=-x-2``, unless it is itself an option string.
+its option after a space (``--f -x-2``): each verb's parser reads a word
+that names none of its options, exactly or abbreviated, as a value, by
+argparse's rule for negative numbers.  A value ``-h...`` reads as ``-h``;
+write it ``--opt=-h...``.
 
 Importing this module loads no other zcurv module: each verb imports what
 it uses when it runs.  ``verify-liouville`` loads ``exprparse``, ``jets``,
@@ -411,59 +413,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", choices=["sl2", "osp12"], required=True)
     p.set_defaults(func=_cmd_bracket_table)
 
+    # A word that begins with '-' and is no option of the verb (exact, as
+    # --opt=value or abbreviated) is a value, as argparse reads a negative
+    # number.  Set after add_argument, which would count -h as a
+    # negative-number option and switch the rule off.
+    for verb in sub.choices.values():
+        verb._negative_number_matcher = re.compile("-")
+
     return parser
-
-
-@functools.cache
-def _verb_options() -> dict:
-    """Each verb's option strings, each mapped to whether it takes a
-    value."""
-    root = build_parser()
-    (verbs,) = (act.choices for act in root._actions
-                if isinstance(act, argparse._SubParsersAction))
-    return {verb: {s: act.nargs != 0
-                   for s, act in sub._option_string_actions.items()}
-            for verb, sub in verbs.items()}
-
-
-def _matches(arg: str, options: dict) -> list[str]:
-    """The options that argparse reads ``arg`` as: itself, or every long
-    option it abbreviates (more than one is ambiguous)."""
-    if arg in options:
-        return [arg]
-    return [s for s in options if s.startswith(arg)] \
-        if arg.startswith("--") else []
-
-
-def _attach_dash_values(argv: list[str]) -> list[str]:
-    """``argv`` with a value that begins with '-' written as --opt=value
-    after the option that takes it, since argparse reads it as an option
-    (``--f -x-2``, ``--base -1/2,1/3``).  The option may be abbreviated as
-    argparse allows (``--ba`` for ``--base``), resolved against the
-    options of the verb in argv.  A value that is itself one of the verb's
-    options, or an abbreviation of one, or '--' is left for argparse to
-    refuse, as is an option that abbreviates more than one."""
-    verbs = _verb_options()
-    options: dict = {}
-    out = []
-    for arg in argv:
-        if not options and arg in verbs:
-            options = verbs[arg]
-            out.append(arg)
-            continue
-        prev = _matches(out[-1], options) if out else []
-        if (len(prev) == 1 and options[prev[0]] and arg.startswith("-")
-                and arg != "--" and not _matches(arg, options)):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_dash_values(argv))
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:  # InputError included

@@ -24,8 +24,8 @@ distinct subtree once, under an operation table:
 
 * jets give exact jets at a base point.  A constant slot folds to an
   exact scalar, a ``Fraction`` or a ``Scalar`` passed through
-  ``normalize``, with ``sinv``, ``sexp`` and ``sln``, and powers by square
-  and multiply (``Fraction ** n`` for a rational).  A scalar becomes a jet
+  ``normalize``, with ``sinv``, ``sexp`` and ``sln``, and powers by
+  ``jets.power`` (``Fraction ** n`` for a rational).  A scalar becomes a jet
   only where it meets one, in the jet's ``+``, ``*``, ``/`` and their
   reflections, or at the root.  A scalar is refused with the text that its
   constant jet's ``inverse``, ``ln`` or ``exp`` would raise;
@@ -345,7 +345,7 @@ def _jet_ops() -> dict:
     ``Fraction`` or a normalised ``Scalar``, and a scalar meets a jet in the
     jet's own operators.  Each scalar refusal is the one the constant jet of
     the scalar would raise."""
-    from .jets import Jet, body_inverse, body_ln
+    from .jets import Jet, body_inverse, body_ln, power
     from .scalars import normalize, sexp
 
     def exact(op):
@@ -361,14 +361,7 @@ def _jet_ops() -> dict:
             a, n = body_inverse(a), -n
         if isinstance(a, Fraction):
             return a ** n
-        out = Fraction(1)
-        while n:  # square and multiply
-            if n & 1:
-                out = out * a
-            n >>= 1
-            if n:
-                a = a * a
-        return normalize(out)
+        return normalize(power(a, n)) if n else Fraction(1)
 
     def exp(a):
         return a.exp() if isinstance(a, Jet) else sexp(a)

@@ -181,6 +181,18 @@ def _single_term(value) -> tuple[int, int, int]:
     return 0, value.numerator, value.denominator
 
 
+def power(a, n: int):
+    """``a ** n`` for n >= 1, a jet or an exact scalar, by square and
+    multiply from ``a`` itself, so no product has the unit as a factor:
+    x^1 takes no product, x^2 one and x^8 three."""
+    out = a
+    for bit in bin(n)[3:]:  # the bits after the leading 1
+        out = out * out
+        if bit == "1":
+            out = out * a
+    return out
+
+
 def body_inverse(c):
     """1 / c for the body c of a jet, refused as ``Jet.inverse`` refuses
     it."""
@@ -349,8 +361,7 @@ class Jet:
             return self.inverse().pow_int(-n)
         if n == 0:
             return Jet.constant(1, self.base, self.order)
-        half = self.pow_int(n // 2)
-        return half * half * self if n % 2 else half * half
+        return power(self, n)
 
     # -- calculus --------------------------------------------------------
 

@@ -769,17 +769,41 @@ def test_an_abbreviated_option_takes_a_dash_value(
         assert (tmp_path / "-g.csv").read_text() == grid
 
 
-def test_an_unknown_or_ambiguous_prefix_is_left_to_argparse(
-        capsys, monkeypatch):
+def test_an_unknown_or_ambiguous_prefix_is_left_to_argparse(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify-liouville", "--f", "x+1", "--g", "y+1", "--q", "-1"])
     assert err.value.code == 2
     assert "unrecognized arguments: --q -1" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "_verb_options", lambda: {
-        "v": {"-h": False, "--base": True, "--bar": True}})
-    argv = ["v", "--ba", "-1", "--bar", "-2", "--ba=-3"]
-    assert cli._attach_dash_values(argv) == ["v", "--ba", "-1", "--bar=-2",
-                                             "--ba=-3"]
+
+
+# A word that names none of the verb's options is a value, whatever it
+# begins with; a value -h... reads as -h with text attached, so it is
+# written --opt=-h...
+@pytest.mark.parametrize("argv,code,line", [
+    (["derive", "--cartan", "-sl2.cm"], 3,
+     "error: cannot read -sl2.cm: "),
+    (["verify-liouville", "--f", "x+1", "--g", "--q"], 3,
+     "error: bad expression '--q': unknown name (at position 3)"),
+    (["verify-liouville", "--g", "y", "--f", "-"], 3,
+     "error: bad expression '-': expected a value (at position 2)"),
+    (["verify-lse", "--cartan", SL2, "--form", "lsbis", "--solution",
+      "-s.json"], 3, "error: cannot read -s.json: "),
+    (["verify-liouville", "--g", "y", "--f", "-hx"], 2,
+     "zcurv verify-liouville: error: argument --f: expected one argument"),
+    (["verify-liouville", "--g", "y", "--f=-hx"], 3,
+     "error: bad expression '-hx': unknown name (at position 2)"),
+], ids=["cartan", "g-then-option-like", "lone-dash", "solution", "h-spaced",
+        "h-joined"])
+def test_a_dash_value_that_names_no_option_is_read_as_a_value(
+        tmp_path, monkeypatch, capsys, argv, code, line):
+    monkeypatch.chdir(tmp_path)
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out = capsys.readouterr()
+    assert (got, out.out) == (code, "")
+    assert out.err.splitlines()[-1].startswith(line)
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,6 +32,14 @@ def test_exp_ln_and_negative_powers():
     assert inv * build("1+x") == Jet.constant(1, order=6)
 
 
+def test_a_constant_power_is_repeated_multiplication():
+    # 2*exp(1) folds to an exact scalar that carries an exp unit
+    for n in range(-4, 18):
+        product = "*".join(["(2*exp(1))"] * abs(n)) or "1"
+        want = build(product if n >= 0 else f"1/({product})")
+        assert build(f"(2*exp(1))^{n}") == want
+
+
 def test_unary_signs():
     assert build("-x + +y") == build("y - x")
 

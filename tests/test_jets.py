@@ -48,6 +48,35 @@ def test_pow_int_large_exponent_by_squaring():
     assert x(2).pow_int(n).is_zero()
 
 
+def test_power_makes_no_product_with_the_unit(monkeypatch):
+    products = []
+    mul = Jet.__mul__
+
+    def spy(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", spy)
+    u = x(4) + 1
+    counts = {}
+    for n in (1, 2, 8):
+        products.clear()
+        u.pow_int(n)
+        counts[n] = len(products)
+    assert counts == {1: 0, 2: 1, 8: 3}
+
+
+def test_pow_int_is_repeated_multiplication():
+    # the body 2e carries an exp unit
+    u = x(5, (1, 1)).exp() * (y(5, (1, 1)) + 1)
+    one = Jet.constant(1, u.base, u.order)
+    for n in range(-4, 18):
+        want = one
+        for _ in range(abs(n)):
+            want = want * u
+        assert u.pow_int(n) == (want if n >= 0 else want.inverse())
+
+
 def test_division_by_an_exact_scalar():
     j = x(6, (1, 1)).exp() + y(6, (1, 1))
     for c in (Fraction(3, 7), sexp(Fraction(1)), 2):
