@@ -29,6 +29,22 @@ _EXPORTS = {name: module for module, names in {
                 "derive_super_liouville derive_toda nonreduced_obstruction",
 }.items() for name in names.split()}
 
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _clip(value) -> str:
+    """``repr(value)``, with the middle of a long one left out and the
+    length of the value (of its repr, if it is not a string) given.  A JSON
+    literal keeps its JSON spelling: true, false, null.  The CLI and the
+    Cartan-file reader echo what they refuse through it."""
+    if value is None or isinstance(value, bool):
+        return _JSON_LITERALS[value]
+    text = repr(value)
+    if len(text) <= 48:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:24]}...{text[-12:]} ({size} characters)"
+
 
 def __getattr__(name):
     if name not in _EXPORTS:

@@ -53,6 +53,8 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import NamedTuple
 
+from . import _clip
+
 EVEN = "even"
 ODD = "odd"
 
@@ -258,15 +260,6 @@ _INT = re.compile(r"-?[0-9]*")
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(?:/-?[0-9]+)?")
 _STRING_BODY = re.compile(r'[^"\\]*(?:\\["\\/][^"\\]*)*')
 _ESCAPE = re.compile(r"\\(.)")
-
-
-def _clip(text: str) -> str:
-    """``repr(text)``, with the middle of a long one left out and the
-    length of the text given."""
-    shown = repr(text)
-    if len(shown) <= 48:
-        return shown
-    return f"{shown[:24]}...{shown[-12:]} ({len(text)} characters)"
 
 
 class _Reader:

@@ -34,6 +34,8 @@ import re
 import sys
 from fractions import Fraction
 
+from . import _clip
+
 DEFAULT_ORDER = 8
 # The largest jet order accepted.  A jet of order K holds (K+1)(K+2)/2
 # coefficients and a product costs about K^4/24 coefficient products, so
@@ -128,19 +130,6 @@ def _rational(value, what: str) -> Fraction:
                          f"denominator past the limit of {MAX_RATIONAL_BITS} "
                          "bits")
     return q
-
-
-def _clip(value) -> str:
-    """``repr(value)``, with the middle of a long one left out and the
-    length of the value (of its repr, if it is not a string) given.  A JSON
-    literal keeps its JSON spelling: true, false, null."""
-    if value is None or isinstance(value, bool):
-        return json.dumps(value)
-    text = repr(value)
-    if len(text) <= 48:
-        return text
-    size = len(value) if isinstance(value, str) else len(text)
-    return f"{text[:24]}...{text[-12:]} ({size} characters)"
 
 
 def _parse_base(text: str) -> tuple[Fraction, Fraction]:

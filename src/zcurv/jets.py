@@ -63,16 +63,7 @@ import math
 from fractions import Fraction
 from itertools import compress
 
-from .scalars import Scalar, _unit_product, normalize, sexp, sinv, sln
-
-
-def _unit_terms(v):
-    """The (unit number, nonzero Fraction) terms of an exact scalar."""
-    if isinstance(v, Scalar):
-        return v._terms.items()
-    if isinstance(v, (int, Fraction)):
-        return [(0, Fraction(v))] if v else []
-    raise TypeError(f"not an exact coefficient: {v!r}")
+from .scalars import _unit_product, exact, sexp, sinv, sln, unit_terms
 
 
 def degree_series(jet, first, kind, scale_in=1, scale_out=1):
@@ -103,9 +94,9 @@ def degree_series(jet, first, kind, scale_in=1, scale_out=1):
     """
     size = jet.order + 1
     rows = [[] for _ in range(size)]
-    su, sn, sd = _single_term(scale_in)
+    ((su, scale),) = unit_terms(scale_in)
     for u, (nums, den) in jet.rows.items():
-        w, den = sn, den * sd
+        w, den = scale.numerator, den * scale.denominator
         if su:
             u, m, q = _unit_product(u, su)
             w, den = w * m, den * q
@@ -120,7 +111,7 @@ def degree_series(jet, first, kind, scale_in=1, scale_out=1):
     ln = kind == "ln"
     seq = [[] if ln else [(0, [(0, 1)], 1)]]  # T_0 = 0, E_0 = W_0 = 1
     done = {u: [(0, [(0, c.numerator)], c.denominator)]
-            for u, c in _unit_terms(first)}
+            for u, c in unit_terms(first)}
     for d in range(1, size):
         groups: dict = {}
         for k in live:
@@ -156,11 +147,11 @@ def degree_series(jet, first, kind, scale_in=1, scale_out=1):
                 done.setdefault(t, []).append(
                     (d, row, den // g * (d if ln else 1)))
         seq.append(level)
-    su, sn, sd = _single_term(scale_out)
+    ((su, scale),) = unit_terms(scale_out)
     out = {}
     for t, entries in done.items():
         lcm = math.lcm(*[den for _, _, den in entries])
-        w, den = sn, lcm * sd
+        w, den = scale.numerator, lcm * scale.denominator
         if su:
             t, m, q = _unit_product(t, su)
             w, den = w * m, den * q
@@ -171,14 +162,6 @@ def degree_series(jet, first, kind, scale_in=1, scale_out=1):
                 nums[i, d - i] = n * f
         out[t] = _row(nums, den)
     return _ring_result(jet.base, jet.order, out)
-
-
-def _single_term(value) -> tuple[int, int, int]:
-    """(unit, numerator, denominator) of a single-term exact scalar."""
-    if isinstance(value, Scalar):
-        ((u, c),) = value._terms.items()
-        return u, c.numerator, c.denominator
-    return 0, value.numerator, value.denominator
 
 
 def power(a, n: int):
@@ -230,7 +213,7 @@ class Jet:
             if i < 0 or j < 0 or i + j > order:
                 raise ValueError(f"bidegree {(i, j)} exceeds order {order}")
             terms += [(u, {(i, j): c.numerator}, 1, c.denominator)
-                      for u, c in _unit_terms(v)]
+                      for u, c in unit_terms(v)]
         self.rows = _collect(terms)
 
     # -- constructors --------------------------------------------------
@@ -260,13 +243,12 @@ class Jet:
         for u, (nums, den) in self.rows.items():
             for k, n in nums.items():
                 terms.setdefault(k, {})[u] = Fraction(n, den)
-        return {k: normalize(Scalar(t)) for k, t in terms.items()}
+        return {k: exact(t) for k, t in terms.items()}
 
     def coefficient(self, i: int, j: int):
         key = (i, j)
-        return normalize(Scalar({u: Fraction(nums[key], den)
-                                 for u, (nums, den) in self.rows.items()
-                                 if key in nums}))
+        return exact({u: Fraction(nums[key], den)
+                      for u, (nums, den) in self.rows.items() if key in nums})
 
     @property
     def body(self):
@@ -333,7 +315,7 @@ class Jet:
     def _scaled(self, value) -> "Jet":
         """This jet times an exact scalar: each row once per scalar term."""
         terms = []
-        for v, c in _unit_terms(value):
+        for v, c in unit_terms(value):
             for u, (nums, den) in self.rows.items():
                 w, m, q = _unit_product(u, v)
                 f = c * m / q
@@ -343,7 +325,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.inverse()
-        return self * sinv(normalize(Scalar(dict(_unit_terms(other)))))
+        return self * sinv(other)
 
     def __rtruediv__(self, other):
         """An exact scalar over this jet."""
@@ -441,12 +423,7 @@ class Jet:
                          for (i, j), v in sorted(self.coeffs.items()))
 
     def max_abs_coeff(self) -> float:
-        """Largest |coefficient| as a float; inf past the float range.  A
-        rational jet has one row over one denominator, and rounding is
-        monotone, so its largest numerator gives the largest float."""
-        if self.rows.keys() == {0}:
-            nums, den = self.rows[0]
-            return _magnitude(Fraction(max(map(abs, nums.values())), den))
+        """Largest |coefficient| as a float; inf past the float range."""
         return max(map(_magnitude, self.coeffs.values()), default=0.0)
 
     def __eq__(self, other):

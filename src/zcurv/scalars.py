@@ -19,8 +19,12 @@ coincide with mathematical equality on everything this package produces:
 ``exp`` is defined on scalars that are rational-plus-linear-in-ln-primes;
 ``ln`` on single-term scalars with positive coefficient and no ln factors,
 whose coefficient ``_factor`` can factor exactly.  Both raise ``ValueError``
-otherwise.  Values that happen to be rational are always returned as plain
-``Fraction``.
+otherwise.
+
+A rational value is always a plain ``Fraction``, never a ``Scalar``: every
+operation returns through ``exact``, which gives a ``Fraction`` when only
+the trivial unit is left, and ``Scalar(terms)`` refuses rational terms.
+``unit_terms`` is the term view of any exact value.
 
 This module owns the one table of units, tuples ``(r, ((p, c), ...),
 ((q, m), ...))`` numbered as this process first meets them (the trivial
@@ -223,41 +227,120 @@ def _unit_product(u: int, v: int) -> tuple[int, int, int]:
     return hit
 
 
+def exact(terms: dict):
+    """The value of the terms ``{unit number: Fraction}``: a ``Fraction``
+    when no unit but the trivial one keeps a nonzero coefficient, else a
+    ``Scalar``.  Every ring operation returns through here."""
+    terms = {u: c for u, c in terms.items() if c}
+    if not terms:
+        return Fraction(0)
+    if len(terms) == 1 and 0 in terms:
+        return terms[0]
+    value = object.__new__(Scalar)
+    value._terms = terms
+    return value
+
+
+def unit_terms(v):
+    """The (unit number, nonzero Fraction) terms of an exact scalar: an
+    int, a ``Fraction`` or a ``Scalar``."""
+    if isinstance(v, Scalar):
+        return v._terms.items()
+    if isinstance(v, (int, Fraction)):
+        return [(0, Fraction(v))] if v else []
+    raise TypeError(f"not an exact coefficient: {v!r}")
+
+
+def _render(terms) -> str:
+    """The text of (unit number, Fraction) terms, sorted by unit."""
+    if not terms:
+        return "0"
+    parts = []
+    for u, c in sorted(terms, key=lambda t: _UNITS[t[0]]):
+        r, logs, pows = _UNITS[u]
+        bits = []
+        if c != 1 or (r == 0 and not logs and not pows):
+            text = _short_fraction(c)
+            bits.append(text if c.denominator == 1 else f"({text})")
+        if r:
+            bits.append(f"exp({_short_fraction(r)})")
+        for p, e in logs:
+            bits.append(f"{p}^({_short_fraction(e)})")
+        for p, m in pows:
+            bits.append(f"ln({p})" + (f"^{m}" if m > 1 else ""))
+        parts.append("*".join(bits))
+    return " + ".join(parts)
+
+
+def _exp(terms):
+    """exp of the terms of a scalar of the form  r + sum b_p ln(p)."""
+    r = Fraction(0)
+    logs: dict[int, Fraction] = {}
+    for u, c in terms:
+        er, el, lp = _UNITS[u]
+        if not u:
+            r += c
+        elif er == 0 and not el and len(lp) == 1 and lp[0][1] == 1:
+            p = lp[0][0]
+            logs[p] = logs.get(p, Fraction(0)) + c
+        else:
+            raise ValueError(
+                f"exp not defined on scalar term {_render(terms)}")
+    w, factor = _fold_unit(r, logs)
+    return exact({w: factor})
+
+
+def _ln(terms):
+    """ln of the terms of a positive single-term scalar, no ln factors."""
+    if len(terms) != 1:
+        raise ValueError(
+            f"ln not defined on multi-term scalar {_render(terms)}")
+    ((u, c),) = terms
+    r, logs, pows = _UNITS[u]
+    if pows:
+        raise ValueError(
+            f"ln not defined on scalar with ln factors: {_render(terms)}")
+    if c <= 0:
+        raise ValueError(
+            f"ln requires a positive scalar, got {_render(terms)}")
+    exps = dict(logs)
+    for p, e in _prime_exponents(c).items():
+        exps[p] = exps.get(p, Fraction(0)) + e
+    out = {0: r}
+    for p, e in exps.items():
+        if e:
+            out[_unit_id((Fraction(0), (), ((p, 1),)))] = e
+    return exact(out)
+
+
 class Scalar:
-    """An element of the exact coefficient ring; immutable."""
+    """An element of the exact coefficient ring that is not rational;
+    immutable.  A rational value is a ``Fraction``: ``Scalar`` refuses
+    terms with no unit but the trivial one, and its operations return
+    through ``exact``."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict):
-        self._terms = {u: c for u, c in terms.items() if c}
-
-    # -- queries ------------------------------------------------------
-
-    def is_rational(self) -> bool:
-        return not self._terms or self._terms.keys() == {0}
-
-    def as_fraction(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError(f"scalar {self} is not rational")
-        return self._terms[0]
+        value = exact(terms)
+        if not isinstance(value, Scalar):
+            raise ValueError(f"rational terms make no Scalar: {value}")
+        self._terms = value._terms
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented  # a jet takes a scalar in its own + and *
-        other = as_scalar(other)
         terms = dict(self._terms)
-        for u, c in other._terms.items():
+        for u, c in unit_terms(other):
             terms[u] = terms.get(u, Fraction(0)) + c
-        return Scalar(terms)
+        return exact(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({u: -c for u, c in self._terms.items()})
+        return exact({u: -c for u, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -268,17 +351,16 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
-        other = as_scalar(other)
         terms: dict = {}
         for u, c1 in self._terms.items():
-            for v, c2 in other._terms.items():
+            for v, c2 in unit_terms(other):
                 w, m, q = _unit_product(u, v)
                 terms[w] = terms.get(w, Fraction(0)) + c1 * c2 * m / q
-        return Scalar(terms)
+        return exact(terms)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Scalar":
+    def inverse(self):
         if len(self._terms) != 1:
             raise ValueError(f"cannot invert multi-term scalar {self}")
         ((u, c),) = self._terms.items()
@@ -286,46 +368,17 @@ class Scalar:
         if pows:
             raise ValueError(f"cannot invert scalar with ln factors: {self}")
         w, factor = _fold_unit(-r, {p: -e for p, e in logs})
-        return Scalar({w: factor / c})
+        return exact({w: factor / c})
 
     # -- exp / ln -----------------------------------------------------
 
-    def exp(self) -> "Scalar":
+    def exp(self):
         """exp of a scalar of the form  r + sum b_p ln(p)."""
-        r = Fraction(0)
-        logs: dict[int, Fraction] = {}
-        for u, c in self._terms.items():
-            er, el, lp = _UNITS[u]
-            if not u:
-                r += c
-            elif er == 0 and not el and len(lp) == 1 and lp[0][1] == 1:
-                p = lp[0][0]
-                logs[p] = logs.get(p, Fraction(0)) + c
-            else:
-                raise ValueError(f"exp not defined on scalar term {self}")
-        w, factor = _fold_unit(r, logs)
-        return normalize(Scalar({w: factor}))
+        return _exp(self._terms.items())
 
-    def ln(self) -> "Scalar":
+    def ln(self):
         """ln of a single-term positive scalar with no ln factors."""
-        if len(self._terms) != 1:
-            raise ValueError(f"ln not defined on multi-term scalar {self}")
-        ((u, c),) = self._terms.items()
-        r, logs, pows = _UNITS[u]
-        if pows:
-            raise ValueError(f"ln not defined on scalar with ln factors: {self}")
-        if c <= 0:
-            raise ValueError(f"ln requires a positive scalar, got {self}")
-        exps = dict(logs)
-        for p, e in _prime_exponents(c).items():
-            exps[p] = exps.get(p, Fraction(0)) + e
-        terms: dict = {}
-        if r:
-            terms[0] = r
-        for p, e in exps.items():
-            if e:
-                terms[_unit_id((Fraction(0), (), ((p, 1),)))] = e
-        return normalize(Scalar(terms))
+        return _ln(self._terms.items())
 
     # -- conversions / protocol ---------------------------------------
 
@@ -346,66 +399,32 @@ class Scalar:
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_fraction() == other
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():  # equal to, so hashed as, the Fraction
-            return hash(self.as_fraction())
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         return f"Scalar({self})"
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for u, c in sorted(self._terms.items(), key=lambda t: _UNITS[t[0]]):
-            r, logs, pows = _UNITS[u]
-            bits = []
-            if c != 1 or (r == 0 and not logs and not pows):
-                text = _short_fraction(c)
-                bits.append(text if c.denominator == 1 else f"({text})")
-            if r:
-                bits.append(f"exp({_short_fraction(r)})")
-            for p, e in logs:
-                bits.append(f"{p}^({_short_fraction(e)})")
-            for p, m in pows:
-                bits.append(f"ln({p})" + (f"^{m}" if m > 1 else ""))
-            parts.append("*".join(bits))
-        return " + ".join(parts)
+        return _render(self._terms.items())
 
 
-def as_scalar(v) -> Scalar:
-    """``v`` as a Scalar; a rational ``v`` becomes a one-term Scalar."""
-    if isinstance(v, Scalar):
-        return v
-    return Scalar({0: Fraction(v)})
-
-
-def normalize(v):
-    """Downcast a rational-valued Scalar to Fraction; pass others through."""
-    if isinstance(v, Scalar) and v.is_rational():
-        return v.as_fraction()
-    return v
-
-
-# The series helpers of jets, over Fraction | Scalar: each gives a Fraction
-# whenever the value is rational.
+# The series helpers of jets, over exact scalars.  A rational argument is
+# folded through the code of the Scalar methods on its terms.
 
 def sinv(a):
-    if isinstance(a, Fraction):
-        if a == 0:
-            raise ZeroDivisionError("scalar inverse of 0")
-        return 1 / a
-    return normalize(a.inverse())
+    if isinstance(a, Scalar):
+        return a.inverse()
+    if not unit_terms(a):
+        raise ZeroDivisionError("scalar inverse of 0")
+    return 1 / Fraction(a)
 
 
 def sexp(a):
-    return normalize(as_scalar(a).exp())
+    return _exp(unit_terms(a))
 
 
 def sln(a):
-    return normalize(as_scalar(a).ln())
+    return _ln(unit_terms(a))

@@ -18,7 +18,8 @@ square A, invertible or not.
 from collections import namedtuple
 from fractions import Fraction
 
-from .jets import Jet, _single_term, body_ln
+from .jets import Jet, body_ln
+from .scalars import unit_terms
 
 # D+(D-(F)) = sign * exp(F): zerocurv derives the sign, and re-exports it
 SUPER_LIOUVILLE_SIGN = 1
@@ -63,8 +64,8 @@ def liouville_solution(f: Jet, g: Jet) -> Jet:
     if c == 0:
         raise ValueError("f(x0) + g(y0) vanishes")
     body_ln(c * c)  # refuse c^2 before f'g'
-    _, sign, _ = _single_term(c)
-    return (fp * gp).ln() * Fraction(1, 2) - (s if sign > 0 else -s).ln()
+    ((_, lead),) = unit_terms(c)
+    return (fp * gp).ln() * Fraction(1, 2) - (s if lead > 0 else -s).ln()
 
 
 def _matvec(matrix, vectors, like) -> list[Jet]:

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from zcurv import scalars
 from zcurv.scalars import (_MR_EXACT_BELOW, MAX_COFACTOR_BITS, Scalar,
-                           _factor, _short, as_scalar, normalize, sexp, sinv,
-                           sln)
+                           _factor, _short, exact, sexp, sinv, sln)
 
 
 def test_ln_expands_over_primes():
@@ -31,7 +30,6 @@ def test_exp_inverts_ln():
 def test_exp_of_rational_is_symbolic_and_exact():
     e3 = sexp(Fraction(3))
     assert isinstance(e3, Scalar)
-    assert not e3.is_rational()
     assert e3 * sexp(Fraction(-3)) == Fraction(1)
 
 
@@ -62,21 +60,14 @@ def test_ln_rejects_nonpositive_and_multi_term():
 
 
 def test_ln_rejects_ln_factors():
-    ln2 = as_scalar(sln(Fraction(2)))
+    ln2 = sln(Fraction(2))
     with pytest.raises(ValueError) as err:
         ln2.ln()
     assert str(err.value) == "ln not defined on scalar with ln factors: ln(2)"
 
 
-def test_as_fraction_rejects_an_irrational_scalar():
-    e = as_scalar(sexp(Fraction(1)))
-    with pytest.raises(ValueError) as err:
-        e.as_fraction()
-    assert str(err.value) == "scalar exp(1) is not rational"
-
-
 def test_exp_rejects_nonlinear_log_terms():
-    ln2 = as_scalar(sln(Fraction(2)))
+    ln2 = sln(Fraction(2))
     with pytest.raises(ValueError):
         (ln2 * ln2).exp()
 
@@ -89,28 +80,17 @@ def test_float_conversion():
 
 
 def test_rational_downcast():
-    # sexp, sln and normalize hand back plain Fractions whenever the value
-    # is rational
+    # sexp, sln and the ring operations hand back plain Fractions whenever
+    # the value is rational
     assert isinstance(sexp(Fraction(0)), Fraction)
     assert isinstance(sln(Fraction(8)), Scalar)
-    assert isinstance(normalize(sexp(Fraction(1)) * sexp(Fraction(-1))),
-                      Fraction)
+    assert isinstance(sexp(Fraction(1)) * sexp(Fraction(-1)), Fraction)
 
 
 def test_equality_and_hash():
     a = sln(Fraction(2)) + sln(Fraction(3))
     b = sln(Fraction(6))
     assert a == b and hash(a) == hash(b)
-    assert as_scalar(Fraction(2)) == Fraction(2)
-
-
-def test_rational_scalar_hashes_as_its_fraction():
-    for q in (Fraction(1, 2), Fraction(-7, 3), Fraction(0), Fraction(5)):
-        s = as_scalar(q)
-        assert isinstance(s, Scalar)
-        assert s == q and hash(s) == hash(q)
-        assert len({s, q}) == 1
-    assert hash(as_scalar(3)) == hash(3)
 
 
 def test_rational_factor_matches_the_ring_product():
@@ -119,13 +99,14 @@ def test_rational_factor_matches_the_ring_product():
               sexp(Fraction(1, 2) * sln(Fraction(3)))]
     for s in values:
         for q in (Fraction(0), Fraction(-3, 4), Fraction(7)):
-            ring = as_scalar(s) * as_scalar(q)
             # a rational factor scales each term and leaves the units as
             # they are
-            scaled = Scalar({u: c * q for u, c in s._terms.items()})
-            for got in (scaled, s * q, q * s):
-                assert got == ring
-                assert list(got._terms.items()) == list(ring._terms.items())
+            scaled = exact({u: c * q for u, c in s._terms.items()})
+            for got in (s * q, q * s):
+                assert got == scaled
+                if q:
+                    assert (list(got._terms.items())
+                            == list(scaled._terms.items()))
 
 
 _UNITS = (lambda q: q, lambda q: q * sexp(Fraction(1, 3)),
@@ -364,3 +345,54 @@ def test_scalar_ring_matches_sympy(a, b, plain, q, exponent):
         scale = sum(abs(float(sympy.N(t, 30))) for t in terms)
         want = float(sympy.N(sympy.Add(*terms), 30))
         assert abs(float(v) - want) <= 1e-14 * scale
+
+
+# Every exact value is canonical: a Fraction exactly when it is rational,
+# with sympy deciding rationality, and otherwise a Scalar.
+def _assert_canonical(v):
+    assert type(v) in (Fraction, Scalar), v
+    rational = isinstance(sympy.expand(_sympy(v)), sympy.Rational)
+    assert isinstance(v, Fraction) == rational, v
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_SUMS, _SUMS, st.integers(0, len(_PLAIN) - 1), _RATS.filter(bool),
+       _RATS, st.lists(_RATS, min_size=4, max_size=4))
+def test_every_exact_value_is_canonical(a, b, plain, k, q, exponent):
+    from zcurv.exprparse import eval_jet, parse_expression
+    from zcurv.jets import Jet
+
+    r, *logs = exponent
+    arg = r
+    for p, c in zip((2, 3, 5), logs):
+        arg = arg + c * sln(Fraction(p))
+    single, positive = k * _PLAIN[plain], abs(k) * _PLAIN[plain]
+    inv = sinv(single)
+    values = [a, b, a + b, a - b, b - a, a * b, -a, a + q, (a + q) - a,
+              a * q, q - a, single * inv, inv, inv * inv * single,
+              sexp(arg), sexp(r), sexp(sln(positive)), sln(positive),
+              sln(abs(q) + 1), sinv(q or 1)]
+    for v in values:
+        _assert_canonical(v)
+    base = (Fraction(1, 2), Fraction(-1, 3))
+    x, y = Jet.variable("x", base, 3), Jet.variable("y", base, 3)
+    jet = (x * single + a) * (y * inv + b) - x * y
+    for v in (jet.body, jet.coefficient(1, 0), jet.coefficient(1, 1),
+              *jet.coeffs.values()):
+        _assert_canonical(v)
+    memo = {}
+    text = (f"exp({r})*exp(-({r})) + ln(exp({r})) + exp(ln(2)/2)^2"
+            f" + (exp(1/3) + {q}) - exp(1/3) + exp({r})/exp({r})^2")
+    want = Jet.constant(3 + r + q + sexp(-r), base, 3)
+    assert eval_jet(parse_expression(text), x, y, memo) == want
+    folded = [v for v in memo.values() if not isinstance(v, Jet)]
+    assert len(folded) > 10
+    for v in folded:
+        _assert_canonical(v)
+
+
+@pytest.mark.parametrize("terms", [{}, {0: Fraction(3, 4)}, {0: Fraction(0)},
+                                   {0: Fraction(2), 5: Fraction(0)}])
+def test_a_scalar_refuses_rational_terms(terms):
+    with pytest.raises(ValueError, match="rational terms make no Scalar"):
+        Scalar(terms)
