@@ -8,6 +8,9 @@ and integrates the Goursat problem for the second-order system.
 
 __version__ = "0.1.0"
 
+# D+(D-(F)) = sign * exp(F): zerocurv derives the sign, solutions checks it
+SUPER_LIOUVILLE_SIGN = 1
+
 # ``import zcurv`` loads no submodule: each public name below imports its
 # module on first access (so numpy loads only with a numerics name)
 _EXPORTS = {name: module for module, names in {
@@ -18,9 +21,9 @@ _EXPORTS = {name: module for module, names in {
     "numerics": "GoursatData Grid convergence_order residual_grid "
                 "solve_goursat write_csv",
     "scalars": "Scalar",
-    "solutions": "SUPER_LIOUVILLE_SIGN SolutionVector conformal_transform "
-                 "liouville_residual liouville_solution lse_residual "
-                 "super_liouville_residual transform_GF",
+    "solutions": "SolutionVector conformal_transform liouville_residual "
+                 "liouville_solution lse_residual super_liouville_residual "
+                 "transform_GF",
     "superalg": "BracketTable SuperMatrix bracket_table osp12_basis "
                 "sl2_basis supercommutator supertrace",
     "superfield": "SuperField standard_gens",

@@ -21,8 +21,9 @@ write it ``--opt=-h...``.
 
 Importing this module loads no other zcurv module: each verb imports what
 it uses when it runs.  ``verify-liouville`` loads ``exprparse``, ``jets``,
-``scalars`` and ``solutions`` only; ``derive`` needs nearly every module;
-only ``solve`` loads numpy.
+``scalars`` and ``solutions`` only; ``derive``, ``derive-super`` and
+``obstruction`` load ``cartan``, ``superalg``, ``symexpr`` and
+``zerocurv``, and no series module; only ``solve`` loads numpy.
 """
 
 import argparse

@@ -23,12 +23,12 @@ One loop folds an expression's slots in the postorder of its tree, each
 distinct subtree once, under an operation table:
 
 * jets give exact jets at a base point.  A constant slot folds to an
-  exact scalar, a ``Fraction`` or a ``Scalar``, with ``sinv``, ``sexp`` and
-  ``sln``, and powers by ``jets.power`` (``Fraction ** n`` for a rational).
-  A scalar becomes a jet only where it meets one, in the jet's ``+``,
-  ``*``, ``/`` and their reflections, or at the root.  A scalar is refused
-  with the text that its constant jet's ``inverse``, ``ln`` or ``exp`` would
-  raise;
+  exact scalar, a ``Fraction`` or a ``Scalar``, with ``sexp`` and ``sln``.
+  ``jets.power`` takes every power of a jet or a scalar, and a quotient
+  is the product with the divisor's power -1.  A scalar becomes a jet
+  only where it meets one, in the jet's ``+``, ``*`` and their
+  reflections, or at the root.  A scalar is refused with the text that
+  its constant jet's ``inverse``, ``ln`` or ``exp`` would raise;
 * floats (``float``, ``operator.truediv``, ``operator.pow``, ``math.exp``,
   ``math.log``) give a float at one point;
 * arrays give the float fold at every point of a 1-D float array at once.
@@ -345,20 +345,8 @@ def _jet_ops() -> dict:
     ``Fraction`` or a ``Scalar``, and a scalar meets a jet in the jet's own
     operators.  Each scalar refusal is the one the constant jet of the
     scalar would raise."""
-    from .jets import Jet, body_inverse, body_ln, power
+    from .jets import Jet, body_ln, power
     from .scalars import sexp
-
-    def div(a, b):
-        return a / b if isinstance(b, Jet) else a * body_inverse(b)
-
-    def pow_(a, n):
-        if isinstance(a, Jet):
-            return a.pow_int(n)
-        if n < 0:
-            a, n = body_inverse(a), -n
-        if isinstance(a, Fraction):
-            return a ** n
-        return power(a, n) if n else Fraction(1)
 
     def exp(a):
         return a.exp() if isinstance(a, Jet) else sexp(a)
@@ -366,8 +354,8 @@ def _jet_ops() -> dict:
     def ln(a):
         return a.ln() if isinstance(a, Jet) else body_ln(a)[1]
 
-    return {**_ARITHMETIC, "num": Fraction, "div": div, "pow": pow_,
-            "exp": exp, "ln": ln}
+    return {**_ARITHMETIC, "num": Fraction, "pow": power, "exp": exp,
+            "ln": ln, "div": lambda a, b: a * power(b, -1)}
 
 
 def eval_jet(expression: Expression, x: "Jet", y: "Jet",

@@ -65,6 +65,8 @@ from itertools import compress
 
 from .scalars import _unit_product, exact, sexp, sinv, sln, unit_terms
 
+MAX_POWER_BITS = 2 ** 19  # the bits a power may add to its body
+
 
 def degree_series(jet, first, kind, scale_in=1, scale_out=1):
     """first + sum_{d>=1} out_d for the series ``kind`` of s = sum_d P_d,
@@ -165,9 +167,26 @@ def degree_series(jet, first, kind, scale_in=1, scale_out=1):
 
 
 def power(a, n: int):
-    """``a ** n`` for n >= 1, a jet or an exact scalar, by square and
-    multiply from ``a`` itself, so no product has the unit as a factor:
-    x^1 takes no product, x^2 one and x^8 three."""
+    """``a ** n`` for an int n, a jet or an exact scalar.  A negative n
+    inverts ``a`` first, as ``Jet.inverse`` or ``body_inverse`` does.  For
+    n >= 2, n * (bits - 1) of the body's largest numerator or denominator
+    may not pass ``MAX_POWER_BITS``.  A ``Fraction`` takes ``**``, any
+    other base square and multiply from itself, so no product has the
+    unit as a factor: x^1 takes no product, x^2 one and x^8 three."""
+    jet = isinstance(a, Jet)
+    if n < 0:
+        a, n = a.inverse() if jet else body_inverse(a), -n
+    if n == 0:
+        return Jet.constant(1, a.base, a.order) if jet else Fraction(1)
+    if n >= 2:
+        b = max((max(abs(c.numerator), c.denominator)
+                 for _, c in unit_terms(a.body if jet else a)), default=0)
+        bits = n * (b.bit_length() - 1)
+        if bits > MAX_POWER_BITS:
+            raise ValueError(f"power {n} would give its body about {bits} "
+                             f"bits, past the limit of {MAX_POWER_BITS}")
+    if isinstance(a, Fraction):
+        return a ** n
     out = a
     for bit in bin(n)[3:]:  # the bits after the leading 1
         out = out * out
@@ -338,12 +357,7 @@ class Jet:
         ic = body_inverse(self.body)
         return degree_series(self, 1, "inverse", ic, ic)
 
-    def pow_int(self, n: int) -> "Jet":
-        if n < 0:
-            return self.inverse().pow_int(-n)
-        if n == 0:
-            return Jet.constant(1, self.base, self.order)
-        return power(self, n)
+    pow_int = power
 
     # -- calculus --------------------------------------------------------
 
@@ -401,12 +415,8 @@ class Jet:
         coeffs = self.coeffs
         max_i = max((k[0] for k in coeffs), default=0)
         max_j = max((k[1] for k in coeffs), default=0)
-        xpow = [Jet.constant(1, fx.base, order)]
-        for _ in range(max_i):
-            xpow.append(xpow[-1] * dx)
-        ypow = [Jet.constant(1, fx.base, order)]
-        for _ in range(max_j):
-            ypow.append(ypow[-1] * dy)
+        xpow = [power(dx, i) for i in range(max_i + 1)]
+        ypow = [power(dy, j) for j in range(max_j + 1)]
         acc = Jet.zero(fx.base, order)
         for (i, j), v in sorted(coeffs.items()):
             acc = acc + xpow[i] * ypow[j] * v

@@ -18,11 +18,9 @@ square A, invertible or not.
 from collections import namedtuple
 from fractions import Fraction
 
+from . import SUPER_LIOUVILLE_SIGN
 from .jets import Jet, body_ln
 from .scalars import unit_terms
-
-# D+(D-(F)) = sign * exp(F): zerocurv derives the sign, and re-exports it
-SUPER_LIOUVILLE_SIGN = 1
 
 
 class SolutionVector(namedtuple("SolutionVector", "components cartan")):

@@ -36,10 +36,9 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import SUPER_LIOUVILLE_SIGN
 from .cartan import CartanMatrix, determinant
-from .solutions import SUPER_LIOUVILLE_SIGN
 from .superalg import fixture_table
-from .superfield import SuperField
 from .symexpr import Atom, Expr, _collect, _term_key, exp_linear, fn
 
 GenKey = tuple[str, int]
@@ -160,9 +159,9 @@ def _apply_dir(coeff, direction: str):
 
 def _lower(coeff):
     # superfield products must match the order lost by the derivative terms
-    if isinstance(coeff, SuperField):
-        return coeff.truncate(coeff.order - 1)
-    return coeff
+    if isinstance(coeff, Expr):
+        return coeff
+    return coeff.truncate(coeff.order - 1)
 
 
 def _total(pairs):

@@ -356,10 +356,14 @@ def test_order_without_a_coefficient_table_exit_3(capsys, monkeypatch, flags,
      "8", "of 1024"),
     (["--f", "(x+1)^10000", "--g", "y+1", "--base", "1,1", "--order", "4"],
      "8", "of 1024"),
-], ids=["order", "ZCURV_ORDER", "cofactor-3000", "cofactor-10000"])
+    (["--f", "x^1000000+1", "--g", "y+1", "--base", "1/2,1/3", "--order",
+      "4"], "8", "of 524288"),
+], ids=["order", "ZCURV_ORDER", "cofactor-3000", "cofactor-10000",
+        "power-1000000"])
 def test_input_past_a_limit_exits_3_at_once(argv, env_order, limit):
-    # a jet order past MAX_ORDER, and a cofactor of about 3,000 or 10,000
-    # bits left by ln((f+g)^2): each took from 1.5 s to minutes before
+    # a jet order past MAX_ORDER, a cofactor of about 3,000 or 10,000 bits
+    # left by ln((f+g)^2), and a power of the body 1/2 past MAX_POWER_BITS:
+    # each took from 1.5 s to minutes before
     env = {**os.environ, "PYTHONPATH": str(Path(zcurv.__file__).parents[1]),
            "ZCURV_ORDER": env_order}
     start = time.perf_counter()
@@ -974,8 +978,7 @@ print(json.dumps([code, sorted(m for m in new if m.split(".")[0] == "zcurv"),
 
 # zcurv modules past zcurv and zcurv.cli that each verb loads in a fresh
 # process, and whether it loads numpy and dataclasses
-SYMBOLIC = ["cartan", "jets", "scalars", "solutions", "superalg",
-            "superfield", "symexpr", "zerocurv"]
+SYMBOLIC = ["cartan", "superalg", "symexpr", "zerocurv"]
 VERB_LOADS = [
     (["zcurv"], None, False, False),
     ([], [], False, False),

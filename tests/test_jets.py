@@ -66,6 +66,34 @@ def test_power_makes_no_product_with_the_unit(monkeypatch):
     assert counts == {1: 0, 2: 1, 8: 3}
 
 
+def test_power_is_one_rule_for_jets_and_scalars():
+    assert Jet.pow_int is jets.power
+    e = sexp(Fraction(1))
+    assert jets.power(Fraction(-2, 3), -3) == Fraction(-27, 8)
+    assert jets.power(Fraction(5), 0) == Fraction(1)
+    assert jets.power(e * 2, 0) == Fraction(1)
+    assert jets.power(e * 2, -2) == sinv(e * e * 4)
+    assert jets.power(x(3), 0) == Jet.constant(1, order=3)
+    with pytest.raises(ValueError, match="zero body, cannot invert"):
+        jets.power(Fraction(0), -1)
+
+
+@pytest.mark.parametrize("base", [x(2, (2, 0)), Fraction(3, 2),
+                                  sexp(Fraction(1)) * 3],
+                         ids=["jet", "Fraction", "Scalar"])
+def test_a_power_past_the_bit_limit_is_refused_before_any_product(
+        base, monkeypatch):
+    # a 2-bit body gains about n bits: 2^19 is the last exponent taken
+    for cls in (Jet, scalars.Scalar):
+        monkeypatch.setattr(cls, "__mul__", lambda *_: pytest.fail("product"))
+    n = jets.MAX_POWER_BITS + 1
+    with pytest.raises(ValueError) as err:
+        jets.power(base, n)
+    assert str(err.value) == (f"power {n} would give its body about {n} "
+                              "bits, past the limit of 524288")
+    assert jets.power(Fraction(2), n - 1) == 2 ** (n - 1)
+
+
 def test_pow_int_is_repeated_multiplication():
     # the body 2e carries an exp unit
     u = x(5, (1, 1)).exp() * (y(5, (1, 1)) + 1)
@@ -166,9 +194,17 @@ def test_exp_refuses_the_body_before_any_series(monkeypatch):
         u.exp()
 
 
-def test_max_abs_of_a_rational_jet_reads_its_one_row():
-    # one row over one denominator: the largest numerator rounds to the
-    # largest float, and past the float range to inf, as per coefficient
+def _exact_max_abs(u) -> float:
+    """max |c| over the coefficients, taken exactly, then made a float."""
+    try:
+        return float(max((abs(c) for c in u.coeffs.values()),
+                         default=Fraction(0)))
+    except OverflowError:
+        return float("inf")
+
+
+def test_max_abs_of_a_rational_jet_matches_the_exact_maximum():
+    # the float of the exact largest |coefficient|, and inf past the range
     rng = random.Random(33)
     jets_ = [Jet.zero(order=3), Jet.constant(Fraction(-7, 3), order=0)]
     for _ in range(60):
@@ -180,8 +216,7 @@ def test_max_abs_of_a_rational_jet_reads_its_one_row():
               Jet((0, 0), 3, {(2, 0): Fraction(10 ** 308, 3), (0, 1): 1})]
     for u in jets_:
         assert u.rows.keys() <= {0}
-        want = max(map(jets._magnitude, u.coeffs.values()), default=0.0)
-        assert u.max_abs_coeff() == want
+        assert u.max_abs_coeff() == _exact_max_abs(u)
     assert jets_[-2].max_abs_coeff() == float("inf")
     assert jets_[-1].max_abs_coeff() == float(Fraction(10 ** 308, 3))
 

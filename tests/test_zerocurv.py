@@ -268,6 +268,12 @@ def test_derive_toda_rejects_odd_nodes():
         derive_toda(standard_cartan("osp12"))
 
 
+def test_derive_toda_rejects_an_unknown_form():
+    with pytest.raises(ValueError) as err:
+        derive_toda(standard_cartan("sl3"), "bogus")
+    assert str(err.value) == "unknown form 'bogus'"
+
+
 def test_derive_super_liouville_structure():
     system = derive_super_liouville()
     lines = [eq.render() for eq in system.first_order]
