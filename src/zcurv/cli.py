@@ -48,7 +48,8 @@ MAX_ORDER = 128
 MAX_RATIONAL_BITS = 1024
 _DECIMAL_EXPONENT = r"\s*[-+]?[\d._]*[eE][-+]?([\d_]+)\s*"
 # The longest expression accepted: parse and fold take time and memory
-# linear in its length, about 2 s for a 100,000-term sum of jets.
+# linear in its length while its terms share units (about 2 s for a
+# 100,000-term sum of jets), and scalars.MAX_UNITS bounds the distinct ones.
 MAX_EXPRESSION_CHARS = 2 ** 18
 
 

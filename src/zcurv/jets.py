@@ -20,7 +20,7 @@ printed or converted to float, so unit numbers never reach either.
 
 Every ring operation is a row operation.  A product convolves the integer
 rows of each pair of units once and takes the pair's unit product, a unit
-times a rational factor, from the cache ``scalars._unit_product``.  A sum
+times a positive integer, from the cache ``scalars._unit_product``.  A sum
 merges rows over the lcm of their denominators; a scalar factor, a
 negation or a derivative rescales the numerators.  Rows that land on one
 unit are added, and each result row is divided by one gcd.  So the
@@ -63,7 +63,8 @@ import math
 from fractions import Fraction
 from itertools import compress
 
-from .scalars import _unit_product, exact, sexp, sinv, sln, unit_terms
+from .scalars import (MAX_UNITS, _unit_product, exact, sexp, sinv, sln,
+                      unit_terms)
 
 MAX_POWER_BITS = 2 ** 19  # the bits a power may add to its body
 
@@ -83,8 +84,8 @@ def degree_series(jet, first, kind, scale_in=1, scale_out=1):
     unit, with i the x-degree.  P_d's rows are read off the jet's: each
     unit's row is split by total degree i + j, scaled, and each degree's
     row is divided by its own gcd.  A term w * P_k * X_{d-k} adds the
-    product of the rows of units u and v to unit t, where u * v = (m / q) *
-    t, with weight w * m and the denominators' product times q; the
+    product of the rows of units u and v to unit t, where u * v = m * t
+    for an int m, with weight w * m over the denominators' product; the
     trivial unit 0 is the identity.  Each unit's sum is formed over the lcm
     L of its terms' denominators, each weight scaled by L over its own
     denominator, and divided by one gcd.  For ln, T_0 = 0 and the d P_d term
@@ -98,10 +99,8 @@ def degree_series(jet, first, kind, scale_in=1, scale_out=1):
     rows = [[] for _ in range(size)]
     ((su, scale),) = unit_terms(scale_in)
     for u, (nums, den) in jet.rows.items():
-        w, den = scale.numerator, den * scale.denominator
-        if su:
-            u, m, q = _unit_product(u, su)
-            w, den = w * m, den * q
+        u, m = _unit_product(u, su) if su else (u, 1)
+        w, den = scale.numerator * m, den * scale.denominator
         split: dict = {}
         for (i, j), n in nums.items():
             if i + j:
@@ -122,12 +121,9 @@ def degree_series(jet, first, kind, scale_in=1, scale_out=1):
             w = k if kind == "exp" else -1
             for u, row, rden in rows[k]:
                 for v, prow, pden in seq[d - k]:
-                    if u and v:
-                        t, m, q = _unit_product(u, v)
-                    else:
-                        t, m, q = u or v, 1, 1
+                    t, m = _unit_product(u, v) if u and v else (u or v, 1)
                     groups.setdefault(t, []).append(
-                        (w * m, row, prow, rden * pden * q))
+                        (w * m, row, prow, rden * pden))
         if ln:
             for u, row, rden in rows[d]:
                 groups.setdefault(u, []).append((d, row, [(0, 1)], rden))
@@ -153,10 +149,8 @@ def degree_series(jet, first, kind, scale_in=1, scale_out=1):
     out = {}
     for t, entries in done.items():
         lcm = math.lcm(*[den for _, _, den in entries])
-        w, den = scale.numerator, lcm * scale.denominator
-        if su:
-            t, m, q = _unit_product(t, su)
-            w, den = w * m, den * q
+        t, m = _unit_product(t, su) if su else (t, 1)
+        w, den = scale.numerator * m, lcm * scale.denominator
         nums = {}
         for d, row, e in entries:
             f = lcm // e * w
@@ -325,8 +319,8 @@ class Jet:
             for v, (b, db) in other.rows.items():
                 nums = _convolve(a, b, self.order)
                 if nums:
-                    w, m, q = _unit_product(u, v)
-                    terms.append((w, nums, m, da * db * q))
+                    w, m = _unit_product(u, v)
+                    terms.append((w, nums, m, da * db))
         return _ring_result(self.base, self.order, _collect(terms))
 
     __rmul__ = __mul__
@@ -336,19 +330,14 @@ class Jet:
         terms = []
         for v, c in unit_terms(value):
             for u, (nums, den) in self.rows.items():
-                w, m, q = _unit_product(u, v)
-                f = c * m / q
-                terms.append((w, nums, f.numerator, den * f.denominator))
+                w, m = _unit_product(u, v)
+                terms.append((w, nums, c.numerator * m, den * c.denominator))
         return _ring_result(self.base, self.order, _collect(terms))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.inverse()
         return self * sinv(other)
-
-    def __rtruediv__(self, other):
-        """An exact scalar over this jet."""
-        return self.inverse() * other
 
     def inverse(self) -> "Jet":
         """Multiplicative inverse; the body must be an invertible scalar.
@@ -491,7 +480,10 @@ def _monomial_str(i: int, j: int, base) -> str:
 def _ring_result(base, order, rows) -> Jet:
     """A jet from a ring operation, built without ``Jet``'s checks: ``base``
     is a jet's Fraction pair and ``rows`` are canonical rows within the
-    order."""
+    order.  A jet of more than ``scalars.MAX_UNITS`` rows is refused."""
+    if len(rows) > MAX_UNITS:
+        raise ValueError(f"a jet of {len(rows)} units is past the limit of "
+                         f"{MAX_UNITS}")
     jet = object.__new__(Jet)
     jet.base = base
     jet.order = order

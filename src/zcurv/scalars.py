@@ -39,7 +39,8 @@ from fractions import Fraction
 # unit number -> unit tuple, and back; the trivial unit exp(0) is 0
 _UNITS = [(Fraction(0), (), ())]
 _UNIT_IDS = {_UNITS[0]: 0}
-# (u, v) -> (w, m, q) with unit u times unit v == (m / q) * unit w
+# (u, v) -> (w, m) with unit u times unit v == m * unit w: a unit's prime
+# exponents lie in [0, 1), so a product folds out an int m >= 1
 _UNIT_PRODUCTS: dict = {}
 
 _TRIAL_BOUND = 1000
@@ -53,6 +54,10 @@ _RHO_STEPS = 1 << 22  # ample for a factor below 1.8e12; a few seconds at most
 # nothing takes about 0.2 s, at 20,000 bits minutes.
 MAX_COFACTOR_BITS = 1024
 _SHORT_DIGITS = 24  # an integer of more than twice this many digits is cut
+_SHORT_TERMS = 6  # a refusal cuts a scalar of more than 8 terms to 6
+# The most units one exact value holds: a Scalar's terms or a jet's rows.
+# Each + or * rebuilds them all, so sums of distinct units grow quadratically.
+MAX_UNITS = 256
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -179,8 +184,6 @@ def _rho(m: int, steps: int) -> int:
 
 
 def _prime_exponents(q: Fraction) -> dict[int, int]:
-    if q <= 0:
-        raise ValueError(f"ln requires a positive rational, got {q}")
     out = _factor(q.numerator)
     for p, e in _factor(q.denominator).items():
         out[p] = out.get(p, 0) - e
@@ -212,8 +215,10 @@ def _fold_unit(exp_rat: Fraction, exp_logs: dict[int, Fraction],
     return _unit_id((exp_rat, tuple(logs), pows)), factor
 
 
-def _unit_product(u: int, v: int) -> tuple[int, int, int]:
-    """(w, m, q) with unit u times unit v == (m / q) * unit w; cached."""
+def _unit_product(u: int, v: int) -> tuple[int, int]:
+    """(w, m) with unit u times unit v == m * unit w; cached.  m is a
+    positive int: each prime's exponent in a unit lies in [0, 1), so two of
+    them sum to less than 2 and ``_fold_unit`` folds out at most p^1."""
     hit = _UNIT_PRODUCTS.get((u, v))
     if hit is None:
         (r1, l1, m1), (r2, l2, m2) = _UNITS[u], _UNITS[v]
@@ -223,7 +228,7 @@ def _unit_product(u: int, v: int) -> tuple[int, int, int]:
         for p, m in m2:
             pows[p] = pows.get(p, 0) + m
         w, f = _fold_unit(r1 + r2, logs, tuple(sorted(pows.items())))
-        hit = _UNIT_PRODUCTS[(u, v)] = (w, f.numerator, f.denominator)
+        hit = _UNIT_PRODUCTS[(u, v)] = (w, f.numerator)
     return hit
 
 
@@ -232,6 +237,9 @@ def exact(terms: dict):
     when no unit but the trivial one keeps a nonzero coefficient, else a
     ``Scalar``.  Every ring operation returns through here."""
     terms = {u: c for u, c in terms.items() if c}
+    if len(terms) > MAX_UNITS:
+        raise ValueError(f"an exact value of {len(terms)} units is past the "
+                         f"limit of {MAX_UNITS}")
     if not terms:
         return Fraction(0)
     if len(terms) == 1 and 0 in terms:
@@ -251,12 +259,15 @@ def unit_terms(v):
     raise TypeError(f"not an exact coefficient: {v!r}")
 
 
-def _render(terms) -> str:
-    """The text of (unit number, Fraction) terms, sorted by unit."""
+def _render(terms, clip=False) -> str:
+    """The text of (unit number, Fraction) terms, sorted by unit; with
+    ``clip``, past 8 terms the first _SHORT_TERMS, "..." and the count."""
     if not terms:
         return "0"
+    terms = sorted(terms, key=lambda t: _UNITS[t[0]])
+    cut = clip and len(terms) > _SHORT_TERMS + 2
     parts = []
-    for u, c in sorted(terms, key=lambda t: _UNITS[t[0]]):
+    for u, c in terms[:_SHORT_TERMS] if cut else terms:
         r, logs, pows = _UNITS[u]
         bits = []
         if c != 1 or (r == 0 and not logs and not pows):
@@ -269,6 +280,8 @@ def _render(terms) -> str:
         for p, m in pows:
             bits.append(f"ln({p})" + (f"^{m}" if m > 1 else ""))
         parts.append("*".join(bits))
+    if cut:
+        parts.append(f"... ({len(terms)} terms)")
     return " + ".join(parts)
 
 
@@ -285,7 +298,7 @@ def _exp(terms):
             logs[p] = logs.get(p, Fraction(0)) + c
         else:
             raise ValueError(
-                f"exp not defined on scalar term {_render(terms)}")
+                f"exp not defined on scalar term {_render(terms, True)}")
     w, factor = _fold_unit(r, logs)
     return exact({w: factor})
 
@@ -294,15 +307,15 @@ def _ln(terms):
     """ln of the terms of a positive single-term scalar, no ln factors."""
     if len(terms) != 1:
         raise ValueError(
-            f"ln not defined on multi-term scalar {_render(terms)}")
+            f"ln not defined on multi-term scalar {_render(terms, True)}")
     ((u, c),) = terms
     r, logs, pows = _UNITS[u]
     if pows:
-        raise ValueError(
-            f"ln not defined on scalar with ln factors: {_render(terms)}")
+        raise ValueError("ln not defined on scalar with ln factors: "
+                         + _render(terms, True))
     if c <= 0:
         raise ValueError(
-            f"ln requires a positive scalar, got {_render(terms)}")
+            f"ln requires a positive scalar, got {_render(terms, True)}")
     exps = dict(logs)
     for p, e in _prime_exponents(c).items():
         exps[p] = exps.get(p, Fraction(0)) + e
@@ -354,19 +367,21 @@ class Scalar:
         terms: dict = {}
         for u, c1 in self._terms.items():
             for v, c2 in unit_terms(other):
-                w, m, q = _unit_product(u, v)
-                terms[w] = terms.get(w, Fraction(0)) + c1 * c2 * m / q
+                w, m = _unit_product(u, v)
+                terms[w] = terms.get(w, Fraction(0)) + c1 * c2 * m
         return exact(terms)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if len(self._terms) != 1:
-            raise ValueError(f"cannot invert multi-term scalar {self}")
+            raise ValueError("cannot invert multi-term scalar "
+                             + _render(self._terms.items(), True))
         ((u, c),) = self._terms.items()
         r, logs, pows = _UNITS[u]
         if pows:
-            raise ValueError(f"cannot invert scalar with ln factors: {self}")
+            raise ValueError("cannot invert scalar with ln factors: "
+                             + _render(self._terms.items(), True))
         w, factor = _fold_unit(-r, {p: -e for p, e in logs})
         return exact({w: factor / c})
 

@@ -358,12 +358,21 @@ def test_order_without_a_coefficient_table_exit_3(capsys, monkeypatch, flags,
      "8", "of 1024"),
     (["--f", "x^1000000+1", "--g", "y+1", "--base", "1/2,1/3", "--order",
       "4"], "8", "of 524288"),
+    (["--f", "x+(1+exp(1))^1600", "--g", "y", "--order", "4"], "8",
+     "of 256"),
+    (["--f", "x+" + "+".join(f"exp({k})" for k in range(1, 801)), "--g", "y",
+      "--order", "4"], "8", "of 256"),
+    (["--f", "x+" + "+".join(f"exp({k})" for k in range(1, 8001)), "--g",
+      "y", "--order", "4"], "8", "of 256"),
 ], ids=["order", "ZCURV_ORDER", "cofactor-3000", "cofactor-10000",
-        "power-1000000"])
+        "power-1000000", "units-power-1600", "units-sum-800",
+        "units-sum-8000"])
 def test_input_past_a_limit_exits_3_at_once(argv, env_order, limit):
     # a jet order past MAX_ORDER, a cofactor of about 3,000 or 10,000 bits
-    # left by ln((f+g)^2), and a power of the body 1/2 past MAX_POWER_BITS:
-    # each took from 1.5 s to minutes before
+    # left by ln((f+g)^2), a power of the body 1/2 past MAX_POWER_BITS, and
+    # constants past scalars.MAX_UNITS units (a power of the two-unit
+    # 1 + exp(1), sums of 800 and 8,000 distinct exp units): each took from
+    # 1.5 s to minutes before
     env = {**os.environ, "PYTHONPATH": str(Path(zcurv.__file__).parents[1]),
            "ZCURV_ORDER": env_order}
     start = time.perf_counter()
@@ -561,6 +570,17 @@ def test_a_scalar_in_an_error_prints_long_integers_short(capsys):
         "error: cannot invert multi-term scalar (810000000000000000000000..."
         "000000000000000000000484 (10002 digits)/81) + (18000000000000000000"
         "0000...000000000000000000000044 (5002 digits)/9)*exp(1/2) + exp(1)\n")
+
+
+def test_a_long_scalar_in_a_refusal_is_cut(capsys):
+    # c^2 = (f(x0) + g(y0))^2 has 201 terms: the refusal prints six of them
+    code, out, err = run(capsys, "verify-liouville", "--f",
+                         "x+(1+exp(1))^100", "--g", "y", "--order", "4")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: cannot invert multi-term scalar 1 + 200*exp(1) + "
+        "19900*exp(2) + 1313400*exp(3) + 64684950*exp(4) + "
+        "2535650040*exp(5) + ... (201 terms)\n")
 
 
 def _solve(boundary, h="1/4", out="grid.csv"):

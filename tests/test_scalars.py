@@ -7,8 +7,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from zcurv import scalars
-from zcurv.scalars import (_MR_EXACT_BELOW, MAX_COFACTOR_BITS, Scalar,
-                           _factor, _short, exact, sexp, sinv, sln)
+from zcurv.scalars import (_MR_EXACT_BELOW, MAX_COFACTOR_BITS, MAX_UNITS,
+                           Scalar, _factor, _short, exact, sexp, sinv, sln,
+                           unit_terms)
 
 
 def test_ln_expands_over_primes():
@@ -396,3 +397,91 @@ def test_every_exact_value_is_canonical(a, b, plain, k, q, exponent):
 def test_a_scalar_refuses_rational_terms(terms):
     with pytest.raises(ValueError, match="rational terms make no Scalar"):
         Scalar(terms)
+
+
+def test_a_scalar_from_unit_terms():
+    # the public constructor keeps the nonzero terms, in a dict of its own
+    (e1, _), = unit_terms(sexp(Fraction(1)))
+    (e2, _), = unit_terms(sexp(Fraction(2)))
+    terms = {0: Fraction(1, 2), e1: Fraction(-3), e2: Fraction(0)}
+    v = Scalar(terms)
+    terms[e2] = Fraction(5)
+    assert v._terms == {0: Fraction(1, 2), e1: Fraction(-3)}
+    assert v == Fraction(1, 2) - 3 * sexp(Fraction(1))
+    assert str(v) == "(1/2) + -3*exp(1)"
+    assert Scalar({e2: Fraction(2)}) == 2 * sexp(Fraction(2))
+
+
+_MADE_RATS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# exact values whose units come from sexp and sln of rationals: exp(r)
+# times prime powers, and ln(p)
+_POSITIVE = st.fractions(min_value=Fraction(1, 30), max_value=30,
+                         max_denominator=30)
+_MADE = st.one_of(
+    st.builds(lambda r, c, q: sexp(r + c * sln(q)), _MADE_RATS, _MADE_RATS,
+              _POSITIVE),
+    st.builds(sln, _POSITIVE))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(_MADE, _MADE, _MADE)
+def test_unit_products_are_integer_multiples(a, b, c):
+    """A unit's prime exponents lie in [0, 1), so a product of two units
+    folds out a positive integer: u * v == m * w with m an int >= 1."""
+    one = Fraction(1)
+    for u, _ in unit_terms(a * b):
+        for v, _ in [*unit_terms(a), *unit_terms(c)]:
+            w, m = scalars._unit_product(u, v)
+            assert type(w) is type(m) is int and m >= 1
+            assert 0 <= w < len(scalars._UNITS)
+            left, right = exact({u: one}), exact({v: one})
+            assert left * right == exact({w: Fraction(m)})
+            assert math.isclose(float(left) * float(right),
+                                m * float(exact({w: one})), rel_tol=1e-12)
+
+
+def _exp_sum(n):
+    """exp(1) + ... + exp(n): a value of n units."""
+    return exact({u: c for k in range(1, n + 1)
+                  for u, c in unit_terms(sexp(Fraction(k)))})
+
+
+def test_an_exact_value_holds_at_most_max_units():
+    from zcurv.jets import Jet
+
+    most = _exp_sum(MAX_UNITS - 1) + 1
+    assert len(most._terms) == MAX_UNITS
+    assert most - 1 == _exp_sum(MAX_UNITS - 1)
+    past = f"of {MAX_UNITS + 1} units is past the limit of {MAX_UNITS}"
+    with pytest.raises(ValueError, match=f"^an exact value {past}$"):
+        most + sexp(Fraction(MAX_UNITS))
+    # exp(k) and exp(k + 1/2) are distinct units
+    twice = f"of {2 * MAX_UNITS} units is past the limit of {MAX_UNITS}"
+    with pytest.raises(ValueError, match=f"^an exact value {twice}$"):
+        most * (1 + sexp(Fraction(1, 2)))
+    # a jet's rows: x's row on the trivial unit and one row per exp(k)
+    x = Jet.variable("x", (0, 0), 2)
+    jet = x + _exp_sum(MAX_UNITS - 1)
+    assert len(jet.rows) == MAX_UNITS
+    assert (jet * 2).rows.keys() == jet.rows.keys()
+    with pytest.raises(ValueError, match=f"^a jet {past}$"):
+        jet + sexp(Fraction(MAX_UNITS))
+    with pytest.raises(ValueError, match=f"^a jet {twice}$"):
+        jet * (1 + sexp(Fraction(1, 2)))
+
+
+def test_a_refusal_cuts_a_scalar_past_eight_terms():
+    # str() prints every term; a refusal prints at most six and the count
+    eight, nine = _exp_sum(7) + 1, _exp_sum(8) + 1
+    head = "1 + exp(1) + exp(2) + exp(3) + exp(4) + exp(5)"
+    assert str(eight) == head + " + exp(6) + exp(7)"
+    assert str(nine) == str(eight) + " + exp(8)"
+    for fn, text in [(sinv, "cannot invert multi-term scalar "),
+                     (sln, "ln not defined on multi-term scalar "),
+                     (sexp, "exp not defined on scalar term ")]:
+        with pytest.raises(ValueError) as err:
+            fn(eight)
+        assert str(err.value) == text + str(eight)
+        with pytest.raises(ValueError) as err:
+            fn(nine)
+        assert str(err.value) == text + head + " + ... (9 terms)"
