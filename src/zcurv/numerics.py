@@ -23,7 +23,9 @@ reduce.  The march checks finiteness once per batch of 16 diagonals: a
 finite largest |final - first| proves every final value of the batch
 finite, and only when it is not, or when an exp overflows, are the batch's
 diagonals redone in order to name the first failing cell.  ``write_csv``
-formats a grid with one ``%`` a block of rows.  ``square_steps`` refuses a
+formats a grid with one ``%`` a block of rows; the template takes one
+``str.join`` a row, of the row's x and the grid's line tails
+",y,%.17g,...\n".  ``square_steps`` refuses a
 grid of over MAX_GRID_VALUES values before anything is sampled or
 allocated; each boundary trace is then sampled once per grid point, and the
 corner check reuses the two samples at (x0, y0).  Grids and their data are
@@ -149,18 +151,19 @@ def _rhs_kernel(a: CartanMatrix) -> Callable[[np.ndarray], np.ndarray]:
     and one reduce from +0.0 over them adds their (n, cells) products in
     order.  A zero entry in a live column adds +-0.0, which leaves a sum
     started at +0.0 unchanged while the exps are finite; when one is not,
-    the scalar loop's final value for that cell is not finite either."""
+    the scalar loop's final value for that cell is not finite either.  The
+    callables and the live count are bound once, as closure locals."""
     af = np.array(a.entries, dtype=float)
     live = np.flatnonzero(af.any(axis=0))
     rows = live if len(live) < len(af) else slice(None)
     at = af[:, live].T[:, :, None]  # [l, k, 0] = A_k,live[l]
+    exp, fromiter, reduce, k = math.exp, np.fromiter, np.add.reduce, len(live)
 
     def rhs(g: np.ndarray) -> np.ndarray:
         cells = g.shape[1]  # a zero matrix leaves no live row to count
         src = g[rows].ravel().tolist()  # live row by live row
-        e = np.fromiter(map(math.exp, src), float, len(src))
-        return np.add.reduce(e.reshape(len(live), 1, cells) * at, axis=0,
-                             initial=0.0)
+        e = fromiter(map(exp, src), float, len(src))
+        return reduce(e.reshape(k, 1, cells) * at, axis=0, initial=0.0)
 
     return rhs
 
@@ -168,12 +171,15 @@ def _rhs_kernel(a: CartanMatrix) -> Callable[[np.ndarray], np.ndarray]:
 def _diagonal(flat: np.ndarray, m: int, d: int):
     """The lowest i of anti-diagonal ``d``, the columns of its cells in the
     component-major ``flat`` and the (n, cells) blocks of their (i-1, j),
-    (i, j-1) and (i-1, j-1) corners: cell (i, d - i) is column i*m + d, so
-    a diagonal and each of its corners are slices of step m."""
+    (i, j-1) and (i-1, j-1) corners, as a tuple: cell (i, d - i) is column
+    i*m + d, so a diagonal is a slice of step m and its corners are the
+    slices m + 1, 1 and m + 2 columns before it."""
     lo, hi = max(1, d - m), min(m, d - 1)
     start, stop = lo * m + d, hi * m + d + 1
-    return lo, slice(start, stop, m), [flat[:, start - k:stop - k:m]
-                                       for k in (m + 1, 1, m + 2)]
+    up, end = start - m - 1, stop - m - 1  # the (i-1, j) corners
+    return lo, slice(start, stop, m), (flat[:, up:end:m],
+                                       flat[:, start - 1:stop - 1:m],
+                                       flat[:, up - 1:end - 1:m])
 
 
 def _corrector(rhs, h2, va, vb, vc):
@@ -312,16 +318,18 @@ def write_csv(grid: Grid, path) -> None:
     """Row-major CSV export with 17-significant-digit floats.  Each block of
     rows of about _CSV_BLOCK values is formatted by one ``%`` on a template
     that holds every line's x and y (which contain no %), so the text of at
-    most one block is held at a time."""
+    most one block is held at a time.  The lines of row x are
+    ``x + x.join(tails)``, where the tails ",y,%.17g,...\n" are built once
+    a grid: ``str.join`` puts x before every tail after the first."""
     head = "x,y," + ",".join(f"G_{k + 1}" for k in range(grid.rank))
     fields = ",".join(["%.17g"] * grid.rank)
     xs, ys = ([f"{v:.17g}" for v in grid_points(lo, grid.h, grid.steps)]
               for lo in (grid.x0, grid.y0))
+    tails = [f",{y},{fields}\n" for y in ys]
     rows = max(1, _CSV_BLOCK // (len(ys) * grid.rank))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + "\n")
         for i in range(0, len(xs), rows):
-            template = "".join([f"{x},{y},{fields}\n" for x in xs[i:i + rows]
-                                for y in ys])
+            template = "".join([x + x.join(tails) for x in xs[i:i + rows]])
             fh.write(template % tuple(grid.values[i:i + rows].ravel()
                                       .tolist()))

@@ -43,8 +43,9 @@ def liouville_solution(f: Jet, g: Jet) -> Jet:
     derivative bodies, nonvanishing f+g body, and positive f'g' body (the
     exact ln works on the real branch).  ln|f+g| is the ln of f+g or of
     -(f+g), by the sign of the exact body c = f(x0) + g(y0): one series on
-    the sparse f+g.  c^2 is refused first, as ln((f+g)^2) refuses it.  The
-    result has order one less than the inputs.
+    the sparse f+g.  c^2 is refused first, as ln((f+g)^2) refuses it, and a
+    c^2 past the unit cap is refused under its own name.  The result has
+    order one less than the inputs.
     """
     f._check_compatible(g)
     if not f.depends_only_on("x"):
@@ -61,7 +62,11 @@ def liouville_solution(f: Jet, g: Jet) -> Jet:
     c = s.body
     if c == 0:
         raise ValueError("f(x0) + g(y0) vanishes")
-    body_ln(c * c)  # refuse c^2 before f'g'
+    try:  # the unit cap is the one refusal of a product
+        c2 = c * c
+    except ValueError as exc:
+        raise ValueError(f"cannot form (f(x0) + g(y0))^2: {exc}") from None
+    body_ln(c2)  # refuse c^2 before f'g'
     ((_, lead),) = unit_terms(c)
     return (fp * gp).ln() * Fraction(1, 2) - (s if lead > 0 else -s).ln()
 

@@ -583,6 +583,16 @@ def test_a_long_scalar_in_a_refusal_is_cut(capsys):
         "2535650040*exp(5) + ... (201 terms)\n")
 
 
+@pytest.mark.parametrize("terms,units", [(129, 257), (255, 509)])
+def test_a_squared_sum_past_the_unit_cap_is_named(capsys, terms, units):
+    # c = exp(1) + ... + exp(terms) fits the cap; c^2 does not
+    f = "x+" + "+".join(f"exp({k})" for k in range(1, terms + 1))
+    assert run(capsys, "verify-liouville", "--f", f, "--g", "y", "--order",
+               "4") == (3, "", "error: cannot form (f(x0) + g(y0))^2: an "
+                        f"exact value of {units} units is past the limit "
+                        "of 256\n")
+
+
 def _solve(boundary, h="1/4", out="grid.csv"):
     files = {"b.json": json.dumps({**BOUNDARY, **boundary})
              if isinstance(boundary, dict) else boundary}

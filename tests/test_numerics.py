@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zcurv.cartan import CartanMatrix, standard_cartan
-from zcurv.numerics import (MAX_GRID_VALUES, CornerMismatchError,
-                            GoursatData, Grid, GridOverflowError,
-                            convergence_order, grid_points, residual_grid,
-                            solve_goursat, square_steps, write_csv)
+from zcurv.numerics import (_CSV_BLOCK, MAX_GRID_VALUES,
+                            CornerMismatchError, GoursatData, Grid,
+                            GridOverflowError, convergence_order,
+                            grid_points, residual_grid, solve_goursat,
+                            square_steps, write_csv)
 
 SL2 = standard_cartan("sl2")
 
@@ -687,3 +688,19 @@ def test_csv_and_march_fingerprint(tmp_path):
         if a is not None:
             digest.update(repr(residual_grid(a, grid)).encode())
     assert digest.hexdigest()[:16] == CSV_FINGERPRINT
+
+
+@pytest.mark.parametrize("rank,points,block", [(1, 201, 163), (3, 120, 91)])
+def test_csv_across_block_boundaries(tmp_path, rank, points, block):
+    # two blocks of rows, the second short: the template of each block is
+    # built from its own rows only
+    assert _CSV_BLOCK // (points * rank) == block
+    rng = random.Random(points)
+    values = np.array([rng.choice(EXTREME_VALUES)
+                       for _ in range(points * points * rank)])
+    grid = Grid(Fraction(-7, 3), Fraction(-7, 3) + 1, Fraction(5, 11),
+                Fraction(5, 11) + 1, Fraction(1, points - 1),
+                values.reshape(points, points, rank))
+    write_csv(grid, tmp_path / "grid.csv")
+    assert ((tmp_path / "grid.csv").read_bytes()
+            == reference_csv_text(grid).encode("utf-8"))
