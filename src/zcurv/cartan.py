@@ -51,7 +51,6 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm, prod
-from typing import NamedTuple
 
 from . import _clip
 
@@ -116,9 +115,10 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries parities name")):
         return invert_rational(self.entries)
 
 
-class AdmissibilityReport(NamedTuple):
-    scheme: str
-    offending_indices: tuple[int, ...] = ()
+class AdmissibilityReport(namedtuple("AdmissibilityReport",
+                                      "scheme offending_indices",
+                                      defaults=((),))):
+    __slots__ = ()
 
     @property
     def admissible(self) -> bool:

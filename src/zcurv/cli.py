@@ -73,21 +73,24 @@ def _jet_order(args, least: int = 2) -> int:
             order = -1
         if order < least:
             raise InputError(
-                f"ZCURV_ORDER must be an integer >= {least}, got {raw!r}")
+                f"ZCURV_ORDER must be an integer >= {least}, got {_clip(raw)}")
     if order < least:
         raise InputError(f"--order must be >= {least}")
     if order > MAX_ORDER:
         raise InputError(
-            f"jet order {order} is past the limit of {MAX_ORDER}")
+            f"jet order {_clip(order)} is past the limit of {MAX_ORDER}")
     return order
 
 
 def _tolerance(text: str) -> float:
     """argparse type for --tol: a finite float >= 0."""
-    tol = float(text)  # a ValueError becomes argparse's usage error
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
     if not math.isfinite(tol) or tol < 0:
         raise argparse.ArgumentTypeError(
-            f"expected a finite number >= 0, got {text!r}")
+            f"expected a finite number >= 0, got {_clip(text)}")
     return tol
 
 

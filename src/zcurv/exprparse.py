@@ -54,8 +54,8 @@ import functools
 import math
 import operator
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 
 class ExprSyntaxError(ValueError):
@@ -181,12 +181,11 @@ def _float(op, args):
         return None
 
 
-class Expression(NamedTuple):
+class Expression(namedtuple("Expression", "program root")):
     """A parsed expression: the ``program`` it was emitted into and the slot
     of its ``root``."""
 
-    program: Program
-    root: int
+    __slots__ = ()
 
 
 # -- parsing -----------------------------------------------------------------

@@ -34,8 +34,8 @@ named tuples.
 
 import math
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,15 +77,11 @@ class Grid(namedtuple("Grid", "x0 x1 y0 y1 h values sweep_residual")):
         return (n0 + j * dn) / d
 
 
-class GoursatData(NamedTuple):
-    """Boundary traces on x = x0 (a function of y) and y = y0 (of x)."""
+class GoursatData(namedtuple("GoursatData", "x0 x1 y0 y1 x_edge y_edge")):
+    """Boundary traces on x = x0 (a function of y) and y = y0 (of x): each
+    edge maps a float to the sequence of its n component floats."""
 
-    x0: Fraction
-    x1: Fraction
-    y0: Fraction
-    y1: Fraction
-    x_edge: Callable[[float], Sequence[float]]
-    y_edge: Callable[[float], Sequence[float]]
+    __slots__ = ()
 
 
 CORNER_TOL = 1e-12

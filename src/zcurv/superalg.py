@@ -14,10 +14,8 @@ entrywise, and ``*`` raises TypeError instead of repeating the tuple.
 
 import functools
 from collections import namedtuple
-from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .cartan import EVEN, ODD
 
@@ -121,7 +119,7 @@ def supertrace(x: SuperMatrix) -> Fraction:
                for i, p in enumerate(x.row_parities))
 
 
-class BracketTable(NamedTuple):
+class BracketTable(namedtuple("BracketTable", "names table parities")):
     """All ordered graded brackets of a named basis, expanded in the basis.
 
     ``table[(a, b)]`` is a tuple of (coefficient, name) pairs, and
@@ -129,9 +127,7 @@ class BracketTable(NamedTuple):
     Both maps are read-only, so one table can be shared.
     """
 
-    names: tuple[str, ...]
-    table: Mapping[tuple[str, str], tuple[tuple[Fraction, str], ...]]
-    parities: Mapping[str, int]
+    __slots__ = ()
 
     def bracket(self, a: str, b: str) -> tuple[tuple[Fraction, str], ...]:
         return self.table[(a, b)]

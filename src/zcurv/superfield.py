@@ -99,12 +99,6 @@ class SuperField:
     def component(self, mask: int) -> Jet:
         return self.comps.get(mask, Jet.zero(self.base, self.order))
 
-    def component_by_names(self, names) -> Jet:
-        mask = 0
-        for n in names:
-            mask |= 1 << self.gens.index(n)
-        return self.component(mask)
-
     @property
     def body(self):
         """Constant term of the empty-subset component."""

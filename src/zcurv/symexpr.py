@@ -37,17 +37,13 @@ derivative of an expression whose monomials are single atoms maps each
 atom straight to its derived atom, with no merge.
 """
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 
-class Atom(NamedTuple):
-    name: str
-    dx: int = 0
-    dy: int = 0
-    dp: int = 0
-    dm: int = 0
-    base_parity: int = 0
+class Atom(namedtuple("Atom", "name dx dy dp dm base_parity",
+                       defaults=(0, 0, 0, 0, 0))):
+    __slots__ = ()
 
     @property
     def sort_key(self) -> tuple:
@@ -72,10 +68,12 @@ class Atom(NamedTuple):
         return out
 
 
-class ExpAtom(NamedTuple):
-    """exp of a rational-linear combination of names; parity even."""
+class ExpAtom(namedtuple("ExpAtom", "args")):
+    """exp of a rational-linear combination of names, ``args`` its
+    (coefficient, name) pairs with int or Fraction coefficients; parity
+    even."""
 
-    args: tuple[tuple[int | Fraction, str], ...]
+    __slots__ = ()
 
     @property
     def sort_key(self) -> tuple:

@@ -34,7 +34,6 @@ Fields, connections, curvatures and derived systems are named tuples.
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import SUPER_LIOUVILLE_SIGN
 from .cartan import CartanMatrix, determinant
@@ -101,16 +100,17 @@ class Osp12Relations:
                      for c, name in self._table.bracket(g1[0], g2[0]))
 
 
-class LieValuedField(NamedTuple):
+class LieValuedField(namedtuple("LieValuedField", "relations coefficients")):
     """Finite map from abstract generators to coefficient values.
 
-    Coefficients are superfields in concrete computations and symbolic
-    expressions inside the derivation engine; both expose the same
-    arithmetic and the four directional derivatives.
+    ``relations`` is a ``ChevalleyRelations`` or an ``Osp12Relations``, and
+    ``coefficients`` a dict keyed by generator.  Coefficients are
+    superfields in concrete computations and symbolic expressions inside
+    the derivation engine; both expose the same arithmetic and the four
+    directional derivatives.
     """
 
-    relations: ChevalleyRelations | Osp12Relations
-    coefficients: dict
+    __slots__ = ()
 
     def nonzero(self) -> dict:
         return {g: c for g, c in self.coefficients.items() if not c.is_zero()}
@@ -138,7 +138,7 @@ class Connection(namedtuple("Connection", "direction value")):
         return super().__new__(cls, direction, value)
 
 
-class CurvatureResult(NamedTuple):
+class CurvatureResult(namedtuple("CurvatureResult", "generators operator")):
     """Generator coefficients plus any leftover operator part.
 
     ``operator`` maps 'dx'/'dy' to a rational constant; it is empty for the
@@ -146,8 +146,7 @@ class CurvatureResult(NamedTuple):
     un-cancellable ``(D+-)^2`` terms for the degenerate pairs.
     """
 
-    generators: dict
-    operator: dict
+    __slots__ = ()
 
     def coefficient(self, g: GenKey):
         return self.generators.get(g)
@@ -220,19 +219,16 @@ def curvature(c1: Connection, c2: Connection) -> CurvatureResult:
 # derived systems
 
 
-class Equation(NamedTuple):
-    lhs: Expr
-    rhs: Expr
+class Equation(namedtuple("Equation", "lhs rhs")):
+    __slots__ = ()
 
     def render(self) -> str:
         return f"{self.lhs.render()} = {self.rhs.render()}"
 
 
-class DerivedSystem(NamedTuple):
-    first_order: tuple[Equation, ...]
-    final: tuple[Equation, ...]
-    defs: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
+class DerivedSystem(namedtuple("DerivedSystem", "first_order final defs notes",
+                               defaults=((), ()))):
+    __slots__ = ()
 
     def render(self) -> str:
         lines = [eq.render() for eq in self.first_order]

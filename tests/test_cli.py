@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy
 import pytest
 
 import zcurv
@@ -1003,30 +1004,32 @@ else:
     code = zcurv.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 new = set(sys.modules) - before
 print(json.dumps([code, sorted(m for m in new if m.split(".")[0] == "zcurv"),
-                  "numpy" in new, "dataclasses" in new]))
+                  "numpy" in new, "dataclasses" in new, "typing" in new]))
 """
 
 # zcurv modules past zcurv and zcurv.cli that each verb loads in a fresh
-# process, and whether it loads numpy and dataclasses
+# process, and whether it loads numpy, dataclasses and typing
 SYMBOLIC = ["cartan", "superalg", "symexpr", "zerocurv"]
 VERB_LOADS = [
-    (["zcurv"], None, False, False),
-    ([], [], False, False),
-    (["derive", "--cartan", str(DATA / "sl3.cm")], SYMBOLIC, False, False),
-    (["derive-super"], SYMBOLIC, False, False),
-    (["obstruction"], SYMBOLIC, False, False),
+    (["zcurv"], None, False, False, False),
+    ([], [], False, False, False),
+    (["derive", "--cartan", str(DATA / "sl3.cm")], SYMBOLIC,
+     False, False, False),
+    (["derive-super"], SYMBOLIC, False, False, False),
+    (["obstruction"], SYMBOLIC, False, False, False),
     (["bracket-table", "--algebra", "osp12"],
-     ["cartan", "superalg", "symexpr"], False, False),
+     ["cartan", "superalg", "symexpr"], False, False, False),
     (["admissible", "--cartan", str(DATA / "osp12.cm"), "--scheme", "lse1"],
-     ["cartan"], False, False),
+     ["cartan"], False, False, False),
     (["verify-liouville", "--f", "x+1", "--g", "y+1"],
-     ["exprparse", "jets", "scalars", "solutions"], False, False),
+     ["exprparse", "jets", "scalars", "solutions"], False, False, False),
     (["verify-lse", "--cartan", str(DATA / "sl2.cm"), "--solution", "s.json",
       "--form", "lsbis"],
-     ["cartan", "exprparse", "jets", "scalars", "solutions"], False, False),
+     ["cartan", "exprparse", "jets", "scalars", "solutions"],
+     False, False, False),
     (["solve", "--cartan", str(DATA / "sl2.cm"), "--boundary", "b.json",
       "--h", "1/8", "--out", "grid.csv"],
-     ["cartan", "exprparse", "numerics"], True, False),
+     ["cartan", "exprparse", "numerics"], True, False, True),
 ]
 # every name zcurv exported when its __init__ imported each module eagerly
 EXPORTS = {
@@ -1052,18 +1055,20 @@ EXPORTS = {
 def test_only_solve_loads_numpy(tmp_path):
     (tmp_path / "b.json").write_text(json.dumps(BOUNDARY))
     (tmp_path / "s.json").write_text('{"components": ["-2*ln(x+y+1)"]}')
-    env = {**os.environ, "PYTHONPATH": str(Path(zcurv.__file__).parents[1])}
+    # -S keeps site hooks, which may import typing, out of the fresh process
+    path = [Path(zcurv.__file__).parents[1], Path(numpy.__file__).parents[1]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
     got, want = {}, {}
-    for argv, loads, numpy, dataclasses in VERB_LOADS:
-        proc = subprocess.run([sys.executable, "-c", LOADS_SCRIPT, *argv],
-                              cwd=tmp_path, env=env, capture_output=True,
-                              text=True, timeout=60)
+    for argv, loads, loads_numpy, dataclasses, typing in VERB_LOADS:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", LOADS_SCRIPT, *argv], cwd=tmp_path,
+            env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, (argv, proc.stderr)
         key = argv[0] if argv else "zcurv.cli"
         got[key] = json.loads(proc.stdout.splitlines()[-1])
         modules = ["zcurv"] if loads is None else \
             ["zcurv", "zcurv.cli", *(f"zcurv.{m}" for m in loads)]
-        want[key] = [0, sorted(modules), numpy, dataclasses]
+        want[key] = [0, sorted(modules), loads_numpy, dataclasses, typing]
     assert got == want
     assert (tmp_path / "grid.csv").is_file()
 
@@ -1150,21 +1155,43 @@ def test_each_failure_path_prints_its_line(tmp_path, monkeypatch, capsys,
     assert (got, err) == (code, line + "\n")
 
 
-@pytest.mark.parametrize("argv,fragment", [
+@pytest.mark.parametrize("argv,env,fragment", [
     (["verify-liouville", "--f", "x+1", "--g", "y+1", "--base", "1" * 3000],
-     "--base expects 'x0,y0', got '111"),
-    (_solve({}, h="-1." + "0" * 3000)[1], "--h must be positive, got '-1.000"),
-    (["verify-liouville", "--f", "a" * 5000, "--g", "y+1"],
+     None, "--base expects 'x0,y0', got '111"),
+    (_solve({}, h="-1." + "0" * 3000)[1], None,
+     "--h must be positive, got '-1.000"),
+    (["verify-liouville", "--f", "a" * 5000, "--g", "y+1"], None,
      "unknown name (at position 1)"),
-], ids=["base", "h", "unknown-name"])
+    (["verify-liouville", "--f", "x+1", "--g", "y+1"], "a" * 3000,
+     "ZCURV_ORDER must be an integer >= 3, got 'aaa"),
+    (["verify-liouville", "--f", "x+1", "--g", "y+1"], "1" * 3000,
+     "jet order 111"),
+    (["verify-liouville", "--f", "x+1", "--g", "y+1", "--order", "1" * 3000],
+     None, "jet order 111"),
+], ids=["base", "h", "unknown-name", "order-env", "order-env-past-limit",
+        "order-past-limit"])
 def test_long_values_are_echoed_clipped(tmp_path, monkeypatch, capsys, argv,
-                                        fragment):
+                                        env, fragment):
     monkeypatch.chdir(tmp_path)
+    if env is not None:
+        monkeypatch.setenv("ZCURV_ORDER", env)
     (tmp_path / "b.json").write_text(json.dumps(BOUNDARY))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert fragment in err and "characters)" in err
     assert err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("tol", ["1" * 3000, "a" * 3000],
+                         ids=["past-float", "not-a-number"])
+def test_a_long_tolerance_is_echoed_clipped(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-liouville", "--f", "x", "--g", "y", "--tol", tol])
+    assert exc.value.code == 2
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line == ("zcurv verify-liouville: error: argument --tol: expected "
+                    f"a finite number >= 0, got '{tol[:23]}...{tol[:11]}' "
+                    "(3000 characters)")
 
 
 @pytest.mark.parametrize("argv,line", [

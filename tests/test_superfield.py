@@ -30,8 +30,8 @@ def test_generator_relations():
     xi, eta, th1 = coord("xi"), coord("eta"), coord("th1")
     assert (xi * xi).is_zero()
     assert xi * eta == -(eta * xi)
-    assert (xi * eta * th1).component_by_names(["xi", "eta", "th1"]) \
-        == Jet.constant(1, order=5)
+    # a component's mask sets bit i for GENS[i]: xi 1, eta 2, th1 4
+    assert (xi * eta * th1).component(0b111) == Jet.constant(1, order=5)
     # fixed generator order pins the sign
     assert eta * xi == SuperField(GENS, (0, 0), 5,
                                   {0b11: Jet.constant(-1, order=5)})
@@ -149,7 +149,7 @@ def test_parity_classification():
 
 def test_component_access_and_str():
     f = coord("xi") * coord("th1") + SuperField.constant(2, GENS, order=5)
-    assert f.component_by_names(["xi", "th1"]) == Jet.constant(1, order=5)
+    assert f.component(0b101) == Jet.constant(1, order=5)
     assert str(f) == "2 + xi*th1"
 
 
